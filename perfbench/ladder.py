@@ -16,6 +16,15 @@ the expected verdict is known here, never taken from the program:
   a = 0 lie on the locus, their perturbations do not.  Frame twists that
   preserve both the sub-frame and the complement carry one family onto the
   other pointwise, so the verdict survives the twist.
+
+A generator takes two kinds of randomness: ``rng`` picks the shape of the
+case (supports, coefficients, which entry is perturbed) and ``signs`` a
+sign change of basis e_i -> s_i e_i applied last.  The sign change is an
+isomorphism, so it keeps the verdict, and it changes no coefficient's size
+or support, so it keeps the work: every intermediate coefficient of a
+decision only changes sign.  The workloads draw shapes from a fixed seed and
+signs from the workload seed, so every seed gives other inputs at the same
+cost.
 """
 from __future__ import annotations
 
@@ -70,6 +79,24 @@ def shaped_poly(rng: random.Random, n: int, degrees: tuple[int, ...], bound: int
             e[rng.randrange(n)] += 1
         out[tuple(e)] = Fraction(rng.choice([k for k in range(-bound, bound + 1) if k]))
     return out
+
+
+def random_signs(rng: random.Random, dim: int) -> list[int]:
+    return [rng.choice((-1, 1)) for _ in range(dim)]
+
+
+def _signed(c, sign: int):
+    return pscale(c, sign) if isinstance(c, dict) else c * sign
+
+
+def flip_structure(C: dict, s: list) -> dict:
+    """Structure constants {(i, j, k): c} in the basis s_i e_i."""
+    return {(i, j, k): _signed(c, s[i] * s[j] * s[k]) for (i, j, k), c in C.items()}
+
+
+def flip_map(F: dict, s: list) -> dict:
+    """A map {(i, j): c} (c = coefficient of e_j in the image of e_i) in the basis s_i e_i."""
+    return {(i, j): _signed(c, s[i] * s[j]) for (i, j), c in F.items()}
 
 
 def terms_obj(p: Poly) -> list[dict]:
@@ -268,7 +295,7 @@ def algebra(name: str) -> tuple[int, dict]:
     return heisenberg((int(name.split("-")[1]) - 1) // 2)
 
 
-def identity_hom_case(rng: random.Random, name: str, on_locus: bool) -> dict:
+def identity_hom_case(rng: random.Random, name: str, on_locus: bool, signs: list) -> dict:
     """Identity homomorphism of sl(n) or Heisenberg offset by exp(t ad x) - id (perturbed if off)."""
     dim, C = algebra(name)
     x = _nilpotent_element(rng, dim, name)
@@ -285,10 +312,10 @@ def identity_hom_case(rng: random.Random, name: str, on_locus: bool) -> dict:
     elif not is_homomorphism(dim, C, F):
         raise AssertionError("exp(t ad x) must be an automorphism")
     offsets = {(i, j): F[i][j] - (1 if i == j else 0) for i in range(dim) for j in range(dim)}
-    return homomorphism(dim, C, offsets)
+    return homomorphism(dim, flip_structure(C, signs), flip_map(offsets, signs))
 
 
-def lie_candidate_case(rng: random.Random, dim: int, C: dict, on_locus: bool) -> dict:
+def lie_candidate_case(rng: random.Random, dim: int, C: dict, on_locus: bool, signs: list) -> dict:
     """Candidate = (structure in a unipotent change of basis) - structure, perturbed if off."""
     A = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     for i, j in itertools.combinations(range(dim), 2):
@@ -313,7 +340,7 @@ def lie_candidate_case(rng: random.Random, dim: int, C: dict, on_locus: bool) ->
                 break
     cand = {k: C2.get(k, Fraction(0)) - C.get(k, Fraction(0)) for k in set(C) | set(C2)}
     cand = {k: v for k, v in cand.items() if v}
-    return lie_algebra(dim, C, cand)
+    return lie_algebra(dim, flip_structure(C, signs), flip_structure(cand, signs))
 
 
 def _unipotent_inverse(M: list) -> list:
@@ -352,7 +379,7 @@ def _dot(row, col, add, mul, zero):
 
 
 def split_case(rng: random.Random, family: str, base_dim: int, normal_rank: int,
-               twist: bool, on_locus: bool) -> dict:
+               twist: bool, on_locus: bool, signs: list) -> dict:
     """Zero-anchor bundle of sl(2) (Borel split) or Heisenberg-3 (split span{z, p}) over R^(p+q).
 
     The sub-frame is the first two frame vectors, the complement the third.
@@ -388,6 +415,8 @@ def split_case(rng: random.Random, family: str, base_dim: int, normal_rank: int,
     # phi as a row over the sub-frame: phi'(e'_i) = sum_a phi(e_a) U[a][i]
     phi0 = [a, b]
     phi = [padd(*(pmul(phi0[aa], M[aa][i]) for aa in range(2))) for i in range(2)]
+    structure = flip_structure(structure, signs)
+    phi = [pscale(poly, signs[i] * signs[2]) for i, poly in enumerate(phi)]
     sigma = [shaped_poly(rng, p, (2, 0) if p else (0,)) for _ in range(q)]
     return {
         "format_version": FORMAT_VERSION, "kind": "subalgebroid",
@@ -406,13 +435,14 @@ def _pad(poly: Poly, n: int) -> Poly:
     return {e + (0,) * (n - len(e)): c for e, c in poly.items()}
 
 
-def sl2_borel_case(rng: random.Random, on_locus: bool) -> dict:
+def sl2_borel_case(rng: random.Random, on_locus: bool, signs: list) -> dict:
     """sl(2) in frame (h, e, f) split along span{h, e}; phi = (a, b) on the locus iff a^2 = 4b."""
     s = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
     a, b = 2 * s, s * s
     if not on_locus:
         b += rng.choice([-1, 1])
-    return subalgebra(*SL2_HEF, 2, {(0, 2): a, (1, 2): b})
+    dim, C = SL2_HEF
+    return subalgebra(dim, flip_structure(C, signs), 2, flip_map({(0, 2): a, (1, 2): b}, signs))
 
 
 def sl2_e_split() -> dict:

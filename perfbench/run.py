@@ -15,6 +15,15 @@ benchmark's own expectation.  With ``--trace 1`` the run first measures
 untraced passes, then wraps the program's functions (``tracing.py``) and
 reports per-layer metrics per pass instead of the end-to-end ones.
 
+Before every cold set-up, and before every op that starts ``PROBE_GAP_S`` or
+more after the last probe, the run times a fixed piece of the benchmark's
+own pure-Python work, the host probe.  On a shared host the
+same code runs up to twice as fast in some minutes as in others; the probe
+slows down with it.  Every end-to-end timing is reported at a fixed host
+speed: each measured op latency and set-up time is multiplied by
+``PROBE_REF_S`` over the median time of the probes run within
+``PROBE_WINDOW_S`` of it.  The stamp keeps the measured values too.
+
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before it is
 the result stamp, which is also written to ``perfbench/out/``.
@@ -22,15 +31,18 @@ the result stamp, which is also written to ``perfbench/out/``.
 from __future__ import annotations
 
 import argparse
+import bisect
 import gc
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -39,6 +51,7 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 sys.path.insert(0, str(HERE))
 
+import ladder  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -46,10 +59,75 @@ SETUP_REPEATS = 5  # cold set-ups before the first pass
 RELOADS = 8  # cold set-ups between passes; a fixed count, so memory does not track speed
 UNTRACED_SHARE = 0.4  # of --seconds, spent on untraced passes in a traced run
 FAILURE_EXAMPLES = 5
+PROBE_REF_S = 0.0015  # reference probe time: about the probe's median on a 2-vCPU x86-64 VM, Python 3.11.7
+PROBE_GAP_S = 0.01  # at most one probe per 10 ms, so short ops do not pay a probe each
+PROBE_WINDOW_S = 1.0  # probes this close to a timed interval set its host speed; slow phases last longer
 
 
 class BenchmarkError(Exception):
     """The checkout cannot be benchmarked (no program, no fixtures)."""
+
+
+# ---------------------------------------------------------------------
+# host probe: fixed work that tracks the host's speed, outside every timing
+# ---------------------------------------------------------------------
+_probe_rng = random.Random("host probe")
+PROBE_P, PROBE_Q = (
+    {tuple(_probe_rng.randrange(3) for _ in range(4)): Fraction(_probe_rng.choice([-7, -3, -1, 1, 2, 5]),
+                                                                _probe_rng.randint(1, 5))
+     for _ in range(10)}
+    for _ in range(2)
+)
+PROBE_MATRIX = [[Fraction(_probe_rng.randint(-5, 5), _probe_rng.randint(1, 3)) for _ in range(7)] for _ in range(6)]
+
+
+def _eliminate(rows: list) -> list:
+    """Gauss-Jordan elimination over Fraction, as the program's ``linalg`` does it."""
+    rows = [row[:] for row in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows
+
+
+class HostProbe:
+    """Times a sparse Fraction polynomial product and a small Fraction elimination.
+
+    These are the two kinds of work linfty's inner loops do (superfield
+    products, linalg rows).  A probe runs before an op or a set-up when
+    ``PROBE_GAP_S`` have gone by since the last one, and never inside a timing.
+    """
+
+    def __init__(self):
+        self.starts: list[float] = []
+        self.times: list[float] = []
+
+    def __call__(self, force: bool = False):
+        start = time.perf_counter()
+        if not force and self.starts and start - self.starts[-1] < PROBE_GAP_S:
+            return
+        ladder.pmul(PROBE_P, PROBE_Q)
+        _eliminate(PROBE_MATRIX)
+        self.starts.append(start)
+        self.times.append(time.perf_counter() - start)
+
+    def at_reference(self, start: float, seconds: float) -> float:
+        """``seconds`` timed from ``start``, brought to the host speed at which a probe takes PROBE_REF_S."""
+        lo = bisect.bisect_left(self.starts, start - PROBE_WINDOW_S)
+        hi = bisect.bisect_right(self.starts, start + seconds + PROBE_WINDOW_S)
+        return seconds * PROBE_REF_S / statistics.median(self.times[lo:hi])
 
 
 # ---------------------------------------------------------------------
@@ -71,6 +149,7 @@ class ColdSetup:
             sys.path.insert(0, str(SRC))
         self.inputs = inputs
         self.snapshot = set(sys.modules)
+        self.starts: list[float] = []
         self.times: list[float] = []
 
     def __call__(self) -> dict:
@@ -82,6 +161,7 @@ class ColdSetup:
         import linfty.instances as instances
 
         parsed = {name: instances.parse_instance(obj) for name, obj in self.inputs.items()}
+        self.starts.append(start)
         self.times.append(time.perf_counter() - start)
         if not Path(instances.__file__).resolve().is_relative_to(SRC.resolve()):
             raise BenchmarkError(f"linfty was imported from {instances.__file__}, not from {SRC}")
@@ -127,16 +207,19 @@ class Runner:
         self.cold_setup = cold_setup
         self.tracer = None
         self.latencies = {op.name: [] for op in workload.ops}
+        self.timed: list[tuple] = []  # (pass index, start, seconds) of every op sample
         self.pass_times = []
         self.attempted = 0
         self.failures: dict[str, int] = {}
         self.examples: list = []
         self.correct = True
+        self.probe = HostProbe()
         for _ in range(SETUP_REPEATS):
             self.load()
 
     def load(self):
         """A cold set-up; the following passes use the modules and instances it made."""
+        self.probe(force=True)
         self.parsed = self.cold_setup()
         import linfty.cli as cli
         from linfty.instances import InstanceError
@@ -167,18 +250,20 @@ class Runner:
             return "exception", f"{type(exc).__name__}: {exc}"
 
     def one_pass(self):
+        """One pass over the op list; the pass time is the sum of its op latencies (no probes)."""
         outcomes = []
         clock = time.perf_counter
-        start = clock()
         for index, op in enumerate(self.workload.ops):
             if self.tracer is not None:
                 self.tracer.trace_id = len(self.pass_times) * 100_000 + index + 1
+            self.probe()
             t0 = clock()
             outcome = self.run_op(op)
-            outcomes.append((op, clock() - t0, outcome))
-        self.pass_times.append(clock() - start)
-        for op, seconds, outcome in outcomes:
+            outcomes.append((op, t0, clock() - t0, outcome))
+        self.pass_times.append(sum(seconds for _, _, seconds, _ in outcomes))
+        for op, t0, seconds, outcome in outcomes:
             self.latencies[op.name].append(seconds)
+            self.timed.append((len(self.pass_times) - 1, t0, seconds))
             self.attempted += 1
             kind, message = classify(op, outcome)
             if kind == "ok":
@@ -236,13 +321,27 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     if not trace:
         runner.run_for(seconds, reload=True)
         samples = [s for values in runner.latencies.values() for s in values]
+        measured = {
+            "setup_s": statistics.median(cold_setup.times),
+            "pass_s": statistics.median(runner.pass_times),
+            "op_p50_ms": statistics.median(samples) * 1000.0,
+            "op_p90_ms": _p90(samples) * 1000.0,
+        }
+        at_ref = runner.probe.at_reference
+        setups = [at_ref(t0, seconds) for t0, seconds in zip(cold_setup.starts, cold_setup.times)]
+        ops = [at_ref(t0, seconds) for _, t0, seconds in runner.timed]
+        passes = [0.0] * len(runner.pass_times)
+        for (index, _, _), seconds in zip(runner.timed, ops):
+            passes[index] += seconds
         metrics = {
-            "setup_s": (statistics.median(cold_setup.times), "s"),
-            "pass_s": (statistics.median(runner.pass_times), "s"),
-            "op_p50_ms": (statistics.median(samples) * 1000.0, "ms"),
-            "op_p90_ms": (_p90(samples) * 1000.0, "ms"),
+            "setup_s": (statistics.median(setups), "s"),
+            "pass_s": (statistics.median(passes), "s"),
+            "op_p50_ms": (statistics.median(ops) * 1000.0, "ms"),
+            "op_p90_ms": (_p90(ops) * 1000.0, "ms"),
             "peak_rss_mb": (_peak_rss_mb(), "MB"),
         }
+        stamp.update({"measured": measured, "probe_median_s": statistics.median(runner.probe.times),
+                      "probe_count": len(runner.probe.times)})
     else:
         untraced = runner.run_for(seconds * UNTRACED_SHARE, reload=True)
         tracer = tracing.Tracer()

@@ -75,7 +75,7 @@ SPLIT_SHAPES = [  # (family, base_dim, normal_rank, twisted)
 
 
 def decide(seed: int, root: Path) -> Workload:
-    rng = random.Random(seed)
+    shape, rng = random.Random("decide"), random.Random(seed)  # see ladder.py: shapes fixed, signs seeded
     presets = load_presets(root)
     inputs = dict(presets)
     ops = []
@@ -97,7 +97,8 @@ def decide(seed: int, root: Path) -> Workload:
     for family, p, q, twisted in SPLIT_SHAPES:
         for on in (True, False):
             name = f"split-{family}-p{p}q{q}{'-tw' if twisted else ''}-{'on' if on else 'off'}"
-            inputs[name] = ladder.split_case(rng, family, p, q, twisted, on)
+            inputs[name] = ladder.split_case(shape, family, p, q, twisted, on,
+                                               ladder.random_signs(rng, 3))
             add("validate", name, {"verdict": "pass", "oracle_agreement": True})
             for command in ("subalg-check", "mc-check", "oracle-compare", "simultaneous"):
                 add(command, name, _mc_expect(command, "subalgebroid", on), on)
@@ -105,7 +106,7 @@ def decide(seed: int, root: Path) -> Workload:
     for k in range(3):
         for on in (True, False):
             name = f"sl2-borel-{k}-{'on' if on else 'off'}"
-            inputs[name] = ladder.sl2_borel_case(rng, on)
+            inputs[name] = ladder.sl2_borel_case(shape, on, ladder.random_signs(rng, 3))
             for command in ("subalg-check", "oracle-compare"):
                 add(command, name, _mc_expect(command, "subalgebra", on), on)
 
@@ -117,7 +118,8 @@ def decide(seed: int, root: Path) -> Workload:
         for k in range(count):
             for on in (True, False):
                 name = f"hom-{algebra}-id-{k}-{'on' if on else 'off'}"
-                inputs[name] = ladder.identity_hom_case(rng, algebra, on)
+                dim = ladder.algebra(algebra)[0]
+                inputs[name] = ladder.identity_hom_case(shape, algebra, on, ladder.random_signs(rng, dim))
                 for command in commands:
                     add(command, name, _mc_expect(command, "homomorphism", on), on)
 
@@ -125,7 +127,7 @@ def decide(seed: int, root: Path) -> Workload:
         dim, C = ladder.algebra(algebra)
         for on in (True, False):
             name = f"lie-{algebra}-{'on' if on else 'off'}"
-            inputs[name] = ladder.lie_candidate_case(rng, dim, C, on)
+            inputs[name] = ladder.lie_candidate_case(shape, dim, C, on, ladder.random_signs(rng, dim))
             for command in ("mc-check", "oracle-compare"):
                 add(command, name, _mc_expect(command, "lie_algebra", on), on)
     return Workload("decide", inputs, ops)
@@ -134,9 +136,11 @@ def decide(seed: int, root: Path) -> Workload:
 # ---------------------------------------------------------------------
 # chains: long derived-bracket chains on fields with few terms
 # ---------------------------------------------------------------------
-CHAIN_SHAPES = [  # (family, base_dim, normal_rank, twisted)
-    ("sl2", 0, 0, False), ("sl2", 1, 0, True), ("sl2", 0, 1, False), ("sl2", 1, 1, True),
-    ("heis", 0, 0, False), ("heis", 1, 0, True), ("heis", 0, 1, False), ("heis", 1, 1, True),
+# (family, base_dim, normal_rank, twisted); no constant split: sl2-borel already is one.
+# With 15 ops the pooled median and 90th percentile fall amid one op's samples.
+CHAIN_SHAPES = [
+    ("sl2", 1, 0, True), ("sl2", 0, 1, False), ("sl2", 1, 1, True),
+    ("heis", 1, 0, True), ("heis", 0, 1, False), ("heis", 1, 1, True),
 ]
 CHAIN_PRESETS = {  # name -> (sub rank, fiber rank, normal rank) of the split the command uses
     "sl2-borel": (2, 3, 0), "foliation-r3": (2, 3, 0), "tangent-r1-origin": (0, 1, 1),
@@ -145,14 +149,15 @@ CHAIN_PRESETS = {  # name -> (sub rank, fiber rank, normal rank) of the split th
 
 
 def chains(seed: int, root: Path) -> Workload:
-    rng = random.Random(seed)
+    shape, rng = random.Random("chains"), random.Random(seed)
     presets = load_presets(root)
     inputs = {name: presets[name] for name in CHAIN_PRESETS}
     inputs["sl2-e-split"] = ladder.sl2_e_split()
     shapes = dict(CHAIN_PRESETS, **{"sl2-e-split": (1, 3, 0)})
     for family, p, q, twisted in CHAIN_SHAPES:
         name = f"split-{family}-p{p}q{q}{'-tw' if twisted else ''}"
-        inputs[name] = ladder.split_case(rng, family, p, q, twisted, True)
+        inputs[name] = ladder.split_case(shape, family, p, q, twisted, True,
+                                           ladder.random_signs(rng, 3))
         shapes[name] = (2, 3, q)
     ops = []
     # brackets hom-sl2-id (about 14 s) is left out: one op would outweigh every other
@@ -191,26 +196,28 @@ def cohomology(seed: int, root: Path) -> Workload:
     """
     presets = load_presets(root)
     inputs = {name: presets[name] for name in
-              ("sl2", "heisenberg-3", "abelian-2", "abelian-4", "foliation-r3", "sl2-borel")}
-    inputs.update({f"tangent-r{n}": ladder.tangent_rn(n) for n in (1, 2)})
+              ("sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "foliation-r3", "sl2-borel")}
+    inputs["tangent-r2"] = ladder.tangent_rn(2)
     inputs.update({name: ladder.lie_algebra(*ladder.algebra(name)) for name in ("sl3", "heisenberg-5")})
 
     def expected(name: str, q: int) -> int:
         if name.startswith("abelian-"):
             n = int(name.split("-")[1])
             return n * math.comb(n, q)
-        if name in ("sl2", "sl3", "tangent-r1", "tangent-r2"):
+        if name in ("sl2", "sl3", "tangent-r2"):
             return 0  # Whitehead for semisimple g; TM has acyclic deformation complex
         if name.startswith("heisenberg") and q < 2:
             n = (int(name.split("-")[1]) - 1) // 2
             return 1 if q == 0 else _heisenberg_h1(n)
         return COHOMOLOGY_PINNED[(name, q)]
 
-    # 35 ops: with an odd count near 35 the pooled median and 90th percentile fall inside
-    # one op's samples rather than on the boundary between two ops
+    # 35 ops, so that the pooled median falls amid the six ops of 2-4 ms (sorted ops 14-19)
+    # and the 90th percentile amid the samples of sorted op 31, where sl3.q1 and
+    # tangent-r2.t2.q2 both take about 280 ms.  For that abelian-4 runs only q = 0, 2, 4,
+    # which takes two ops out between the two; its H^1 and H^3 have the same dimension.
     rungs = [  # (instance, truncate, degrees)
-        ("sl2", None, range(4)), ("heisenberg-3", None, range(4)),
-        ("abelian-2", None, range(3)), ("abelian-4", None, range(5)), ("tangent-r1", 3, range(2)),
+        ("sl2", None, range(4)), ("heisenberg-3", None, range(4)), ("abelian-2", None, range(3)),
+        ("abelian-3", None, range(4)), ("abelian-4", None, (0, 2, 4)),
         ("sl3", None, range(2)), ("heisenberg-5", None, range(3)),
         ("tangent-r2", 2, range(3)), ("tangent-r2", 3, range(3)),
         ("foliation-r3", 2, range(3)), ("sl2-borel", None, range(3)),
