@@ -512,56 +512,31 @@ def complex_cohomology(
     ``basis_of_degree(d)`` enumerates the chosen window of the complex in
     one degree; image vectors falling outside the window enlarge the
     coordinate space, so the reported quotient is exact whenever the window
-    is closed under the differential.
+    is closed under the differential.  The representatives are the kernel
+    basis vectors, in order, that are independent of the image and of the
+    representatives before them; the dimension is their number.
     """
     src = basis_of_degree(degree)
     below = basis_of_degree(degree - 1)
-    images_src = [differential(v) for v in src]
-    images_below = [differential(v) for v in below]
-
     keys: dict = {}
-    for v in src:
-        for key in v.terms:
-            keys.setdefault(key, len(keys))
-    for w in images_src + images_below:
-        for key in w.terms:
-            keys.setdefault(key, len(keys))
 
-    def vec(w: SuperVectorField) -> list[Fraction]:
-        out = [Fraction(0)] * len(keys)
-        for key, c in w.terms.items():
-            out[keys[key]] = c
-        return out
+    def vec(w: SuperVectorField) -> linalg.Vector:
+        return {keys.setdefault(key, len(keys)): c for key, c in w.terms.items()}
 
-    matrix_rows = [vec(w) for w in images_src]
-    cols = len(src)
-    col_matrix = (
-        [[matrix_rows[j][i] for j in range(cols)] for i in range(len(keys))] if cols else []
-    )
-    kernel_coords = linalg.nullspace(col_matrix, cols)
-    kernel_vecs = []
-    kernel_fields = []
-    for coeffs in kernel_coords:
-        f = SuperVectorField.zero(src[0].chart) if src else None
-        for c, v in zip(coeffs, src):
-            if c != 0:
-                f = f + v.scale(c)
-        kernel_fields.append(f)
-        kernel_vecs.append(vec(f))
-    image_vecs = [vec(w) for w in images_below if not w.is_zero()]
-    if kernel_vecs:
-        joint = linalg.rank(kernel_vecs + image_vecs)
-        dim = joint - (linalg.rank(image_vecs) if image_vecs else 0)
-    else:
-        dim = 0
-    reps_coords = linalg.quotient_representatives(kernel_vecs, image_vecs)
+    matrix: dict[int, linalg.Vector] = {}  # image coordinate -> {source index: entry}
+    for j, v in enumerate(src):
+        for i, c in vec(differential(v)).items():
+            matrix.setdefault(i, {})[j] = c
+    kernel = linalg.EchelonBasis(matrix.values()).kernel(len(src))
+    span = linalg.EchelonBasis(vec(differential(v)) for v in below)
     reps = []
-    for rep in reps_coords:
-        for f, v in zip(kernel_fields, kernel_vecs):
-            if v == rep:
-                reps.append(f)
-                break
-    return CohomologyResult(degree, dim, reps, truncated)
+    for coeffs in kernel:
+        f = SuperVectorField.zero(src[0].chart)
+        for j in sorted(coeffs):
+            f = f + src[j].scale(coeffs[j])
+        if span.add(vec(f)):
+            reps.append(f)
+    return CohomologyResult(degree, len(reps), reps, truncated)
 
 
 def dgla_cohomology(
@@ -571,13 +546,16 @@ def dgla_cohomology(
 
     Cochain degree q corresponds to field degree q - 1.  Over a point the
     complex is finite and the answer exact; a polynomial base requires a
-    truncation bound.
+    truncation bound.  The structure field must be homological ([Q, Q] = 0),
+    else the field complex is not a complex.
     """
     chart = data.plain_chart()
     if data.base_dim > 0 and truncate is None:
         raise ValueError("polynomial base needs a truncation degree")
     bound = 0 if data.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
     xq = build_xq(data, chart)
+    if not is_homological(xq):
+        raise ValueError("the structure field must be homological")
 
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)

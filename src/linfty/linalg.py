@@ -1,13 +1,86 @@
-"""Small exact linear algebra over Q used by the cohomology computations.
+"""Exact linear algebra over Q used by the cohomology computations.
 
-Matrices are lists of row lists of Fractions.  Sizes stay tiny (dozens of
-rows), so plain Gaussian elimination is plenty.
+The work is done by ``EchelonBasis``: a reduced echelon basis whose rows are
+sparse ``{column: Fraction}`` dicts.  Field-complex differentials are very
+sparse and reach a few hundred rows and columns (sl(3) at cochain degree 2
+is a 448x224 system), so a vector is reduced against the rows it actually
+meets instead of re-eliminating a dense matrix.  Two invariants hold:
+
+- every row has its pivot, its lowest column, equal to 1 and is zero in the
+  pivot column of every other row.  The rows are then exactly the nonzero
+  rows of the dense ``rref`` of any matrix spanning the same row space, so
+  the kernel basis read off them (one vector per free column, in increasing
+  column order, 1 at that column) is canonical for a fixed column order;
+- vectors are taken in the order given, and ``add`` keeps one exactly when
+  it is independent of everything kept before it, so a quotient basis is
+  chosen greedily in input order.
+
+``rref`` is the dense Gauss-Jordan reference the tests compare against.
+Dense matrices are lists of row lists of Fractions.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+Vector = dict[int, Fraction]  # sparse: column -> nonzero entry
+
+
+def _sparse(row: Sequence[Fraction]) -> Vector:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _subtract(target: Vector, f: Fraction, row: Vector) -> None:
+    """``target -= f * row`` in place, keeping only nonzero entries."""
+    for k, x in row.items():
+        y = target.get(k, 0) - f * x
+        if y:
+            target[k] = y
+        else:
+            target.pop(k, None)
+
+
+class EchelonBasis:
+    """Reduced echelon basis of a subspace of Q^n that grows one vector at a time."""
+
+    def __init__(self, vectors: Iterable[Vector] = ()) -> None:
+        self.rows: dict[int, Vector] = {}  # pivot column -> row
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vector: Vector) -> Vector:
+        """``vector`` minus its part in the span: zero in every pivot column."""
+        out = dict(vector)
+        for c in [c for c in out if c in self.rows]:
+            _subtract(out, out[c], self.rows[c])
+        return out
+
+    def add(self, vector: Vector) -> bool:
+        """Insert ``vector`` if it is independent of the span; report whether it was."""
+        row = self.reduce(vector)
+        if not row:
+            return False
+        p = min(row)
+        inv = Fraction(1) / row[p]
+        row = {k: x * inv for k, x in row.items()}
+        for other in self.rows.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        self.rows[p] = row
+        return True
+
+    def kernel(self, cols: int) -> list[Vector]:
+        """Kernel basis of the map on Q^cols whose matrix rows this basis spans."""
+        free = {j: {j: Fraction(1)} for j in range(cols) if j not in self.rows}
+        for c, row in self.rows.items():
+            for k, x in row.items():
+                if k != c:
+                    free[k][c] = -x
+        return list(free.values())
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -36,9 +109,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(matrix: Matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix)[1])
+    return len(EchelonBasis(_sparse(row) for row in matrix))
 
 
 def nullspace(matrix: Matrix, cols: int) -> list[list[Fraction]]:
@@ -48,61 +119,19 @@ def nullspace(matrix: Matrix, cols: int) -> list[list[Fraction]]:
     coordinates, i.e. entry [i][j] is the i-th output coordinate of basis
     vector j.  (Column-convention kernel.)
     """
-    if cols == 0:
-        return []
-    if not matrix:
-        return [unit_vector(cols, j) for j in range(cols)]
-    reduced, pivots = rref(matrix)
-    free = [j for j in range(cols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][j]
-        basis.append(v)
-    return basis
-
-
-def unit_vector(n: int, j: int) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
-
-
-def column_space_contains(matrix_cols: list[list[Fraction]], vector: list[Fraction]) -> bool:
-    """Whether ``vector`` lies in the span of the given column vectors."""
-    if all(v == 0 for v in vector):
-        return True
-    if not matrix_cols:
-        return False
-    span = [list(col) for col in matrix_cols]
-    return rank(_transpose(span)) == rank(_transpose(span + [vector]))
-
-
-def quotient_dimension(kernel: list[list[Fraction]], image: list[list[Fraction]]) -> int:
-    """dim(ker / im) for im a subspace of ker (vectors as coordinate lists)."""
-    if not kernel:
-        return 0
-    k = rank(kernel)
-    i = rank(image) if image else 0
-    return k - i
+    basis = EchelonBasis(_sparse(row) for row in matrix)
+    out = []
+    for v in basis.kernel(cols):
+        dense = [Fraction(0)] * cols
+        for j, x in v.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def quotient_representatives(
     kernel: list[list[Fraction]], image: list[list[Fraction]]
 ) -> list[list[Fraction]]:
     """Kernel vectors projecting to a basis of ker/im."""
-    reps: list[list[Fraction]] = []
-    current = [list(v) for v in image]
-    for v in kernel:
-        if rank(current + [v]) > rank(current):
-            reps.append(list(v))
-            current.append(list(v))
-    return reps
-
-
-def _transpose(rows: list[list[Fraction]]) -> Matrix:
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
+    span = EchelonBasis(_sparse(v) for v in image)
+    return [list(v) for v in kernel if span.add(_sparse(v))]

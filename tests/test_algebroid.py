@@ -36,6 +36,28 @@ TR1 = AlgebroidData.build(1, 1, anchor={(0, 0): 1})
 TR2 = AlgebroidData.build(2, 2, anchor={(0, 0): 1, (1, 1): 1})
 
 
+def _sl3() -> AlgebroidData:
+    """sl(3) on the matrix units E_ij (i != j), then H_1 = E_11 - E_22, H_2 = E_22 - E_33."""
+    units = [(i, j) for i in range(3) for j in range(3) if i != j]
+    basis = [{u: 1} for u in units] + [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+    def product(a, b):
+        out = {}
+        for (i, j), x in a.items():
+            for (k, l), y in b.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + x * y
+        return out
+
+    structure = {}
+    for p, q in itertools.combinations(range(len(basis)), 2):
+        ab, ba = product(basis[p], basis[q]), product(basis[q], basis[p])
+        c = {key: ab.get(key, 0) - ba.get(key, 0) for key in ab.keys() | ba.keys()}
+        coords = [c.get(u, 0) for u in units] + [c.get((0, 0), 0), c.get((0, 0), 0) + c.get((1, 1), 0)]
+        structure.update({(p, q, k): x for k, x in enumerate(coords) if x})
+    return AlgebroidData.build(0, len(basis), structure=structure)
+
+
 class TestBuildXq:
     def test_abelian_gives_zero(self):
         assert build_xq(AlgebroidData.build(0, 3)).is_zero()
@@ -332,3 +354,7 @@ class TestDeformationCohomology:
         res = dgla_cohomology(TR1, 1, truncate=3)
         assert res.truncated
         assert res.dimension == 0
+
+    def test_sl3_whitehead_rigidity(self):
+        # H^2(g; g) = 0 for semisimple g: sl(3) has no infinitesimal obstructions
+        assert dgla_cohomology(_sl3(), 2).dimension == 0

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from linfty.instances import (
     serialize_algebroid,
     write_instance,
 )
+
+
+GOLDEN_COHOMOLOGY = json.loads((Path(__file__).parent / "golden" / "cohomology.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +212,21 @@ class TestCommands:
         assert code == 2 and "truncation" in err
         code, out, _ = run_cli(capsys, "cohomology", "tangent-r1", "--truncate", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COHOMOLOGY))
+    def test_cohomology_json_is_golden(self, capsys, case):
+        code, out, _ = run_cli(capsys, "cohomology", *case.split(), "--json")
+        assert code == 0 and out == GOLDEN_COHOMOLOGY[case]
+
+    def test_cohomology_of_sl2_sum_vanishes(self, capsys):
+        code, out, _ = run_cli(capsys, "cohomology", "sl2-sum", "--json")
+        assert code == 0
+        assert json.loads(out)["details"]["dimensions"] == {f"H^{q}": 0 for q in range(7)}
+
+    def test_cohomology_refuses_non_homological_structure(self, capsys):
+        code, out, err = run_cli(capsys, "cohomology", "non-jacobi-3", "--json")
+        assert code == 2 and out == ""
+        assert "must be homological" in err
 
     def test_axioms_command(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "sl2-borel", "--probes", "10", "--seed", "1")
