@@ -193,7 +193,9 @@ def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None
     chart = chart or data.plain_chart()
     xq = build_xq(data, chart)
     square = super_commutator(xq, xq)
-    report = AlgebroidReport(homological=is_homological(xq))
+    degree = xq.degree()  # is_homological's rules, reusing the square
+    homological = xq.is_zero() or (degree is not None and degree % 2 == 1 and square.is_zero())
+    report = AlgebroidReport(homological=homological)
     if not square.is_zero():
         for key, c in sorted(square.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])):
             single = SuperVectorField(chart, {key: c})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 BASE = "base"
@@ -96,6 +97,41 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
             if a > b:
                 inversions += 1
     return -1 if inversions % 2 else 1
+
+
+def _monomial_product(e1, o1, e2, o2):
+    """(sign, even, odd) of the product of two monomials, or None if it vanishes.
+
+    Repeated odd factors square to zero; otherwise the sign is the Koszul
+    sign of sorting the odd union.
+    """
+    if not o2:
+        sign, odd = 1, o1
+    elif not o1:
+        sign, odd = 1, o2
+    else:
+        if not set(o1).isdisjoint(o2):
+            return None
+        sign, odd = _merge_sign(o1, o2), tuple(sorted(o1 + o2))
+    return sign, tuple(map(add, e1, e2)), odd
+
+
+def _monomial_partial(even, odd, target: int, n_even: int):
+    """(factor, even, odd) of the left derivative of a monomial, or None if it vanishes.
+
+    Along an odd coordinate the factor is (-1)^(its position) and the index
+    is removed; along an even one it is the exponent, which drops by one.
+    """
+    if target >= n_even:
+        j = target - n_even
+        if j not in odd:
+            return None
+        pos = odd.index(j)
+        return (-1 if pos % 2 else 1), even, odd[:pos] + odd[pos + 1 :]
+    e = even[target]
+    if e == 0:
+        return None
+    return e, even[:target] + (e - 1,) + even[target + 1 :], odd
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -217,11 +253,10 @@ class SuperFunction:
         out: dict[TermKey, Fraction] = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
-                if set(o1) & set(o2):
+                product = _monomial_product(e1, o1, e2, o2)
+                if product is None:
                     continue
-                sign = _merge_sign(o1, o2)
-                even = tuple(a + b for a, b in zip(e1, e2))
-                odd = tuple(sorted(o1 + o2))
+                sign, even, odd = product
                 key = (even, odd)
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return SuperFunction(self.chart, out)
@@ -233,24 +268,13 @@ class SuperFunction:
         """Left partial derivative along the coordinate with the given index."""
         chart = self.chart
         out: dict[TermKey, Fraction] = {}
-        if chart.target_is_odd(target):
-            j = target - chart.n_even
-            for (even, odd), c in self.terms.items():
-                if j not in odd:
-                    continue
-                pos = odd.index(j)
-                sign = -1 if pos % 2 else 1
-                rest = odd[:pos] + odd[pos + 1 :]
-                key = (even, rest)
-                out[key] = out.get(key, Fraction(0)) + sign * c
-        else:
-            for (even, odd), c in self.terms.items():
-                e = even[target]
-                if e == 0:
-                    continue
-                lowered = even[:target] + (e - 1,) + even[target + 1 :]
-                key = (lowered, odd)
-                out[key] = out.get(key, Fraction(0)) + e * c
+        for (even, odd), c in self.terms.items():
+            d = _monomial_partial(even, odd, target, chart.n_even)
+            if d is None:
+                continue
+            factor, even, odd = d
+            key = (even, odd)
+            out[key] = out.get(key, Fraction(0)) + factor * c
         return SuperFunction(chart, out)
 
     def substitute(self, mapping: Mapping[int, "SuperFunction"]) -> "SuperFunction":
@@ -314,8 +338,12 @@ class SuperVectorField:
             odd = tuple(odd)
             if len(even) != chart.n_even:
                 raise ValueError("even exponent tuple has wrong length")
+            if any(e < 0 for e in even):
+                raise ValueError("negative exponent")
             if list(odd) != sorted(set(odd)):
                 raise ValueError("odd subset must be strictly increasing")
+            if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
+                raise ValueError("odd index out of range")
             if not 0 <= target < chart.n_even + chart.n_odd:
                 raise ValueError("derivative target out of range")
             key = (even, odd, target)
@@ -449,35 +477,51 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
 
     For single terms f*d_a and g*d_b the bracket is
     f*(d_a g)*d_b - (-1)^(|X||Y|) g*(d_b f)*d_a; general fields expand
-    bilinearly over their (automatically homogeneous) terms.
+    bilinearly over their (automatically homogeneous) terms.  The expansion
+    runs on raw monomials: each pair of terms adds at most two monomials to
+    one output dict, X's term order outside, Y's inside, the d_b piece before
+    the d_a piece, so equal results also list their terms in equal order.
     """
     if X.chart != Y.chart:
         raise ChartMismatchError("fields on different charts")
     chart = X.chart
+    n_even = chart.n_even
     out: dict[FieldKey, Fraction] = {}
 
-    def add_terms(f: SuperFunction, target: int, sign: int):
-        for (even, odd), c in f.terms.items():
-            key = (even, odd, target)
-            val = out.get(key, Fraction(0)) + sign * c
-            if val == 0:
-                out.pop(key, None)
+    def add_term(product, factor: int, coefficient: Fraction, target: int):
+        sign, even, odd = product
+        k = sign * factor  # mostly +-1: skip the Fraction product
+        c = coefficient if k == 1 else -coefficient if k == -1 else k * coefficient
+        key = (even, odd, target)
+        old = out.get(key)
+        if old is None:
+            out[key] = c
+        else:
+            c += old
+            if c:
+                out[key] = c
             else:
-                out[key] = val
+                del out[key]
 
+    ys = [(e2, o2, b, c2, len(o2) - (b >= n_even)) for (e2, o2, b), c2 in Y.terms.items()]
     for (e1, o1, a), c1 in X.terms.items():
-        d1 = len(o1) - (1 if chart.target_is_odd(a) else 0)
-        f1 = SuperFunction(chart, {(e1, o1): c1})
-        for (e2, o2, b), c2 in Y.terms.items():
-            d2 = len(o2) - (1 if chart.target_is_odd(b) else 0)
-            f2 = SuperFunction(chart, {(e2, o2): c2})
-            sign = -1 if (d1 * d2) % 2 else 1
-            left = f1 * f2.partial(a)
-            if not left.is_zero():
-                add_terms(left, b, 1)
-            right = f2 * f1.partial(b)
-            if not right.is_zero():
-                add_terms(right, a, -sign)
+        d1 = len(o1) - (a >= n_even)
+        for e2, o2, b, c2, d2 in ys:
+            left = right = None
+            dg = _monomial_partial(e2, o2, a, n_even)
+            if dg is not None:
+                left = _monomial_product(e1, o1, dg[1], dg[2])
+            df = _monomial_partial(e1, o1, b, n_even)
+            if df is not None:
+                right = _monomial_product(e2, o2, df[1], df[2])
+            if left is None and right is None:
+                continue
+            c12 = c1 * c2
+            if left is not None:
+                add_term(left, dg[0], c12, b)
+            if right is not None:
+                sign = -1 if (d1 * d2) % 2 else 1
+                add_term(right, -sign * df[0], c12, a)
     return SuperVectorField(chart, out)
 
 

@@ -17,6 +17,7 @@ from linfty.instances import (
 
 
 GOLDEN_COHOMOLOGY = json.loads((Path(__file__).parent / "golden" / "cohomology.json").read_text())
+GOLDEN_COMMANDS = json.loads((Path(__file__).parent / "golden" / "commands.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,11 @@ class TestCommands:
     def test_cohomology_json_is_golden(self, capsys, case):
         code, out, _ = run_cli(capsys, "cohomology", *case.split(), "--json")
         assert code == 0 and out == GOLDEN_COHOMOLOGY[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COMMANDS))
+    def test_command_json_is_golden(self, capsys, case):
+        code, out, _ = run_cli(capsys, *case.split(), "--json")
+        assert (code, out) == (GOLDEN_COMMANDS[case]["exit"], GOLDEN_COMMANDS[case]["stdout"])
 
     def test_cohomology_of_sl2_sum_vanishes(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "sl2-sum", "--json")

@@ -122,10 +122,10 @@ class TestSuperCommutator:
         assert br.is_zero() or br.degree() == 0
 
 
-def random_fields(max_terms=3):
+def random_fields(max_terms=3, max_exponent=2, odd_indices=3):
     keys = st.tuples(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.lists(st.integers(0, 2), max_size=3, unique=True).map(
+        st.tuples(st.integers(0, max_exponent), st.integers(0, max_exponent)),
+        st.lists(st.integers(0, odd_indices - 1), max_size=odd_indices, unique=True).map(
             lambda idx: tuple(sorted(idx))
         ),
         st.integers(0, NE + CHART.n_odd - 1),
@@ -213,6 +213,94 @@ class TestGradedIdentities:
             (len(o) for (_, o, _) in Y.terms), default=0
         )
         assert all(len(odd) <= bound for (_, odd, _) in br.terms)
+
+
+def pairwise_commutator(X, Y):
+    """Reference: the term-pair expansion through single-term SuperFunctions.
+
+    The fused ``super_commutator`` must match it in value and in the order
+    of its result's terms.
+    """
+    chart = X.chart
+    out = {}
+
+    def add_terms(f, target, sign):
+        for (even, odd), c in f.terms.items():
+            key = (even, odd, target)
+            val = out.get(key, Fraction(0)) + sign * c
+            if val == 0:
+                out.pop(key, None)
+            else:
+                out[key] = val
+
+    for (e1, o1, a), c1 in X.terms.items():
+        d1 = len(o1) - (1 if chart.target_is_odd(a) else 0)
+        f1 = SuperFunction(chart, {(e1, o1): c1})
+        for (e2, o2, b), c2 in Y.terms.items():
+            d2 = len(o2) - (1 if chart.target_is_odd(b) else 0)
+            f2 = SuperFunction(chart, {(e2, o2): c2})
+            sign = -1 if (d1 * d2) % 2 else 1
+            left = f1 * f2.partial(a)
+            if not left.is_zero():
+                add_terms(left, b, 1)
+            right = f2 * f1.partial(b)
+            if not right.is_zero():
+                add_terms(right, a, -sign)
+    return SuperVectorField(chart, out)
+
+
+def assert_matches_reference(X, Y):
+    fused, reference = super_commutator(X, Y), pairwise_commutator(X, Y)
+    assert fused == reference
+    assert list(fused.terms) == list(reference.terms)
+
+
+MONOMIAL_FIELDS = [
+    fld({(even, odd, target): Fraction(1 + len(odd), 1 + target)})
+    for even in ((0, 0), (1, 0), (0, 2), (1, 1))
+    for r in range(CHART.n_odd + 1)
+    for odd in itertools.combinations(range(CHART.n_odd), r)
+    for target in range(NE + CHART.n_odd)
+]
+
+
+class TestFusedKernel:
+    def test_every_monomial_pair(self):
+        # single terms: odd targets, repeated odd indices (products that
+        # vanish) and pairs whose two pieces cancel all occur
+        for X in MONOMIAL_FIELDS:
+            for Y in MONOMIAL_FIELDS:
+                assert_matches_reference(X, Y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_fields(4), random_fields(4))
+    def test_random_fields(self, X, Y):
+        assert_matches_reference(X, Y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_fields(4, max_exponent=1, odd_indices=2), random_fields(4, max_exponent=1, odd_indices=2))
+    def test_colliding_terms(self, X, Y):
+        # few distinct monomials, so output terms often sum, cancel and return
+        assert_matches_reference(X, Y)
+        assert_matches_reference(X, X)
+
+    def test_homological_square_cancels(self):
+        sl2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
+        xq = build_xq(sl2)
+        assert super_commutator(xq, xq).is_zero()
+        assert_matches_reference(xq, xq)
+
+
+class TestSuperVectorFieldKeys:
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            fld({((-1, 0), (), 0): 1})
+
+    def test_odd_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="odd index out of range"):
+            fld({((0, 0), (7,), 0): 1})
+        with pytest.raises(ValueError, match="odd index out of range"):
+            fld({((0, 0), (-1, 0), NE): 1})
 
 
 class TestIsHomological:
