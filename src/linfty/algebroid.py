@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Iterable, Mapping
 
 from . import linalg
 from .superfield import (
@@ -51,6 +51,16 @@ def _as_poly(value, base_dim: int) -> PolyDict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
+    """Sum the polynomials of equal keys, in first-seen key order; zero terms and entries dropped."""
+    out: dict[Any, PolyDict] = {}
+    for key, poly in entries:
+        merged = out.setdefault(key, {})
+        for e, c in poly.items():
+            merged[e] = merged.get(e, Fraction(0)) + c
+    return {key: nonzero for key, poly in out.items() if (nonzero := {e: c for e, c in poly.items() if c})}
+
+
 def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
     return SuperFunction(chart, {(exps, ()): c for exps, c in poly.items()})
 
@@ -73,7 +83,7 @@ class AlgebroidData:
 
     @staticmethod
     def build(base_dim: int, fiber_rank: int, structure=None, anchor=None) -> "AlgebroidData":
-        struct: dict[tuple[int, int, int], PolyDict] = {}
+        entries = []
         for (i, j, k), value in (structure or {}).items():
             if not (0 <= i < fiber_rank and 0 <= j < fiber_rank and 0 <= k < fiber_rank):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
@@ -85,11 +95,7 @@ class AlgebroidData:
             if i > j:
                 i, j = j, i
                 poly = {e: -c for e, c in poly.items()}
-            key = (i, j, k)
-            merged = dict(struct.get(key, {}))
-            for e, c in poly.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            struct[key] = {e: c for e, c in merged.items() if c != 0}
+            entries.append(((i, j, k), poly))
         anch: dict[tuple[int, int], PolyDict] = {}
         for (i, t), value in (anchor or {}).items():
             if not (0 <= i < fiber_rank and 0 <= t < base_dim):
@@ -97,8 +103,7 @@ class AlgebroidData:
             poly = _as_poly(value, base_dim)
             if poly:
                 anch[(i, t)] = poly
-        struct = {k: v for k, v in struct.items() if v}
-        return AlgebroidData(base_dim, fiber_rank, struct, anch)
+        return AlgebroidData(base_dim, fiber_rank, merge_polys(entries), anch)
 
     # -- charts ---------------------------------------------------------
     def plain_chart(self) -> CoordinateChart:

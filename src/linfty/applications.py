@@ -17,6 +17,7 @@ from .algebroid import (
     AlgebroidData,
     PolyDict,
     _as_poly,
+    _poly_fn,
     build_xq,
     validate_algebroid,
 )
@@ -144,44 +145,32 @@ class FoliationSetup:
         return self.setup.project(xq).is_zero()
 
 
-def _poly_matrix_inverse(chart, mat):
-    """Adjugate inverse of a polynomial matrix with constant determinant."""
+def _det(chart, mat) -> SuperFunction:
+    """Leibniz determinant of a square matrix of superfunctions (1 for the empty matrix)."""
     n = len(mat)
     det = SuperFunction.zero(chart)
     for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for a, b in itertools.combinations(range(n), 2) if perm[a] > perm[b]
-        )
-        sign = -1 if inversions % 2 else 1
-        prod = SuperFunction.constant(chart, sign)
+        inversions = sum(1 for a, b in itertools.combinations(range(n), 2) if perm[a] > perm[b])
+        prod = SuperFunction.constant(chart, -1 if inversions % 2 else 1)
         for r in range(n):
             prod = prod * mat[r][perm[r]]
         det = det + prod
-    terms = det.terms
+    return det
+
+
+def _poly_matrix_inverse(chart, mat):
+    """Adjugate inverse of a polynomial matrix with constant determinant."""
+    n = len(mat)
+    terms = _det(chart, mat).terms
     if len(terms) != 1 or list(terms.keys())[0][0] != (0,) * chart.n_even:
         raise ValueError("frame determinant is not a nonzero constant")
     det_c = list(terms.values())[0]
     inv = [[None] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
-            minor_rows = [row for i, row in enumerate(mat) if i != c]
-            minor = [[row[j] for j in range(n) if j != r] for row in minor_rows]
-            sub = SuperFunction.zero(chart)
-            k = n - 1
-            if k == 0:
-                sub = SuperFunction.constant(chart, 1)
-            else:
-                for perm in itertools.permutations(range(k)):
-                    inversions = sum(
-                        1 for a, b in itertools.combinations(range(k), 2) if perm[a] > perm[b]
-                    )
-                    sign = -1 if inversions % 2 else 1
-                    prod = SuperFunction.constant(chart, sign)
-                    for rr in range(k):
-                        prod = prod * minor[rr][perm[rr]]
-                    sub = sub + prod
+            minor = [[row[j] for j in range(n) if j != r] for i, row in enumerate(mat) if i != c]
             sign = -1 if (r + c) % 2 else 1
-            inv[r][c] = sub.scale(Fraction(sign, 1) / det_c)
+            inv[r][c] = _det(chart, minor).scale(Fraction(sign, 1) / det_c)
     return inv
 
 
@@ -190,7 +179,7 @@ def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
     probe = AlgebroidData.build(base_dim, base_dim)
     chart = probe.plain_chart()
     mat = [
-        [_poly_fn_local(chart, frames[col][t]) for col in range(base_dim)]
+        [_poly_fn(chart, frames[col][t]) for col in range(base_dim)]
         for t in range(base_dim)
     ]
     inv = _poly_matrix_inverse(chart, mat)
@@ -225,10 +214,6 @@ def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
     return AlgebroidData.build(base_dim, base_dim, structure, anchor)
 
 
-def _poly_fn_local(chart, poly: PolyDict) -> SuperFunction:
-    return SuperFunction(chart, {(e, ()): c for e, c in poly.items()})
-
-
 @dataclass
 class FoliationResult:
     closed: bool
@@ -255,7 +240,7 @@ def foliation_infinitesimal(fol: FoliationSetup, psi: Mapping) -> FoliationResul
         setup,
         1,
         {
-            ((i,), j): _poly_fn_local(chart, _as_poly(val, fol.base_dim))
+            ((i,), j): _poly_fn(chart, _as_poly(val, fol.base_dim))
             for (i, j), val in psi.items()
         },
     )
@@ -390,13 +375,17 @@ def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> Deformatio
     return DeformationPair.build(gs.setup, sigma=sigma, phi=phi)
 
 
+def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
+    """Refuse a graph setup whose base bundle map is not itself a homomorphism."""
+    if not subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=cap).value.is_zero():
+        raise ValueError("the base bundle map is not a homomorphism")
+
+
 def homomorphism_residual(
     gs: GraphSetup, candidate: DeformationPair, cap: int = DEFAULT_SERIES_CAP
 ) -> LInftyElement:
     """Residual of the summed pair; zero iff the deformed map is a homomorphism."""
-    base_check = subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=cap)
-    if not base_check.value.is_zero():
-        raise ValueError("the base bundle map is not a homomorphism")
+    require_homomorphism(gs, cap=cap)
     return subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair.add(candidate), cap=cap)
 
 

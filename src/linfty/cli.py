@@ -21,15 +21,16 @@ from .algebroid import (
     AlgebroidData,
     build_xq,
     dgla_cohomology,
+    merge_polys,
     validate_algebroid,
 )
 from .applications import (
     FoliationSetup,
+    block_sum_data,
     candidate_pair,
     foliation_infinitesimal,
     graph_setup,
-    homomorphism_residual,
-    simultaneous_homomorphism,
+    require_homomorphism,
 )
 from .instances import InstanceError, InstanceFile, parse_instance, resolve_instance
 from .subalgebroid import (
@@ -125,19 +126,20 @@ def _residual_terms(value: SuperVectorField) -> list[str]:
 def _data_sum(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
     if (a.base_dim, a.fiber_rank) != (b.base_dim, b.fiber_rank):
         raise ValueError("summands have different dimensions")
-    structure: dict = {k: dict(v) for k, v in a.structure.items()}
-    for k, v in b.structure.items():
-        merged = structure.get(k, {})
-        for e, c in v.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        structure[k] = merged
-    anchor: dict = {k: dict(v) for k, v in a.anchor.items()}
-    for k, v in b.anchor.items():
-        merged = anchor.get(k, {})
-        for e, c in v.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        anchor[k] = merged
+    structure = merge_polys([*a.structure.items(), *b.structure.items()])
+    anchor = merge_polys([*a.anchor.items(), *b.anchor.items()])
     return AlgebroidData.build(a.base_dim, a.fiber_rank, structure, anchor)
+
+
+def _lie_candidate(data: AlgebroidData, cand: AlgebroidData) -> tuple[SuperVectorField, bool]:
+    """MC residual [X, X~] + (1/2)[X~, X~] of a structure candidate, and whether the sum is classically valid.
+
+    The base structure need not be homological: the residual is reported as it is.
+    """
+    chart = data.plain_chart()
+    xq, cand_xq = build_xq(data, chart), build_xq(cand, chart)
+    residual = super_commutator(xq, cand_xq) + super_commutator(cand_xq, cand_xq).scale(Fraction(1, 2))
+    return residual, validate_algebroid(_data_sum(data, cand)).classical_ok
 
 
 def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
@@ -154,6 +156,44 @@ def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
         if c != 0:
             phi[slot] = c
     return DeformationPair.build(setup, phi=phi)
+
+
+def _cap(inst: InstanceFile, args) -> int:
+    return args.cap if args.cap is not None else inst.options.series_cap
+
+
+def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
+    """An instance as a subalgebroid in a split presentation: (setup, base pair, candidate pair).
+
+    The ambient algebroid is ``setup.data``; the deformed graph is that of
+    ``base.add(cand)``.  A homomorphism becomes the graph of its bundle map
+    in the direct sum, with the map as base pair and its offsets as the
+    candidate.
+    """
+    if inst.kind in ("subalgebroid", "subalgebra"):
+        setup = inst.payload["setup"]
+        cand = _phi_override(setup, args.phi) if getattr(args, "phi", None) else inst.payload["candidate"]
+        return setup, inst.payload.get("base") or DeformationPair.zero(), cand
+    if inst.kind == "foliation" and command != "simultaneous":
+        setup = inst.payload["foliation"].setup
+        return setup, DeformationPair.zero(), DeformationPair.build(setup, phi=inst.payload["psi"])
+    if inst.kind == "homomorphism" and command != "cohomology":
+        gs = graph_setup(inst.payload["homomorphism"])
+        if command in ("subalg-check", "mc-check"):
+            require_homomorphism(gs, cap=_cap(inst, args))
+        cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
+        return gs.setup, gs.base_pair, cand
+    raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
+
+
+def _summand_brackets(setup: SplitSetup):
+    """The derived brackets of the split and the constant-coefficient basis of its summand."""
+    valg = setup.valgebra()
+    delta = MCDelta.of(valg, build_xq(setup.data, setup.chart))
+    basis: list[LInftyElement] = []
+    for d in range(-1, setup.sub_rank + 1):
+        basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
+    return (lambda args: derived_bracket(valg, delta, args)), basis
 
 
 # ---------------------------------------------------------------------
@@ -213,15 +253,10 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
 
 def _cmd_mc_check(inst: InstanceFile, args) -> Report:
     if inst.kind in ("algebroid", "lie_algebra"):
-        data: AlgebroidData = inst.payload["data"]
         cand = inst.payload.get("candidate")
         if cand is None:
             raise InstanceError("$.candidate", "mc-check needs a candidate block")
-        chart = data.plain_chart()
-        residual = super_commutator(build_xq(data, chart), build_xq(cand, chart)) + (
-            super_commutator(build_xq(cand, chart), build_xq(cand, chart)).scale(Fraction(1, 2))
-        )
-        summed_ok = validate_algebroid(_data_sum(data, cand)).classical_ok
+        residual, summed_ok = _lie_candidate(inst.payload["data"], cand)
         zero = residual.is_zero()
         return Report(
             "mc-check",
@@ -233,203 +268,91 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
-    cap = args.cap if args.cap is not None else inst.options.series_cap
-    if inst.kind in ("subalgebroid", "subalgebra"):
-        setup: SplitSetup = inst.payload["setup"]
-        xq = build_xq(inst.payload["data"], setup.chart)
-        cand: DeformationPair = inst.payload["candidate"]
-        if getattr(args, "phi", None):
-            cand = _phi_override(setup, args.phi)
-        base: DeformationPair | None = inst.payload.get("base")
-        pair = base.add(cand) if base is not None else cand
-        residual = subalgebroid_mc_residual(setup, xq, pair, cap=cap)
-        oracle = graph_closure_oracle(setup, pair)
-        zero = residual.value.is_zero()
-        return Report(
-            command,
-            "mc-zero" if zero else "mc-nonzero",
-            residual_terms=_residual_terms(residual.value),
-            oracle_agreement=zero == oracle.accepts,
-        )
-    if inst.kind == "foliation":
-        fol: FoliationSetup = inst.payload["foliation"]
-        psi = inst.payload["psi"]
-        pair = DeformationPair.build(fol.setup, phi=psi)
-        xq = build_xq(fol.algebroid, fol.setup.chart)
-        residual = subalgebroid_mc_residual(fol.setup, xq, pair, cap=cap)
-        oracle = graph_closure_oracle(fol.setup, pair)
-        zero = residual.value.is_zero()
-        return Report(
-            command,
-            "mc-zero" if zero else "mc-nonzero",
-            residual_terms=_residual_terms(residual.value),
-            oracle_agreement=zero == oracle.accepts,
-        )
-    if inst.kind == "homomorphism":
-        gs = graph_setup(inst.payload["homomorphism"])
-        cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-        residual = homomorphism_residual(gs, cand, cap=cap)
-        oracle = graph_closure_oracle(gs.setup, gs.base_pair.add(cand))
-        zero = residual.value.is_zero()
-        return Report(
-            command,
-            "mc-zero" if zero else "mc-nonzero",
-            residual_terms=_residual_terms(residual.value),
-            oracle_agreement=zero == oracle.accepts,
-        )
-    raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
+    setup, base, cand = _split_case(inst, args, command)
+    pair = base.add(cand)
+    residual = subalgebroid_mc_residual(setup, build_xq(setup.data, setup.chart), pair, cap=_cap(inst, args))
+    oracle = graph_closure_oracle(setup, pair)
+    zero = residual.value.is_zero()
+    return Report(
+        command,
+        "mc-zero" if zero else "mc-nonzero",
+        residual_terms=_residual_terms(residual.value),
+        oracle_agreement=zero == oracle.accepts,
+    )
 
 
 def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
-    cap = args.cap if args.cap is not None else inst.options.series_cap
-    if inst.kind in ("subalgebroid", "subalgebra"):
-        setup: SplitSetup = inst.payload["setup"]
-        data: AlgebroidData = inst.payload["data"]
-        xq = build_xq(data, setup.chart)
-        base = inst.payload.get("base") or DeformationPair.zero()
-        cand_def: DeformationPair = inst.payload["candidate"]
-        cand_data = inst.payload.get("candidate_xq")
-        cand_xq = (
-            build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
-        )
-        v_res, a_res = simultaneous_residual(setup, xq, base, cand_xq, cand_def, cap=cap)
-        zero = v_res.is_zero() and a_res.is_zero()
-        summed = _data_sum(data, cand_data) if cand_data is not None else data
-        summed_ok = validate_algebroid(summed, setup.chart).ok
-        oracle_ok = summed_ok and graph_closure_oracle(
-            SplitSetup.build(summed, setup.base_dim, setup.normal_rank, setup.sub_rank),
-            base.add(cand_def),
-        ).accepts
-        return Report(
-            "simultaneous",
-            "mc-zero" if zero else "mc-nonzero",
-            residual_terms=_residual_terms(v_res) + _residual_terms(a_res),
-            oracle_agreement=zero == oracle_ok,
-            details={
-                "structure_residual_zero": v_res.is_zero(),
-                "graph_residual_zero": a_res.is_zero(),
-            },
-        )
-    if inst.kind == "homomorphism":
+    setup, base, cand_def = _split_case(inst, args, "simultaneous")
+    data = setup.data
+    cand_data = inst.payload.get("candidate_xq")
+    if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
         h = inst.payload["homomorphism"]
-        pert = inst.payload.get("candidate_xq", {})
-        v_res, a_res = simultaneous_homomorphism(
-            h,
-            pert.get("source"),
-            pert.get("target"),
-            bundle_map=inst.payload["candidate_bundle"],
-            base_map=inst.payload["candidate_base"],
-            cap=cap,
-        )
-        zero = v_res.is_zero() and a_res.is_zero()
-        gs = graph_setup(h)
-        from .applications import block_sum_data
-
-        summed_source = (
-            _data_sum(h.source, pert["source"]) if "source" in pert else h.source
-        )
-        summed_target = (
-            _data_sum(h.target, pert["target"]) if "target" in pert else h.target
-        )
-        summed = block_sum_data(summed_source, summed_target)
-        cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-        oracle_ok = validate_algebroid(summed, gs.setup.chart).ok and graph_closure_oracle(
-            SplitSetup.build(summed, gs.setup.base_dim, gs.setup.normal_rank, gs.setup.sub_rank),
-            gs.base_pair.add(cand),
-        ).accepts
-        return Report(
-            "simultaneous",
-            "mc-zero" if zero else "mc-nonzero",
-            residual_terms=_residual_terms(v_res) + _residual_terms(a_res),
-            oracle_agreement=zero == oracle_ok,
-            details={
-                "structure_residual_zero": v_res.is_zero(),
-                "graph_residual_zero": a_res.is_zero(),
-            },
-        )
-    raise InstanceError("$.kind", f"simultaneous does not support kind {inst.kind!r}")
+        cand_data = block_sum_data(*(
+            cand_data.get(which) or AlgebroidData.build(block.base_dim, block.fiber_rank)
+            for which, block in (("source", h.source), ("target", h.target))
+        ))
+    cand_xq = build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
+    v_res, a_res = simultaneous_residual(
+        setup, build_xq(data, setup.chart), base, cand_xq, cand_def, cap=_cap(inst, args)
+    )
+    zero = v_res.is_zero() and a_res.is_zero()
+    summed = _data_sum(data, cand_data) if cand_data is not None else data
+    oracle_ok = validate_algebroid(summed, setup.chart).ok and graph_closure_oracle(
+        SplitSetup.build(summed, setup.base_dim, setup.normal_rank, setup.sub_rank),
+        base.add(cand_def),
+    ).accepts
+    return Report(
+        "simultaneous",
+        "mc-zero" if zero else "mc-nonzero",
+        residual_terms=_residual_terms(v_res) + _residual_terms(a_res),
+        oracle_agreement=zero == oracle_ok,
+        details={
+            "structure_residual_zero": v_res.is_zero(),
+            "graph_residual_zero": a_res.is_zero(),
+        },
+    )
 
 
 def _cmd_cohomology(inst: InstanceFile, args) -> Report:
     truncate = args.truncate if args.truncate is not None else inst.options.truncate
-    details: dict[str, Any] = {}
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
-        degrees = [args.degree] if args.degree is not None else list(range(data.fiber_rank + 1))
-        dims = {}
-        truncated = False
-        for q in degrees:
-            res = dgla_cohomology(data, q, truncate=truncate)
-            dims[f"H^{q}"] = res.dimension
-            truncated = truncated or res.truncated
-        details["dimensions"] = dims
-        if truncated:
-            details["truncated_at"] = truncate
-        return Report("cohomology", "pass", details=details)
-    if inst.kind in ("subalgebroid", "subalgebra", "foliation"):
-        if inst.kind == "foliation":
-            fol: FoliationSetup = inst.payload["foliation"]
-            setup, data = fol.setup, fol.algebroid
-        else:
-            setup, data = inst.payload["setup"], inst.payload["data"]
-        xq = build_xq(data, setup.chart)
+        top = data.fiber_rank
+        group = lambda q: dgla_cohomology(data, q, truncate=truncate)
+    else:
+        setup = _split_case(inst, args, "cohomology")[0]
+        xq = build_xq(setup.data, setup.chart)
         top = setup.sub_rank + (1 if setup.normal_rank else 0)
-        degrees = [args.degree] if args.degree is not None else list(range(top + 1))
-        dims = {}
-        truncated = False
-        for n in degrees:
-            res = m1_cohomology(setup, xq, n - 1, truncate=truncate)
-            dims[f"H^{n}"] = res.dimension
-            truncated = truncated or res.truncated
-        details["dimensions"] = dims
-        if truncated:
-            details["truncated_at"] = truncate
-        return Report("cohomology", "pass", details=details)
-    raise InstanceError("$.kind", f"cohomology does not support kind {inst.kind!r}")
-
-
-def _split_of(inst: InstanceFile) -> tuple[SplitSetup, AlgebroidData]:
-    if inst.kind in ("subalgebroid", "subalgebra"):
-        return inst.payload["setup"], inst.payload["data"]
-    if inst.kind == "foliation":
-        fol: FoliationSetup = inst.payload["foliation"]
-        return fol.setup, fol.algebroid
-    if inst.kind == "homomorphism":
-        gs = graph_setup(inst.payload["homomorphism"])
-        return gs.setup, gs.sum_data
-    raise InstanceError("$.kind", f"command needs a split instance, got {inst.kind!r}")
+        group = lambda q: m1_cohomology(setup, xq, q - 1, truncate=truncate)
+    dims = {}
+    truncated = False
+    for q in [args.degree] if args.degree is not None else range(top + 1):
+        res = group(q)
+        dims[f"H^{q}"] = res.dimension
+        truncated = truncated or res.truncated
+    details: dict[str, Any] = {"dimensions": dims}
+    if truncated:
+        details["truncated_at"] = truncate
+    return Report("cohomology", "pass", details=details)
 
 
 def _cmd_brackets(inst: InstanceFile, args) -> Report:
-    setup, data = _split_of(inst)
-    xq = build_xq(data, setup.chart)
-    valg = setup.valgebra()
-    delta = MCDelta.of(valg, xq)
-    basis: list[LInftyElement] = []
-    for d in range(-1, setup.sub_rank + 1):
-        basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
+    setup = _split_case(inst, args, "brackets")[0]
+    bracket, basis = _summand_brackets(setup)
     table = {}
-    agreement: bool | None = None
     fixed_base = setup.normal_rank == 0
-    if fixed_base:
-        agreement = True
+    agreement = True if fixed_base else None
     for arity in (1, 2, 3):
         for combo in itertools.product(range(len(basis)), repeat=arity):
             argsel = [basis[i] for i in combo]
-            value = derived_bracket(valg, delta, argsel)
+            value = bracket(argsel)
             if not value.value.is_zero():
-                key = f"m{arity}{list(combo)}"
-                table[key] = render_field(value.value)
+                table[f"m{arity}{list(combo)}"] = render_field(value.value)
             if fixed_base:
-                try:
-                    forms = [
-                        decode_form(setup, el, el.degree + 1) for el in argsel
-                    ]
-                    explicit = encode_form(explicit_structure_maps(setup, arity, forms))
-                    if explicit.value != value.value:
-                        agreement = False
-                except ValueError:
-                    pass
+                forms = [decode_form(setup, el, el.degree + 1) for el in argsel]
+                explicit = encode_form(explicit_structure_maps(setup, arity, forms))
+                if explicit.value != value.value:
+                    agreement = False
     return Report(
         "brackets",
         "pass",
@@ -441,22 +364,15 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
     probes_count = args.probes if args.probes is not None else inst.options.probes
     seed = args.seed if args.seed is not None else inst.options.seed
-    setup, data = _split_of(inst)
-    xq = build_xq(data, setup.chart)
-    valg = setup.valgebra()
-    delta = MCDelta.of(valg, xq)
-    basis = []
-    for d in range(-1, setup.sub_rank + 1):
-        basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
+    setup = _split_case(inst, args, "axioms")[0]
+    bracket, basis = _summand_brackets(setup)
     probes: list[tuple[LInftyElement, ...]] = [(b,) for b in basis]
     probes += [(a, b) for a in basis for b in basis]
     rng = random.Random(seed)
     for n in (3, 4):
         for _ in range(probes_count):
             probes.append(tuple(rng.choice(basis) for _ in range(n)))
-    rep = check_linfty_axioms(
-        lambda a: derived_bracket(valg, delta, a), setup.chart, 4, probes
-    )
+    rep = check_linfty_axioms(bracket, setup.chart, 4, probes)
     return Report(
         "axioms",
         "pass" if rep.ok else "fail",
@@ -465,19 +381,13 @@ def _cmd_axioms(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
-    cap = args.cap if args.cap is not None else inst.options.series_cap
     if inst.kind in ("algebroid", "lie_algebra"):
         rep = validate_algebroid(inst.payload["data"])
         agree = rep.ok == rep.classical_ok
         details: dict[str, Any] = {"homological": rep.ok, "classical": rep.classical_ok}
         cand = inst.payload.get("candidate")
         if cand is not None:
-            data = inst.payload["data"]
-            chart = data.plain_chart()
-            residual = super_commutator(build_xq(data, chart), build_xq(cand, chart)) + (
-                super_commutator(build_xq(cand, chart), build_xq(cand, chart)).scale(Fraction(1, 2))
-            )
-            summed_ok = validate_algebroid(_data_sum(data, cand)).classical_ok
+            residual, summed_ok = _lie_candidate(inst.payload["data"], cand)
             details["mc_zero"] = residual.is_zero()
             details["summed_classical"] = summed_ok
             agree = agree and (residual.is_zero() == summed_ok)
@@ -487,57 +397,33 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
             oracle_agreement=agree,
             details=details,
         )
-    if inst.kind == "foliation":
-        fol: FoliationSetup = inst.payload["foliation"]
-        res = foliation_infinitesimal(fol, inst.payload["psi"])
-        pair = DeformationPair.build(fol.setup, phi=inst.payload["psi"])
-        xq = build_xq(fol.algebroid, fol.setup.chart)
-        mc = subalgebroid_mc_residual(fol.setup, xq, pair, cap=cap)
-        oracle = graph_closure_oracle(fol.setup, pair)
-        agree = res.agree and (mc.value.is_zero() == oracle.accepts)
-        return Report(
-            "oracle-compare",
-            "pass" if (mc.value.is_zero() and agree) else "fail",
-            oracle_agreement=agree,
-            details={
-                "infinitesimal_closed": res.closed,
-                "mc_zero": mc.value.is_zero(),
-                "graph_oracle": oracle.accepts,
-            },
-        )
-    # split kinds: MC residual vs graph closure, plus the tangency cross-check
-    if inst.kind in ("subalgebroid", "subalgebra"):
-        setup: SplitSetup = inst.payload["setup"]
-        data = inst.payload["data"]
-        pair = inst.payload["candidate"]
-        if getattr(args, "phi", None):
-            pair = _phi_override(setup, args.phi)
-        base = inst.payload.get("base")
-        if base is not None:
-            pair = base.add(pair)
-    elif inst.kind == "homomorphism":
-        gs = graph_setup(inst.payload["homomorphism"])
-        setup, data = gs.setup, gs.sum_data
-        pair = gs.base_pair.add(
-            candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-        )
-    else:
-        raise InstanceError("$.kind", f"oracle-compare does not support kind {inst.kind!r}")
-    xq = build_xq(data, setup.chart)
+    # MC residual vs graph closure, plus a third route: the classical
+    # infinitesimal condition for a foliation, the tangency cross-check otherwise
+    cap = _cap(inst, args)
+    setup, base, cand = _split_case(inst, args, "oracle-compare")
+    pair = base.add(cand)
+    xq = build_xq(setup.data, setup.chart)
+    infinitesimal = (
+        foliation_infinitesimal(inst.payload["foliation"], inst.payload["psi"]) if inst.kind == "foliation" else None
+    )
     mc = subalgebroid_mc_residual(setup, xq, pair, cap=cap)
     oracle = graph_closure_oracle(setup, pair)
-    tan = tangency_oracle(setup, xq, pair, cap=cap)
-    agree = (mc.value.is_zero() == oracle.accepts) and tan.agree and (tan.series == mc.value)
+    zero = mc.value.is_zero()
+    agree = zero == oracle.accepts
+    details = {"mc_zero": zero, "graph_oracle": oracle.accepts}
+    if infinitesimal is not None:
+        agree = infinitesimal.agree and agree
+        details["infinitesimal_closed"] = infinitesimal.closed
+    else:
+        tan = tangency_oracle(setup, xq, pair, cap=cap)
+        agree = agree and tan.agree and (tan.series == mc.value)
+        details["tangency_routes_agree"] = tan.agree
     return Report(
         "oracle-compare",
-        "pass" if (mc.value.is_zero() and agree) else "fail",
-        residual_terms=_residual_terms(mc.value),
+        "pass" if (zero and agree) else "fail",
+        residual_terms=None if infinitesimal is not None else _residual_terms(mc.value),
         oracle_agreement=agree,
-        details={
-            "mc_zero": mc.value.is_zero(),
-            "graph_oracle": oracle.accepts,
-            "tangency_routes_agree": tan.agree,
-        },
+        details=details,
     )
 
 

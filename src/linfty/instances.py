@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebroid import AlgebroidData, PolyDict
+from .algebroid import AlgebroidData, PolyDict, merge_polys
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
 
@@ -76,69 +76,61 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
     return {k: v for k, v in poly.items() if v != 0}
 
 
-def _parse_structure(obj: Any, n_even: int, rank: int, path: str):
+def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[int, ...] = ()) -> list:
+    """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into (key, polynomial) pairs, in order.
+
+    ``names`` gives one letter per index field; the key is the tuple of the
+    indices, or the index itself for a single field.  Each index must be an
+    integer, below its entry in ``bounds`` where one is given.
+    """
     _expect(isinstance(obj, list), path, "expected a list")
-    out = {}
+    out = []
     for idx, entry in enumerate(obj):
         epath = f"{path}[{idx}]"
         _expect(isinstance(entry, dict), epath, "expected an object")
-        i, j, k = entry.get("i"), entry.get("j"), entry.get("k")
-        for name, v in (("i", i), ("j", j), ("k", k)):
+        key = []
+        for pos, name in enumerate(names):
+            v = entry.get(name)
             _expect(isinstance(v, int), f"{epath}.{name}", "expected an integer")
-            _expect(0 <= v < rank, f"{epath}.{name}", f"index out of range 0..{rank-1}")
-        _expect(i != j, epath, "diagonal structure entries must be omitted")
+            if pos < len(bounds):
+                _expect(0 <= v < bounds[pos], f"{epath}.{name}", f"index out of range 0..{bounds[pos] - 1}")
+            key.append(v)
         poly = _parse_terms(entry.get("terms", []), n_even, f"{epath}.terms")
-        if poly:
-            key = (i, j, k)
-            merged = dict(out.get(key, {}))
-            for e, c in poly.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            out[key] = merged
+        out.append((tuple(key) if len(key) > 1 else key[0], poly))
     return out
 
 
-def _parse_anchor(obj: Any, n_even: int, rank: int, path: str):
-    _expect(isinstance(obj, list), path, "expected a list")
-    out = {}
-    for idx, entry in enumerate(obj):
-        epath = f"{path}[{idx}]"
-        _expect(isinstance(entry, dict), epath, "expected an object")
-        i, t = entry.get("i"), entry.get("t")
-        _expect(isinstance(i, int) and 0 <= i < rank, f"{epath}.i", f"index out of range 0..{rank-1}")
-        _expect(isinstance(t, int) and 0 <= t < n_even, f"{epath}.t", f"index out of range 0..{n_even-1}")
-        poly = _parse_terms(entry.get("terms", []), n_even, f"{epath}.terms")
-        if poly:
-            out[(i, t)] = poly
-    return out
-
-
-def _parse_algebroid(obj: Mapping, path: str) -> AlgebroidData:
-    base_dim = obj.get("base_dim")
-    rank = obj.get("fiber_rank")
-    _expect(isinstance(base_dim, int) and base_dim >= 0, f"{path}.base_dim", "expected a nonnegative integer")
-    _expect(isinstance(rank, int) and rank >= 0, f"{path}.fiber_rank", "expected a nonnegative integer")
-    structure = _parse_structure(obj.get("structure", []), base_dim, rank, f"{path}.structure")
-    anchor = _parse_anchor(obj.get("anchor", []), base_dim, rank, f"{path}.anchor")
+def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str) -> AlgebroidData:
+    """Structure and anchor tensor lists of an object, over the given dimensions."""
+    _expect(isinstance(obj, dict), path, "expected an object")
+    structure = _parse_entries(obj.get("structure", []), f"{path}.structure", base_dim, "ijk", (rank,) * 3)
+    for idx, ((i, j, _), _) in enumerate(structure):
+        _expect(i != j, f"{path}.structure[{idx}]", "diagonal structure entries must be omitted")
+    anchor = _parse_entries(obj.get("anchor", []), f"{path}.anchor", base_dim, "it", (rank, base_dim))
     try:
-        return AlgebroidData.build(base_dim, rank, structure, anchor)
+        return AlgebroidData.build(base_dim, rank, merge_polys(structure), {k: p for k, p in anchor if p})
     except ValueError as exc:
         raise InstanceError(path, str(exc)) from exc
 
 
+def _parse_algebroid(obj: Any, path: str) -> AlgebroidData:
+    _expect(isinstance(obj, dict), path, "expected an object")
+    base_dim = obj.get("base_dim")
+    rank = obj.get("fiber_rank")
+    _expect(isinstance(base_dim, int) and base_dim >= 0, f"{path}.base_dim", "expected a nonnegative integer")
+    _expect(isinstance(rank, int) and rank >= 0, f"{path}.fiber_rank", "expected a nonnegative integer")
+    return _parse_tensors(obj, base_dim, rank, path)
+
+
+def _parse_sigma_phi(obj: Any, n_even: int, path: str) -> tuple[dict, dict]:
+    """The ``sigma`` (k, terms) and ``phi`` (i, j, terms) lists of a candidate object."""
+    _expect(isinstance(obj, dict), path, "expected an object")
+    sigma = dict(_parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k"))
+    return sigma, dict(_parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij"))
+
+
 def _parse_candidate_pair(obj: Mapping, setup: SplitSetup, path: str) -> DeformationPair:
-    sigma = {}
-    for idx, entry in enumerate(obj.get("sigma", [])):
-        epath = f"{path}.sigma[{idx}]"
-        k = entry.get("k")
-        _expect(isinstance(k, int), f"{epath}.k", "expected an integer")
-        sigma[k] = _parse_terms(entry.get("terms", []), setup.base_dim, f"{epath}.terms")
-    phi = {}
-    for idx, entry in enumerate(obj.get("phi", [])):
-        epath = f"{path}.phi[{idx}]"
-        i, j = entry.get("i"), entry.get("j")
-        _expect(isinstance(i, int), f"{epath}.i", "expected an integer")
-        _expect(isinstance(j, int), f"{epath}.j", "expected an integer")
-        phi[(i, j)] = _parse_terms(entry.get("terms", []), setup.base_dim, f"{epath}.terms")
+    sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path)
     try:
         return DeformationPair.build(setup, sigma=sigma, phi=phi)
     except ValueError as exc:
@@ -188,21 +180,12 @@ def parse_instance(path_or_obj) -> InstanceFile:
         if kind == "lie_algebra":
             dim = obj.get("dimension")
             _expect(isinstance(dim, int) and dim >= 0, "$.dimension", "expected a nonnegative integer")
-            shaped = {"base_dim": 0, "fiber_rank": dim, "structure": obj.get("structure", []), "anchor": []}
+            data = _parse_tensors({"structure": obj.get("structure", [])}, 0, dim, "$")
         else:
-            shaped = obj
-        data = _parse_algebroid(shaped, "$")
+            data = _parse_algebroid(obj, "$")
         instance.payload["data"] = data
         if "candidate" in obj:
-            cand = obj["candidate"]
-            _expect(isinstance(cand, dict), "$.candidate", "expected an object")
-            shaped_c = {
-                "base_dim": data.base_dim,
-                "fiber_rank": data.fiber_rank,
-                "structure": cand.get("structure", []),
-                "anchor": cand.get("anchor", []),
-            }
-            instance.payload["candidate"] = _parse_algebroid(shaped_c, "$.candidate")
+            instance.payload["candidate"] = _parse_tensors(obj["candidate"], data.base_dim, data.fiber_rank, "$.candidate")
         return instance
 
     if kind in ("subalgebroid", "subalgebra"):
@@ -211,8 +194,8 @@ def parse_instance(path_or_obj) -> InstanceFile:
             _expect(isinstance(dim, int) and dim >= 0, "$.dimension", "expected a nonnegative integer")
             sub_rank = obj.get("sub_rank")
             _expect(isinstance(sub_rank, int) and 0 <= sub_rank <= dim, "$.sub_rank", "sub rank out of range")
-            shaped = {"base_dim": 0, "fiber_rank": dim, "structure": obj.get("structure", []), "anchor": []}
-            p, q, l = 0, 0, sub_rank
+            shaped = {"structure": obj.get("structure", [])}
+            p, q, l, rank = 0, 0, sub_rank, dim
         else:
             p = obj.get("base_dim")
             q = obj.get("normal_rank")
@@ -222,8 +205,8 @@ def parse_instance(path_or_obj) -> InstanceFile:
             _expect(isinstance(q, int) and q >= 0, "$.normal_rank", "expected a nonnegative integer")
             _expect(isinstance(rank, int) and rank >= 0, "$.fiber_rank", "expected a nonnegative integer")
             _expect(isinstance(l, int) and 0 <= l <= rank, "$.sub_rank", "sub rank out of range")
-            shaped = {"base_dim": p + q, "fiber_rank": rank, "structure": obj.get("structure", []), "anchor": obj.get("anchor", [])}
-        data = _parse_algebroid(shaped, "$")
+            shaped = obj
+        data = _parse_tensors(shaped, p + q, rank, "$")
         try:
             setup = SplitSetup.build(data, p, q, l)
         except ValueError as exc:
@@ -234,13 +217,7 @@ def parse_instance(path_or_obj) -> InstanceFile:
         if "base" in obj:
             instance.payload["base"] = _parse_candidate_pair(obj["base"], setup, "$.base")
         if "candidate_xq" in obj:
-            shaped_c = {
-                "base_dim": data.base_dim,
-                "fiber_rank": data.fiber_rank,
-                "structure": obj["candidate_xq"].get("structure", []),
-                "anchor": obj["candidate_xq"].get("anchor", []),
-            }
-            instance.payload["candidate_xq"] = _parse_algebroid(shaped_c, "$.candidate_xq")
+            instance.payload["candidate_xq"] = _parse_tensors(obj["candidate_xq"], data.base_dim, data.fiber_rank, "$.candidate_xq")
         return instance
 
     if kind == "foliation":
@@ -252,26 +229,13 @@ def parse_instance(path_or_obj) -> InstanceFile:
         _expect(isinstance(frames_obj, list) and len(frames_obj) == base_dim, "$.frames", f"expected {base_dim} frame fields")
         frames = []
         for fi, entries in enumerate(frames_obj):
-            fpath = f"$.frames[{fi}]"
-            _expect(isinstance(entries, list), fpath, "expected a list of components")
-            comp = {}
-            for ci, entry in enumerate(entries):
-                epath = f"{fpath}[{ci}]"
-                t = entry.get("t")
-                _expect(isinstance(t, int) and 0 <= t < base_dim, f"{epath}.t", "component index out of range")
-                comp[t] = _parse_terms(entry.get("terms", []), base_dim, f"{epath}.terms")
-            frames.append(comp)
+            _expect(isinstance(entries, list), f"$.frames[{fi}]", "expected a list of components")
+            frames.append(dict(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (base_dim,))))
         try:
             fol = FoliationSetup.build(base_dim, sub_rank, frames)
         except ValueError as exc:
             raise InstanceError("$.frames", str(exc)) from exc
-        psi = {}
-        for idx, entry in enumerate(obj.get("psi", [])):
-            epath = f"$.psi[{idx}]"
-            i, j = entry.get("i"), entry.get("j")
-            _expect(isinstance(i, int), f"{epath}.i", "expected an integer")
-            _expect(isinstance(j, int), f"{epath}.j", "expected an integer")
-            psi[(i, j)] = _parse_terms(entry.get("terms", []), base_dim, f"{epath}.terms")
+        psi = dict(_parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij"))
         instance.payload["foliation"] = fol
         instance.payload["psi"] = psi
         return instance
@@ -279,53 +243,25 @@ def parse_instance(path_or_obj) -> InstanceFile:
     if kind == "homomorphism":
         source_data = _parse_algebroid(obj.get("source", {}), "$.source")
         target_data = _parse_algebroid(obj.get("target", {}), "$.target")
-        bundle = {}
-        for idx, entry in enumerate(obj.get("bundle_map", [])):
-            epath = f"$.bundle_map[{idx}]"
-            i, j = entry.get("i"), entry.get("j")
-            _expect(isinstance(i, int), f"{epath}.i", "expected an integer")
-            _expect(isinstance(j, int), f"{epath}.j", "expected an integer")
-            bundle[(i, j)] = _parse_terms(entry.get("terms", []), source_data.base_dim, f"{epath}.terms")
-        base_map = {}
-        for idx, entry in enumerate(obj.get("base_map", [])):
-            epath = f"$.base_map[{idx}]"
-            k = entry.get("k")
-            _expect(isinstance(k, int), f"{epath}.k", "expected an integer")
-            base_map[k] = _parse_terms(entry.get("terms", []), source_data.base_dim, f"{epath}.terms")
+        m = source_data.base_dim
+        bundle = dict(_parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij"))
+        base_map = dict(_parse_entries(obj.get("base_map", []), "$.base_map", m, "k"))
         try:
             h = HomomorphismData.build(source_data, target_data, bundle, base_map)
         except ValueError as exc:
             raise InstanceError("$", str(exc)) from exc
         instance.payload["homomorphism"] = h
-        cand = obj.get("candidate", {})
-        cand_bundle = {}
-        for idx, entry in enumerate(cand.get("phi", [])):
-            epath = f"$.candidate.phi[{idx}]"
-            i, j = entry.get("i"), entry.get("j")
-            _expect(isinstance(i, int), f"{epath}.i", "expected an integer")
-            _expect(isinstance(j, int), f"{epath}.j", "expected an integer")
-            cand_bundle[(i, j)] = _parse_terms(entry.get("terms", []), source_data.base_dim, f"{epath}.terms")
-        cand_base = {}
-        for idx, entry in enumerate(cand.get("sigma", [])):
-            epath = f"$.candidate.sigma[{idx}]"
-            k = entry.get("k")
-            _expect(isinstance(k, int), f"{epath}.k", "expected an integer")
-            cand_base[k] = _parse_terms(entry.get("terms", []), source_data.base_dim, f"{epath}.terms")
+        cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate")
         instance.payload["candidate_bundle"] = cand_bundle
         instance.payload["candidate_base"] = cand_base
         if "candidate_xq" in obj:
             cxq = obj["candidate_xq"]
             _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")
-            pert = {}
-            for which, data in (("source", source_data), ("target", target_data)):
-                if which in cxq:
-                    shaped = {
-                        "base_dim": data.base_dim,
-                        "fiber_rank": data.fiber_rank,
-                        "structure": cxq[which].get("structure", []),
-                        "anchor": cxq[which].get("anchor", []),
-                    }
-                    pert[which] = _parse_algebroid(shaped, f"$.candidate_xq.{which}")
+            pert = {
+                which: _parse_tensors(cxq[which], data.base_dim, data.fiber_rank, f"$.candidate_xq.{which}")
+                for which, data in (("source", source_data), ("target", target_data))
+                if which in cxq
+            }
             instance.payload["candidate_xq"] = pert
         return instance
 
@@ -343,22 +279,28 @@ def _terms_obj(poly: PolyDict) -> list[dict]:
     return out
 
 
+def _entries_obj(polys: Mapping, names: str) -> list[dict]:
+    """Inverse of ``_parse_entries``: entry objects in key order, zero polynomials left out."""
+    return [
+        {**dict(zip(names, key if isinstance(key, tuple) else (key,))), "terms": _terms_obj(poly)}
+        for key, poly in sorted(polys.items())
+        if poly
+    ]
+
+
+def _tensors_obj(data: AlgebroidData) -> dict:
+    return {"structure": _entries_obj(data.structure, "ijk"), "anchor": _entries_obj(data.anchor, "it")}
+
+
 def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid", options: Options | None = None) -> dict:
     obj: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": kind}
     if kind == "lie_algebra":
         obj["dimension"] = data.fiber_rank
+        obj["structure"] = _tensors_obj(data)["structure"]
     else:
         obj["base_dim"] = data.base_dim
         obj["fiber_rank"] = data.fiber_rank
-    obj["structure"] = [
-        {"i": i, "j": j, "k": k, "terms": _terms_obj(poly)}
-        for (i, j, k), poly in sorted(data.structure.items())
-    ]
-    if kind != "lie_algebra":
-        obj["anchor"] = [
-            {"i": i, "t": t, "terms": _terms_obj(poly)}
-            for (i, t), poly in sorted(data.anchor.items())
-        ]
+        obj.update(_tensors_obj(data))
     if options is not None:
         obj["options"] = {"series_cap": options.series_cap, "probes": options.probes, "seed": options.seed}
         if options.truncate is not None:
@@ -367,25 +309,7 @@ def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid", options: O
 
 
 def serialize_pair(d: DeformationPair) -> dict:
-    return {
-        "sigma": [{"k": k, "terms": _terms_obj(poly)} for k, poly in sorted(d.sigma.items())],
-        "phi": [
-            {"i": i, "j": j, "terms": _terms_obj(poly)} for (i, j), poly in sorted(d.phi.items())
-        ],
-    }
-
-
-def _tensors_obj(data: AlgebroidData) -> dict:
-    return {
-        "structure": [
-            {"i": i, "j": j, "k": k, "terms": _terms_obj(poly)}
-            for (i, j, k), poly in sorted(data.structure.items())
-        ],
-        "anchor": [
-            {"i": i, "t": t, "terms": _terms_obj(poly)}
-            for (i, t), poly in sorted(data.anchor.items())
-        ],
-    }
+    return {"sigma": _entries_obj(d.sigma, "k"), "phi": _entries_obj(d.phi, "ij")}
 
 
 def serialize_instance(inst: InstanceFile) -> dict:
@@ -420,44 +344,18 @@ def serialize_instance(inst: InstanceFile) -> dict:
         fol: FoliationSetup = inst.payload["foliation"]
         obj["base_dim"] = fol.base_dim
         obj["sub_rank"] = fol.sub_rank
-        obj["frames"] = [
-            [
-                {"t": t, "terms": _terms_obj(comp)}
-                for t, comp in enumerate(frame)
-                if comp
-            ]
-            for frame in fol.frames
-        ]
-        obj["psi"] = [
-            {"i": i, "j": j, "terms": _terms_obj(poly)}
-            for (i, j), poly in sorted(inst.payload["psi"].items())
-            if poly
-        ]
+        obj["frames"] = [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames]
+        obj["psi"] = _entries_obj(inst.payload["psi"], "ij")
         return obj
     if inst.kind == "homomorphism":
         h: HomomorphismData = inst.payload["homomorphism"]
         for field_name, data in (("source", h.source), ("target", h.target)):
-            block = {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank}
-            block.update(_tensors_obj(data))
-            obj[field_name] = block
-        obj["bundle_map"] = [
-            {"i": i, "j": j, "terms": _terms_obj(poly)}
-            for (i, j), poly in sorted(h.bundle_map.items())
-        ]
-        obj["base_map"] = [
-            {"k": k, "terms": _terms_obj(poly)} for k, poly in sorted(h.base_map.items())
-        ]
+            obj[field_name] = {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank, **_tensors_obj(data)}
+        obj["bundle_map"] = _entries_obj(h.bundle_map, "ij")
+        obj["base_map"] = _entries_obj(h.base_map, "k")
         obj["candidate"] = {
-            "sigma": [
-                {"k": k, "terms": _terms_obj(poly)}
-                for k, poly in sorted(inst.payload["candidate_base"].items())
-                if poly
-            ],
-            "phi": [
-                {"i": i, "j": j, "terms": _terms_obj(poly)}
-                for (i, j), poly in sorted(inst.payload["candidate_bundle"].items())
-                if poly
-            ],
+            "sigma": _entries_obj(inst.payload["candidate_base"], "k"),
+            "phi": _entries_obj(inst.payload["candidate_bundle"], "ij"),
         }
         if "candidate_xq" in inst.payload:
             obj["candidate_xq"] = {

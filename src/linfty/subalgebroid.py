@@ -26,6 +26,7 @@ from .algebroid import (
     PolyDict,
     _as_poly,
     complex_cohomology,
+    merge_polys,
 )
 from .signs import ShuffleSpec, iter_shuffles
 from .superfield import (
@@ -189,20 +190,9 @@ class DeformationPair:
         return DeformationPair({}, {})
 
     def add(self, other: "DeformationPair") -> "DeformationPair":
-        sigma = {k: dict(v) for k, v in self.sigma.items()}
-        for k, v in other.sigma.items():
-            merged = sigma.get(k, {})
-            for e, c in v.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            sigma[k] = {e: c for e, c in merged.items() if c != 0}
-        phi = {k: dict(v) for k, v in self.phi.items()}
-        for k, v in other.phi.items():
-            merged = phi.get(k, {})
-            for e, c in v.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            phi[k] = {e: c for e, c in merged.items() if c != 0}
         return DeformationPair(
-            {k: v for k, v in sigma.items() if v}, {k: v for k, v in phi.items() if v}
+            merge_polys([*self.sigma.items(), *other.sigma.items()]),
+            merge_polys([*self.phi.items(), *other.phi.items()]),
         )
 
     def is_zero(self) -> bool:
@@ -376,36 +366,6 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
                 comp[j] = f
         sections[i] = comp
 
-    def rho(a: int, f: SuperFunction) -> SuperFunction:
-        return data.anchor_apply(chart, a, f)
-
-    def bracket(u: dict[int, SuperFunction], v: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
-        out: dict[int, SuperFunction] = {}
-
-        def add(c: int, val: SuperFunction):
-            if val.is_zero():
-                return
-            cur = out.get(c, SuperFunction.zero(chart))
-            cur = cur + val
-            if cur.is_zero():
-                out.pop(c, None)
-            else:
-                out[c] = cur
-
-        for a, ua in u.items():
-            for b, vb in v.items():
-                for c in range(data.fiber_rank):
-                    cf = data.structure_fn(chart, a, b, c)
-                    if not cf.is_zero():
-                        add(c, ua * vb * cf)
-        for a, ua in u.items():
-            for c, vc in v.items():
-                add(c, ua * rho(a, vc))
-        for b, vb in v.items():
-            for c, uc in u.items():
-                add(c, (vb * rho(b, uc)).scale(-1))
-        return out
-
     # anchor condition: anchors of graph sections are tangent to the section image
     for i in setup.sub_indices:
         for pos_k, k in enumerate(setup.normal_even_positions):
@@ -422,7 +382,7 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
                 report.anchor_defects[(i, pos_k)] = total
     # closure condition: bracket of graph sections lies in the graph over the section
     for i1, i2 in itertools.combinations(setup.sub_indices, 2):
-        g = bracket(sections[i1], sections[i2])
+        g = _section_bracket(setup, sections[i1], sections[i2])
         g = {c: f.substitute(mapping) for c, f in g.items()}
         for j in setup.comp_indices:
             defect = g.get(j, SuperFunction.zero(chart))
@@ -575,9 +535,6 @@ def explicit_structure_maps(
     def frame_word(indices: Sequence[int]) -> list[dict[int, SuperFunction]]:
         return [frame[i] for i in indices]
 
-    def as_section(fvals: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
-        return dict(fvals)
-
     out_values: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
 
     def add_value(idx: tuple[int, ...], section: dict[int, SuperFunction], sign: int):
@@ -606,7 +563,7 @@ def explicit_structure_maps(
                 head = [word[tau(p) - 1] for p in range(1, deg + 1)]
                 last = word[tau(deg + 1) - 1]
                 val = xi.evaluate(frame_word(head))
-                br = _section_bracket(setup, as_section(val), frame[last])
+                br = _section_bracket(setup, val, frame[last])
                 add_value(idx, _pi_comp(setup, br), sign)
             if deg >= 1:
                 outer = -1 if (deg - 1) % 2 else 1
@@ -615,7 +572,7 @@ def explicit_structure_maps(
                     u, v = word[tau(1) - 1], word[tau(2) - 1]
                     rest = [word[tau(p) - 1] for p in range(3, deg + 2)]
                     br = _pi_sub(setup, _section_bracket(setup, frame[u], frame[v]))
-                    val = xi.evaluate([as_section(br)] + frame_word(rest))
+                    val = xi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, -outer * sign)
         return FrameForm.build(setup, n_out, out_values)
 
@@ -632,8 +589,8 @@ def explicit_structure_maps(
                 xi_args = [word[tau(p) - 1] for p in range(la + 1, la + ka + 1)]
                 br = _section_bracket(
                     setup,
-                    as_section(xi.evaluate(frame_word(xi_args))),
-                    as_section(psi.evaluate(frame_word(psi_args))),
+                    xi.evaluate(frame_word(xi_args)),
+                    psi.evaluate(frame_word(psi_args)),
                 )
                 add_value(idx, _pi_comp(setup, br), front * sign)
             if ka >= 1:
@@ -645,10 +602,10 @@ def explicit_structure_maps(
                     br = _pi_sub(
                         setup,
                         _section_bracket(
-                            setup, as_section(psi.evaluate(frame_word(psi_args))), frame[mid]
+                            setup, psi.evaluate(frame_word(psi_args)), frame[mid]
                         ),
                     )
-                    val = xi.evaluate([as_section(br)] + frame_word(rest))
+                    val = xi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, -front * sign)
             if la >= 1:
                 front2 = -1 if ((la - 1) * ka) % 2 else 1
@@ -660,10 +617,10 @@ def explicit_structure_maps(
                     br = _pi_sub(
                         setup,
                         _section_bracket(
-                            setup, as_section(xi.evaluate(frame_word(xi_args))), frame[mid]
+                            setup, xi.evaluate(frame_word(xi_args)), frame[mid]
                         ),
                     )
-                    val = psi.evaluate([as_section(br)] + frame_word(rest))
+                    val = psi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, front2 * sign)
         return FrameForm.build(setup, n_out, out_values)
 
@@ -693,11 +650,11 @@ def explicit_structure_maps(
                         setup,
                         _section_bracket(
                             setup,
-                            as_section(f1.evaluate(frame_word(a1))),
-                            as_section(f2.evaluate(frame_word(a2))),
+                            f1.evaluate(frame_word(a1)),
+                            f2.evaluate(frame_word(a2)),
                         ),
                     )
-                    val = f3.evaluate([as_section(br)] + frame_word(rest))
+                    val = f3.evaluate([br] + frame_word(rest))
                     add_value(idx, val, s * sign)
         return FrameForm.build(setup, n_out, out_values)
 

@@ -1,20 +1,21 @@
 """Record ``commands.json``: ``--json`` stdout and exit code per (command, preset).
 
 Run from a checkout with ``PYTHONPATH=src python tests/golden/record_commands.py``.
-Pairs whose instance kind the command refuses (exit 2) are left out, as are
-``cohomology`` (``cohomology.json`` covers it) and the slow
-``brackets hom-sl2-id``.  The file pins today's outputs, exit 3 included,
-so re-record it only for an intended output change.
+Every command runs on every preset, except the slow ``brackets hom-sl2-id``.
+Refusals are kept (exit 2 with empty stdout), so a command that starts or
+stops accepting an instance kind shows up as a changed entry; ``cohomology``
+runs without ``--truncate`` here (``cohomology.json`` covers truncated runs).
+The file pins today's outputs, exit 3 included, so re-record it only for an
+intended output change.
 """
 import contextlib
 import io
 import json
 from pathlib import Path
 
-from linfty.cli import main
+from linfty.cli import COMMANDS, main
 from linfty.instances import fixture_path
 
-COMMANDS = ("validate", "oracle-compare", "mc-check", "subalg-check", "simultaneous", "axioms", "brackets")
 SKIP = {("brackets", "hom-sl2-id")}
 
 
@@ -24,15 +25,14 @@ def presets() -> list[str]:
 
 def record() -> dict[str, dict]:
     golden = {}
-    for command in COMMANDS:
+    for command in sorted(COMMANDS):
         for preset in presets():
             if (command, preset) in SKIP:
                 continue
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, preset, "--json"])
-            if code != 2:
-                golden[f"{command} {preset}"] = {"exit": code, "stdout": out.getvalue()}
+            golden[f"{command} {preset}"] = {"exit": code, "stdout": out.getvalue()}
     return golden
 
 

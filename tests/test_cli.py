@@ -107,6 +107,40 @@ class TestParsing:
         second = parse_instance(serialized)
         assert serialize_instance(second) == serialized
 
+    @pytest.mark.parametrize(
+        "preset,where,bad,path",
+        [  # the entry list's location, the bad field (None: the entry is not an object), the reported path
+            ("sl2", ["structure"], "j", "$.structure[0].j"),
+            ("tangent-r1", ["anchor"], "t", "$.anchor[0].t"),
+            ("sl2", ["candidate", "structure"], "k", "$.candidate.structure[0].k"),
+            ("tangent-r1-origin", ["candidate", "sigma"], "k", "$.candidate.sigma[0].k"),
+            ("sl2-borel", ["base", "phi"], "i", "$.base.phi[0].i"),
+            ("sl2-borel", ["candidate_xq", "anchor"], "i", "$.candidate_xq.anchor[0].i"),
+            ("foliation-r3", ["frames", 0], "t", "$.frames[0][0].t"),
+            ("foliation-r3", ["psi"], "j", "$.psi[0].j"),
+            ("foliation-r3", ["psi"], None, "$.psi[0]"),
+            ("hom-sl2-id", ["bundle_map"], "i", "$.bundle_map[0].i"),
+            ("hom-sl2-id", ["base_map"], "k", "$.base_map[0].k"),
+            ("hom-sl2-id", ["candidate", "sigma"], "k", "$.candidate.sigma[0].k"),
+            ("hom-sl2-id", ["candidate", "phi"], "j", "$.candidate.phi[0].j"),
+            ("hom-sl2-id", ["candidate_xq", "target", "structure"], "i", "$.candidate_xq.target.structure[0].i"),
+        ],
+    )
+    def test_malformed_entry_names_its_path(self, preset, where, bad, path):
+        obj = json.loads(fixture_path(preset).read_text())
+        entry = {"i": 0, "j": 1, "k": 0, "t": 0, "terms": []}
+        if bad is None:
+            entry = 5
+        else:
+            entry[bad] = "x"
+        parent = obj
+        for key in where[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[where[-1]] = [entry]
+        with pytest.raises(InstanceError) as err:
+            parse_instance(obj)
+        assert err.value.path == path
+
 
 class TestCommands:
     @pytest.mark.parametrize(
@@ -223,6 +257,21 @@ class TestCommands:
     def test_command_json_is_golden(self, capsys, case):
         code, out, _ = run_cli(capsys, *case.split(), "--json")
         assert (code, out) == (GOLDEN_COMMANDS[case]["exit"], GOLDEN_COMMANDS[case]["stdout"])
+
+    @pytest.mark.parametrize(
+        "command,preset,kind",
+        [
+            ("brackets", "sl2", "lie_algebra"),
+            ("axioms", "tangent-r1", "algebroid"),
+            ("subalg-check", "abelian-2", "lie_algebra"),
+            ("simultaneous", "foliation-r3", "foliation"),
+            ("cohomology", "hom-sl2-id", "homomorphism"),
+        ],
+    )
+    def test_refusal_names_command_and_kind(self, capsys, command, preset, kind):
+        code, out, err = run_cli(capsys, command, preset, "--json")
+        assert (code, out) == (2, "")
+        assert f"{command} does not support kind {kind!r}" in err
 
     def test_cohomology_of_sl2_sum_vanishes(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "sl2-sum", "--json")
