@@ -65,6 +65,17 @@ def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
     return SuperFunction(chart, {(exps, ()): c for exps, c in poly.items()})
 
 
+def add_into(out: dict, key, val: SuperFunction) -> None:
+    """out[key] += val, keeping only nonzero entries."""
+    if val.is_zero():
+        return
+    total = out[key] + val if key in out else val
+    if total.is_zero():
+        del out[key]
+    else:
+        out[key] = total
+
+
 @dataclass(frozen=True)
 class AlgebroidData:
     """Polynomial structure functions of a Lie algebroid candidate.
@@ -127,30 +138,6 @@ class AlgebroidData:
         odd_roles = (SUB_FRAME,) * sub_rank + (COMPLEMENT_FRAME,) * (self.fiber_rank - sub_rank)
         return CoordinateChart(evens, roles, odds, odd_roles)
 
-    # -- accessors --------------------------------------------------------
-    def structure_poly(self, i: int, j: int, k: int) -> PolyDict:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.structure.get((i, j, k), {}))
-        return {e: -c for e, c in self.structure.get((j, i, k), {}).items()}
-
-    def structure_fn(self, chart: CoordinateChart, i: int, j: int, k: int) -> SuperFunction:
-        return _poly_fn(chart, self.structure_poly(i, j, k))
-
-    def anchor_fn(self, chart: CoordinateChart, i: int, t: int) -> SuperFunction:
-        return _poly_fn(chart, dict(self.anchor.get((i, t), {})))
-
-    def anchor_apply(self, chart: CoordinateChart, i: int, f: SuperFunction) -> SuperFunction:
-        """Action of the anchor image of frame element i on a function."""
-        out = SuperFunction.zero(chart)
-        for t in range(self.base_dim):
-            b = self.anchor_fn(chart, i, t)
-            if b.is_zero():
-                continue
-            out = out + b * f.partial(t)
-        return out
-
     def max_poly_degree(self) -> int:
         degs = [0]
         for poly in list(self.structure.values()) + list(self.anchor.values()):
@@ -212,21 +199,72 @@ def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None
     return report
 
 
+Section = dict[int, SuperFunction]  # frame index -> coefficient
+
+
+@dataclass(frozen=True)
+class SectionCalculus:
+    """The bracket and anchor of an algebroid on sections in its frame, on one chart.
+
+    ``structure[(a, b)]`` holds the nonzero C^c_ab as ``{c: function}`` for
+    both orders of every pair, ``anchor[a]`` the nonzero b^t_a as ``{t: function}``;
+    each is built once from the polynomial data.
+    """
+
+    chart: CoordinateChart
+    structure: Mapping[tuple[int, int], Section]
+    anchor: Mapping[int, Section]
+
+    @staticmethod
+    def of(data: AlgebroidData, chart: CoordinateChart | None = None) -> "SectionCalculus":
+        chart = chart or data.plain_chart()
+        structure: dict[tuple[int, int], Section] = {}
+        for (i, j, k), poly in sorted(data.structure.items()):
+            f = _poly_fn(chart, poly)
+            structure.setdefault((i, j), {})[k] = f
+            structure.setdefault((j, i), {})[k] = -f
+        anchor: dict[int, Section] = {}
+        for (i, t), poly in sorted(data.anchor.items()):
+            anchor.setdefault(i, {})[t] = _poly_fn(chart, poly)
+        return SectionCalculus(chart, structure, anchor)
+
+    def anchor_apply(self, a: int, f: SuperFunction) -> SuperFunction:
+        """Action of the anchor image of frame element a on a function."""
+        out = SuperFunction.zero(self.chart)
+        for t, b in self.anchor.get(a, {}).items():
+            out = out + b * f.partial(t)
+        return out
+
+    def bracket(self, u: Section, v: Section) -> Section:
+        """[u, v]^c = u^a v^b C^c_ab + u^a rho_a(v^c) - v^b rho_b(u^c)."""
+        out: Section = {}
+        for a, ua in u.items():
+            for b, vb in v.items():
+                for c, cf in self.structure.get((a, b), {}).items():
+                    add_into(out, c, ua * vb * cf)
+        for a, ua in u.items():
+            for c, vc in v.items():
+                add_into(out, c, ua * self.anchor_apply(a, vc))
+        for b, vb in v.items():
+            for c, uc in u.items():
+                add_into(out, c, -(vb * self.anchor_apply(b, uc)))
+        return out
+
+
 def classical_anchor_defects(
     data: AlgebroidData, chart: CoordinateChart | None = None
 ) -> dict[tuple[int, int, int], SuperFunction]:
     """rho([xi_i, xi_j]) - [rho(xi_i), rho(xi_j)], componentwise, nonzero only."""
-    chart = chart or data.plain_chart()
+    calc = SectionCalculus.of(data, chart)
+    zero = SuperFunction.zero(calc.chart)
     out = {}
     for i, j in itertools.combinations(range(data.fiber_rank), 2):
         for t in range(data.base_dim):
-            total = SuperFunction.zero(chart)
-            for k in range(data.fiber_rank):
-                ck = _poly_fn(chart, data.structure_poly(i, j, k))
-                if not ck.is_zero():
-                    total = total + ck * data.anchor_fn(chart, k, t)
-            total = total - data.anchor_apply(chart, i, data.anchor_fn(chart, j, t))
-            total = total + data.anchor_apply(chart, j, data.anchor_fn(chart, i, t))
+            total = zero
+            for k, ck in calc.structure.get((i, j), {}).items():
+                total = total + ck * calc.anchor.get(k, {}).get(t, zero)
+            total = total - calc.anchor_apply(i, calc.anchor.get(j, {}).get(t, zero))
+            total = total + calc.anchor_apply(j, calc.anchor.get(i, {}).get(t, zero))
             if not total.is_zero():
                 out[(i, j, t)] = total
     return out
@@ -235,22 +273,23 @@ def classical_anchor_defects(
 def classical_jacobi_defects(
     data: AlgebroidData, chart: CoordinateChart | None = None
 ) -> dict[tuple[int, int, int, int], SuperFunction]:
-    """Cyclic Jacobiator coefficients on frame triples, nonzero only."""
-    chart = chart or data.plain_chart()
+    """Cyclic sum of [[xi_a, xi_b], xi_d] on frame triples, componentwise, nonzero only."""
+    calc = SectionCalculus.of(data, chart)
+    one = SuperFunction.constant(calc.chart, 1)
     out = {}
     for i, j, k in itertools.combinations(range(data.fiber_rank), 3):
-        for c in range(data.fiber_rank):
-            total = SuperFunction.zero(chart)
-            for (a, b, d) in ((i, j, k), (j, k, i), (k, i, j)):
-                for e in range(data.fiber_rank):
-                    cab = _poly_fn(chart, data.structure_poly(a, b, e))
-                    if cab.is_zero():
-                        continue
-                    total = total + cab * _poly_fn(chart, data.structure_poly(e, d, c))
-                total = total - data.anchor_apply(chart, d, _poly_fn(chart, data.structure_poly(a, b, c)))
-            if not total.is_zero():
-                out[(i, j, k, c)] = total
+        total: Section = {}
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for c, f in calc.bracket(calc.bracket({a: one}, {b: one}), {d: one}).items():
+                add_into(total, c, f)
+        for c in sorted(total):
+            out[(i, j, k, c)] = total[c]
     return out
+
+
+def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> SuperVectorField:
+    """[[X, X~]] + (1/2)[[X~, X~]], unchecked; with [[X, X]] = 0 it is half of [[X + X~, X + X~]]."""
+    return super_commutator(xq, xq_tilde) + super_commutator(xq_tilde, xq_tilde).scale(Fraction(1, 2))
 
 
 def deformation_residual(
@@ -261,9 +300,7 @@ def deformation_residual(
         raise ValueError("the base field must be homological of degree 1")
     if not xq_tilde.is_zero() and xq_tilde.degree() != 1:
         raise ValueError("the candidate must have degree 1")
-    return super_commutator(xq, xq_tilde) + super_commutator(xq_tilde, xq_tilde).scale(
-        Fraction(1, 2)
-    )
+    return structure_residual(xq, xq_tilde)
 
 
 # ---------------------------------------------------------------------
@@ -320,41 +357,27 @@ class CEForm:
 
 def ce_differential(data: AlgebroidData, form: CEForm) -> CEForm:
     """Cartan-type differential on bundle forms (frame-triple enumeration)."""
-    chart = form.chart
+    calc = SectionCalculus.of(data, form.chart)
     n = form.degree
     out: dict[tuple[int, ...], SuperFunction] = {}
-
-    def add(idx: tuple[int, ...], val: SuperFunction):
-        if val.is_zero():
-            return
-        cur = out.get(idx, SuperFunction.zero(chart))
-        cur = cur + val
-        if cur.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = cur
-
     for idx in itertools.combinations(range(data.fiber_rank), n + 1):
-        total = SuperFunction.zero(chart)
+        total = SuperFunction.zero(form.chart)
         for pos, u in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             inner = form.evaluate(rest)
             if not inner.is_zero():
                 sign = -1 if pos % 2 else 1
-                total = total + data.anchor_apply(chart, u, inner).scale(sign)
+                total = total + calc.anchor_apply(u, inner).scale(sign)
         for pa, pb in itertools.combinations(range(n + 1), 2):
             u, v = idx[pa], idx[pb]
             rest = tuple(w for p, w in enumerate(idx) if p not in (pa, pb))
             sign = -1 if (pa + pb) % 2 else 1
-            for c in range(data.fiber_rank):
-                coeff = data.structure_fn(chart, u, v, c)
-                if coeff.is_zero():
-                    continue
+            for c, coeff in calc.structure.get((u, v), {}).items():
                 val = form.evaluate((c,) + rest)
                 if not val.is_zero():
                     total = total + (coeff * val).scale(sign)
-        add(idx, total)
-    return CEForm(chart, n + 1, out)
+        add_into(out, idx, total)
+    return CEForm(form.chart, n + 1, out)
 
 
 def form_to_superfunction(form: CEForm) -> SuperFunction:

@@ -16,8 +16,10 @@ from typing import Mapping, Sequence
 from .algebroid import (
     AlgebroidData,
     PolyDict,
+    SectionCalculus,
     _as_poly,
     _poly_fn,
+    add_into,
     build_xq,
     validate_algebroid,
 )
@@ -175,26 +177,22 @@ def _poly_matrix_inverse(chart, mat):
 
 
 def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
-    """Tangent-algebroid structure functions in an arbitrary polynomial frame."""
-    probe = AlgebroidData.build(base_dim, base_dim)
-    chart = probe.plain_chart()
+    """Tangent-algebroid structure functions in an arbitrary polynomial frame.
+
+    A frame field is a section of the coordinate tangent algebroid, so the
+    frame brackets are its section brackets, expanded back in the frame.
+    """
+    calc = SectionCalculus.of(tangent_rn(base_dim))
+    chart = calc.chart
     mat = [
         [_poly_fn(chart, frames[col][t]) for col in range(base_dim)]
         for t in range(base_dim)
     ]
     inv = _poly_matrix_inverse(chart, mat)
+    zero = SuperFunction.zero(chart)
 
-    def as_field(col: int) -> list[SuperFunction]:
-        return [mat[t][col] for t in range(base_dim)]
-
-    def vf_bracket(u: list[SuperFunction], v: list[SuperFunction]) -> list[SuperFunction]:
-        out = []
-        for t in range(base_dim):
-            val = SuperFunction.zero(chart)
-            for s in range(base_dim):
-                val = val + u[s] * v[t].partial(s) - v[s] * u[t].partial(s)
-            out.append(val)
-        return out
+    def as_section(col: int) -> dict[int, SuperFunction]:
+        return {t: mat[t][col] for t in range(base_dim) if not mat[t][col].is_zero()}
 
     structure: dict[tuple[int, int, int], PolyDict] = {}
     anchor: dict[tuple[int, int], PolyDict] = {}
@@ -204,11 +202,11 @@ def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
             if f:
                 anchor[(i, t)] = dict(f)
     for i, j in itertools.combinations(range(base_dim), 2):
-        br = vf_bracket(as_field(i), as_field(j))
+        br = calc.bracket(as_section(i), as_section(j))
         for k in range(base_dim):
-            coeff = SuperFunction.zero(chart)
-            for t in range(base_dim):
-                coeff = coeff + inv[k][t] * br[t]
+            coeff = zero
+            for t, f in br.items():
+                coeff = coeff + inv[k][t] * f
             if not coeff.is_zero():
                 structure[(i, j, k)] = {e: c for (e, _), c in coeff.terms.items()}
     return AlgebroidData.build(base_dim, base_dim, structure, anchor)
@@ -247,46 +245,22 @@ def foliation_infinitesimal(fol: FoliationSetup, psi: Mapping) -> FoliationResul
     residual = explicit_structure_maps(setup, 1, [form])
 
     # classical route on distribution frame pairs
-    data = fol.algebroid
+    calc = SectionCalculus.of(fol.algebroid, chart)
     one = SuperFunction.constant(chart, 1)
+    zero = SuperFunction.zero(chart)
     defects: dict[tuple[int, int, int], SuperFunction] = {}
 
-    def section_of(i: int) -> dict[int, SuperFunction]:
-        return {i: one}
-
-    def psi_of(section: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
-        out: dict[int, SuperFunction] = {}
-        for i, coeff in section.items():
-            if i not in setup.sub_indices:
-                continue
-            for j in setup.comp_indices:
-                entry = form.values.get(((i,), j))
-                if entry is None:
-                    continue
-                cur = out.get(j, SuperFunction.zero(chart))
-                cur = cur + coeff * entry
-                if not cur.is_zero():
-                    out[j] = cur
-                else:
-                    out.pop(j, None)
-        return out
-
-    from .subalgebroid import _pi_comp, _pi_sub, _section_bracket
+    def comp(section: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
+        return {j: f for j, f in section.items() if j in setup.comp_indices}
 
     for v, w in itertools.combinations(setup.sub_indices, 2):
-        lhs = _pi_comp(
-            setup,
-            _section_bracket(setup, psi_of(section_of(v)), section_of(w)),
-        )
-        second = _pi_comp(
-            setup,
-            _section_bracket(setup, section_of(v), psi_of(section_of(w))),
-        )
-        for j, val in second.items():
-            lhs[j] = lhs.get(j, SuperFunction.zero(chart)) + val
-        rhs = psi_of(_pi_sub(setup, _section_bracket(setup, section_of(v), section_of(w))))
+        xv, xw = {v: one}, {w: one}
+        lhs = comp(calc.bracket(form.evaluate([xv]), xw))
+        for j, val in comp(calc.bracket(xv, form.evaluate([xw]))).items():
+            add_into(lhs, j, val)
+        rhs = form.evaluate([calc.bracket(xv, xw)])  # psi of the sub-frame part
         for j in setup.comp_indices:
-            diff = lhs.get(j, SuperFunction.zero(chart)) - rhs.get(j, SuperFunction.zero(chart))
+            diff = lhs.get(j, zero) - rhs.get(j, zero)
             if not diff.is_zero():
                 defects[(v, w, j)] = diff
     return FoliationResult(residual.is_zero(), residual, defects)
@@ -339,18 +313,17 @@ class GraphSetup:
     xq: SuperVectorField
 
 
-def graph_setup(h: HomomorphismData, validate: bool = True) -> GraphSetup:
+def graph_setup(h: HomomorphismData) -> GraphSetup:
     """Adapted split around the zero map, with the homomorphism as base pair.
 
     Source coordinates and frame form the base/sub blocks, target ones the
     normal/complement blocks; the homomorphism itself enters as the base
     deformation pair (its graph is the candidate subbundle).
     """
-    if validate:
-        if not validate_algebroid(h.source).ok:
-            raise ValueError("invalid source algebroid")
-        if not validate_algebroid(h.target).ok:
-            raise ValueError("invalid target algebroid")
+    if not validate_algebroid(h.source).ok:
+        raise ValueError("invalid source algebroid")
+    if not validate_algebroid(h.target).ok:
+        raise ValueError("invalid target algebroid")
     sum_data = block_sum_data(h.source, h.target)
     setup = SplitSetup.build(
         sum_data, h.source.base_dim, h.target.base_dim, h.source.fiber_rank

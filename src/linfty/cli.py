@@ -22,6 +22,7 @@ from .algebroid import (
     build_xq,
     dgla_cohomology,
     merge_polys,
+    structure_residual,
     validate_algebroid,
 )
 from .applications import (
@@ -45,7 +46,7 @@ from .subalgebroid import (
     simultaneous_residual,
     tangency_oracle,
 )
-from .superfield import SuperVectorField, render_field, super_commutator
+from .superfield import SuperVectorField, render_field
 from .valgebra import (
     LInftyElement,
     MCDelta,
@@ -137,8 +138,7 @@ def _lie_candidate(data: AlgebroidData, cand: AlgebroidData) -> tuple[SuperVecto
     The base structure need not be homological: the residual is reported as it is.
     """
     chart = data.plain_chart()
-    xq, cand_xq = build_xq(data, chart), build_xq(cand, chart)
-    residual = super_commutator(xq, cand_xq) + super_commutator(cand_xq, cand_xq).scale(Fraction(1, 2))
+    residual = structure_residual(build_xq(data, chart), build_xq(cand, chart))
     return residual, validate_algebroid(_data_sum(data, cand)).classical_ok
 
 

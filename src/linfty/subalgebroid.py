@@ -24,9 +24,12 @@ from .algebroid import (
     AlgebroidData,
     CohomologyResult,
     PolyDict,
+    SectionCalculus,
     _as_poly,
+    add_into,
     complex_cohomology,
     merge_polys,
+    structure_residual,
 )
 from .signs import ShuffleSpec, iter_shuffles
 from .superfield import (
@@ -314,10 +317,6 @@ def subalgebroid_mc_residual(
     against the graph-closure oracle); zero iff the deformed graph is again
     a subalgebroid.
     """
-    if not is_homological(xq):
-        raise ValueError("the structure field must be homological")
-    if not xq.is_zero() and xq.degree() != 1:
-        raise ValueError("the structure field must have degree 1")
     valg = setup.valgebra()
     delta = MCDelta.of(valg, xq)
     candidate = LInftyElement(-encode_deformation(setup, d).value, 0)
@@ -341,56 +340,37 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
     and checks that the result stays in the graph and that anchors stay
     tangent to it.  Independent of the bracket-series machinery.
     """
-    data = setup.data
     chart = setup.chart
     ne = chart.n_even
+    calc = SectionCalculus.of(setup.data, chart)
     mapping = graph_substitution(setup, d)
+    zero = SuperFunction.zero(chart)
     report = GraphClosureReport()
 
-    def phi_fn(i: int, j: int) -> SuperFunction:
-        poly = d.phi.get((i, j), {})
-        return SuperFunction(chart, {(_pad_exponents(e, ne), ()): c for e, c in poly.items()})
-
-    def sigma_fn(pos_k: int) -> SuperFunction:
-        poly = d.sigma.get(pos_k, {})
-        return SuperFunction(chart, {(_pad_exponents(e, ne), ()): c for e, c in poly.items()})
-
     # graph frame: eps_i = xi_i + sum_j phi^j_i xi_j
-    sections: dict[int, dict[int, SuperFunction]] = {}
-    one = SuperFunction.constant(chart, 1)
-    for i in setup.sub_indices:
-        comp = {i: one}
-        for j in setup.comp_indices:
-            f = phi_fn(i, j)
-            if not f.is_zero():
-                comp[j] = f
-        sections[i] = comp
+    sections = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
+    for (i, j), poly in d.phi.items():
+        sections[i][j] = SuperFunction(chart, {(_pad_exponents(e, ne), ()): c for e, c in poly.items()})
 
-    # anchor condition: anchors of graph sections are tangent to the section image
+    # anchor condition: rho(eps_i) kills y_k - sigma_k on the section image
     for i in setup.sub_indices:
         for pos_k, k in enumerate(setup.normal_even_positions):
-            total = SuperFunction.zero(chart)
-            sig = sigma_fn(pos_k)
+            defining = SuperFunction.even_var(chart, k) - mapping[k]
+            total = zero
             for a, fa in sections[i].items():
-                normal_part = data.anchor_fn(chart, a, k)
-                push = SuperFunction.zero(chart)
-                for t in range(setup.base_dim):
-                    push = push + data.anchor_fn(chart, a, t) * sig.partial(t)
-                total = total + fa * (normal_part - push)
+                total = total + fa * calc.anchor_apply(a, defining)
             total = total.substitute(mapping)
             if not total.is_zero():
                 report.anchor_defects[(i, pos_k)] = total
     # closure condition: bracket of graph sections lies in the graph over the section
+    # (phi depends on base coordinates only, which the substitution leaves alone)
     for i1, i2 in itertools.combinations(setup.sub_indices, 2):
-        g = _section_bracket(setup, sections[i1], sections[i2])
-        g = {c: f.substitute(mapping) for c, f in g.items()}
+        g = {c: f.substitute(mapping) for c, f in calc.bracket(sections[i1], sections[i2]).items()}
         for j in setup.comp_indices:
-            defect = g.get(j, SuperFunction.zero(chart))
+            defect = g.get(j, zero)
             for i in setup.sub_indices:
-                e_part = g.get(i)
-                if e_part is None:
-                    continue
-                defect = defect - (phi_fn(i, j).substitute(mapping)) * e_part
+                if i in g and j in sections[i]:
+                    defect = defect - sections[i][j] * g[i]
             if not defect.is_zero():
                 report.closure_defects[(i1, i2, j)] = defect
     return report
@@ -433,8 +413,6 @@ class FrameForm:
 
     def evaluate(self, args: Sequence[dict[int, SuperFunction]]) -> dict[int, SuperFunction]:
         """Multilinear antisymmetric evaluation on sub-frame sections."""
-        setup = self.setup
-        chart = setup.chart
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
         out: dict[int, SuperFunction] = {}
@@ -453,14 +431,8 @@ class FrameForm:
             sign = -1 if inversions % 2 else 1
             key = tuple(sorted(indices))
             for (idx, j), val in self.values.items():
-                if idx != key:
-                    continue
-                cur = out.get(j, SuperFunction.zero(chart))
-                cur = cur + (coeff * val).scale(sign) if coeff is not None else cur + val.scale(sign)
-                if cur.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = cur
+                if idx == key:
+                    add_into(out, j, (val if coeff is None else coeff * val).scale(sign))
         return out
 
 
@@ -475,38 +447,6 @@ def _m3_signs(k: int, l: int, m: int) -> tuple[int, int, int]:
     s2 = -1 if (k + l + l * m) % 2 else 1
     s3 = -1 if (k * l) % 2 else 1
     return s1, s2, s3
-
-
-def _section_bracket(
-    setup: SplitSetup, u: dict[int, SuperFunction], v: dict[int, SuperFunction]
-) -> dict[int, SuperFunction]:
-    data = setup.data
-    chart = setup.chart
-    out: dict[int, SuperFunction] = {}
-
-    def add(c: int, val: SuperFunction):
-        if val.is_zero():
-            return
-        cur = out.get(c, SuperFunction.zero(chart))
-        cur = cur + val
-        if cur.is_zero():
-            out.pop(c, None)
-        else:
-            out[c] = cur
-
-    for a, ua in u.items():
-        for b, vb in v.items():
-            for c in range(data.fiber_rank):
-                cf = data.structure_fn(chart, a, b, c)
-                if not cf.is_zero():
-                    add(c, ua * vb * cf)
-    for a, ua in u.items():
-        for c, vc in v.items():
-            add(c, ua * data.anchor_apply(chart, a, vc))
-    for b, vb in v.items():
-        for c, uc in u.items():
-            add(c, (vb * data.anchor_apply(chart, b, uc)).scale(-1))
-    return out
 
 
 def _pi_sub(setup: SplitSetup, s: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
@@ -530,6 +470,7 @@ def explicit_structure_maps(
     if k != len(args):
         raise ValueError("arity does not match the number of arguments")
     chart = setup.chart
+    bracket = SectionCalculus.of(setup.data, chart).bracket
     frame = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
 
     def frame_word(indices: Sequence[int]) -> list[dict[int, SuperFunction]]:
@@ -541,16 +482,7 @@ def explicit_structure_maps(
         for j, val in section.items():
             if j not in setup.comp_indices:
                 raise AssertionError("structure map produced a non-complement value")
-            sval = val.scale(sign)
-            if sval.is_zero():
-                continue
-            key = (idx, j)
-            cur = out_values.get(key, SuperFunction.zero(chart))
-            cur = cur + sval
-            if cur.is_zero():
-                out_values.pop(key, None)
-            else:
-                out_values[key] = cur
+            add_into(out_values, (idx, j), val.scale(sign))
 
     if k == 1:
         (xi,) = args
@@ -563,7 +495,7 @@ def explicit_structure_maps(
                 head = [word[tau(p) - 1] for p in range(1, deg + 1)]
                 last = word[tau(deg + 1) - 1]
                 val = xi.evaluate(frame_word(head))
-                br = _section_bracket(setup, val, frame[last])
+                br = bracket(val, frame[last])
                 add_value(idx, _pi_comp(setup, br), sign)
             if deg >= 1:
                 outer = -1 if (deg - 1) % 2 else 1
@@ -571,7 +503,7 @@ def explicit_structure_maps(
                     sign = tau.parity()
                     u, v = word[tau(1) - 1], word[tau(2) - 1]
                     rest = [word[tau(p) - 1] for p in range(3, deg + 2)]
-                    br = _pi_sub(setup, _section_bracket(setup, frame[u], frame[v]))
+                    br = _pi_sub(setup, bracket(frame[u], frame[v]))
                     val = xi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, -outer * sign)
         return FrameForm.build(setup, n_out, out_values)
@@ -587,11 +519,7 @@ def explicit_structure_maps(
                 sign = tau.parity()
                 psi_args = [word[tau(p) - 1] for p in range(1, la + 1)]
                 xi_args = [word[tau(p) - 1] for p in range(la + 1, la + ka + 1)]
-                br = _section_bracket(
-                    setup,
-                    xi.evaluate(frame_word(xi_args)),
-                    psi.evaluate(frame_word(psi_args)),
-                )
+                br = bracket(xi.evaluate(frame_word(xi_args)), psi.evaluate(frame_word(psi_args)))
                 add_value(idx, _pi_comp(setup, br), front * sign)
             if ka >= 1:
                 for tau in iter_shuffles(ShuffleSpec((la, 1, ka - 1))):
@@ -599,12 +527,7 @@ def explicit_structure_maps(
                     psi_args = [word[tau(p) - 1] for p in range(1, la + 1)]
                     mid = word[tau(la + 1) - 1]
                     rest = [word[tau(p) - 1] for p in range(la + 2, la + ka + 1)]
-                    br = _pi_sub(
-                        setup,
-                        _section_bracket(
-                            setup, psi.evaluate(frame_word(psi_args)), frame[mid]
-                        ),
-                    )
+                    br = _pi_sub(setup, bracket(psi.evaluate(frame_word(psi_args)), frame[mid]))
                     val = xi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, -front * sign)
             if la >= 1:
@@ -614,12 +537,7 @@ def explicit_structure_maps(
                     xi_args = [word[tau(p) - 1] for p in range(1, ka + 1)]
                     mid = word[tau(ka + 1) - 1]
                     rest = [word[tau(p) - 1] for p in range(ka + 2, ka + la + 1)]
-                    br = _pi_sub(
-                        setup,
-                        _section_bracket(
-                            setup, xi.evaluate(frame_word(xi_args)), frame[mid]
-                        ),
-                    )
+                    br = _pi_sub(setup, bracket(xi.evaluate(frame_word(xi_args)), frame[mid]))
                     val = psi.evaluate([br] + frame_word(rest))
                     add_value(idx, val, front2 * sign)
         return FrameForm.build(setup, n_out, out_values)
@@ -646,14 +564,7 @@ def explicit_structure_maps(
                     a1 = [word[tau(p) - 1] for p in range(1, d1 + 1)]
                     a2 = [word[tau(p) - 1] for p in range(d1 + 1, d1 + d2 + 1)]
                     rest = [word[tau(p) - 1] for p in range(d1 + d2 + 1, d1 + d2 + d3)]
-                    br = _pi_sub(
-                        setup,
-                        _section_bracket(
-                            setup,
-                            f1.evaluate(frame_word(a1)),
-                            f2.evaluate(frame_word(a2)),
-                        ),
-                    )
+                    br = _pi_sub(setup, bracket(f1.evaluate(frame_word(a1)), f2.evaluate(frame_word(a2))))
                     val = f3.evaluate([br] + frame_word(rest))
                     add_value(idx, val, s * sign)
         return FrameForm.build(setup, n_out, out_values)
@@ -713,11 +624,7 @@ def simultaneous_residual(
     second iff the summed candidate graph is a subalgebroid of the deformed
     structure.  The base pair must already be a deformation.
     """
-    if not is_homological(xq) or (not xq.is_zero() and xq.degree() != 1):
-        raise ValueError("the structure field must be homological of degree 1")
     valg = setup.valgebra()
-    if not valg.project(xq).is_zero():
-        raise ValueError("the sub-frame must be a subalgebroid of the base structure")
     if not subalgebroid_mc_residual(setup, xq, base, cap=cap).value.is_zero():
         raise ValueError("the base pair is not a deformation of the subalgebroid")
     if not cand_xq.is_zero():
@@ -725,9 +632,7 @@ def simultaneous_residual(
             raise ValueError("the structure candidate must have degree 1")
         if not valg.project(cand_xq).is_zero():
             raise ValueError("the structure candidate must lie in ker(P)")
-    v_residual = super_commutator(xq, cand_xq) + super_commutator(cand_xq, cand_xq).scale(
-        Fraction(1, 2)
-    )
+    v_residual = structure_residual(xq, cand_xq)
     twist = LInftyElement(
         -(encode_deformation(setup, base).value + encode_deformation(setup, cand_def).value), 0
     )

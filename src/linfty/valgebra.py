@@ -179,7 +179,6 @@ def twisted_projection(
     phi: LInftyElement,
     v: SuperVectorField,
     cap: int = DEFAULT_SERIES_CAP,
-    project: Callable[[SuperVectorField], SuperVectorField] | None = None,
 ) -> SuperVectorField:
     """P applied to the exponential of bracketing with a degree-0 element.
 
@@ -189,7 +188,7 @@ def twisted_projection(
     if phi.degree not in (0, None) and not phi.value.is_zero():
         raise ValueError("twist element must have degree 0")
     valg.require_abelian(phi.value)
-    P = project or valg.project
+    P = valg.project
     acc = P(v)
     w = v
     n = 0
@@ -266,7 +265,6 @@ def extended_bracket(
     valg: VAlgebra,
     delta: MCDelta,
     args: Sequence[ExtElement],
-    project: Callable[[SuperVectorField], SuperVectorField] | None = None,
 ) -> ExtElement:
     """Structure maps of the extended algebra, any arity, flat (m_0 = 0).
 
@@ -277,7 +275,7 @@ def extended_bracket(
     reordering signs.
     """
     chart = valg.chart
-    P = project or valg.project
+    P = valg.project
     zero = SuperVectorField.zero(chart)
     if len(args) == 0:
         return ExtElement(zero, zero, None)

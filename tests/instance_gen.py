@@ -12,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from linfty.algebroid import AlgebroidData, build_xq, validate_algebroid
+from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq, validate_algebroid
 from linfty.applications import _poly_matrix_inverse
 from linfty.subalgebroid import DeformationPair, SplitSetup
 from linfty.superfield import SuperFunction
@@ -77,43 +77,29 @@ def _frame_twist(data: AlgebroidData, p: int, q: int, l: int, rng) -> AlgebroidD
             if rng.random() < 0.5:
                 M[i][j] = entry()
     Minv = _poly_matrix_inverse(chart, M)
+    calc = SectionCalculus.of(data, chart)
 
-    def rho_of_column(jcol, f):
-        out = SuperFunction.zero(chart)
-        for a in range(rank):
-            if M[a][jcol].is_zero():
-                continue
-            out = out + M[a][jcol] * data.anchor_apply(chart, a, f)
-        return out
+    def column(i):
+        return {a: M[a][i] for a in range(rank) if not M[a][i].is_zero()}
 
     structure = {}
     anchor = {}
     for i in range(rank):
         for t in range(chart.n_even):
             val = SuperFunction.zero(chart)
-            for a in range(rank):
-                b = data.anchor_fn(chart, a, t)
-                if not b.is_zero() and not M[a][i].is_zero():
-                    val = val + M[a][i] * b
+            for a, m in column(i).items():
+                b = calc.anchor.get(a, {}).get(t)
+                if b is not None:
+                    val = val + m * b
             if not val.is_zero():
                 anchor[(i, t)] = {e: c for (e, _), c in val.terms.items()}
     for i, j in itertools.combinations(range(rank), 2):
-        bracket = [SuperFunction.zero(chart) for _ in range(rank)]
-        for a in range(rank):
-            for b in range(rank):
-                if M[a][i].is_zero() or M[b][j].is_zero():
-                    continue
-                for k in range(rank):
-                    cf = data.structure_fn(chart, a, b, k)
-                    if not cf.is_zero():
-                        bracket[k] = bracket[k] + M[a][i] * M[b][j] * cf
-        for b in range(rank):
-            bracket[b] = bracket[b] + rho_of_column(i, M[b][j]) - rho_of_column(j, M[b][i])
+        bracket = calc.bracket(column(i), column(j))  # in the old frame
         for k in range(rank):
             val = SuperFunction.zero(chart)
-            for b in range(rank):
-                if not bracket[b].is_zero() and not Minv[k][b].is_zero():
-                    val = val + Minv[k][b] * bracket[b]
+            for b, f in bracket.items():
+                if not Minv[k][b].is_zero():
+                    val = val + Minv[k][b] * f
             if not val.is_zero():
                 structure[(i, j, k)] = {e: c for (e, _), c in val.terms.items()}
     return AlgebroidData.build(data.base_dim, rank, structure, anchor)

@@ -1,13 +1,18 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from golden import record_instance_gen
+from instance_gen import random_candidate, random_instance
 from linfty.algebroid import (
     AlgebroidData,
     CEForm,
     Derivation,
+    SectionCalculus,
     build_xq,
     ce_differential,
     classical_anchor_defects,
@@ -18,9 +23,13 @@ from linfty.algebroid import (
     dgla_cohomology,
     field_to_derivation,
     form_to_superfunction,
+    merge_polys,
     superfunction_to_form,
     validate_algebroid,
 )
+from linfty.applications import candidate_pair, graph_setup, tangent_rn
+from linfty.instances import fixture_path, parse_instance
+from linfty.subalgebroid import DeformationPair, graph_closure_oracle
 from linfty.superfield import (
     SuperFunction,
     SuperVectorField,
@@ -358,3 +367,293 @@ class TestDeformationCohomology:
     def test_sl3_whitehead_rigidity(self):
         # H^2(g; g) = 0 for semisimple g: sl(3) has no infinitesimal obstructions
         assert dgla_cohomology(_sl3(), 2).dimension == 0
+
+
+# ---------------------------------------------------------------------
+# reference formulas of the classical route
+# ---------------------------------------------------------------------
+# Test oracles only: the classical tests as written term by term before the
+# section calculus, each structure function rebuilt from its polynomial.
+def _ref_fn(chart, poly):
+    return SuperFunction(chart, {(e, ()): c for e, c in poly.items()})
+
+
+def _ref_structure_fn(data, chart, i, j, k):
+    if i == j:
+        return SuperFunction.zero(chart)
+    if i < j:
+        return _ref_fn(chart, data.structure.get((i, j, k), {}))
+    return _ref_fn(chart, {e: -c for e, c in data.structure.get((j, i, k), {}).items()})
+
+
+def _ref_anchor_fn(data, chart, i, t):
+    return _ref_fn(chart, data.anchor.get((i, t), {}))
+
+
+def _ref_anchor_apply(data, chart, i, f):
+    out = SuperFunction.zero(chart)
+    for t in range(data.base_dim):
+        b = _ref_anchor_fn(data, chart, i, t)
+        if not b.is_zero():
+            out = out + b * f.partial(t)
+    return out
+
+
+def reference_anchor_defects(data, chart):
+    out = {}
+    for i, j in itertools.combinations(range(data.fiber_rank), 2):
+        for t in range(data.base_dim):
+            total = SuperFunction.zero(chart)
+            for k in range(data.fiber_rank):
+                ck = _ref_structure_fn(data, chart, i, j, k)
+                if not ck.is_zero():
+                    total = total + ck * _ref_anchor_fn(data, chart, k, t)
+            total = total - _ref_anchor_apply(data, chart, i, _ref_anchor_fn(data, chart, j, t))
+            total = total + _ref_anchor_apply(data, chart, j, _ref_anchor_fn(data, chart, i, t))
+            if not total.is_zero():
+                out[(i, j, t)] = total
+    return out
+
+
+def reference_jacobi_defects(data, chart):
+    out = {}
+    for i, j, k in itertools.combinations(range(data.fiber_rank), 3):
+        for c in range(data.fiber_rank):
+            total = SuperFunction.zero(chart)
+            for (a, b, d) in ((i, j, k), (j, k, i), (k, i, j)):
+                for e in range(data.fiber_rank):
+                    cab = _ref_structure_fn(data, chart, a, b, e)
+                    if cab.is_zero():
+                        continue
+                    total = total + cab * _ref_structure_fn(data, chart, e, d, c)
+                total = total - _ref_anchor_apply(data, chart, d, _ref_structure_fn(data, chart, a, b, c))
+            if not total.is_zero():
+                out[(i, j, k, c)] = total
+    return out
+
+
+def reference_section_bracket(data, chart, u, v):
+    out = {}
+
+    def add(c, val):
+        cur = out.get(c, SuperFunction.zero(chart)) + val
+        if cur.is_zero():
+            out.pop(c, None)
+        else:
+            out[c] = cur
+
+    for a, ua in u.items():
+        for b, vb in v.items():
+            for c in range(data.fiber_rank):
+                add(c, ua * vb * _ref_structure_fn(data, chart, a, b, c))
+    for a, ua in u.items():
+        for c, vc in v.items():
+            add(c, ua * _ref_anchor_apply(data, chart, a, vc))
+    for b, vb in v.items():
+        for c, uc in u.items():
+            add(c, (vb * _ref_anchor_apply(data, chart, b, uc)).scale(-1))
+    return out
+
+
+def reference_graph_closure(setup, d):
+    """(anchor defects, closure defects) of the graph of a candidate."""
+    data, chart = setup.data, setup.chart
+    ne = chart.n_even
+    pad = (0,) * setup.normal_rank
+    mapping = {}
+    for pos_k, k in enumerate(setup.normal_even_positions):
+        mapping[k] = SuperFunction(chart, {(e + pad, ()): c for e, c in d.sigma.get(pos_k, {}).items()})
+    for j in setup.comp_indices:
+        terms = {}
+        for i in setup.sub_indices:
+            for e, c in d.phi.get((i, j), {}).items():
+                terms[(e + pad, (i,))] = c
+        mapping[ne + j] = SuperFunction(chart, terms)
+
+    def phi_fn(i, j):
+        return SuperFunction(chart, {(e + pad, ()): c for e, c in d.phi.get((i, j), {}).items()})
+
+    def sigma_fn(pos_k):
+        return SuperFunction(chart, {(e + pad, ()): c for e, c in d.sigma.get(pos_k, {}).items()})
+
+    sections = {}
+    one = SuperFunction.constant(chart, 1)
+    for i in setup.sub_indices:
+        comp = {i: one}
+        for j in setup.comp_indices:
+            f = phi_fn(i, j)
+            if not f.is_zero():
+                comp[j] = f
+        sections[i] = comp
+    anchor_defects, closure_defects = {}, {}
+    for i in setup.sub_indices:
+        for pos_k, k in enumerate(setup.normal_even_positions):
+            total = SuperFunction.zero(chart)
+            sig = sigma_fn(pos_k)
+            for a, fa in sections[i].items():
+                normal_part = _ref_anchor_fn(data, chart, a, k)
+                push = SuperFunction.zero(chart)
+                for t in range(setup.base_dim):
+                    push = push + _ref_anchor_fn(data, chart, a, t) * sig.partial(t)
+                total = total + fa * (normal_part - push)
+            total = total.substitute(mapping)
+            if not total.is_zero():
+                anchor_defects[(i, pos_k)] = total
+    for i1, i2 in itertools.combinations(setup.sub_indices, 2):
+        g = reference_section_bracket(data, chart, sections[i1], sections[i2])
+        g = {c: f.substitute(mapping) for c, f in g.items()}
+        for j in setup.comp_indices:
+            defect = g.get(j, SuperFunction.zero(chart))
+            for i in setup.sub_indices:
+                e_part = g.get(i)
+                if e_part is None:
+                    continue
+                defect = defect - (phi_fn(i, j).substitute(mapping)) * e_part
+            if not defect.is_zero():
+                closure_defects[(i1, i2, j)] = defect
+    return anchor_defects, closure_defects
+
+
+def _presets():
+    return sorted(p.stem for p in fixture_path("sl2").parent.glob("*.json"))
+
+
+def _preset_algebroids():
+    """(data, chart) of every algebroid a preset carries, on the chart its commands use."""
+    out = []
+    for name in _presets():
+        inst = parse_instance(fixture_path(name))
+        if inst.kind in ("algebroid", "lie_algebra"):
+            out.append((inst.payload["data"], None))
+        elif inst.kind in ("subalgebroid", "subalgebra"):
+            out.append((inst.payload["data"], inst.payload["setup"].chart))
+        elif inst.kind == "foliation":
+            fol = inst.payload["foliation"]
+            out.append((fol.algebroid, fol.setup.chart))
+        else:
+            h = inst.payload["homomorphism"]
+            gs = graph_setup(h)
+            out += [(h.source, None), (h.target, None), (gs.sum_data, gs.setup.chart)]
+    return out
+
+
+def _rand_poly(rng, n_vars, max_degree=2):
+    poly = {}
+    for _ in range(rng.randint(1, 2)):
+        e = [0] * n_vars
+        for _ in range(rng.randint(0, max_degree) if n_vars else 0):
+            e[rng.randrange(n_vars)] += 1
+        c = rng.randint(-2, 2)
+        if c:
+            poly[tuple(e)] = Fraction(c)
+    return poly
+
+
+def _perturb(data, rng):
+    """The data plus a random structure entry and, over a base, a random anchor entry."""
+    n, r = data.base_dim, data.fiber_rank
+    i, j = sorted(rng.sample(range(r), 2))
+    structure = merge_polys([*data.structure.items(), ((i, j, rng.randrange(r)), _rand_poly(rng, n))])
+    anchor = dict(data.anchor)
+    if n and rng.random() < 0.5:
+        anchor = merge_polys([*anchor.items(), ((rng.randrange(r), rng.randrange(n)), _rand_poly(rng, n))])
+    return AlgebroidData.build(n, r, structure, anchor)
+
+
+def _classical_cases():
+    rng = random.Random(21)
+    cases = _preset_algebroids()
+    for _ in range(40):
+        setup, _ = random_instance(rng)
+        cases.append((setup.data, setup.chart))
+        if setup.data.fiber_rank >= 2:
+            cases.append((_perturb(setup.data, rng), setup.chart))
+    for data in (SL2, HEIS, TR2, _sl3()):
+        for _ in range(3):
+            cases.append((_perturb(data, rng), None))
+    return cases
+
+
+CLASSICAL_CASES = _classical_cases()
+
+
+class TestClassicalRouteAgainstReference:
+    def test_jacobi_defects_match(self):
+        nonzero = 0
+        for data, chart in CLASSICAL_CASES:
+            chart = chart or data.plain_chart()
+            got = classical_jacobi_defects(data, chart)
+            assert list(got.items()) == list(reference_jacobi_defects(data, chart).items())
+            nonzero += bool(got)
+        assert nonzero >= 10  # perturbations break Jacobi, so nonzero defects are compared
+
+    def test_anchor_defects_match(self):
+        nonzero = 0
+        for data, chart in CLASSICAL_CASES:
+            chart = chart or data.plain_chart()
+            got = classical_anchor_defects(data, chart)
+            assert list(got.items()) == list(reference_anchor_defects(data, chart).items())
+            nonzero += bool(got)
+        assert nonzero >= 10
+
+    def test_section_bracket_matches(self):
+        rng = random.Random(22)
+        for data, chart in CLASSICAL_CASES[::3]:
+            chart = chart or data.plain_chart()
+            calc = SectionCalculus.of(data, chart)
+
+            def section():
+                return {a: _ref_fn(chart, _rand_poly(rng, chart.n_even))
+                        for a in rng.sample(range(data.fiber_rank), rng.randint(1, data.fiber_rank))}
+
+            for _ in range(3):
+                u, v = section(), section()
+                assert calc.bracket(u, v) == reference_section_bracket(data, chart, u, v)
+
+    def test_tangent_bracket_is_vector_field_bracket(self):
+        rng = random.Random(23)
+        for n in (1, 2, 3):
+            calc = SectionCalculus.of(tangent_rn(n))
+            chart = calc.chart
+            for _ in range(10):
+                u = [_ref_fn(chart, _rand_poly(rng, n)) for _ in range(n)]
+                v = [_ref_fn(chart, _rand_poly(rng, n)) for _ in range(n)]
+                got = calc.bracket(dict(enumerate(u)), dict(enumerate(v)))
+                for t in range(n):
+                    want = SuperFunction.zero(chart)
+                    for s in range(n):
+                        want = want + u[s] * v[t].partial(s) - v[s] * u[t].partial(s)
+                    assert got.get(t, SuperFunction.zero(chart)) == want
+
+    def test_graph_closure_matches(self):
+        cases = []
+        for name in _presets():
+            inst = parse_instance(fixture_path(name))
+            if inst.kind in ("subalgebroid", "subalgebra"):
+                setup, cand = inst.payload["setup"], inst.payload["candidate"]
+                cases += [(setup, DeformationPair.zero()), (setup, cand)]
+            elif inst.kind == "foliation":
+                setup = inst.payload["foliation"].setup
+                cases.append((setup, DeformationPair.build(setup, phi=inst.payload["psi"])))
+            elif inst.kind == "homomorphism":
+                gs = graph_setup(inst.payload["homomorphism"])
+                cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
+                cases += [(gs.setup, gs.base_pair), (gs.setup, gs.base_pair.add(cand))]
+        rng = random.Random(24)
+        for _ in range(40):
+            setup, _ = random_instance(rng)
+            cases += [(setup, random_candidate(setup, rng, max_degree=2)) for _ in range(2)]
+        verdicts = {True: 0, False: 0}
+        for setup, pair in cases:
+            report = graph_closure_oracle(setup, pair)
+            anchor, closure = reference_graph_closure(setup, pair)
+            assert list(report.anchor_defects.items()) == list(anchor.items())
+            assert list(report.closure_defects.items()) == list(closure.items())
+            verdicts[report.accepts] += not pair.is_zero()
+        assert verdicts[True] >= 5 and verdicts[False] >= 5  # nonzero candidates of both verdicts
+
+
+def test_instance_generator_is_unchanged():
+    """``instance_gen`` draws the recorded instances (``tests/golden/instance_gen.json``)."""
+    recorded = json.loads((Path(__file__).parent / "golden" / "instance_gen.json").read_text())
+    assert json.loads(json.dumps(record_instance_gen.record())) == recorded
