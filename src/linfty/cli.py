@@ -19,6 +19,7 @@ from typing import Any
 
 from .algebroid import (
     AlgebroidData,
+    SectionCalculus,
     build_xq,
     dgla_cohomology,
     merge_polys,
@@ -48,11 +49,11 @@ from .subalgebroid import (
 )
 from .superfield import SuperVectorField, render_field
 from .valgebra import (
+    DerivedBrackets,
     LInftyElement,
     MCDelta,
     SeriesCapExceeded,
     check_linfty_axioms,
-    derived_bracket,
 )
 
 CONVENTIONS = (
@@ -162,6 +163,16 @@ def _cap(inst: InstanceFile, args) -> int:
     return args.cap if args.cap is not None else inst.options.series_cap
 
 
+def _nonnegative(args, name: str, default: int | None) -> int | None:
+    """A count option from the command line, or the instance's default when it is not given."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value < 0:
+        raise InstanceError(f"--{name}", "expected a nonnegative integer")
+    return value
+
+
 def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
     """An instance as a subalgebroid in a split presentation: (setup, base pair, candidate pair).
 
@@ -186,14 +197,17 @@ def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, Def
     raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
 
 
-def _summand_brackets(setup: SplitSetup):
-    """The derived brackets of the split and the constant-coefficient basis of its summand."""
+def _summand_brackets(setup: SplitSetup) -> tuple[DerivedBrackets, list[LInftyElement]]:
+    """The derived brackets of the split and the constant-coefficient basis of its summand.
+
+    The brackets share their chains and checks for as long as the returned object lives: one command.
+    """
     valg = setup.valgebra()
     delta = MCDelta.of(valg, build_xq(setup.data, setup.chart))
     basis: list[LInftyElement] = []
     for d in range(-1, setup.sub_rank + 1):
         basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
-    return (lambda args: derived_bracket(valg, delta, args)), basis
+    return DerivedBrackets(valg, delta), basis
 
 
 # ---------------------------------------------------------------------
@@ -314,7 +328,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_cohomology(inst: InstanceFile, args) -> Report:
-    truncate = args.truncate if args.truncate is not None else inst.options.truncate
+    truncate = _nonnegative(args, "truncate", inst.options.truncate)
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
         top = data.fiber_rank
@@ -324,6 +338,8 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
         xq = build_xq(setup.data, setup.chart)
         top = setup.sub_rank + (1 if setup.normal_rank else 0)
         group = lambda q: m1_cohomology(setup, xq, q - 1, truncate=truncate)
+    if args.degree is not None and not 0 <= args.degree <= top:
+        raise InstanceError("--degree", f"expected a degree in 0..{top}")
     dims = {}
     truncated = False
     for q in [args.degree] if args.degree is not None else range(top + 1):
@@ -340,29 +356,33 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
     setup = _split_case(inst, args, "brackets")[0]
     bracket, basis = _summand_brackets(setup)
     table = {}
+    details: dict[str, Any] = {"nonzero_brackets": table, "basis_size": len(basis)}
     fixed_base = setup.normal_rank == 0
     agreement = True if fixed_base else None
+    if fixed_base:  # the explicit route: every basis form decoded once, one section calculus
+        forms = [decode_form(setup, el, el.degree + 1) for el in basis]
+        calculus = SectionCalculus.of(setup.data, setup.chart)
     for arity in (1, 2, 3):
         for combo in itertools.product(range(len(basis)), repeat=arity):
-            argsel = [basis[i] for i in combo]
-            value = bracket(argsel)
+            value = bracket([basis[i] for i in combo])
             if not value.value.is_zero():
                 table[f"m{arity}{list(combo)}"] = render_field(value.value)
             if fixed_base:
-                forms = [decode_form(setup, el, el.degree + 1) for el in argsel]
-                explicit = encode_form(explicit_structure_maps(setup, arity, forms))
-                if explicit.value != value.value:
+                explicit = encode_form(
+                    explicit_structure_maps(setup, arity, [forms[i] for i in combo], calculus)
+                )
+                if explicit.value != value.value and agreement:
                     agreement = False
-    return Report(
-        "brackets",
-        "pass",
-        oracle_agreement=agreement,
-        details={"nonzero_brackets": table, "basis_size": len(basis)},
-    )
+                    details["first_disagreement"] = {
+                        "combination": f"m{arity}{list(combo)}",
+                        "derived": render_field(value.value),
+                        "explicit": render_field(explicit.value),
+                    }
+    return Report("brackets", "pass", oracle_agreement=agreement, details=details)
 
 
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
-    probes_count = args.probes if args.probes is not None else inst.options.probes
+    probes_count = _nonnegative(args, "probes", inst.options.probes)
     seed = args.seed if args.seed is not None else inst.options.seed
     setup = _split_case(inst, args, "axioms")[0]
     bracket, basis = _summand_brackets(setup)

@@ -458,20 +458,23 @@ def _pi_comp(setup: SplitSetup, s: dict[int, SuperFunction]) -> dict[int, SuperF
 
 
 def explicit_structure_maps(
-    setup: SplitSetup, k: int, args: Sequence[FrameForm]
+    setup: SplitSetup, k: int, args: Sequence[FrameForm], calculus: SectionCalculus | None = None
 ) -> FrameForm:
     """Shuffle-sum formulas for the arity-1..3 maps of the fixed-base case.
 
     Must agree with the nested-bracket route under the encoding; arities
-    four and up vanish in this setting.
+    four and up vanish in this setting.  ``calculus`` is the section
+    calculus of ``setup.data`` on ``setup.chart``; a caller that evaluates
+    many maps passes it to build it once.
     """
     if setup.normal_rank != 0:
         raise ValueError("explicit maps require the fixed-base setup (no normal coordinates)")
     if k != len(args):
         raise ValueError("arity does not match the number of arguments")
     chart = setup.chart
-    bracket = SectionCalculus.of(setup.data, chart).bracket
-    frame = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
+    bracket = (calculus or SectionCalculus.of(setup.data, chart)).bracket
+    one = SuperFunction.constant(chart, 1)
+    frame = {i: {i: one} for i in setup.sub_indices}
 
     def frame_word(indices: Sequence[int]) -> list[dict[int, SuperFunction]]:
         return [frame[i] for i in indices]
@@ -520,7 +523,7 @@ def explicit_structure_maps(
                 psi_args = [word[tau(p) - 1] for p in range(1, la + 1)]
                 xi_args = [word[tau(p) - 1] for p in range(la + 1, la + ka + 1)]
                 br = bracket(xi.evaluate(frame_word(xi_args)), psi.evaluate(frame_word(psi_args)))
-                add_value(idx, _pi_comp(setup, br), front * sign)
+                add_value(idx, _pi_comp(setup, br), -front * sign)
             if ka >= 1:
                 for tau in iter_shuffles(ShuffleSpec((la, 1, ka - 1))):
                     sign = tau.parity()

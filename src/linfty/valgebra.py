@@ -156,22 +156,67 @@ def check_v_algebra(
 # ---------------------------------------------------------------------
 # derived brackets
 # ---------------------------------------------------------------------
+class DerivedBrackets:
+    """The derived brackets P[[...[[delta, a_1]], ...], a_k]] of one split, sharing work between calls.
+
+    Three caches live as long as the object (one command): the argument
+    values already checked to lie in the summand (numbered, and also found
+    by object identity so a repeated argument is not hashed again), the
+    chain prefixes [[...[[delta, a_1]], ...], a_i]] keyed by those numbers,
+    and the finished brackets keyed by the argument tuple with its degree
+    tags.  Every distinct argument value is checked once; values are
+    compared exactly, so a cached result is the one a fresh evaluation
+    would give.
+    """
+
+    def __init__(self, valg: VAlgebra, delta: MCDelta):
+        self.valg = valg
+        self._ids: dict[SuperVectorField, int] = {}
+        # id(v) -> (v, number); holding v keeps its id from being reused
+        self._by_object: dict[int, tuple[SuperVectorField, int]] = {}
+        self._chains: dict[tuple[int, ...], SuperVectorField] = {(): delta.delta}
+        self._brackets: dict[tuple[tuple[int, int | None], ...], LInftyElement] = {}
+
+    def _checked_id(self, v: SuperVectorField) -> int:
+        held = self._by_object.get(id(v))
+        if held is not None:
+            return held[1]
+        ident = self._ids.get(v)
+        if ident is None:
+            self.valg.require_abelian(v)
+            ident = self._ids[v] = len(self._ids)
+        self._by_object[id(v)] = (v, ident)
+        return ident
+
+    def __call__(self, args: Sequence[LInftyElement]) -> LInftyElement:
+        if not args:
+            raise ValueError("arity must be at least 1")
+        ids = tuple(self._checked_id(a.value) for a in args)
+        key = tuple(zip(ids, (a.degree for a in args)))
+        hit = self._brackets.get(key)
+        if hit is not None:
+            return hit
+        chains = self._chains
+        w = chains[()]
+        for i in range(1, len(ids) + 1):
+            step = chains.get(ids[:i])
+            if step is None:
+                step = chains[ids[:i]] = super_commutator(w, args[i - 1].value)
+            w = step
+        value = self.valg.project(w)
+        degree = value.degree()
+        if degree is None:  # zero or mixed: the tag follows from the arguments' tags
+            degs = [a.degree for a in args]
+            degree = None if None in degs else 1 + sum(degs)  # type: ignore[arg-type]
+        result = self._brackets[key] = LInftyElement(value, degree)
+        return result
+
+
 def derived_bracket(
     valg: VAlgebra, delta: MCDelta, args: Sequence[LInftyElement]
 ) -> LInftyElement:
-    """The k-th derived bracket P[[...[[delta, a_1]], ...], a_k]]."""
-    if not args:
-        raise ValueError("arity must be at least 1")
-    w = delta.delta
-    for a in args:
-        valg.require_abelian(a.value)
-        w = super_commutator(w, a.value)
-    value = valg.project(w)
-    degs = [a.degree for a in args]
-    degree = None if None in degs else 1 + sum(degs)  # type: ignore[arg-type]
-    if value.is_zero() or value.degree() is None:
-        return LInftyElement(value, degree)
-    return LInftyElement(value, value.degree())
+    """The k-th derived bracket P[[...[[delta, a_1]], ...], a_k]], evaluated once."""
+    return DerivedBrackets(valg, delta)(args)
 
 
 def twisted_projection(

@@ -1,12 +1,12 @@
 """Record ``commands.json``: ``--json`` stdout and exit code per (command, preset).
 
 Run from a checkout with ``PYTHONPATH=src python tests/golden/record_commands.py``.
-Every command runs on every preset, except the slow ``brackets hom-sl2-id``.
+Every command runs on every preset.
 Refusals are kept (exit 2 with empty stdout), so a command that starts or
 stops accepting an instance kind shows up as a changed entry; ``cohomology``
 runs without ``--truncate`` here (``cohomology.json`` covers truncated runs).
-The file pins today's outputs, exit 3 included, so re-record it only for an
-intended output change.
+The file pins today's outputs, so re-record it only for an intended output
+change.
 """
 import contextlib
 import io
@@ -15,8 +15,6 @@ from pathlib import Path
 
 from linfty.cli import COMMANDS, main
 from linfty.instances import fixture_path
-
-SKIP = {("brackets", "hom-sl2-id")}
 
 
 def presets() -> list[str]:
@@ -27,8 +25,6 @@ def record() -> dict[str, dict]:
     golden = {}
     for command in sorted(COMMANDS):
         for preset in presets():
-            if (command, preset) in SKIP:
-                continue
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, preset, "--json"])

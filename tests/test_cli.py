@@ -293,6 +293,43 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["oracle_agreement"] is True
         assert payload["details"]["nonzero_brackets"]
+        assert "first_disagreement" not in payload["details"]
+
+    def test_brackets_names_first_disagreement(self, capsys, monkeypatch):
+        import linfty.cli as cli
+        from linfty.subalgebroid import FrameForm
+
+        explicit = cli.explicit_structure_maps
+
+        def negated(setup, k, args, calculus=None):
+            form = explicit(setup, k, args, calculus)
+            return FrameForm.build(setup, form.degree, {key: -v for key, v in form.values.items()})
+
+        monkeypatch.setattr(cli, "explicit_structure_maps", negated)
+        code, out, _ = run_cli(capsys, "brackets", "sl2-borel", "--json")
+        payload = json.loads(out)
+        assert code == 3 and payload["oracle_agreement"] is False
+        witness = payload["details"]["first_disagreement"]
+        table = payload["details"]["nonzero_brackets"]
+        # the first nonzero bracket in enumeration order (arity, then combination)
+        first = min(table, key=lambda name: (int(name[1]), json.loads(name[2:])))
+        assert witness["combination"] == first
+        assert witness["derived"] == table[first]
+        assert witness["explicit"] != witness["derived"]
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["cohomology", "tangent-r2", "--truncate", "-1"], "--truncate"),
+            (["axioms", "sl2-borel", "--probes", "-1"], "--probes"),
+            (["cohomology", "sl2", "--degree", "4"], "--degree"),
+            (["cohomology", "sl2-borel", "--degree", "-1"], "--degree"),
+        ],
+    )
+    def test_out_of_range_options_are_input_errors(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, out) == (2, "")
+        assert option in err
 
     @pytest.mark.parametrize(
         "name",

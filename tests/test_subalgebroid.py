@@ -6,6 +6,8 @@ import pytest
 
 from instance_gen import random_candidate, random_instance
 from linfty.algebroid import AlgebroidData, build_xq
+from linfty.applications import graph_setup
+from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
     DeformationPair,
     FrameForm,
@@ -26,6 +28,10 @@ from linfty.valgebra import LInftyElement, MCDelta, derived_bracket
 
 SL2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
 HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
+# sl(2) in the frame (e, h, f); split along span{e}, its complement brackets land back in it
+SL2_EHF = AlgebroidData.build(0, 3, structure={(0, 1, 0): -2, (0, 2, 1): 1, (1, 2, 2): -2})
+# the split of sl(2) + sl(2) along the graph of the identity (the hom-sl2-id preset)
+HOM_SL2_ID = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]).setup
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +250,8 @@ class TestExplicitStructureMaps:
             (HEIS_CENTER, 1),
             (AlgebroidData.build(0, 3), 2),
             (AlgebroidData.build(0, 4, structure={(2, 3, 0): 1}), 2),
+            pytest.param(SL2_EHF, 1, id="sl2-e-split"),
+            pytest.param(HOM_SL2_ID.data, HOM_SL2_ID.sub_rank, id="hom-sl2-id"),
         ],
     )
     def test_matches_derived_brackets_exhaustively(self, data, sub_rank):
@@ -252,7 +260,8 @@ class TestExplicitStructureMaps:
         valg = setup.valgebra()
         delta = MCDelta.of(valg, xq)
         forms = self.frame_forms(setup)
-        for arity in (1, 2, 3):
+        # arity 3 on the 24 forms of hom-sl2-id would be 13,824 combinations
+        for arity in (1, 2, 3) if len(forms) <= 12 else (1, 2):
             for combo in itertools.product(forms, repeat=arity):
                 derived = derived_bracket(valg, delta, [encode_form(f) for f in combo])
                 explicit = encode_form(explicit_structure_maps(setup, arity, list(combo)))

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from linfty.algebroid import AlgebroidData, build_xq
+from linfty.instances import fixture_path, parse_instance
 from linfty.signs import Permutation, koszul_sign
 from linfty.subalgebroid import DeformationPair, SplitSetup, encode_deformation
 from linfty.superfield import SuperVectorField, super_commutator
 from linfty.valgebra import (
+    DerivedBrackets,
     ExtElement,
     LInftyElement,
     MCDelta,
@@ -23,6 +26,10 @@ from linfty.valgebra import (
 )
 
 SL2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
+# sl(2) in the frame (e, h, f), to be split along span{e}
+SL2_EHF = AlgebroidData.build(0, 3, structure={(0, 1, 0): -2, (0, 2, 1): 1, (1, 2, 2): -2})
+# [e1, e2] = e3, [e1, e3] = e1: the Jacobi identity fails on (e1, e2, e3)
+NON_JACOBI = AlgebroidData.build(0, 3, structure={(0, 1, 2): 1, (0, 2, 0): 1})
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +289,92 @@ def dgla_package(delta_field):
         return LInftyElement(SuperVectorField.zero(chart), None)
 
     return m
+
+
+def summand_basis(setup, valg, poly_degree=0):
+    out = []
+    for d in range(-1, setup.sub_rank + 1):
+        out.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d, poly_degree))
+    return out
+
+
+def preset_setup(name):
+    payload = parse_instance(fixture_path(name)).payload
+    return payload["foliation"].setup if "foliation" in payload else payload["setup"]
+
+
+class TestDerivedBracketsEngine:
+    @pytest.mark.parametrize(
+        "make_setup",
+        [
+            pytest.param(lambda: preset_setup("sl2-borel"), id="sl2-borel"),
+            pytest.param(lambda: preset_setup("foliation-r3"), id="foliation-r3"),
+            pytest.param(lambda: preset_setup("tangent-r1-origin"), id="tangent-r1-origin"),
+            pytest.param(lambda: SplitSetup.build(SL2_EHF, 0, 0, 1), id="sl2-e-split"),
+        ],
+    )
+    def test_shared_matches_one_shot(self, make_setup):
+        setup = make_setup()
+        valg = setup.valgebra()
+        delta = MCDelta.of(valg, build_xq(setup.data, setup.chart))
+        # linear coefficients too: on foliation-r3 every constant-coefficient bracket vanishes
+        basis = summand_basis(setup, valg, poly_degree=1)
+        engine = DerivedBrackets(valg, delta)
+        nonzero = 0
+        for arity in (1, 2, 3):
+            for combo in itertools.product(basis, repeat=arity):
+                shared = engine(combo)
+                fresh = derived_bracket(valg, delta, combo)
+                assert (shared.value, shared.degree) == (fresh.value, fresh.degree)
+                nonzero += not fresh.is_zero()
+        assert nonzero
+
+    @pytest.mark.parametrize(
+        "data,sub_rank,ok", [(SL2, 2, True), (SL2_EHF, 1, True), (NON_JACOBI, 1, False)]
+    )
+    def test_axiom_report_same_as_fresh_provider(self, data, sub_rank, ok):
+        setup = SplitSetup.build(data, 0, 0, sub_rank)
+        valg = setup.valgebra()
+        # MCDelta.of would refuse the non-Jacobi field; its failing report is compared too
+        delta = MCDelta(build_xq(data, setup.chart))
+        basis = summand_basis(setup, valg)
+        rng = random.Random(3)
+        probes = [(b,) for b in basis] + [(a, b) for a in basis for b in basis]
+        probes += [tuple(rng.choice(basis) for _ in range(n)) for n in (3, 4) for _ in range(20)]
+        shared = check_linfty_axioms(DerivedBrackets(valg, delta), setup.chart, 4, probes)
+        fresh = check_linfty_axioms(
+            lambda args: derived_bracket(valg, delta, args), setup.chart, 4, probes
+        )
+        assert shared == fresh
+        assert shared.ok == ok and shared.checked == len(probes)
+
+    def test_rejects_non_summand_argument_after_cached_ones(self, borel):
+        setup, xq, valg, delta = borel
+        ne = setup.chart.n_even
+        bad = LInftyElement(SuperVectorField(setup.chart, {((), (2,), ne): Fraction(1)}), 0)
+        engine = DerivedBrackets(valg, delta)
+        good = basis_elements(setup, valg)
+        for a, b in itertools.product(good, repeat=2):
+            engine([a, b])
+        for args in ([bad], [good[0], bad], [bad, good[0]], [good[0], good[1], bad]):
+            with pytest.raises(NotInAbelianPart):
+                engine(args)
+
+    def test_engines_share_no_state(self, borel):
+        setup, xq, valg, delta = borel
+        basis = basis_elements(setup, valg)
+        pairs = list(itertools.product(basis, repeat=2))
+        live = DerivedBrackets(valg, delta)
+        assert any(not live(list(p)).is_zero() for p in pairs)
+        dead = DerivedBrackets(valg, MCDelta.of(valg, SuperVectorField.zero(setup.chart)))
+        assert all(dead(list(p)).is_zero() for p in pairs)
+        # a value one engine accepted is still checked by an engine of another split
+        ne = setup.chart.n_even
+        outside = LInftyElement(SuperVectorField(setup.chart, {((), (2,), ne): Fraction(1)}), 0)
+        everything = VAlgebra(setup.chart, lambda v: v, setup.abelian_basis, setup.kernel_basis)
+        DerivedBrackets(everything, delta)([outside])
+        with pytest.raises(NotInAbelianPart):
+            live([outside])
 
 
 class TestLInftyAxioms:
