@@ -255,10 +255,10 @@ def foliation_infinitesimal(fol: FoliationSetup, psi: Mapping) -> FoliationResul
 
     for v, w in itertools.combinations(setup.sub_indices, 2):
         xv, xw = {v: one}, {w: one}
-        lhs = comp(calc.bracket(form.evaluate([xv]), xw))
-        for j, val in comp(calc.bracket(xv, form.evaluate([xw]))).items():
+        lhs = comp(calc.bracket(form.at((v,)), xw))
+        for j, val in comp(calc.bracket(xv, form.at((w,)))).items():
             add_into(lhs, j, val)
-        rhs = form.evaluate([calc.bracket(xv, xw)])  # psi of the sub-frame part
+        rhs = form.contract(calc.bracket(xv, xw), ())  # psi of the sub-frame part
         for j in setup.comp_indices:
             diff = lhs.get(j, zero) - rhs.get(j, zero)
             if not diff.is_zero():
@@ -473,12 +473,6 @@ def non_jacobi3() -> LieAlgebraData:
 
 def tangent_rn(n: int) -> AlgebroidData:
     return AlgebroidData.build(n, n, anchor={(i, i): 1 for i in range(n)})
-
-
-def sl2_borel_setup() -> tuple[SplitSetup, SuperVectorField]:
-    data = sl2().data
-    setup = SplitSetup.build(data, 0, 0, 2)
-    return setup, build_xq(data, setup.chart)
 
 
 def foliation_r3() -> FoliationSetup:

@@ -3,7 +3,8 @@
 Every command produces a deterministic report; ``--json`` emits the
 machine-readable form (timing omitted so reports are byte-stable).  Exit
 codes: 0 pass/mc-zero, 1 mathematical failure, 2 input error, 3 internal
-inconsistency (the two independent routes disagreed; must never happen).
+inconsistency (the two independent routes disagreed; must never happen),
+4 internal error (an uncaught exception; must never happen either).
 """
 from __future__ import annotations
 
@@ -66,6 +67,7 @@ EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -160,7 +162,11 @@ def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
 
 
 def _cap(inst: InstanceFile, args) -> int:
-    return args.cap if args.cap is not None else inst.options.series_cap
+    if args.cap is None:
+        return inst.options.series_cap
+    if args.cap <= 0:
+        raise InstanceError("--cap", "expected a positive integer")
+    return args.cap
 
 
 def _nonnegative(args, name: str, default: int | None) -> int | None:
@@ -254,7 +260,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         )
     if inst.kind == "homomorphism":
         gs = graph_setup(inst.payload["homomorphism"])
-        res = subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=inst.options.series_cap)
+        res = subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=_cap(inst, args))
         oracle = graph_closure_oracle(gs.setup, gs.base_pair)
         return Report(
             "validate",
@@ -503,6 +509,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True, indent=1))
     else:

@@ -147,7 +147,7 @@ def parse_instance(path_or_obj) -> InstanceFile:
             raise InstanceError(source, f"cannot read file: {exc}") from exc
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InstanceError(source, f"invalid JSON: {exc}") from exc
     else:
         source = "<memory>"

@@ -31,7 +31,7 @@ from .algebroid import (
     merge_polys,
     structure_residual,
 )
-from .signs import ShuffleSpec, iter_shuffles
+from .signs import ShuffleSpec, _parity_sign, iter_shuffles
 from .superfield import (
     CoordinateChart,
     SuperFunction,
@@ -411,28 +411,25 @@ class FrameForm:
     def is_zero(self) -> bool:
         return not self.values
 
-    def evaluate(self, args: Sequence[dict[int, SuperFunction]]) -> dict[int, SuperFunction]:
-        """Multilinear antisymmetric evaluation on sub-frame sections."""
-        if len(args) != self.degree:
-            raise ValueError("wrong number of arguments")
+    def at(self, word: Sequence[int]) -> dict[int, SuperFunction]:
+        """The section the form takes on an increasing frame word: a lookup of its entries."""
+        word = tuple(word)
+        return {j: val for (idx, j), val in self.values.items() if idx == word}
+
+    def contract(self, section: dict[int, SuperFunction], word: Sequence[int]) -> dict[int, SuperFunction]:
+        """The form on (section, frame word...) for an increasing word.
+
+        Frame element a of the section moves past the word letters below it,
+        with sign (-1)^#{w in word : w < a}; an element already in the word,
+        or outside the sub-frame, contributes nothing.
+        """
         out: dict[int, SuperFunction] = {}
-        for assignment in itertools.product(*(list(a.items()) for a in args)):
-            indices = tuple(idx for idx, _ in assignment)
-            if len(set(indices)) != len(indices):
+        for a, f in section.items():
+            if a in word:
                 continue
-            coeff = None
-            for _, f in assignment:
-                coeff = f if coeff is None else coeff * f
-            inversions = sum(
-                1
-                for a, b in itertools.combinations(range(len(indices)), 2)
-                if indices[a] > indices[b]
-            )
-            sign = -1 if inversions % 2 else 1
-            key = tuple(sorted(indices))
-            for (idx, j), val in self.values.items():
-                if idx == key:
-                    add_into(out, j, (val if coeff is None else coeff * val).scale(sign))
+            sign = _parity_sign(sum(1 for w in word if w < a))
+            for j, val in self.at(sorted((a, *word))).items():
+                add_into(out, j, (f * val).scale(sign))
         return out
 
 
@@ -449,130 +446,70 @@ def _m3_signs(k: int, l: int, m: int) -> tuple[int, int, int]:
     return s1, s2, s3
 
 
-def _pi_sub(setup: SplitSetup, s: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
-    return {i: f for i, f in s.items() if i in setup.sub_indices}
-
-
-def _pi_comp(setup: SplitSetup, s: dict[int, SuperFunction]) -> dict[int, SuperFunction]:
-    return {j: f for j, f in s.items() if j in setup.comp_indices}
-
-
 def explicit_structure_maps(
     setup: SplitSetup, k: int, args: Sequence[FrameForm], calculus: SectionCalculus | None = None
 ) -> FrameForm:
     """Shuffle-sum formulas for the arity-1..3 maps of the fixed-base case.
 
-    Must agree with the nested-bracket route under the encoding; arities
-    four and up vanish in this setting.  ``calculus`` is the section
-    calculus of ``setup.data`` on ``setup.chart``; a caller that evaluates
-    many maps passes it to build it once.
+    Each map is a table of terms (c, F, G) and (c, F, G, H).  On every
+    increasing sub-frame word they add c pi_comp[F(a), G(b)], summed over
+    the (|F|, |G|) shuffles (a, b) of the word, and c H(pi_sub[F(a), G(b)],
+    rest), summed over its (|F|, |G|, |H| - 1) shuffles; F, G and H are
+    argument forms or the sub-frame itself.  Must agree with the
+    nested-bracket route under the encoding; arities four and up vanish in
+    this setting.  ``calculus`` is the section calculus of ``setup.data`` on
+    ``setup.chart``; a caller that evaluates many maps passes it to build
+    it once.
     """
     if setup.normal_rank != 0:
         raise ValueError("explicit maps require the fixed-base setup (no normal coordinates)")
     if k != len(args):
         raise ValueError("arity does not match the number of arguments")
+    if not 1 <= k <= 3:
+        raise ValueError("explicit formulas exist for arities 1..3 only")
+    n_out = sum(form.degree for form in args) + 2 - k
+    if n_out < 0:
+        return FrameForm.build(setup, 0, {})
     chart = setup.chart
     bracket = (calculus or SectionCalculus.of(setup.data, chart)).bracket
     one = SuperFunction.constant(chart, 1)
-    frame = {i: {i: one} for i in setup.sub_indices}
-
-    def frame_word(indices: Sequence[int]) -> list[dict[int, SuperFunction]]:
-        return [frame[i] for i in indices]
-
-    out_values: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
-
-    def add_value(idx: tuple[int, ...], section: dict[int, SuperFunction], sign: int):
-        for j, val in section.items():
-            if j not in setup.comp_indices:
-                raise AssertionError("structure map produced a non-complement value")
-            add_into(out_values, (idx, j), val.scale(sign))
-
+    # the sub-frame as a 1-form (values in the sub-frame, so not through ``build``)
+    frame = FrameForm(setup, 1, {((i,), i): one for i in setup.sub_indices})
     if k == 1:
         (xi,) = args
-        deg = xi.degree
-        n_out = deg + 1
-        for idx in itertools.combinations(setup.sub_indices, n_out):
-            word = list(idx)
-            for tau in iter_shuffles(ShuffleSpec((deg, 1))):
-                sign = tau.parity()
-                head = [word[tau(p) - 1] for p in range(1, deg + 1)]
-                last = word[tau(deg + 1) - 1]
-                val = xi.evaluate(frame_word(head))
-                br = bracket(val, frame[last])
-                add_value(idx, _pi_comp(setup, br), sign)
-            if deg >= 1:
-                outer = -1 if (deg - 1) % 2 else 1
-                for tau in iter_shuffles(ShuffleSpec((2, deg - 1))):
-                    sign = tau.parity()
-                    u, v = word[tau(1) - 1], word[tau(2) - 1]
-                    rest = [word[tau(p) - 1] for p in range(3, deg + 2)]
-                    br = _pi_sub(setup, bracket(frame[u], frame[v]))
-                    val = xi.evaluate([br] + frame_word(rest))
-                    add_value(idx, val, -outer * sign)
-        return FrameForm.build(setup, n_out, out_values)
-
-    if k == 2:
+        # F = G = frame meets each pair of letters in both orders, with equal sums
+        terms = [(1, xi, frame), (Fraction(_parity_sign(xi.degree), 2), frame, frame, xi)]
+    elif k == 2:
         xi, psi = args
-        ka, la = xi.degree, psi.degree
-        n_out = ka + la
-        for idx in itertools.combinations(setup.sub_indices, n_out):
-            word = list(idx)
-            front = -1 if ka % 2 else 1
-            for tau in iter_shuffles(ShuffleSpec((la, ka))):
-                sign = tau.parity()
-                psi_args = [word[tau(p) - 1] for p in range(1, la + 1)]
-                xi_args = [word[tau(p) - 1] for p in range(la + 1, la + ka + 1)]
-                br = bracket(xi.evaluate(frame_word(xi_args)), psi.evaluate(frame_word(psi_args)))
-                add_value(idx, _pi_comp(setup, br), -front * sign)
-            if ka >= 1:
-                for tau in iter_shuffles(ShuffleSpec((la, 1, ka - 1))):
-                    sign = tau.parity()
-                    psi_args = [word[tau(p) - 1] for p in range(1, la + 1)]
-                    mid = word[tau(la + 1) - 1]
-                    rest = [word[tau(p) - 1] for p in range(la + 2, la + ka + 1)]
-                    br = _pi_sub(setup, bracket(psi.evaluate(frame_word(psi_args)), frame[mid]))
-                    val = xi.evaluate([br] + frame_word(rest))
-                    add_value(idx, val, -front * sign)
-            if la >= 1:
-                front2 = -1 if ((la - 1) * ka) % 2 else 1
-                for tau in iter_shuffles(ShuffleSpec((ka, 1, la - 1))):
-                    sign = tau.parity()
-                    xi_args = [word[tau(p) - 1] for p in range(1, ka + 1)]
-                    mid = word[tau(ka + 1) - 1]
-                    rest = [word[tau(p) - 1] for p in range(ka + 2, ka + la + 1)]
-                    br = _pi_sub(setup, bracket(xi.evaluate(frame_word(xi_args)), frame[mid]))
-                    val = psi.evaluate([br] + frame_word(rest))
-                    add_value(idx, val, front2 * sign)
-        return FrameForm.build(setup, n_out, out_values)
-
-    if k == 3:
+        front = _parity_sign(xi.degree)
+        terms = [
+            (front, psi, xi),
+            (-front, psi, frame, xi),
+            (_parity_sign((psi.degree - 1) * xi.degree), xi, frame, psi),
+        ]
+    else:
         xi, psi, phi = args
-        ka, la, ma = xi.degree, psi.degree, phi.degree
-        n_out = ka + la + ma - 1
-        if n_out < 0:
-            return FrameForm.build(setup, 0, {})
-        s1, s2, s3 = _m3_signs(ka, la, ma)
-        cases = (
-            (s1, xi, ka, psi, la, phi, ma),
-            (s2, psi, la, phi, ma, xi, ka),
-            (s3, phi, ma, xi, ka, psi, la),
-        )
-        for idx in itertools.combinations(setup.sub_indices, n_out):
-            word = list(idx)
-            for s, f1, d1, f2, d2, f3, d3 in cases:
-                if d3 < 1:
-                    continue
-                for tau in iter_shuffles(ShuffleSpec((d1, d2, d3 - 1))):
-                    sign = tau.parity()
-                    a1 = [word[tau(p) - 1] for p in range(1, d1 + 1)]
-                    a2 = [word[tau(p) - 1] for p in range(d1 + 1, d1 + d2 + 1)]
-                    rest = [word[tau(p) - 1] for p in range(d1 + d2 + 1, d1 + d2 + d3)]
-                    br = _pi_sub(setup, bracket(f1.evaluate(frame_word(a1)), f2.evaluate(frame_word(a2))))
-                    val = f3.evaluate([br] + frame_word(rest))
-                    add_value(idx, val, s * sign)
-        return FrameForm.build(setup, n_out, out_values)
+        s1, s2, s3 = _m3_signs(xi.degree, psi.degree, phi.degree)
+        terms = [(s1, xi, psi, phi), (s2, psi, phi, xi), (s3, phi, xi, psi)]
 
-    raise ValueError("explicit formulas exist for arities 1..3 only")
+    out_values: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
+    for idx in itertools.combinations(setup.sub_indices, n_out):
+        for c, f, g, *h in terms:
+            if h and h[0].degree < 1:
+                continue
+            cut_a, cut_b = f.degree, f.degree + g.degree
+            for tau in iter_shuffles(ShuffleSpec((cut_a, g.degree, n_out - cut_b))):
+                word = [idx[tau(p) - 1] for p in range(1, n_out + 1)]
+                br = bracket(f.at(word[:cut_a]), g.at(word[cut_a:cut_b]))
+                if h:
+                    section = h[0].contract(br, word[cut_b:])
+                else:
+                    section = {j: val for j, val in br.items() if j in setup.comp_indices}
+                for j, val in section.items():
+                    if j not in setup.comp_indices:
+                        raise AssertionError("structure map produced a non-complement value")
+                    add_into(out_values, (idx, j), val.scale(c * tau.parity()))
+    return FrameForm.build(setup, n_out, out_values)
 
 
 # shift-isomorphism sign of the encoding, degree k form -> summand element

@@ -120,6 +120,22 @@ def random_instance(rng: random.Random):
             return setup, xq
 
 
+def random_fixed_base_instance(rng: random.Random) -> tuple[AlgebroidData, int]:
+    """One validated split with no normal coordinates, a complement, and a
+    frame twist that changes the structure: (data, sub rank)."""
+    while True:
+        data, p, q, l = _catalog(rng)
+        if q or l == data.fiber_rank:
+            continue
+        twisted = _frame_twist(data, p, q, l, rng)
+        if twisted == data or twisted.max_poly_degree() > 3:
+            continue
+        setup = SplitSetup.build(twisted, p, 0, l)
+        assert validate_algebroid(twisted, setup.chart).ok, "generator produced a non-algebroid"
+        if setup.project(build_xq(twisted, setup.chart)).is_zero():
+            return twisted, l
+
+
 def random_candidate(setup: SplitSetup, rng: random.Random, max_degree=3) -> DeformationPair:
     sigma = {}
     for k in range(setup.normal_rank):

@@ -324,6 +324,10 @@ class TestCommands:
             (["axioms", "sl2-borel", "--probes", "-1"], "--probes"),
             (["cohomology", "sl2", "--degree", "4"], "--degree"),
             (["cohomology", "sl2-borel", "--degree", "-1"], "--degree"),
+            (["oracle-compare", "tangent-r1-origin", "--cap", "0"], "--cap"),
+            (["oracle-compare", "hom-sl2-id", "--cap", "0"], "--cap"),
+            (["validate", "hom-sl2-id", "--cap", "0"], "--cap"),
+            (["subalg-check", "sl2-borel", "--cap", "-3"], "--cap"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):
@@ -373,6 +377,21 @@ class TestReportContract:
         assert run_cli(capsys, "validate", "sl2")[0] == 0
         assert run_cli(capsys, "validate", "non-jacobi-3")[0] == 1
         assert run_cli(capsys, "validate", "no-such-instance")[0] == 2
+
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, "") and "invalid JSON" in err
+
+    def test_uncaught_exception_is_internal_error(self, capsys, monkeypatch):
+        import linfty.cli as cli
+
+        def broken(inst, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+        assert run_cli(capsys, "validate", "sl2") == (4, "", "internal error: RuntimeError: boom\n")
 
     def test_bad_phi_arity_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "subalg-check", "sl2-borel", "--phi", "1")

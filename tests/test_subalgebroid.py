@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from instance_gen import random_candidate, random_instance
+from instance_gen import random_candidate, random_fixed_base_instance, random_instance
 from linfty.algebroid import AlgebroidData, build_xq
-from linfty.applications import graph_setup
+from linfty.applications import block_sum_data, graph_setup
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
     DeformationPair,
@@ -24,7 +24,7 @@ from linfty.subalgebroid import (
     tangency_oracle,
 )
 from linfty.superfield import SuperFunction, SuperVectorField, super_commutator
-from linfty.valgebra import LInftyElement, MCDelta, derived_bracket
+from linfty.valgebra import DerivedBrackets, LInftyElement, MCDelta, derived_bracket
 
 SL2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
 HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
@@ -32,6 +32,8 @@ HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
 SL2_EHF = AlgebroidData.build(0, 3, structure={(0, 1, 0): -2, (0, 2, 1): 1, (1, 2, 2): -2})
 # the split of sl(2) + sl(2) along the graph of the identity (the hom-sl2-id preset)
 HOM_SL2_ID = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]).setup
+# the coordinate distribution spanned by the first two directions of R^3 (the foliation-r3 preset)
+FOLIATION_R3 = parse_instance(fixture_path("foliation-r3")).payload["foliation"].setup
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +220,15 @@ class TestGraphClosureOracle:
 
 class TestExplicitStructureMaps:
     def frame_forms(self, setup):
+        """Unit forms with entry 1 or one base coordinate, in every degree and slot."""
+        chart = setup.chart
+        entries = [SuperFunction.constant(chart, 1)]
+        entries += [SuperFunction.even_var(chart, t) for t in range(setup.base_dim)]
         out = []
         for deg in range(setup.sub_rank + 1):
             for idx in itertools.combinations(setup.sub_indices, deg):
                 for j in setup.comp_indices:
-                    out.append(FrameForm.build(setup, deg, {(idx, j): 1}))
+                    out.extend(FrameForm.build(setup, deg, {(idx, j): e}) for e in entries)
         return out
 
     def test_unary_on_zero(self, borel):
@@ -252,19 +258,27 @@ class TestExplicitStructureMaps:
             (AlgebroidData.build(0, 4, structure={(2, 3, 0): 1}), 2),
             pytest.param(SL2_EHF, 1, id="sl2-e-split"),
             pytest.param(HOM_SL2_ID.data, HOM_SL2_ID.sub_rank, id="hom-sl2-id"),
+            # nonzero anchors and polynomial form entries
+            pytest.param(FOLIATION_R3.data, FOLIATION_R3.sub_rank, id="foliation-r3"),
+            pytest.param(block_sum_data(SL2, SL2), 3, id="sl2-sum-first-summand"),
+            *(
+                pytest.param(*random_fixed_base_instance(random.Random(seed)), id=f"instance-gen-{seed}")
+                for seed in (1, 2, 3)
+            ),
         ],
     )
     def test_matches_derived_brackets_exhaustively(self, data, sub_rank):
-        setup = SplitSetup.build(data, 0, 0, sub_rank)
+        setup = SplitSetup.build(data, data.base_dim, 0, sub_rank)
         xq = build_xq(data, setup.chart)
         valg = setup.valgebra()
-        delta = MCDelta.of(valg, xq)
+        bracket = DerivedBrackets(valg, MCDelta.of(valg, xq))
         forms = self.frame_forms(setup)
-        # arity 3 on the 24 forms of hom-sl2-id would be 13,824 combinations
-        for arity in (1, 2, 3) if len(forms) <= 12 else (1, 2):
-            for combo in itertools.product(forms, repeat=arity):
-                derived = derived_bracket(valg, delta, [encode_form(f) for f in combo])
-                explicit = encode_form(explicit_structure_maps(setup, arity, list(combo)))
+        encoded = [encode_form(f) for f in forms]
+        # arity 3 on 24 forms (hom-sl2-id, the sl2 + sl2 split) would be 13,824 combinations
+        for arity in (1, 2, 3) if len(forms) <= 16 else (1, 2):
+            for combo in itertools.product(range(len(forms)), repeat=arity):
+                derived = bracket([encoded[i] for i in combo])
+                explicit = encode_form(explicit_structure_maps(setup, arity, [forms[i] for i in combo]))
                 assert derived.value == explicit.value
 
     @pytest.mark.parametrize(
@@ -286,6 +300,18 @@ class TestExplicitStructureMaps:
                 form = FrameForm.build(setup, deg, {(idx, 2): Fraction(5, 3)})
                 enc = encode_form(form)
                 assert decode_form(setup, enc, deg).values == form.values
+
+    def test_arity_guards(self, borel):
+        setup, _ = borel
+        zero = FrameForm.build(setup, 0, {})
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                explicit_structure_maps(setup, k, [zero] * k)
+        with pytest.raises(ValueError):
+            explicit_structure_maps(setup, 2, [zero])
+        # three degree-0 arguments: the output degree would be -1
+        out = explicit_structure_maps(setup, 3, [zero] * 3)
+        assert out.degree == 0 and out.is_zero()
 
     def test_requires_fixed_base(self):
         data = AlgebroidData.build(1, 1, anchor={(0, 0): 1})
