@@ -1,14 +1,6 @@
 """Exact constructors and Maurer-Cartan checkers for derived-bracket algebras."""
 
-from .signs import (
-    DegreeVector,
-    Permutation,
-    ShuffleSpec,
-    antisym_sign,
-    enumerate_shuffles,
-    koszul_sign,
-    shift_sign,
-)
+from .signs import DegreeVector, iter_shuffles, koszul_sign
 from .superfield import (
     ChartMismatchError,
     CoordinateChart,
@@ -52,7 +44,6 @@ from .subalgebroid import (
     explicit_structure_maps,
     graph_closure_oracle,
     m1_cohomology,
-    project_P,
     simultaneous_residual,
     subalgebroid_mc_residual,
     tangency_oracle,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from . import linalg
+from .signs import koszul_sign
 from .superfield import (
     BASE,
     NORMAL,
@@ -341,15 +342,11 @@ class CEForm:
             raise ValueError("wrong number of arguments")
         if len(set(indices)) != len(indices):
             return SuperFunction.zero(self.chart)
-        inversions = sum(
-            1 for a, b in itertools.combinations(range(len(indices)), 2) if indices[a] > indices[b]
-        )
-        sign = -1 if inversions % 2 else 1
-        key = tuple(sorted(indices))
-        val = self.values.get(key)
+        order = sorted(range(len(indices)), key=indices.__getitem__)
+        val = self.values.get(tuple(indices[p] for p in order))
         if val is None:
             return SuperFunction.zero(self.chart)
-        return val.scale(sign)
+        return val.scale(koszul_sign(order, (1,) * len(indices)))
 
     def is_zero(self) -> bool:
         return not self.values

@@ -23,6 +23,7 @@ from .algebroid import (
     build_xq,
     validate_algebroid,
 )
+from .signs import koszul_sign
 from .subalgebroid import (
     DeformationPair,
     FrameForm,
@@ -152,8 +153,7 @@ def _det(chart, mat) -> SuperFunction:
     n = len(mat)
     det = SuperFunction.zero(chart)
     for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a, b in itertools.combinations(range(n), 2) if perm[a] > perm[b])
-        prod = SuperFunction.constant(chart, -1 if inversions % 2 else 1)
+        prod = SuperFunction.constant(chart, koszul_sign(perm, (1,) * n))
         for r in range(n):
             prod = prod * mat[r][perm[r]]
         det = det + prod

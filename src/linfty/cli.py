@@ -161,22 +161,22 @@ def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
     return DeformationPair.build(setup, phi=phi)
 
 
-def _cap(inst: InstanceFile, args) -> int:
-    if args.cap is None:
-        return inst.options.series_cap
-    if args.cap <= 0:
-        raise InstanceError("--cap", "expected a positive integer")
-    return args.cap
+# count flags: (name, least value, what the refusal expects); checked once in run_command
+_COUNT_FLAGS = (
+    ("cap", 1, "a positive integer"),
+    ("truncate", 0, "a nonnegative integer"),
+    ("probes", 0, "a nonnegative integer"),
+)
 
 
-def _nonnegative(args, name: str, default: int | None) -> int | None:
-    """A count option from the command line, or the instance's default when it is not given."""
+def _option(args, name: str, default: int | None) -> int | None:
+    """A count flag from the command line, or the instance's default when it is not given."""
     value = getattr(args, name)
-    if value is None:
-        return default
-    if value < 0:
-        raise InstanceError(f"--{name}", "expected a nonnegative integer")
-    return value
+    return default if value is None else value
+
+
+def _cap(inst: InstanceFile, args) -> int:
+    return _option(args, "cap", inst.options.series_cap)
 
 
 def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
@@ -334,7 +334,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_cohomology(inst: InstanceFile, args) -> Report:
-    truncate = _nonnegative(args, "truncate", inst.options.truncate)
+    truncate = _option(args, "truncate", inst.options.truncate)
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
         top = data.fiber_rank
@@ -388,7 +388,7 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
-    probes_count = _nonnegative(args, "probes", inst.options.probes)
+    probes_count = _option(args, "probes", inst.options.probes)
     seed = args.seed if args.seed is not None else inst.options.seed
     setup = _split_case(inst, args, "axioms")[0]
     bracket, basis = _summand_brackets(setup)
@@ -471,6 +471,10 @@ def run_command(cmd: str, inst: InstanceFile, args=None) -> Report:
         raise InstanceError("command", f"unsupported command {cmd!r}")
     if args is None:
         args = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+    for name, least, expected in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise InstanceError(f"--{name}", f"expected {expected}")
     start = time.perf_counter()
     report = COMMANDS[cmd](inst, args)
     report.timing_ms = (time.perf_counter() - start) * 1000.0

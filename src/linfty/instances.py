@@ -47,6 +47,11 @@ class InstanceFile:
     source: str = "<memory>"
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise InstanceError(path, message)
@@ -63,11 +68,11 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
         _expect(
             len(exps) == n_even, f"{tpath}.exponents", f"expected {n_even} exponents"
         )
-        _expect(all(isinstance(e, int) and e >= 0 for e in exps), f"{tpath}.exponents", "exponents must be nonnegative integers")
+        _expect(all(_is_int(e) and e >= 0 for e in exps), f"{tpath}.exponents", "exponents must be nonnegative integers")
         numer = term.get("numer")
         denom = term.get("denom", 1)
-        _expect(isinstance(numer, int), f"{tpath}.numer", "expected an integer")
-        _expect(isinstance(denom, int), f"{tpath}.denom", "expected an integer")
+        _expect(_is_int(numer), f"{tpath}.numer", "expected an integer")
+        _expect(_is_int(denom), f"{tpath}.denom", "expected an integer")
         _expect(denom > 0, f"{tpath}.denom", "denominator must be positive")
         c = Fraction(numer, denom)
         if c != 0:
@@ -91,7 +96,7 @@ def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[i
         key = []
         for pos, name in enumerate(names):
             v = entry.get(name)
-            _expect(isinstance(v, int), f"{epath}.{name}", "expected an integer")
+            _expect(_is_int(v), f"{epath}.{name}", "expected an integer")
             if pos < len(bounds):
                 _expect(0 <= v < bounds[pos], f"{epath}.{name}", f"index out of range 0..{bounds[pos] - 1}")
             key.append(v)
@@ -117,8 +122,8 @@ def _parse_algebroid(obj: Any, path: str) -> AlgebroidData:
     _expect(isinstance(obj, dict), path, "expected an object")
     base_dim = obj.get("base_dim")
     rank = obj.get("fiber_rank")
-    _expect(isinstance(base_dim, int) and base_dim >= 0, f"{path}.base_dim", "expected a nonnegative integer")
-    _expect(isinstance(rank, int) and rank >= 0, f"{path}.fiber_rank", "expected a nonnegative integer")
+    _expect(_is_int(base_dim) and base_dim >= 0, f"{path}.base_dim", "expected a nonnegative integer")
+    _expect(_is_int(rank) and rank >= 0, f"{path}.fiber_rank", "expected a nonnegative integer")
     return _parse_tensors(obj, base_dim, rank, path)
 
 
@@ -154,7 +159,7 @@ def parse_instance(path_or_obj) -> InstanceFile:
         obj = path_or_obj
     _expect(isinstance(obj, dict), "$", "expected a JSON object")
     version = obj.get("format_version")
-    _expect(version == FORMAT_VERSION, "$.format_version", f"expected {FORMAT_VERSION}")
+    _expect(_is_int(version) and version == FORMAT_VERSION, "$.format_version", f"expected {FORMAT_VERSION}")
     kind = obj.get("kind")
     _expect(kind in KINDS, "$.kind", f"expected one of {KINDS}")
 
@@ -162,16 +167,16 @@ def parse_instance(path_or_obj) -> InstanceFile:
     _expect(isinstance(opts_obj, dict), "$.options", "expected an object")
     options = Options()
     if "series_cap" in opts_obj:
-        _expect(isinstance(opts_obj["series_cap"], int) and opts_obj["series_cap"] > 0, "$.options.series_cap", "expected a positive integer")
+        _expect(_is_int(opts_obj["series_cap"]) and opts_obj["series_cap"] > 0, "$.options.series_cap", "expected a positive integer")
         options.series_cap = opts_obj["series_cap"]
     if "truncate" in opts_obj and opts_obj["truncate"] is not None:
-        _expect(isinstance(opts_obj["truncate"], int) and opts_obj["truncate"] >= 0, "$.options.truncate", "expected a nonnegative integer")
+        _expect(_is_int(opts_obj["truncate"]) and opts_obj["truncate"] >= 0, "$.options.truncate", "expected a nonnegative integer")
         options.truncate = opts_obj["truncate"]
     if "probes" in opts_obj:
-        _expect(isinstance(opts_obj["probes"], int) and opts_obj["probes"] >= 0, "$.options.probes", "expected a nonnegative integer")
+        _expect(_is_int(opts_obj["probes"]) and opts_obj["probes"] >= 0, "$.options.probes", "expected a nonnegative integer")
         options.probes = opts_obj["probes"]
     if "seed" in opts_obj:
-        _expect(isinstance(opts_obj["seed"], int), "$.options.seed", "expected an integer")
+        _expect(_is_int(opts_obj["seed"]), "$.options.seed", "expected an integer")
         options.seed = opts_obj["seed"]
 
     instance = InstanceFile(kind=kind, payload={}, options=options, source=source)
@@ -179,7 +184,7 @@ def parse_instance(path_or_obj) -> InstanceFile:
     if kind in ("algebroid", "lie_algebra"):
         if kind == "lie_algebra":
             dim = obj.get("dimension")
-            _expect(isinstance(dim, int) and dim >= 0, "$.dimension", "expected a nonnegative integer")
+            _expect(_is_int(dim) and dim >= 0, "$.dimension", "expected a nonnegative integer")
             data = _parse_tensors({"structure": obj.get("structure", [])}, 0, dim, "$")
         else:
             data = _parse_algebroid(obj, "$")
@@ -191,9 +196,9 @@ def parse_instance(path_or_obj) -> InstanceFile:
     if kind in ("subalgebroid", "subalgebra"):
         if kind == "subalgebra":
             dim = obj.get("dimension")
-            _expect(isinstance(dim, int) and dim >= 0, "$.dimension", "expected a nonnegative integer")
+            _expect(_is_int(dim) and dim >= 0, "$.dimension", "expected a nonnegative integer")
             sub_rank = obj.get("sub_rank")
-            _expect(isinstance(sub_rank, int) and 0 <= sub_rank <= dim, "$.sub_rank", "sub rank out of range")
+            _expect(_is_int(sub_rank) and 0 <= sub_rank <= dim, "$.sub_rank", "sub rank out of range")
             shaped = {"structure": obj.get("structure", [])}
             p, q, l, rank = 0, 0, sub_rank, dim
         else:
@@ -201,10 +206,10 @@ def parse_instance(path_or_obj) -> InstanceFile:
             q = obj.get("normal_rank")
             l = obj.get("sub_rank")
             rank = obj.get("fiber_rank")
-            _expect(isinstance(p, int) and p >= 0, "$.base_dim", "expected a nonnegative integer")
-            _expect(isinstance(q, int) and q >= 0, "$.normal_rank", "expected a nonnegative integer")
-            _expect(isinstance(rank, int) and rank >= 0, "$.fiber_rank", "expected a nonnegative integer")
-            _expect(isinstance(l, int) and 0 <= l <= rank, "$.sub_rank", "sub rank out of range")
+            _expect(_is_int(p) and p >= 0, "$.base_dim", "expected a nonnegative integer")
+            _expect(_is_int(q) and q >= 0, "$.normal_rank", "expected a nonnegative integer")
+            _expect(_is_int(rank) and rank >= 0, "$.fiber_rank", "expected a nonnegative integer")
+            _expect(_is_int(l) and 0 <= l <= rank, "$.sub_rank", "sub rank out of range")
             shaped = obj
         data = _parse_tensors(shaped, p + q, rank, "$")
         try:
@@ -223,8 +228,8 @@ def parse_instance(path_or_obj) -> InstanceFile:
     if kind == "foliation":
         base_dim = obj.get("base_dim")
         sub_rank = obj.get("sub_rank")
-        _expect(isinstance(base_dim, int) and base_dim > 0, "$.base_dim", "expected a positive integer")
-        _expect(isinstance(sub_rank, int) and 0 <= sub_rank <= base_dim, "$.sub_rank", "sub rank out of range")
+        _expect(_is_int(base_dim) and base_dim > 0, "$.base_dim", "expected a positive integer")
+        _expect(_is_int(sub_rank) and 0 <= sub_rank <= base_dim, "$.sub_rank", "sub rank out of range")
         frames_obj = obj.get("frames")
         _expect(isinstance(frames_obj, list) and len(frames_obj) == base_dim, "$.frames", f"expected {base_dim} frame fields")
         frames = []

@@ -1,153 +1,53 @@
-"""Koszul signs, parities, shuffles and the degree-shift sign.
+"""Koszul signs and signed shuffles.
 
 Everything here is exact integer/sign arithmetic.  A word of homogeneous
-elements is represented by its tuple of integer degrees; permutations act on
-positions 1..n (1-based, matching the usual symmetric-group notation).
+elements is represented by its tuple of integer degrees; a reordering is the
+tuple of 0-based positions the reordered word reads, so ``order`` turns
+(a_0, ..., a_{n-1}) into (a_{order[0]}, ..., a_{order[n-1]}).  Passing all-odd
+degrees gives the plain parity of a reordering.
 """
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 DegreeVector = Sequence[int]
 
 
-def _parity_sign(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}; ``images[i-1]`` is the image of position i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
-
-    def parity(self) -> int:
-        """+1 for even permutations, -1 for odd ones."""
-        inv = sum(
-            1
-            for a, b in itertools.combinations(range(self.n), 2)
-            if self.images[a] > self.images[b]
-        )
-        return _parity_sign(inv)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class ShuffleSpec:
-    """Consecutive position blocks; a shuffle is increasing inside each block.
-
-    Zero-size blocks are allowed and contribute nothing; the block sizes must
-    sum to the word length.
-    """
-
-    block_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b < 0 for b in self.block_sizes):
-            raise ValueError(f"negative block size in {self.block_sizes}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.block_sizes)
-
-    def count(self) -> int:
-        c = 1
-        rest = self.n
-        for b in self.block_sizes:
-            c *= math.comb(rest, b)
-            rest -= b
-        return c
-
-
-def koszul_sign(perm: Permutation, degs: DegreeVector) -> int:
-    """Sign picked up when a word with the given degrees is permuted.
-
-    Computed by decomposing ``perm`` into adjacent transpositions, each swap
-    of neighbours contributing (-1)^(product of their degrees).  The result
-    does not depend on the decomposition.
-    """
-    n = perm.n
-    if n != len(degs):
-        raise ValueError(f"permutation size {n} != word length {len(degs)}")
-    # Bubble the identity arrangement into (perm(1), ..., perm(n)); the label
-    # at a slot tells which original letter currently sits there.
-    current = list(range(1, n + 1))
-    sign = 1
-    for pos in range(n):
-        want = perm.images[pos]
-        j = current.index(want, pos)
-        while j > pos:
-            u, v = current[j - 1], current[j]
-            if degs[u - 1] % 2 and degs[v - 1] % 2:
-                sign = -sign
-            current[j - 1], current[j] = v, u
-            j -= 1
-    return sign
-
-
-def antisym_sign(perm: Permutation, degs: DegreeVector) -> int:
-    """Sign of the skew-symmetric action: permutation parity times Koszul sign."""
-    return perm.parity() * koszul_sign(perm, degs)
-
-
-def enumerate_shuffles(spec: ShuffleSpec) -> list[Permutation]:
-    """All permutations increasing within each consecutive position block."""
-    return list(iter_shuffles(spec))
-
-
-def iter_shuffles(spec: ShuffleSpec) -> Iterator[Permutation]:
-    n = spec.n
-    blocks = [b for b in spec.block_sizes if b > 0]
-
-    def rec(remaining: tuple[int, ...], blocks_left: list[int]) -> Iterator[tuple[int, ...]]:
-        if not blocks_left:
-            yield ()
-            return
-        b, rest = blocks_left[0], blocks_left[1:]
-        for chosen in itertools.combinations(remaining, b):
-            left = tuple(v for v in remaining if v not in chosen)
-            for tail in rec(left, rest):
-                yield chosen + tail
-
-    for images in rec(tuple(range(1, n + 1)), blocks):
-        yield Permutation(images)
-
-
-def shift_sign(degs: DegreeVector) -> int:
-    """Sign of the degree-shift isomorphism on a word of the given degrees.
-
-    Equals (-1)^((n-1)|a_1| + (n-2)|a_2| + ... + |a_{n-1}|).
-    """
+def koszul_sign(order: Sequence[int], degs: DegreeVector) -> int:
+    """Sign of reordering a word: (-1)^(number of odd-odd pairs it inverts)."""
     n = len(degs)
-    exponent = sum((n - 1 - i) * d for i, d in enumerate(degs))
-    return _parity_sign(exponent)
+    if len(order) != n:
+        raise ValueError(f"reordering size {len(order)} != word length {n}")
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"not a reordering of 0..{n - 1}: {tuple(order)}")
+    odd = [p for p in order if degs[p] % 2]
+    inversions = sum(1 for i, p in enumerate(odd) for q in odd[i + 1:] if p > q)
+    return -1 if inversions % 2 else 1
+
+
+def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Every shuffle of a word into consecutive blocks of the given sizes.
+
+    Yields ``(sign, blocks)``: each block is an increasing tuple of positions,
+    one per size (empty for size 0), and ``sign`` is the Koszul sign of the
+    reordering ``blocks[0] + blocks[1] + ...``, counted block by block.
+    """
+    if any(s < 0 for s in sizes) or sum(sizes) != len(degs):
+        raise ValueError(f"block sizes {tuple(sizes)} do not split a word of length {len(degs)}")
+    odd = [d % 2 for d in degs]
+
+    def rec(remaining: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+        if len(sizes) <= 1:
+            yield 0, (remaining,) * len(sizes)
+            return
+        for block in itertools.combinations(remaining, sizes[0]):
+            rest = tuple(p for p in remaining if p not in block)
+            # moving the block to the front passes each odd letter of it over
+            # the odd letters of the rest that stood before it
+            passed = sum(1 for p in block if odd[p] for q in rest if q < p and odd[q])
+            for more, tail in rec(rest, sizes[1:]):
+                yield passed + more, (block, *tail)
+
+    for passed, blocks in rec(tuple(range(len(degs))), tuple(sizes)):
+        yield (-1 if passed % 2 else 1), blocks

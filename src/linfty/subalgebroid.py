@@ -31,7 +31,7 @@ from .algebroid import (
     merge_polys,
     structure_residual,
 )
-from .signs import ShuffleSpec, _parity_sign, iter_shuffles
+from .signs import iter_shuffles
 from .superfield import (
     CoordinateChart,
     SuperFunction,
@@ -222,11 +222,6 @@ def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
     return LInftyElement(value, 0)
 
 
-def project_P(setup: SplitSetup, v: SuperVectorField) -> LInftyElement:
-    value = setup.project(v)
-    return LInftyElement(value, value.degree() if not value.is_zero() else 0)
-
-
 # ---------------------------------------------------------------------
 # tangency oracle: bracket series against direct graph substitution
 # ---------------------------------------------------------------------
@@ -379,6 +374,10 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
 # ---------------------------------------------------------------------
 # explicit low-arity structure maps for the fixed-base case
 # ---------------------------------------------------------------------
+def _parity_sign(n: int) -> int:
+    return -1 if n % 2 else 1
+
+
 @dataclass(frozen=True)
 class FrameForm:
     """Alternating sub-frame form with complement-valued polynomial entries."""
@@ -492,23 +491,23 @@ def explicit_structure_maps(
         s1, s2, s3 = _m3_signs(xi.degree, psi.degree, phi.degree)
         terms = [(s1, xi, psi, phi), (s2, psi, phi, xi), (s3, phi, xi, psi)]
 
+    odd = (1,) * n_out  # a shuffle of frame letters is signed by its parity
     out_values: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
     for idx in itertools.combinations(setup.sub_indices, n_out):
         for c, f, g, *h in terms:
             if h and h[0].degree < 1:
                 continue
-            cut_a, cut_b = f.degree, f.degree + g.degree
-            for tau in iter_shuffles(ShuffleSpec((cut_a, g.degree, n_out - cut_b))):
-                word = [idx[tau(p) - 1] for p in range(1, n_out + 1)]
-                br = bracket(f.at(word[:cut_a]), g.at(word[cut_a:cut_b]))
+            sizes = (f.degree, g.degree, n_out - f.degree - g.degree)
+            for sign, (a, b, rest) in iter_shuffles(sizes, odd):
+                br = bracket(f.at([idx[p] for p in a]), g.at([idx[p] for p in b]))
                 if h:
-                    section = h[0].contract(br, word[cut_b:])
+                    section = h[0].contract(br, [idx[p] for p in rest])
                 else:
                     section = {j: val for j, val in br.items() if j in setup.comp_indices}
                 for j, val in section.items():
                     if j not in setup.comp_indices:
                         raise AssertionError("structure map produced a non-complement value")
-                    add_into(out_values, (idx, j), val.scale(c * tau.parity()))
+                    add_into(out_values, (idx, j), val.scale(c * sign))
     return FrameForm.build(setup, n_out, out_values)
 
 

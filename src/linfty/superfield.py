@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Mapping
 
 BASE = "base"
 NORMAL = "normal"
@@ -73,12 +73,6 @@ class CoordinateChart:
 
     def target_is_odd(self, target: int) -> bool:
         return target >= self.n_even
-
-    def even_indices(self, role: str) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.even_roles) if r == role)
-
-    def odd_indices(self, role: str) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.odd_roles) if r == role)
 
 
 def _as_fraction(c) -> Fraction:
@@ -187,14 +181,6 @@ class SuperFunction:
     def odd_var(chart: CoordinateChart, j: int) -> "SuperFunction":
         return SuperFunction(chart, {((0,) * chart.n_even, (j,)): Fraction(1)})
 
-    @staticmethod
-    def var(chart: CoordinateChart, name: str) -> "SuperFunction":
-        if name in chart.even_names:
-            return SuperFunction.even_var(chart, chart.even_names.index(name))
-        if name in chart.odd_names:
-            return SuperFunction.odd_var(chart, chart.odd_names.index(name))
-        raise KeyError(name)
-
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -206,13 +192,6 @@ class SuperFunction:
         return SuperFunction(
             self.chart, {k: c for k, c in self.terms.items() if len(k[1]) == d}
         )
-
-    def even_degree(self, positions: Iterable[int] | None = None) -> int:
-        """Max total polynomial degree over the given even positions (all by default)."""
-        if not self.terms:
-            return 0
-        pos = list(positions) if positions is not None else list(range(self.chart.n_even))
-        return max(sum(even[p] for p in pos) for (even, _) in self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -369,17 +348,6 @@ class SuperVectorField:
         key = ((0,) * chart.n_even, (), names.index(name))
         return SuperVectorField(chart, {key: Fraction(1)})
 
-    @staticmethod
-    def from_components(
-        components: Mapping[int, SuperFunction], chart: CoordinateChart
-    ) -> "SuperVectorField":
-        terms: dict[FieldKey, Fraction] = {}
-        for target, f in components.items():
-            for (even, odd), c in f.terms.items():
-                key = (even, odd, target)
-                terms[key] = terms.get(key, Fraction(0)) + c
-        return SuperVectorField(chart, terms)
-
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -399,9 +367,6 @@ class SuperVectorField:
         if len(ds) > 1:
             return None
         return ds.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree_part(self, d: int) -> "SuperVectorField":
         return SuperVectorField(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .signs import Permutation, ShuffleSpec, iter_shuffles, koszul_sign
+from .signs import iter_shuffles, koszul_sign
 from .superfield import (
     CoordinateChart,
     SuperVectorField,
@@ -349,12 +349,11 @@ def extended_bracket(
         x = args[pos]
         if x.v.is_zero():
             continue
-        images = (pos + 1,) + tuple(i + 1 for i in range(k) if i != pos)
-        sign = koszul_sign(Permutation(images), degs)
+        others = tuple(i for i in range(k) if i != pos)
+        sign = koszul_sign((pos, *others), degs)
         chain = x.v
-        for i in range(k):
-            if i != pos:
-                chain = super_commutator(chain, args[i].a)
+        for i in others:
+            chain = super_commutator(chain, args[i].a)
         a_total = a_total + P(chain).scale(sign)
     # pattern (2, 0): only at arity 2
     if k == 2:
@@ -391,11 +390,9 @@ def generalized_jacobi(
     degs = tuple(e.degree if e.degree is not None else 0 for e in elements)
     total = SuperVectorField.zero(chart)
     for j in range(1, n + 1):
-        for tau in iter_shuffles(ShuffleSpec((j, n - j))):
-            sign = koszul_sign(tau, degs)
-            inner = m([elements[tau(p) - 1] for p in range(1, j + 1)])
-            outer_args = [inner] + [elements[tau(p) - 1] for p in range(j + 1, n + 1)]
-            outer = m(outer_args)
+        for sign, (first, rest) in iter_shuffles((j, n - j), degs):
+            inner = m([elements[p] for p in first])
+            outer = m([inner] + [elements[p] for p in rest])
             total = total + outer.value.scale(sign)
     return total
 

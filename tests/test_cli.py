@@ -141,6 +141,37 @@ class TestParsing:
             parse_instance(obj)
         assert err.value.path == path
 
+    @pytest.mark.parametrize(
+        "preset,where,value,path",
+        [  # the field's location in the preset, the boolean put there, the reported path
+            ("sl2", ["format_version"], True, "$.format_version"),
+            ("sl2", ["options", "series_cap"], True, "$.options.series_cap"),
+            ("sl2", ["options", "probes"], False, "$.options.probes"),
+            ("sl2", ["options", "truncate"], True, "$.options.truncate"),
+            ("sl2", ["options", "seed"], False, "$.options.seed"),
+            ("sl2", ["dimension"], True, "$.dimension"),
+            ("sl2", ["structure", 0, "i"], False, "$.structure[0].i"),
+            ("sl2", ["structure", 0, "terms", 0, "numer"], True, "$.structure[0].terms[0].numer"),
+            ("sl2", ["structure", 0, "terms", 0, "denom"], True, "$.structure[0].terms[0].denom"),
+            ("tangent-r1", ["anchor", 0, "terms", 0, "exponents", 0], True, "$.anchor[0].terms[0].exponents"),
+            ("tangent-r1", ["base_dim"], True, "$.base_dim"),
+            ("tangent-r1", ["fiber_rank"], True, "$.fiber_rank"),
+            ("sl2-borel", ["sub_rank"], True, "$.sub_rank"),
+            ("tangent-r1-origin", ["normal_rank"], False, "$.normal_rank"),
+            ("foliation-r3", ["base_dim"], True, "$.base_dim"),
+            ("hom-sl2-id", ["source", "fiber_rank"], True, "$.source.fiber_rank"),
+        ],
+    )
+    def test_boolean_is_not_an_integer(self, preset, where, value, path):
+        obj = json.loads(fixture_path(preset).read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent.setdefault(key, {}) if isinstance(key, str) else parent[key]
+        parent[where[-1]] = value
+        with pytest.raises(InstanceError) as err:
+            parse_instance(obj)
+        assert err.value.path == path
+
 
 class TestCommands:
     @pytest.mark.parametrize(
@@ -328,6 +359,12 @@ class TestCommands:
             (["oracle-compare", "hom-sl2-id", "--cap", "0"], "--cap"),
             (["validate", "hom-sl2-id", "--cap", "0"], "--cap"),
             (["subalg-check", "sl2-borel", "--cap", "-3"], "--cap"),
+            # commands that do not read the flag refuse it all the same
+            (["oracle-compare", "sl2", "--cap", "0"], "--cap"),
+            (["brackets", "sl2-borel", "--cap", "0"], "--cap"),
+            (["cohomology", "sl2", "--cap", "-3"], "--cap"),
+            (["brackets", "hom-sl2-id", "--truncate", "-1"], "--truncate"),
+            (["validate", "sl2-borel", "--probes", "-1"], "--probes"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):

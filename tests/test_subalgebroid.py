@@ -18,7 +18,6 @@ from linfty.subalgebroid import (
     explicit_structure_maps,
     graph_closure_oracle,
     m1_cohomology,
-    project_P,
     simultaneous_residual,
     subalgebroid_mc_residual,
     tangency_oracle,
@@ -94,12 +93,12 @@ class TestProjection:
 
     def test_structure_field_projects_to_zero(self, borel):
         setup, xq = borel
-        assert project_P(setup, xq).value.is_zero()
+        assert setup.project(xq).is_zero()
 
     def test_tangential_component_dropped(self, borel):
         setup, _ = borel
         v = SuperVectorField(setup.chart, {((), (0,), 0): Fraction(1)})  # xi1 d/dxi1
-        assert project_P(setup, v).value.is_zero()
+        assert setup.project(v).is_zero()
 
     def test_fixed_base_has_no_normal_directions(self, borel):
         # the normal-bundle component is structurally absent when the base is fixed

@@ -1,0 +1,48 @@
+"""The benchmark's per-layer tracer still wraps the functions it names.
+
+``perfbench/tracing.py`` rebinds linfty functions by identity and raises when
+one of them is gone, so a rename or signature change in ``src/`` can break the
+traced benchmark run without failing any other test.  This runs the tracer in
+a subprocess, so its patches never reach this test process.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import argparse, json
+import linfty.cli as cli
+from linfty.instances import fixture_path, parse_instance
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+inst = parse_instance(fixture_path("sl2-borel"))
+flags = dict(cap=None, truncate=None, seed=None, phi=None, degree=None)
+codes = [
+    cli.run_command("axioms", inst, argparse.Namespace(probes=2, **flags)).exit_code,
+    cli.run_command("brackets", inst, argparse.Namespace(probes=None, **flags)).exit_code,
+]
+print(json.dumps({
+    "codes": codes,
+    "yielded": tracer.counts["signs.shuffles.yielded"],
+    "explicit_calls": tracer.calls["subalgebroid.explicit_maps"],
+}))
+"""
+
+
+def test_tracer_installs_and_counts():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=ROOT / "perfbench", env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["yielded"] > 0
+    assert result["explicit_calls"] > 0
