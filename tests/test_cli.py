@@ -262,6 +262,49 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "simultaneous", str(path))
         assert code == 1 and "mc-nonzero" in out
 
+    @pytest.mark.parametrize("homological,classical", [(True, False), (False, True)])
+    def test_simultaneous_oracle_reads_the_classical_route(self, capsys, monkeypatch, homological, classical):
+        import linfty.cli as cli
+        from linfty.algebroid import AlgebroidReport
+
+        def stub(data, chart=None):  # a report whose two routes disagree
+            report = AlgebroidReport(homological=homological)
+            if not classical:
+                report.jacobi_defects[(0, 1, 2, 0)] = "1"
+            return report
+
+        monkeypatch.setattr(cli, "validate_algebroid", stub)
+        code, out, _ = run_cli(capsys, "simultaneous", "sl2-borel", "--json")
+        payload = json.loads(out)
+        assert payload["verdict"] == "mc-zero"  # the residual route never reads the report
+        assert payload["oracle_agreement"] is classical
+        assert code == (0 if classical else 3)
+
+    def test_homomorphism_fields_are_squared_once(self, capsys, monkeypatch):
+        import sys
+
+        from linfty import superfield
+
+        original = superfield.super_commutator
+        squares = []
+
+        def counting(X, Y):
+            if X is Y:
+                squares.append(X)
+            return original(X, Y)
+
+        for name, module in list(sys.modules.items()):
+            if name == "linfty" or name.startswith("linfty."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, _, _ = run_cli(capsys, "subalg-check", "hom-sl2-id", "--json")
+        assert code == 0
+        # the source and the target structure fields, then their direct sum once for
+        # both the homomorphism check and the candidate's residual
+        assert len(squares) == 3
+        assert len({id(X) for X in squares}) == 3
+
     def test_cohomology_sl2(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "sl2", "--json")
         assert code == 0
@@ -365,6 +408,15 @@ class TestCommands:
             (["cohomology", "sl2", "--cap", "-3"], "--cap"),
             (["brackets", "hom-sl2-id", "--truncate", "-1"], "--truncate"),
             (["validate", "sl2-borel", "--probes", "-1"], "--probes"),
+            # --degree and --phi are refused where the command never reads them
+            (["brackets", "sl2-borel", "--degree", "99"], "--degree"),
+            (["validate", "sl2", "--degree", "-5"], "--degree"),
+            (["validate", "sl2", "--phi", "1", "2", "3"], "--phi"),
+            (["cohomology", "sl2", "--phi", "x"], "--phi"),
+            (["mc-check", "sl2-borel", "--degree", "3"], "--degree"),
+            (["cohomology", "sl2-borel", "--phi", "1", "1"], "--phi"),
+            (["subalg-check", "hom-sl2-id", "--phi", "1"], "--phi"),
+            (["oracle-compare", "sl2", "--phi"], "--phi"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):

@@ -319,3 +319,102 @@ class TestIsHomological:
     def test_even_degree_rejected(self):
         X = fld({((0, 0), (0,), NE + 1): 1})  # degree 0
         assert not is_homological(X)
+
+
+# -- the trusted kernel path ------------------------------------------
+def assert_canonical(value):
+    """Terms as the public constructor would leave them: tuple keys, sorted odd indices, nonzero Fractions."""
+    assert value.terms == type(value)(value.chart, value.terms).terms
+    for key, c in value.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(key[0]) is tuple and type(key[1]) is tuple
+
+
+def split_setup():
+    from linfty.subalgebroid import SplitSetup
+
+    data = AlgebroidData.build(2, 3)
+    return SplitSetup.build(data, 1, 1, 1)
+
+
+SETUP = split_setup()
+
+
+class TestTrustedResults:
+    @settings(max_examples=100, deadline=None)
+    @given(random_functions(4), random_functions(4), st.fractions(-2, 2, max_denominator=2))
+    def test_function_ops(self, f, g, c):
+        results = [f + g, f - g, -f, f.scale(c), f * c, f.scale(0), f * g, g * f, SuperFunction.zero(CHART)]
+        results += [f.partial(t) for t in range(NE + CHART.n_odd)]
+        results += [f.degree_part(d) for d in range(CHART.n_odd + 1)]
+        results.append(f + (-f))
+        for value in results:
+            assert_canonical(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_fields(4), random_fields(4), random_functions(3), st.fractions(-2, 2, max_denominator=2))
+    def test_field_ops(self, X, Y, f, c):
+        results = [X + Y, X - Y, -X, X.scale(c), X * c, X.scale(0), X + (-X), SuperVectorField.zero(CHART)]
+        results += [X.degree_part(d) for d in range(-1, CHART.n_odd + 1)]
+        results += [super_commutator(X, Y), super_commutator(X, X)]
+        results.append(SETUP.project(SuperVectorField(SETUP.chart, X.terms)))
+        for value in results:
+            assert_canonical(value)
+        for value in [X.component(t) for t in range(NE + CHART.n_odd)] + [apply(X, f)]:
+            assert_canonical(value)
+
+    def test_project_refuses_another_chart(self):
+        with pytest.raises(ChartMismatchError):
+            SETUP.project(d_by("x"))
+
+
+def substitute_reference(f, mapping):
+    """Substitution that gives every coordinate a value and expands each power by repeated products."""
+    chart = f.chart
+    one = SuperFunction.constant(chart, 1)
+    even_values = {i: mapping.get(i, SuperFunction.even_var(chart, i)) for i in range(chart.n_even)}
+    odd_values = {
+        j: mapping.get(chart.n_even + j, SuperFunction.odd_var(chart, j)) for j in range(chart.n_odd)
+    }
+    total = SuperFunction.zero(chart)
+    for (even, odd), c in f.terms.items():
+        acc = one.scale(c)
+        for i, e in enumerate(even):
+            for _ in range(e):
+                acc = acc * even_values[i]
+        for j in odd:
+            acc = acc * odd_values[j]
+        total = total + acc
+    return total
+
+
+@st.composite
+def substitutions(draw):
+    """A mapping of some coordinates: even ones to even values, odd ones to degree-1 values."""
+    mapping = {}
+    for t in range(NE + CHART.n_odd):
+        if draw(st.booleans()):
+            value = draw(random_functions(3))
+            if t < NE:
+                mapping[t] = value.degree_part(0) + value.degree_part(2)
+            else:
+                mapping[t] = value.degree_part(1)
+    return mapping
+
+
+class TestSubstitute:
+    @settings(max_examples=100, deadline=None)
+    @given(random_functions(4), substitutions())
+    def test_matches_identity_rebuilding_reference(self, f, mapping):
+        result = f.substitute(mapping)
+        assert result == substitute_reference(f, mapping)
+        assert_canonical(result)
+
+    def test_high_powers(self):
+        f = fn({((3, 2), (0, 2)): 2, ((0, 4), (1,)): -1})
+        mapping = {0: fn({((0, 1), ()): 1, ((0, 0), (0, 1)): 1}), 1: fn({((1, 0), ()): 3})}
+        assert f.substitute(mapping) == substitute_reference(f, mapping)
+
+    def test_unmapped_coordinates_stay(self):
+        f = fn({((2, 1), (0, 1)): 3, ((0, 0), (2,)): 1})
+        assert f.substitute({}) == f
