@@ -288,6 +288,11 @@ def classical_jacobi_defects(
     return out
 
 
+def classically_valid(data: AlgebroidData, chart: CoordinateChart | None = None) -> bool:
+    """The classical route of ``validate_algebroid`` alone: no anchor or Jacobi defect."""
+    return not classical_anchor_defects(data, chart) and not classical_jacobi_defects(data, chart)
+
+
 def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> SuperVectorField:
     """[[X, X~]] + (1/2)[[X~, X~]], unchecked; with [[X, X]] = 0 it is half of [[X + X~, X + X~]]."""
     return super_commutator(xq, xq_tilde) + super_commutator(xq_tilde, xq_tilde).scale(Fraction(1, 2))

@@ -28,7 +28,6 @@ from .subalgebroid import (
     DeformationPair,
     FrameForm,
     SplitSetup,
-    checked_mc_residual,
     explicit_structure_maps,
     simultaneous_residual,
     subalgebroid_mc_residual,
@@ -76,11 +75,9 @@ def subalgebra_deformation(
     (sub index, complement index) to the rational matrix entry.
     """
     setup = SplitSetup.build(g.data, 0, 0, sub_rank)
-    xq = build_xq(g.data, setup.chart)
-    if not setup.project(xq).is_zero():
-        raise ValueError("the leading frame block is not a subalgebra")
+    delta = MCDelta.of(setup.valgebra(), build_xq(g.data, setup.chart))  # refuses a non-subalgebra block
     d = DeformationPair.build(setup, phi={key: Fraction(val) for key, val in phi.items()})
-    return subalgebroid_mc_residual(setup, xq, d, cap=cap)
+    return subalgebroid_mc_residual(setup, delta, d, cap=cap)
 
 
 # ---------------------------------------------------------------------
@@ -302,12 +299,11 @@ class GraphSetup:
     sum_data: AlgebroidData
     setup: SplitSetup
     base_pair: DeformationPair
-    xq: SuperVectorField
 
     @cached_property
     def delta(self) -> MCDelta:
-        """The checked MCDelta of ``xq``: one square for every residual of this setup."""
-        return MCDelta.of(self.setup.valgebra(), self.xq)
+        """The checked structure field of the sum: one square for every residual of this setup."""
+        return MCDelta.of(self.setup.valgebra(), build_xq(self.sum_data, self.setup.chart))
 
 
 def graph_setup(h: HomomorphismData) -> GraphSetup:
@@ -329,7 +325,7 @@ def graph_setup(h: HomomorphismData) -> GraphSetup:
         sigma={k: dict(poly) for k, poly in h.base_map.items()},
         phi={(i, h.source.fiber_rank + j): dict(poly) for (i, j), poly in h.bundle_map.items()},
     )
-    return GraphSetup(h, sum_data, setup, base_pair, build_xq(sum_data, setup.chart))
+    return GraphSetup(h, sum_data, setup, base_pair)
 
 
 def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> DeformationPair:
@@ -346,16 +342,8 @@ def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> Deformatio
 
 def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
     """Refuse a graph setup whose base bundle map is not itself a homomorphism."""
-    if not checked_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=cap).value.is_zero():
+    if not subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=cap).value.is_zero():
         raise ValueError("the base bundle map is not a homomorphism")
-
-
-def homomorphism_residual(
-    gs: GraphSetup, candidate: DeformationPair, cap: int = DEFAULT_SERIES_CAP
-) -> LInftyElement:
-    """Residual of the summed pair; zero iff the deformed map is a homomorphism."""
-    require_homomorphism(gs, cap=cap)
-    return checked_mc_residual(gs.setup, gs.delta, gs.base_pair.add(candidate), cap=cap)
 
 
 def homomorphism_deformation(
@@ -364,82 +352,47 @@ def homomorphism_deformation(
     base_map=None,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> LInftyElement:
-    """Residual of a (bundle map, base map) offset of a homomorphism."""
+    """Residual of a (bundle map, base map) offset of a homomorphism; zero iff the deformed map is one."""
     gs = graph_setup(h)
-    return homomorphism_residual(gs, candidate_pair(gs, bundle_map, base_map), cap=cap)
+    require_homomorphism(gs, cap=cap)
+    pair = gs.base_pair.add(candidate_pair(gs, bundle_map, base_map))
+    return subalgebroid_mc_residual(gs.setup, gs.delta, pair, cap=cap)
 
 
-def embed_block_field(gs: GraphSetup, which: str, pert: AlgebroidData) -> SuperVectorField:
-    """Structure-perturbation field of one block on the sum chart."""
-    h = gs.h
-    if which == "source":
-        if (pert.base_dim, pert.fiber_rank) != (h.source.base_dim, h.source.fiber_rank):
-            raise ValueError("source perturbation has wrong dimensions")
-        data = block_sum_data(pert, AlgebroidData.build(h.target.base_dim, h.target.fiber_rank))
-    elif which == "target":
-        if (pert.base_dim, pert.fiber_rank) != (h.target.base_dim, h.target.fiber_rank):
-            raise ValueError("target perturbation has wrong dimensions")
-        data = block_sum_data(AlgebroidData.build(h.source.base_dim, h.source.fiber_rank), pert)
-    else:
-        raise ValueError("block must be 'source' or 'target'")
-    return build_xq(data, gs.setup.chart)
-
-
-def check_block_purity(gs: GraphSetup, field: SuperVectorField, which: str) -> bool:
-    """Whether a candidate field lives purely in one block of the sum."""
-    h = gs.h
-    chart = gs.setup.chart
-    m_a, n_a = h.source.base_dim, h.source.fiber_rank
-    ne = chart.n_even
-    for (even, odd, target), _ in field.terms.items():
-        in_source = (
-            all(e == 0 for e in even[m_a:])
-            and all(j < n_a for j in odd)
-            and (target < m_a or (ne <= target < ne + n_a))
-        )
-        in_target = (
-            all(e == 0 for e in even[:m_a])
-            and all(j >= n_a for j in odd)
-            and ((m_a <= target < ne) or target >= ne + n_a)
-        )
-        if which == "source" and not in_source:
-            return False
-        if which == "target" and not in_target:
-            return False
-    return True
+def block_perturbation(
+    h: HomomorphismData, source: AlgebroidData | None, target: AlgebroidData | None
+) -> AlgebroidData:
+    """Source and target structure perturbations as one perturbation of the sum; a missing block is zero."""
+    blocks = []
+    for name, block, pert in (("source", h.source, source), ("target", h.target, target)):
+        dims = (block.base_dim, block.fiber_rank)
+        if pert is None:
+            pert = AlgebroidData.build(*dims)
+        elif (pert.base_dim, pert.fiber_rank) != dims:
+            raise ValueError(f"{name} perturbation has wrong dimensions")
+        blocks.append(pert)
+    return block_sum_data(*blocks)
 
 
 def simultaneous_homomorphism(
     h: HomomorphismData,
-    cand_source: AlgebroidData | SuperVectorField | None,
-    cand_target: AlgebroidData | SuperVectorField | None,
+    cand_source: AlgebroidData | None,
+    cand_target: AlgebroidData | None,
     bundle_map=None,
     base_map=None,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> tuple[SuperVectorField, SuperVectorField]:
     """Joint residual: deform both block structures and the map between them.
 
-    The block candidates must stay inside their blocks (cross terms are
-    rejected); zero iff both deformed structures are algebroids and the
-    deformed map is a homomorphism between them.
+    Zero iff both deformed structures are algebroids and the deformed map is
+    a homomorphism between them.
     """
     gs = graph_setup(h)
-    fields = []
-    for which, cand in (("source", cand_source), ("target", cand_target)):
-        if cand is None:
-            continue
-        f = embed_block_field(gs, which, cand) if isinstance(cand, AlgebroidData) else cand
-        if not check_block_purity(gs, f, which):
-            raise ValueError(f"candidate field mixes blocks ({which})")
-        fields.append(f)
-    cand_xq = SuperVectorField.zero(gs.setup.chart)
-    for f in fields:
-        cand_xq = cand_xq + f
     return simultaneous_residual(
         gs.setup,
-        gs.xq,
+        gs.delta,
         gs.base_pair,
-        cand_xq,
+        build_xq(block_perturbation(h, cand_source, cand_target), gs.setup.chart),
         candidate_pair(gs, bundle_map, base_map),
         cap=cap,
     )

@@ -22,6 +22,7 @@ from .algebroid import (
     AlgebroidData,
     SectionCalculus,
     build_xq,
+    classically_valid,
     dgla_cohomology,
     merge_polys,
     structure_residual,
@@ -30,7 +31,7 @@ from .algebroid import (
 from .applications import (
     FoliationSetup,
     GraphSetup,
-    block_sum_data,
+    block_perturbation,
     candidate_pair,
     foliation_infinitesimal,
     graph_setup,
@@ -40,13 +41,13 @@ from .instances import InstanceError, InstanceFile, parse_instance, resolve_inst
 from .subalgebroid import (
     DeformationPair,
     SplitSetup,
-    checked_mc_residual,
     decode_form,
     encode_form,
     explicit_structure_maps,
     graph_closure_oracle,
     m1_cohomology,
     simultaneous_residual,
+    subalgebroid_mc_residual,
     tangency_oracle,
 )
 from .superfield import SuperVectorField, render_field
@@ -143,7 +144,7 @@ def _lie_candidate(data: AlgebroidData, cand: AlgebroidData) -> tuple[SuperVecto
     """
     chart = data.plain_chart()
     residual = structure_residual(build_xq(data, chart), build_xq(cand, chart))
-    return residual, validate_algebroid(_data_sum(data, cand)).classical_ok
+    return residual, classically_valid(_data_sum(data, cand))
 
 
 def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
@@ -174,6 +175,14 @@ _SPLIT_KINDS = ("subalgebroid", "subalgebra")
 
 # flags that only some (command, instance kind) pairs read; every other pair refuses them in run_command
 _READERS = {
+    "cap": lambda command, kind: (  # wherever a bracket series runs
+        command in ("subalg-check", "simultaneous")
+        or (command in ("mc-check", "oracle-compare") and kind not in ("algebroid", "lie_algebra"))
+        or (command == "validate" and kind == "homomorphism")
+    ),
+    "truncate": lambda command, kind: command == "cohomology",
+    "probes": lambda command, kind: command == "axioms",
+    "seed": lambda command, kind: command == "axioms",
     "degree": lambda command, kind: command == "cohomology",
     "phi": lambda command, kind: (
         command in ("subalg-check", "mc-check", "simultaneous", "oracle-compare") and kind in _SPLIT_KINDS
@@ -281,7 +290,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         )
     if inst.kind == "homomorphism":
         gs = graph_setup(inst.payload["homomorphism"])
-        res = checked_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=_cap(inst, args))
+        res = subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=_cap(inst, args))
         oracle = graph_closure_oracle(gs.setup, gs.base_pair)
         return Report(
             "validate",
@@ -311,7 +320,7 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
     setup, base, cand, gs = _split_case(inst, args, command)
     pair = base.add(cand)
-    residual = checked_mc_residual(setup, _structure_delta(setup, gs), pair, cap=_cap(inst, args))
+    residual = subalgebroid_mc_residual(setup, _structure_delta(setup, gs), pair, cap=_cap(inst, args))
     oracle = graph_closure_oracle(setup, pair)
     zero = residual.value.is_zero()
     return Report(
@@ -323,22 +332,18 @@ def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -
 
 
 def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
-    setup, base, cand_def, _ = _split_case(inst, args, "simultaneous")
+    setup, base, cand_def, gs = _split_case(inst, args, "simultaneous")
     data = setup.data
     cand_data = inst.payload.get("candidate_xq")
     if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
-        h = inst.payload["homomorphism"]
-        cand_data = block_sum_data(*(
-            cand_data.get(which) or AlgebroidData.build(block.base_dim, block.fiber_rank)
-            for which, block in (("source", h.source), ("target", h.target))
-        ))
+        cand_data = block_perturbation(inst.payload["homomorphism"], cand_data.get("source"), cand_data.get("target"))
     cand_xq = build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
     v_res, a_res = simultaneous_residual(
-        setup, build_xq(data, setup.chart), base, cand_xq, cand_def, cap=_cap(inst, args)
+        setup, _structure_delta(setup, gs), base, cand_xq, cand_def, cap=_cap(inst, args)
     )
     zero = v_res.is_zero() and a_res.is_zero()
     summed = _data_sum(data, cand_data) if cand_data is not None else data
-    oracle_ok = validate_algebroid(summed, setup.chart).classical_ok and graph_closure_oracle(
+    oracle_ok = classically_valid(summed, setup.chart) and graph_closure_oracle(
         SplitSetup.build(summed, setup.base_dim, setup.normal_rank, setup.sub_rank),
         base.add(cand_def),
     ).accepts
@@ -445,31 +450,30 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
             details=details,
         )
     # MC residual vs graph closure, plus a third route: the classical
-    # infinitesimal condition for a foliation, the tangency cross-check otherwise
+    # infinitesimal condition for a foliation, graph substitution otherwise
     cap = _cap(inst, args)
     setup, base, cand, gs = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
-    infinitesimal = (
-        foliation_infinitesimal(inst.payload["foliation"], inst.payload["psi"]) if inst.kind == "foliation" else None
-    )
     delta = _structure_delta(setup, gs)
-    xq = delta.delta
-    mc = checked_mc_residual(setup, delta, pair, cap=cap)
-    oracle = graph_closure_oracle(setup, pair)
-    zero = mc.value.is_zero()
-    agree = zero == oracle.accepts
-    details = {"mc_zero": zero, "graph_oracle": oracle.accepts}
-    if infinitesimal is not None:
-        agree = infinitesimal.agree and agree
-        details["infinitesimal_closed"] = infinitesimal.closed
+    if inst.kind == "foliation":
+        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], inst.payload["psi"])
+        mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
+        third_agrees = infinitesimal.agree
+        details = {"infinitesimal_closed": infinitesimal.closed}
     else:
-        tan = tangency_oracle(setup, xq, pair, cap=cap)
-        agree = agree and tan.agree and (tan.series == mc.value)
-        details["tangency_routes_agree"] = tan.agree
+        # along the structure field the tangency series is the MC residual itself
+        tan = tangency_oracle(setup, delta.delta, pair, cap=cap)
+        mc = tan.series
+        third_agrees = tan.agree
+        details = {"tangency_routes_agree": tan.agree}
+    oracle = graph_closure_oracle(setup, pair)
+    zero = mc.is_zero()
+    agree = zero == oracle.accepts and third_agrees
+    details.update(mc_zero=zero, graph_oracle=oracle.accepts)
     return Report(
         "oracle-compare",
         "pass" if (zero and agree) else "fail",
-        residual_terms=None if infinitesimal is not None else _residual_terms(mc.value),
+        residual_terms=None if inst.kind == "foliation" else _residual_terms(mc),
         oracle_agreement=agree,
         details=details,
     )

@@ -305,26 +305,16 @@ def tangency_oracle(
 # ---------------------------------------------------------------------
 def subalgebroid_mc_residual(
     setup: SplitSetup,
-    xq: SuperVectorField,
+    delta: MCDelta,
     d: DeformationPair,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> LInftyElement:
-    """Residual of the candidate in the derived-bracket structure.
+    """Residual of the candidate in the derived-bracket structure of the checked structure field ``delta``.
 
     The candidate enters with a global minus sign (the convention validated
     against the graph-closure oracle); zero iff the deformed graph is again
     a subalgebroid.
     """
-    return checked_mc_residual(setup, MCDelta.of(setup.valgebra(), xq), d, cap=cap)
-
-
-def checked_mc_residual(
-    setup: SplitSetup,
-    delta: MCDelta,
-    d: DeformationPair,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> LInftyElement:
-    """``subalgebroid_mc_residual`` on the already checked MCDelta of the structure field."""
     candidate = LInftyElement(-encode_deformation(setup, d).value, 0)
     return mc_residual(setup.valgebra(), delta, candidate, cap=cap)
 
@@ -562,31 +552,31 @@ def decode_form(setup: SplitSetup, element: LInftyElement, degree: int) -> Frame
 # ---------------------------------------------------------------------
 def simultaneous_residual(
     setup: SplitSetup,
-    xq: SuperVectorField,
+    delta: MCDelta,
     base: DeformationPair,
     cand_xq: SuperVectorField,
     cand_def: DeformationPair,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> tuple[SuperVectorField, SuperVectorField]:
-    """Residual pair of a joint (structure, graph) deformation.
+    """Residual pair of a joint (structure, graph) deformation of the checked structure field ``delta``.
 
     The first component vanishes iff the deformed field is homological; the
     second iff the summed candidate graph is a subalgebroid of the deformed
     structure.  The base pair must already be a deformation.
     """
     valg = setup.valgebra()
-    if not subalgebroid_mc_residual(setup, xq, base, cap=cap).value.is_zero():
+    if not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
         raise ValueError("the base pair is not a deformation of the subalgebroid")
     if not cand_xq.is_zero():
         if cand_xq.degree() != 1:
             raise ValueError("the structure candidate must have degree 1")
         if not valg.project(cand_xq).is_zero():
             raise ValueError("the structure candidate must lie in ker(P)")
-    v_residual = structure_residual(xq, cand_xq)
+    v_residual = structure_residual(delta.delta, cand_xq)
     twist = LInftyElement(
         -(encode_deformation(setup, base).value + encode_deformation(setup, cand_def).value), 0
     )
-    a_residual = twisted_projection(valg, twist, xq + cand_xq, cap=cap)
+    a_residual = twisted_projection(valg, twist, delta.delta + cand_xq, cap=cap)
     return v_residual, a_residual
 
 

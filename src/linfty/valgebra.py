@@ -219,32 +219,36 @@ def derived_bracket(
     return DerivedBrackets(valg, delta)(args)
 
 
+def _ad_series(
+    valg: VAlgebra, acc: SuperVectorField, w: SuperVectorField, x: LInftyElement, cap: int, what: str
+) -> SuperVectorField:
+    """acc + sum_{n>=1} (1/n!) P([...[w, x], ..., x]) with n brackets, for x of degree 0 in the summand.
+
+    The caller supplies the n = 0 term as ``acc``.  The sum ends when the
+    bracket chain reaches exact zero, guarded by the cap.
+    """
+    if x.degree not in (0, None) and not x.value.is_zero():
+        raise ValueError(f"the {what} needs an element of degree 0")
+    valg.require_abelian(x.value)
+    n = 0
+    while True:
+        w = super_commutator(w, x.value)
+        if w.is_zero():
+            return acc
+        n += 1
+        if n > cap:
+            raise SeriesCapExceeded(f"{what} did not terminate within {cap} brackets")
+        acc = acc + valg.project(w).scale(Fraction(1, factorial(n)))
+
+
 def twisted_projection(
     valg: VAlgebra,
     phi: LInftyElement,
     v: SuperVectorField,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> SuperVectorField:
-    """P applied to the exponential of bracketing with a degree-0 element.
-
-    Returns sum_n (1/n!) P([...[v, phi], ..., phi]); termination is detected
-    by the bracket chain reaching exact zero, guarded by the cap.
-    """
-    if phi.degree not in (0, None) and not phi.value.is_zero():
-        raise ValueError("twist element must have degree 0")
-    valg.require_abelian(phi.value)
-    P = valg.project
-    acc = P(v)
-    w = v
-    n = 0
-    while True:
-        w = super_commutator(w, phi.value)
-        if w.is_zero():
-            return acc
-        n += 1
-        if n > cap:
-            raise SeriesCapExceeded(f"twisted projection did not terminate within {cap} brackets")
-        acc = acc + P(w).scale(Fraction(1, factorial(n)))
+    """P applied to the exponential of bracketing with a degree-0 element: sum_n (1/n!) P([...[v, phi], ..., phi])."""
+    return _ad_series(valg, valg.project(v), v, phi, cap, "twisted projection")
 
 
 def mc_residual(
@@ -255,23 +259,10 @@ def mc_residual(
 ) -> LInftyElement:
     """Maurer-Cartan residual sum_k (1/k!) m_k(v, ..., v) of a degree-0 candidate.
 
-    Because delta lies in ker(P) this equals the twisted projection of delta
-    along the candidate; the two computations agree term by term.
+    This is the twisted projection of delta along the candidate; its n = 0
+    term P(delta) vanishes because delta lies in ker(P), so it is not formed.
     """
-    if candidate.degree not in (0, None) and not candidate.value.is_zero():
-        raise ValueError("Maurer-Cartan candidates must have degree 0")
-    valg.require_abelian(candidate.value)
-    acc = SuperVectorField.zero(valg.chart)
-    w = delta.delta
-    k = 0
-    while True:
-        w = super_commutator(w, candidate.value)
-        if w.is_zero():
-            break
-        k += 1
-        if k > cap:
-            raise SeriesCapExceeded(f"MC series did not terminate within {cap} brackets")
-        acc = acc + valg.project(w).scale(Fraction(1, factorial(k)))
+    acc = _ad_series(valg, SuperVectorField.zero(valg.chart), delta.delta, candidate, cap, "MC series")
     return LInftyElement(acc, acc.degree() if not acc.is_zero() else 1)
 
 

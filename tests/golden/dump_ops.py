@@ -1,0 +1,69 @@
+"""Dump exit code and ``--json`` stdout of every benchmark op of a source tree.
+
+Usage: ``python tests/golden/dump_ops.py TREE OUT.json [--seeds 1 2]``
+
+TREE is a checkout (this one, or a second copy of another commit). The script
+imports that tree's ``src/linfty`` and ``perfbench/workloads.py`` and writes
+nothing inside it. OUT.json maps ``"<seed>:<op name>"`` to ``[exit code,
+stdout]`` for every op of the ``decide``, ``chains`` and ``cohomology``
+workloads, each op run on a freshly parsed instance as ``linfty ... --json``
+would run it. Two trees print the same outputs exactly when their dumps are
+byte-identical::
+
+    python tests/golden/dump_ops.py OLD old.json
+    python tests/golden/dump_ops.py NEW new.json
+    cmp old.json new.json
+"""
+import argparse
+import json
+import sys
+from pathlib import Path
+
+WORKLOADS = ("decide", "chains", "cohomology")
+
+
+def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
+    sys.dont_write_bytecode = True  # leave the tree as it is
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from linfty import cli
+    from linfty.instances import InstanceError, parse_instance
+    from linfty.valgebra import SeriesCapExceeded
+
+    out: dict[str, list] = {}
+    for seed in seeds:
+        for name in WORKLOADS:
+            workload = getattr(workloads, name)(seed, tree)
+            for op in workload.ops:
+                key = f"{seed}:{op.name}"
+                if key in out:
+                    raise SystemExit(f"duplicate op name {key}")
+                values = dict(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+                values.update(op.args)
+                try:
+                    inst = parse_instance(workload.inputs[op.instance])
+                    report = cli.run_command(op.command, inst, argparse.Namespace(**values))
+                except (InstanceError, SeriesCapExceeded, ValueError):
+                    out[key] = [cli.EXIT_INPUT_ERROR, ""]
+                    continue
+                except Exception:
+                    out[key] = [cli.EXIT_INTERNAL_ERROR, ""]
+                    continue
+                text = json.dumps(report.to_json_obj(), sort_keys=True, indent=1) + "\n"
+                out[key] = [report.exit_code, text]
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args()
+    result = dump(args.tree.resolve(), args.seeds)
+    args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"{len(result)} ops written to {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -154,7 +154,7 @@ def test_criterion_4_mc_locus(borel):
             expected = SuperVectorField(
                 setup.chart, {((), (0, 1), 2): Fraction(a * a - 4 * b)}
             )
-            residual = subalgebroid_mc_residual(setup, xq, phi_pair(setup, a, b))
+            residual = subalgebroid_mc_residual(setup, delta, phi_pair(setup, a, b))
             ok = ok and residual.value == expected
             if report.verdict == "mc-zero":
                 zero_points.add((a, b))
@@ -172,7 +172,7 @@ def test_criterion_5_oracle_equivalence():
     while checked < 50:
         setup, xq = random_instance(rng)
         pair = random_candidate(setup, rng)
-        residual = subalgebroid_mc_residual(setup, xq, pair)
+        residual = subalgebroid_mc_residual(setup, MCDelta.of(setup.valgebra(), xq), pair)
         oracle = graph_closure_oracle(setup, pair)
         ok = ok and (residual.value.is_zero() == oracle.accepts)
         tan = tangency_oracle(setup, xq, pair)

@@ -9,6 +9,7 @@ from linfty.applications import (
     FoliationSetup,
     HomomorphismData,
     abelian,
+    block_perturbation,
     block_sum_data,
     candidate_pair,
     foliation_infinitesimal,
@@ -17,7 +18,6 @@ from linfty.applications import (
     heisenberg3,
     hom_sl2_id,
     homomorphism_deformation,
-    homomorphism_residual,
     lie_algebra_deformation,
     non_jacobi3,
     simultaneous_homomorphism,
@@ -27,7 +27,7 @@ from linfty.applications import (
 )
 from linfty.applications import LieAlgebraData
 from linfty.subalgebroid import graph_closure_oracle
-from linfty.superfield import SuperFunction, SuperVectorField, is_homological
+from linfty.superfield import SuperFunction, is_homological
 
 
 def direct_sum_algebroid(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
@@ -174,8 +174,7 @@ class TestFoliation:
 
 class TestHomomorphisms:
     def test_identity_is_homomorphism(self):
-        gs = graph_setup(hom_sl2_id())
-        assert homomorphism_residual(gs, candidate_pair(gs)).value.is_zero()
+        assert homomorphism_deformation(hom_sl2_id()).value.is_zero()
 
     def test_scaling_sl2_identity(self):
         for t, ok in ((0, True), (-1, True), (1, False), (2, False), (-2, False)):
@@ -236,23 +235,38 @@ class TestSimultaneousHomomorphism:
         v, a = simultaneous_homomorphism(h, pert, None)
         assert v.is_zero() and not a.is_zero()
 
-    def test_cross_block_candidate_rejected(self):
-        gs = graph_setup(hom_sl2_id())
-        ne = gs.setup.chart.n_even
-        mixed = SuperVectorField(
-            gs.setup.chart, {((), (0, 3), ne + 0): Fraction(1)}
-        )
+    def test_block_perturbation_checks_dimensions(self):
+        h = HomomorphismData.build(sl2().data, abelian(2).data)
+        pert = AlgebroidData.build(0, 3, {(0, 1, 0): 1})
+        assert block_perturbation(h, pert, None) == block_sum_data(pert, AlgebroidData.build(0, 2))
+        with pytest.raises(ValueError, match="target"):
+            block_perturbation(h, None, pert)
+        with pytest.raises(ValueError, match="source"):
+            block_perturbation(h, AlgebroidData.build(1, 3), None)
         with pytest.raises(ValueError):
-            simultaneous_homomorphism(hom_sl2_id(), mixed, None)
+            simultaneous_homomorphism(h, None, pert)
 
-    def test_block_purity_of_data_candidates(self):
-        # structure perturbations supplied per block always satisfy purity
-        A = abelian(2).data
-        h = HomomorphismData.build(A, A, bundle_map={(0, 0): 1, (1, 1): 1})
-        gs = graph_setup(h)
-        from linfty.applications import check_block_purity, embed_block_field
+    @pytest.mark.parametrize("blocks", [("source",), ("target",), ("source", "target")])
+    def test_matches_cli_simultaneous(self, blocks):
+        from linfty.cli import _residual_terms, run_command
+        from linfty.instances import FORMAT_VERSION, parse_instance
 
-        pert = AlgebroidData.build(0, 2, {(0, 1, 0): 1})
-        assert check_block_purity(gs, embed_block_field(gs, "source", pert), "source")
-        assert check_block_purity(gs, embed_block_field(gs, "target", pert), "target")
-        assert not check_block_purity(gs, embed_block_field(gs, "source", pert), "target")
+        one = [{"exponents": [], "numer": 1, "denom": 1}]
+        block = {"base_dim": 0, "fiber_rank": 2, "structure": [], "anchor": []}
+        pert = {"structure": [{"i": 0, "j": 1, "k": 0, "terms": one}]}
+        inst = parse_instance({
+            "format_version": FORMAT_VERSION,
+            "kind": "homomorphism",
+            "source": block,
+            "target": block,
+            "bundle_map": [{"i": 0, "j": 0, "terms": one}, {"i": 1, "j": 1, "terms": one}],
+            "base_map": [],
+            "candidate": {"sigma": [], "phi": []},
+            "candidate_xq": {which: pert for which in blocks},
+        })
+        report = run_command("simultaneous", inst)
+        payload = inst.payload["candidate_xq"]
+        v, a = simultaneous_homomorphism(inst.payload["homomorphism"], payload.get("source"), payload.get("target"))
+        assert report.residual_terms == _residual_terms(v) + _residual_terms(a)
+        assert report.details == {"structure_residual_zero": v.is_zero(), "graph_residual_zero": a.is_zero()}
+        assert a.is_zero() == (len(blocks) == 2)

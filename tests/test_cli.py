@@ -26,6 +26,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def record_commutators(monkeypatch) -> list:
+    """Route every linfty binding of ``super_commutator`` through a wrapper; returns its (X, Y) log."""
+    import sys
+
+    from linfty import superfield
+
+    original = superfield.super_commutator
+    calls = []
+
+    def counting(X, Y):
+        calls.append((X, Y))
+        return original(X, Y)
+
+    for name, module in list(sys.modules.items()):
+        if name == "linfty" or name.startswith("linfty."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestParsing:
     def test_bundled_sl2_round_trips(self, tmp_path):
         inst = parse_instance(fixture_path("sl2"))
@@ -267,43 +288,41 @@ class TestCommands:
         import linfty.cli as cli
         from linfty.algebroid import AlgebroidReport
 
-        def stub(data, chart=None):  # a report whose two routes disagree
-            report = AlgebroidReport(homological=homological)
-            if not classical:
-                report.jacobi_defects[(0, 1, 2, 0)] = "1"
-            return report
-
-        monkeypatch.setattr(cli, "validate_algebroid", stub)
+        # the two routes disagree on the summed structure; only the classical one may reach the oracle
+        monkeypatch.setattr(cli, "classically_valid", lambda data, chart=None: classical)
+        monkeypatch.setattr(cli, "validate_algebroid", lambda data, chart=None: AlgebroidReport(homological))
         code, out, _ = run_cli(capsys, "simultaneous", "sl2-borel", "--json")
         payload = json.loads(out)
-        assert payload["verdict"] == "mc-zero"  # the residual route never reads the report
+        assert payload["verdict"] == "mc-zero"  # the residual route reads neither verdict
         assert payload["oracle_agreement"] is classical
         assert code == (0 if classical else 3)
 
     def test_homomorphism_fields_are_squared_once(self, capsys, monkeypatch):
-        import sys
-
-        from linfty import superfield
-
-        original = superfield.super_commutator
-        squares = []
-
-        def counting(X, Y):
-            if X is Y:
-                squares.append(X)
-            return original(X, Y)
-
-        for name, module in list(sys.modules.items()):
-            if name == "linfty" or name.startswith("linfty."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+        calls = record_commutators(monkeypatch)
         code, _, _ = run_cli(capsys, "subalg-check", "hom-sl2-id", "--json")
         assert code == 0
         # the source and the target structure fields, then their direct sum once for
         # both the homomorphism check and the candidate's residual
+        squares = [X for X, Y in calls if X is Y]
         assert len(squares) == 3
         assert len({id(X) for X in squares}) == 3
+
+    @pytest.mark.parametrize(
+        "command,preset,count",
+        [
+            # one MC series, shared with the tangency oracle: 3 squares + 3 brackets (was 9)
+            ("oracle-compare", "hom-sl2-id", 6),
+            # the square of the structure field and one bracket with the zero candidate (was 3)
+            ("oracle-compare", "sl2-borel", 2),
+            # the summed structure is checked classically only, with no square (was 12)
+            ("simultaneous", "hom-sl2-id", 11),
+        ],
+    )
+    def test_commutator_counts(self, capsys, monkeypatch, command, preset, count):
+        calls = record_commutators(monkeypatch)
+        code, _, _ = run_cli(capsys, command, preset, "--json")
+        assert code == 0
+        assert len(calls) == count
 
     def test_cohomology_sl2(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "sl2", "--json")
@@ -417,12 +436,28 @@ class TestCommands:
             (["cohomology", "sl2-borel", "--phi", "1", "1"], "--phi"),
             (["subalg-check", "hom-sl2-id", "--phi", "1"], "--phi"),
             (["oracle-compare", "sl2", "--phi"], "--phi"),
+            # so are the count flags: --probes/--seed outside axioms, --truncate outside
+            # cohomology, --cap where no bracket series runs
+            (["validate", "sl2", "--probes", "5"], "--probes"),
+            (["mc-check", "sl2-borel", "--seed", "7"], "--seed"),
+            (["brackets", "sl2-borel", "--truncate", "3"], "--truncate"),
+            (["cohomology", "sl2", "--cap", "5"], "--cap"),
+            (["validate", "sl2-borel", "--cap", "3"], "--cap"),
+            (["mc-check", "sl2", "--cap", "3"], "--cap"),
+            (["oracle-compare", "abelian-3", "--cap", "3"], "--cap"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):
         code, out, err = run_cli(capsys, *argv, "--json")
         assert (code, out) == (2, "")
         assert option in err
+
+    @pytest.mark.parametrize("command", ["validate", "mc-check", "subalg-check", "oracle-compare", "simultaneous"])
+    def test_cap_is_read_where_a_series_runs(self, capsys, command):
+        # the series of hom-sl2-id needs two brackets
+        code, out, err = run_cli(capsys, command, "hom-sl2-id", "--cap", "1", "--json")
+        assert (code, out) == (2, "")
+        assert "series cap exceeded" in err
 
     @pytest.mark.parametrize(
         "name",

@@ -41,6 +41,10 @@ def borel():
     return setup, build_xq(SL2, setup.chart)
 
 
+def checked(setup, xq):
+    return MCDelta.of(setup.valgebra(), xq)
+
+
 def phi_pair(setup, a, b):
     return DeformationPair.build(setup, phi={(0, 2): Fraction(a), (1, 2): Fraction(b)})
 
@@ -153,13 +157,13 @@ class TestTangencyOracle:
 class TestMCResidual:
     def test_zero_candidate(self, borel):
         setup, xq = borel
-        assert subalgebroid_mc_residual(setup, xq, DeformationPair.zero()).value.is_zero()
+        assert subalgebroid_mc_residual(setup, checked(setup, xq), DeformationPair.zero()).value.is_zero()
 
     def test_borel_locus_and_defect(self, borel):
         setup, xq = borel
         for a in range(-2, 3):
             for b in range(-2, 3):
-                res = subalgebroid_mc_residual(setup, xq, phi_pair(setup, a, b))
+                res = subalgebroid_mc_residual(setup, checked(setup, xq), phi_pair(setup, a, b))
                 expected = SuperVectorField(
                     setup.chart, {((), (0, 1), 2): Fraction(a * a - 4 * b)}
                 )
@@ -171,13 +175,13 @@ class TestMCResidual:
         xq = build_xq(data, setup.chart)
         for c in (-1, 0, 2):
             pair = DeformationPair.build(setup, sigma={0: c})
-            assert subalgebroid_mc_residual(setup, xq, pair).value.is_zero()
+            assert subalgebroid_mc_residual(setup, checked(setup, xq), pair).value.is_zero()
             assert graph_closure_oracle(setup, pair).accepts
 
     def test_matches_series_of_tangency_oracle(self, borel):
         setup, xq = borel
         pair = phi_pair(setup, 1, -1)
-        res = subalgebroid_mc_residual(setup, xq, pair)
+        res = subalgebroid_mc_residual(setup, checked(setup, xq), pair)
         tan = tangency_oracle(setup, xq, pair)
         assert res.value == tan.series == tan.substitution
 
@@ -199,7 +203,7 @@ class TestGraphClosureOracle:
         rep = graph_closure_oracle(setup, pair)
         assert rep.anchor_defects and not rep.accepts
         xq = build_xq(data, setup.chart)
-        assert not subalgebroid_mc_residual(setup, xq, pair).value.is_zero()
+        assert not subalgebroid_mc_residual(setup, checked(setup, xq), pair).value.is_zero()
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = random.Random(2024)
@@ -207,7 +211,7 @@ class TestGraphClosureOracle:
         for _ in range(25):
             setup, xq = random_instance(rng)
             for pair in (DeformationPair.zero(), random_candidate(setup, rng)):
-                res = subalgebroid_mc_residual(setup, xq, pair)
+                res = subalgebroid_mc_residual(setup, checked(setup, xq), pair)
                 rep = graph_closure_oracle(setup, pair)
                 assert res.value.is_zero() == rep.accepts
                 if rep.accepts:
@@ -323,7 +327,7 @@ class TestSimultaneous:
     def test_zero_candidates(self, borel):
         setup, xq = borel
         v, a = simultaneous_residual(
-            setup, xq, DeformationPair.zero(), SuperVectorField.zero(setup.chart),
+            setup, checked(setup, xq), DeformationPair.zero(), SuperVectorField.zero(setup.chart),
             DeformationPair.zero(),
         )
         assert v.is_zero() and a.is_zero()
@@ -332,7 +336,7 @@ class TestSimultaneous:
         setup, xq = borel
         for eps in (1, -1, 3):
             v, a = simultaneous_residual(
-                setup, xq, DeformationPair.zero(), xq.scale(eps), DeformationPair.zero()
+                setup, checked(setup, xq), DeformationPair.zero(), xq.scale(eps), DeformationPair.zero()
             )
             assert v.is_zero() and a.is_zero()
 
@@ -342,7 +346,7 @@ class TestSimultaneous:
         xq = build_xq(data, setup.chart)
         cand = build_xq(AlgebroidData.build(0, 2, structure={(0, 1, 0): 1}), setup.chart)
         v, a = simultaneous_residual(
-            setup, xq, DeformationPair.zero(), cand, DeformationPair.zero()
+            setup, checked(setup, xq), DeformationPair.zero(), cand, DeformationPair.zero()
         )
         assert v.is_zero() and a.is_zero()
 
@@ -362,7 +366,7 @@ class TestSimultaneous:
                 continue
             cand_def = phi_pair(setup, rng.randint(-2, 2), rng.randint(-2, 2))
             v, a = simultaneous_residual(
-                setup, xq, DeformationPair.zero(), cand_xq, cand_def
+                setup, checked(setup, xq), DeformationPair.zero(), cand_xq, cand_def
             )
             # first component: the structure deformation residual
             from linfty.algebroid import deformation_residual
@@ -370,14 +374,14 @@ class TestSimultaneous:
             assert v == deformation_residual(xq, cand_xq)
             # second: when the sum is a structure, the plain residual of the sum
             if v.is_zero():
-                direct = subalgebroid_mc_residual(setup, xq + cand_xq, cand_def)
+                direct = subalgebroid_mc_residual(setup, checked(setup, xq + cand_xq), cand_def)
                 assert a == direct.value
 
     def test_base_must_be_mc(self, borel):
         setup, xq = borel
         with pytest.raises(ValueError):
             simultaneous_residual(
-                setup, xq, phi_pair(setup, 1, 1), SuperVectorField.zero(setup.chart),
+                setup, checked(setup, xq), phi_pair(setup, 1, 1), SuperVectorField.zero(setup.chart),
                 DeformationPair.zero(),
             )
 
@@ -386,7 +390,7 @@ class TestSimultaneous:
         bad = SuperVectorField(setup.chart, {((), (0, 1), 2): Fraction(1)})
         with pytest.raises(ValueError):
             simultaneous_residual(
-                setup, xq, DeformationPair.zero(), bad, DeformationPair.zero()
+                setup, checked(setup, xq), DeformationPair.zero(), bad, DeformationPair.zero()
             )
 
     def test_twisted_base_point(self, borel):
@@ -396,7 +400,7 @@ class TestSimultaneous:
         for a in range(-2, 3):
             for b in range(-2, 3):
                 v, ares = simultaneous_residual(
-                    setup, xq, base, SuperVectorField.zero(setup.chart), phi_pair(setup, a, b)
+                    setup, checked(setup, xq), base, SuperVectorField.zero(setup.chart), phi_pair(setup, a, b)
                 )
                 assert v.is_zero()
                 assert ares.is_zero() == ((2 + a) ** 2 == 4 * (1 + b))

@@ -26,11 +26,14 @@ flags = dict(cap=None, truncate=None, seed=None, phi=None, degree=None)
 codes = [
     cli.run_command("axioms", inst, argparse.Namespace(probes=2, **flags)).exit_code,
     cli.run_command("brackets", inst, argparse.Namespace(probes=None, **flags)).exit_code,
+    cli.run_command("oracle-compare", inst).exit_code,
+    cli.run_command("subalg-check", parse_instance(fixture_path("hom-sl2-id"))).exit_code,
 ]
 print(json.dumps({
     "codes": codes,
     "yielded": tracer.counts["signs.shuffles.yielded"],
     "explicit_calls": tracer.calls["subalgebroid.explicit_maps"],
+    "mc_residual_calls": tracer.calls["subalgebroid.mc_residual"],
 }))
 """
 
@@ -43,6 +46,7 @@ def test_tracer_installs_and_counts():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["yielded"] > 0
     assert result["explicit_calls"] > 0
+    assert result["mc_residual_calls"] > 0  # the residual the CLI computes is the traced one
