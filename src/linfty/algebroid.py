@@ -167,10 +167,13 @@ def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> Super
 # ---------------------------------------------------------------------
 @dataclass
 class AlgebroidReport:
+    """Both routes' verdicts, with the structure field the homological one squared."""
+
     homological: bool
     square_terms: list[str] = field(default_factory=list)
     anchor_defects: dict[tuple[int, int, int], str] = field(default_factory=dict)
     jacobi_defects: dict[tuple[int, int, int, int], str] = field(default_factory=dict)
+    xq: SuperVectorField | None = None
 
     @property
     def ok(self) -> bool:
@@ -188,7 +191,7 @@ def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None
     square = super_commutator(xq, xq)
     degree = xq.degree()  # is_homological's rules, reusing the square
     homological = xq.is_zero() or (degree is not None and degree % 2 == 1 and square.is_zero())
-    report = AlgebroidReport(homological=homological)
+    report = AlgebroidReport(homological=homological, xq=xq)
     if not square.is_zero():
         for key, c in sorted(square.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])):
             single = SuperVectorField(chart, {key: c})
@@ -237,19 +240,39 @@ class SectionCalculus:
         return out
 
     def bracket(self, u: Section, v: Section) -> Section:
-        """[u, v]^c = u^a v^b C^c_ab + u^a rho_a(v^c) - v^b rho_b(u^c)."""
+        """[u, v]^c = u^a v^b C^c_ab + u^a rho_a(v^c) - v^b rho_b(u^c).
+
+        u^a v^b is formed once per frame pair with structure functions, and
+        frame elements without an anchor skip the anchor terms.
+        """
         out: Section = {}
         for a, ua in u.items():
             for b, vb in v.items():
-                for c, cf in self.structure.get((a, b), {}).items():
-                    add_into(out, c, ua * vb * cf)
+                cab = self.structure.get((a, b))
+                if cab is None:
+                    continue
+                uv = ua * vb
+                for c, cf in cab.items():
+                    add_into(out, c, _times(uv, cf))
+        anchor = self.anchor
         for a, ua in u.items():
-            for c, vc in v.items():
-                add_into(out, c, ua * self.anchor_apply(a, vc))
+            if a in anchor:
+                for c, vc in v.items():
+                    add_into(out, c, ua * self.anchor_apply(a, vc))
         for b, vb in v.items():
-            for c, uc in u.items():
-                add_into(out, c, -(vb * self.anchor_apply(b, uc)))
+            if b in anchor:
+                for c, uc in u.items():
+                    add_into(out, c, -(vb * self.anchor_apply(b, uc)))
         return out
+
+
+def _times(f: SuperFunction, g: SuperFunction) -> SuperFunction:
+    """f * g, as a scaling of f when g is a constant."""
+    if len(g.terms) == 1:
+        ((even, odd), c), = g.terms.items()
+        if not odd and not any(even):
+            return f.scale(c)
+    return f * g
 
 
 def classical_anchor_defects(

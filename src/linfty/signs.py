@@ -12,6 +12,7 @@ import itertools
 from typing import Iterator, Sequence
 
 DegreeVector = Sequence[int]
+Shuffle = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 def koszul_sign(order: Sequence[int], degs: DegreeVector) -> int:
@@ -26,7 +27,7 @@ def koszul_sign(order: Sequence[int], degs: DegreeVector) -> int:
     return -1 if inversions % 2 else 1
 
 
-def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[Shuffle]:
     """Every shuffle of a word into consecutive blocks of the given sizes.
 
     Yields ``(sign, blocks)``: each block is an increasing tuple of positions,
@@ -51,3 +52,22 @@ def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[tuple[in
 
     for passed, blocks in rec(tuple(range(len(degs))), tuple(sizes)):
         yield (-1 if passed % 2 else 1), blocks
+
+
+def shuffle_table(
+    tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Shuffle, ...]],
+    sizes: Sequence[int],
+    degs: DegreeVector,
+) -> tuple[Shuffle, ...]:
+    """All of ``iter_shuffles(sizes, degs)``, read once per (sizes, degree parities) into ``tables``.
+
+    The caller owns ``tables`` and keeps it for as long as it reuses the
+    shuffles (one command); the sign depends on the degrees only through
+    their parities.
+    """
+    parities = tuple(d % 2 for d in degs)
+    key = (tuple(sizes), parities)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = tuple(iter_shuffles(sizes, parities))
+    return table

@@ -31,7 +31,7 @@ from .algebroid import (
     merge_polys,
     structure_residual,
 )
-from .signs import iter_shuffles
+from .signs import shuffle_table
 from .superfield import (
     ChartMismatchError,
     CoordinateChart,
@@ -264,7 +264,7 @@ class TangencyResult:
 
 def tangency_oracle(
     setup: SplitSetup,
-    z: SuperVectorField,
+    z: SuperVectorField | MCDelta,
     gamma: DeformationPair,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> TangencyResult:
@@ -272,13 +272,20 @@ def tangency_oracle(
 
     The series route sums (1/n!) P(ad^n by minus the encoded section) of z;
     the substitution route applies z to each graph-defining function and
-    restricts to the graph.  Exact agreement is part of the contract.
+    restricts to the graph.  Exact agreement is part of the contract.  A
+    checked structure field ``MCDelta`` is known to satisfy P(z) = 0, so
+    neither the precondition nor the series' n = 0 term projects it again:
+    its series is the MC residual of the candidate.
     """
-    if not setup.project(z).is_zero():
-        raise ValueError("field is not tangent to the zero section")
     valg = setup.valgebra()
-    enc = encode_deformation(setup, gamma)
-    series = twisted_projection(valg, LInftyElement(-enc.value, 0), z, cap=cap)
+    candidate = LInftyElement(-encode_deformation(setup, gamma).value, 0)
+    if isinstance(z, MCDelta):
+        series = mc_residual(valg, z, candidate, cap=cap).value
+        z = z.delta
+    elif not setup.project(z).is_zero():
+        raise ValueError("field is not tangent to the zero section")
+    else:
+        series = twisted_projection(valg, candidate, z, cap=cap)
 
     chart = setup.chart
     ne = chart.n_even
@@ -447,7 +454,11 @@ def _m3_signs(k: int, l: int, m: int) -> tuple[int, int, int]:
 
 
 def explicit_structure_maps(
-    setup: SplitSetup, k: int, args: Sequence[FrameForm], calculus: SectionCalculus | None = None
+    setup: SplitSetup,
+    k: int,
+    args: Sequence[FrameForm],
+    calculus: SectionCalculus | None = None,
+    shuffles: dict | None = None,
 ) -> FrameForm:
     """Shuffle-sum formulas for the arity-1..3 maps of the fixed-base case.
 
@@ -458,8 +469,9 @@ def explicit_structure_maps(
     argument forms or the sub-frame itself.  Must agree with the
     nested-bracket route under the encoding; arities four and up vanish in
     this setting.  ``calculus`` is the section calculus of ``setup.data`` on
-    ``setup.chart``; a caller that evaluates many maps passes it to build
-    it once.
+    ``setup.chart`` and ``shuffles`` a dict of signed shuffle tables (see
+    ``signs.shuffle_table``); a caller that evaluates many maps passes both
+    to build each once.
     """
     if setup.normal_rank != 0:
         raise ValueError("explicit maps require the fixed-base setup (no normal coordinates)")
@@ -472,6 +484,7 @@ def explicit_structure_maps(
         return FrameForm.build(setup, 0, {})
     chart = setup.chart
     bracket = (calculus or SectionCalculus.of(setup.data, chart)).bracket
+    shuffles = {} if shuffles is None else shuffles
     one = SuperFunction.constant(chart, 1)
     # the sub-frame as a 1-form (values in the sub-frame, so not through ``build``)
     frame = FrameForm(setup, 1, {((i,), i): one for i in setup.sub_indices})
@@ -499,7 +512,7 @@ def explicit_structure_maps(
             if h and h[0].degree < 1:
                 continue
             sizes = (f.degree, g.degree, n_out - f.degree - g.degree)
-            for sign, (a, b, rest) in iter_shuffles(sizes, odd):
+            for sign, (a, b, rest) in shuffle_table(shuffles, sizes, odd):
                 br = bracket(f.at([idx[p] for p in a]), g.at([idx[p] for p in b]))
                 if h:
                     section = h[0].contract(br, [idx[p] for p in rest])

@@ -16,10 +16,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .signs import iter_shuffles, koszul_sign
+from .signs import koszul_sign, shuffle_table
 from .superfield import (
     CoordinateChart,
     SuperVectorField,
+    _merge_into,
     super_commutator,
 )
 
@@ -177,10 +178,8 @@ class DerivedBrackets:
         self._chains: dict[tuple[int, ...], SuperVectorField] = {(): delta.delta}
         self._brackets: dict[tuple[tuple[int, int | None], ...], LInftyElement] = {}
 
-    def _checked_id(self, v: SuperVectorField) -> int:
-        held = self._by_object.get(id(v))
-        if held is not None:
-            return held[1]
+    def _new_object(self, v: SuperVectorField) -> int:
+        """Number an argument object met for the first time; a value never seen is checked first."""
         ident = self._ids.get(v)
         if ident is None:
             self.valg.require_abelian(v)
@@ -191,8 +190,16 @@ class DerivedBrackets:
     def __call__(self, args: Sequence[LInftyElement]) -> LInftyElement:
         if not args:
             raise ValueError("arity must be at least 1")
-        ids = tuple(self._checked_id(a.value) for a in args)
-        key = tuple(zip(ids, (a.degree for a in args)))
+        by_object = self._by_object
+        ids = []
+        key = []
+        for a in args:
+            v = a.value
+            held = by_object.get(id(v))
+            ident = held[1] if held is not None else self._new_object(v)
+            ids.append(ident)
+            key.append((ident, a.degree))
+        ids, key = tuple(ids), tuple(key)
         hit = self._brackets.get(key)
         if hit is not None:
             return hit
@@ -374,18 +381,26 @@ BracketProvider = Callable[[Sequence[LInftyElement]], LInftyElement]
 
 
 def generalized_jacobi(
-    m: BracketProvider, elements: Sequence[LInftyElement], chart: CoordinateChart
+    m: BracketProvider,
+    elements: Sequence[LInftyElement],
+    chart: CoordinateChart,
+    shuffles: dict | None = None,
 ) -> SuperVectorField:
-    """Evaluate the arity-n coherence sum of a flat structure on a probe word."""
+    """Evaluate the arity-n coherence sum of a flat structure on a probe word.
+
+    ``shuffles`` holds the signed shuffle tables (see ``signs.shuffle_table``);
+    a caller checking many words passes one dict to read each table once.
+    """
     n = len(elements)
     degs = tuple(e.degree if e.degree is not None else 0 for e in elements)
-    total = SuperVectorField.zero(chart)
+    shuffles = {} if shuffles is None else shuffles
+    total: dict = {}
     for j in range(1, n + 1):
-        for sign, (first, rest) in iter_shuffles((j, n - j), degs):
+        for sign, (first, rest) in shuffle_table(shuffles, (j, n - j), degs):
             inner = m([elements[p] for p in first])
-            outer = m([inner] + [elements[p] for p in rest])
-            total = total + outer.value.scale(sign)
-    return total
+            terms = m([inner] + [elements[p] for p in rest]).value.terms
+            _merge_into(total, terms if sign == 1 else {k: -c for k, c in terms.items()})
+    return SuperVectorField._of(chart, total)
 
 
 def check_linfty_axioms(
@@ -394,12 +409,16 @@ def check_linfty_axioms(
     max_arity: int,
     probes: Sequence[Sequence[LInftyElement]],
 ) -> AxiomReport:
-    """Exact generalized-Jacobi check on each probe tuple of arity <= max_arity."""
+    """Exact generalized-Jacobi check on each probe tuple of arity <= max_arity.
+
+    The probes share one set of shuffle tables, which lives as long as the call.
+    """
     report = AxiomReport()
+    shuffles: dict = {}
     for probe in probes:
         if len(probe) > max_arity:
             continue
-        residue = generalized_jacobi(m, probe, chart)
+        residue = generalized_jacobi(m, probe, chart, shuffles)
         report.checked += 1
         if not residue.is_zero():
             report.failures.append(

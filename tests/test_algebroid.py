@@ -610,6 +610,39 @@ class TestClassicalRouteAgainstReference:
                 u, v = section(), section()
                 assert calc.bracket(u, v) == reference_section_bracket(data, chart, u, v)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(SL2, id="anchor-free"),
+            pytest.param(tangent_rn(2), id="anchored"),
+            # frame 0 anchored, frames 1 and 2 not; constant and polynomial structure functions
+            pytest.param(
+                AlgebroidData.build(
+                    2, 3, structure={(0, 1, 2): {(1, 0): 1}, (0, 2, 1): 2, (1, 2, 0): -1},
+                    anchor={(0, 0): {(0, 1): 1}, (0, 1): 3},
+                ),
+                id="partly-anchored",
+            ),
+        ],
+    )
+    def test_section_bracket_matches_on_constant_and_polynomial_sections(self, data):
+        chart = data.plain_chart()
+        calc = SectionCalculus.of(data, chart)
+        rng = random.Random(25)
+        frames = range(data.fiber_rank)
+        sections = [{a: SuperFunction.constant(chart, a + 1)} for a in frames]
+        sections.append({a: SuperFunction.constant(chart, rng.randint(-2, 2) or 1) for a in frames})
+        sections += [
+            {a: _ref_fn(chart, _rand_poly(rng, chart.n_even)) for a in rng.sample(frames, rng.randint(1, len(frames)))}
+            for _ in range(4)
+        ]
+        nonzero = 0
+        for u, v in itertools.product(sections, repeat=2):
+            expected = reference_section_bracket(data, chart, u, v)
+            assert calc.bracket(u, v) == expected
+            nonzero += bool(expected)
+        assert nonzero
+
     def test_tangent_bracket_is_vector_field_bracket(self):
         rng = random.Random(23)
         for n in (1, 2, 3):

@@ -26,24 +26,43 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def record_commutators(monkeypatch) -> list:
-    """Route every linfty binding of ``super_commutator`` through a wrapper; returns its (X, Y) log."""
+def record_calls(monkeypatch, original) -> list:
+    """Route every linfty binding of the function ``original`` through a wrapper; returns its argument log."""
     import sys
 
-    from linfty import superfield
-
-    original = superfield.super_commutator
     calls = []
 
-    def counting(X, Y):
-        calls.append((X, Y))
-        return original(X, Y)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "linfty" or name.startswith("linfty."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def record_commutators(monkeypatch) -> list:
+    """The (X, Y) log of every ``super_commutator`` call."""
+    from linfty import superfield
+
+    return record_calls(monkeypatch, superfield.super_commutator)
+
+
+def record_projections(monkeypatch) -> list:
+    """The fields every ``SplitSetup.project`` call projects."""
+    from linfty.subalgebroid import SplitSetup
+
+    original = SplitSetup.project
+    calls = []
+
+    def counting(setup, v):
+        calls.append(v)
+        return original(setup, v)
+
+    monkeypatch.setattr(SplitSetup, "project", counting)
     return calls
 
 
@@ -324,6 +343,31 @@ class TestCommands:
         assert code == 0
         assert len(calls) == count
 
+    def test_validate_builds_the_structure_field_once(self, capsys, monkeypatch):
+        from linfty import algebroid
+
+        calls = record_calls(monkeypatch, algebroid.build_xq)
+        code, _, _ = run_cli(capsys, "validate", "sl2-borel", "--json")
+        assert code == 0
+        assert len(calls) == 1  # was 2: one for validate_algebroid, one for the P(X) check
+
+    @pytest.mark.parametrize(
+        "preset,count",
+        [
+            # P(delta) in MCDelta.of and P of the candidate (was 4: delta again in the
+            # tangency precondition and as the series' n = 0 term)
+            ("sl2-borel", 2),
+            # the same, plus the two series terms (was 6)
+            ("hom-sl2-id", 4),
+        ],
+    )
+    def test_oracle_compare_projects_delta_once(self, capsys, monkeypatch, preset, count):
+        calls = record_projections(monkeypatch)
+        code, _, _ = run_cli(capsys, "oracle-compare", preset, "--json")
+        assert code == 0
+        assert len(calls) == count
+        assert len(set(calls)) == count  # no field projected twice
+
     def test_cohomology_sl2(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "sl2", "--json")
         assert code == 0
@@ -394,8 +438,8 @@ class TestCommands:
 
         explicit = cli.explicit_structure_maps
 
-        def negated(setup, k, args, calculus=None):
-            form = explicit(setup, k, args, calculus)
+        def negated(setup, k, args, *rest):
+            form = explicit(setup, k, args, *rest)
             return FrameForm.build(setup, form.degree, {key: -v for key, v in form.values.items()})
 
         monkeypatch.setattr(cli, "explicit_structure_maps", negated)
@@ -409,6 +453,41 @@ class TestCommands:
         assert witness["combination"] == first
         assert witness["derived"] == table[first]
         assert witness["explicit"] != witness["derived"]
+
+    @pytest.mark.parametrize("preset,count", [("sl2-borel", 34), ("hom-sl2-id", 2924)])
+    def test_brackets_evaluates_explicit_maps_once_per_multiset(self, capsys, monkeypatch, preset, count):
+        from math import comb
+
+        from linfty import subalgebroid
+
+        calls = record_calls(monkeypatch, subalgebroid.explicit_structure_maps)
+        code, out, _ = run_cli(capsys, "brackets", preset, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["oracle_agreement"] is True
+        n = payload["details"]["basis_size"]
+        # multisets of arity 1, 2, 3 from n basis elements
+        assert len(calls) == count == sum(comb(n + k - 1, k) for k in (1, 2, 3))
+
+    def test_wrong_multiset_value_is_caught_at_its_sorted_combination(self, capsys, monkeypatch):
+        import linfty.cli as cli
+        from linfty.subalgebroid import FrameForm
+
+        explicit = cli.explicit_structure_maps
+
+        def wrong_on_distinct_pairs(setup, k, args, *rest):
+            form = explicit(setup, k, args, *rest)
+            if k != 2 or args[0] == args[1]:
+                return form
+            return FrameForm.build(setup, form.degree, {key: -v for key, v in form.values.items()})
+
+        monkeypatch.setattr(cli, "explicit_structure_maps", wrong_on_distinct_pairs)
+        code, out, _ = run_cli(capsys, "brackets", "sl2-borel", "--json")
+        payload = json.loads(out)
+        assert code == 3 and payload["oracle_agreement"] is False
+        table = payload["details"]["nonzero_brackets"]
+        first = min(c for name in table if name.startswith("m2") and (c := json.loads(name[2:]))[0] != c[1])
+        assert first == sorted(first) and f"m2{first[::-1]}" in table  # its other order is nonzero too
+        assert payload["details"]["first_disagreement"]["combination"] == f"m2{first}"
 
     @pytest.mark.parametrize(
         "argv,option",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from instance_gen import random_candidate, random_fixed_base_instance, random_instance
-from linfty.algebroid import AlgebroidData, build_xq
+from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq
 from linfty.applications import block_sum_data, graph_setup
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
@@ -277,12 +277,14 @@ class TestExplicitStructureMaps:
         bracket = DerivedBrackets(valg, MCDelta.of(valg, xq))
         forms = self.frame_forms(setup)
         encoded = [encode_form(f) for f in forms]
-        # arity 3 on 24 forms (hom-sl2-id, the sl2 + sl2 split) would be 13,824 combinations
-        for arity in (1, 2, 3) if len(forms) <= 16 else (1, 2):
+        calculus, shuffles = SectionCalculus.of(data, setup.chart), {}
+        # every ordering, not one per multiset: this backs the shortcut of the brackets command
+        # (13,824 arity-3 combinations on the 24 forms of hom-sl2-id)
+        for arity in (1, 2, 3):
             for combo in itertools.product(range(len(forms)), repeat=arity):
                 derived = bracket([encoded[i] for i in combo])
-                explicit = encode_form(explicit_structure_maps(setup, arity, [forms[i] for i in combo]))
-                assert derived.value == explicit.value
+                explicit = explicit_structure_maps(setup, arity, [forms[i] for i in combo], calculus, shuffles)
+                assert derived.value == encode_form(explicit).value
 
     @pytest.mark.parametrize(
         "data,sub_rank", [(SL2, 2), (AlgebroidData.build(0, 3), 2)]

@@ -6,7 +6,7 @@ import pytest
 
 from linfty.algebroid import AlgebroidData, build_xq
 from linfty.instances import fixture_path, parse_instance
-from linfty.signs import koszul_sign
+from linfty.signs import iter_shuffles, koszul_sign
 from linfty.subalgebroid import DeformationPair, SplitSetup, encode_deformation
 from linfty.superfield import SuperVectorField, super_commutator
 from linfty.valgebra import (
@@ -21,6 +21,7 @@ from linfty.valgebra import (
     check_v_algebra,
     derived_bracket,
     extended_bracket,
+    generalized_jacobi,
     mc_residual,
     twisted_projection,
 )
@@ -477,3 +478,40 @@ class TestTwisting:
                 )
                 assert twisted == summed.value
                 assert twisted.is_zero() == ((2 + a) ** 2 == 4 * (1 + b))
+
+
+def reference_generalized_jacobi(m, elements, chart):
+    """The coherence sum as a sum of scaled fields, one new field per shuffle."""
+    n = len(elements)
+    degs = tuple(e.degree if e.degree is not None else 0 for e in elements)
+    total = SuperVectorField.zero(chart)
+    for j in range(1, n + 1):
+        for sign, (first, rest) in iter_shuffles((j, n - j), degs):
+            inner = m([elements[p] for p in first])
+            outer = m([inner] + [elements[p] for p in rest])
+            total = total + outer.value.scale(sign)
+    return total
+
+
+class TestGeneralizedJacobiAgainstReference:
+    @pytest.mark.parametrize(
+        "data,sub_rank", [(SL2, 2), (SL2_EHF, 1), (NON_JACOBI, 1)]
+    )
+    def test_in_place_sum_matches_field_sum(self, data, sub_rank):
+        setup = SplitSetup.build(data, 0, 0, sub_rank)
+        valg = setup.valgebra()
+        # unchecked, so the non-Jacobi structure gives nonzero sums to compare
+        engine = DerivedBrackets(valg, MCDelta(build_xq(data, setup.chart)))
+        basis = summand_basis(setup, valg)
+        odd = [b for b in basis if b.degree % 2]
+        rng = random.Random(4)
+        probes = [tuple(rng.choice(basis) for _ in range(n)) for n in (1, 2, 3, 4) for _ in range(15)]
+        probes += [tuple(rng.choice(odd) for _ in range(n)) for n in (2, 3, 4) for _ in range(10)]
+        shuffles = {}
+        nonzero = 0
+        for probe in probes:
+            expected = reference_generalized_jacobi(engine, probe, setup.chart)
+            assert generalized_jacobi(engine, probe, setup.chart) == expected
+            assert generalized_jacobi(engine, probe, setup.chart, shuffles) == expected
+            nonzero += not expected.is_zero()
+        assert (nonzero > 0) == (data is NON_JACOBI)
