@@ -23,21 +23,23 @@ from .superfield import (
     PLAIN,
     SUB_FRAME,
     COMPLEMENT_FRAME,
+    Coefficient,
     CoordinateChart,
     SuperFunction,
     SuperVectorField,
+    _coefficient,
     is_homological,
     render_field,
     render_function,
     super_commutator,
 )
 
-PolyDict = dict[tuple[int, ...], Fraction]
+PolyDict = dict[tuple[int, ...], Coefficient]
 
 
 def _as_poly(value, base_dim: int) -> PolyDict:
     if isinstance(value, (int, Fraction)):
-        c = Fraction(value)
+        c = _coefficient(value)
         return {} if c == 0 else {(0,) * base_dim: c}
     out: PolyDict = {}
     for exps, c in dict(value).items():
@@ -46,10 +48,10 @@ def _as_poly(value, base_dim: int) -> PolyDict:
             raise ValueError(f"exponent tuple {exps} has wrong length (need {base_dim})")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
-        c = Fraction(c)
+        c = _coefficient(c)
         if c != 0:
-            out[exps] = out.get(exps, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
+            out[exps] = out.get(exps, 0) + c
+    return {k: _coefficient(v) for k, v in out.items() if v != 0}
 
 
 def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
@@ -58,8 +60,12 @@ def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
     for key, poly in entries:
         merged = out.setdefault(key, {})
         for e, c in poly.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-    return {key: nonzero for key, poly in out.items() if (nonzero := {e: c for e, c in poly.items() if c})}
+            merged[e] = merged.get(e, 0) + c
+    return {
+        key: nonzero
+        for key, poly in out.items()
+        if (nonzero := {e: _coefficient(c) for e, c in poly.items() if c})
+    }
 
 
 def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
@@ -150,15 +156,15 @@ def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> Super
     """Degree-1 field (1/2) C^k_ij xi^i xi^j d/dxi^k - b^t_i xi^i d/dx^t."""
     chart = chart or data.plain_chart()
     ne = chart.n_even
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Coefficient] = {}
     for (i, j, k), poly in data.structure.items():
         for exps, c in poly.items():
             key = (exps, (i, j), ne + k)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     for (i, t), poly in data.anchor.items():
         for exps, c in poly.items():
             key = (exps, (i,), t)
-            terms[key] = terms.get(key, Fraction(0)) - c
+            terms[key] = terms.get(key, 0) - c
     return SuperVectorField(chart, terms)
 
 
@@ -416,7 +422,7 @@ def form_to_superfunction(form: CEForm) -> SuperFunction:
     sign = -1 if form.degree % 2 else 1
     total = SuperFunction.zero(chart)
     for idx, val in form.values.items():
-        mono = SuperFunction(chart, {((0,) * ne, idx): Fraction(sign)})
+        mono = SuperFunction(chart, {((0,) * ne, idx): sign})
         total = total + mono * val
     return total
 
@@ -475,15 +481,15 @@ class Derivation:
 def derivation_to_field(chart: CoordinateChart, d: Derivation) -> SuperVectorField:
     """Body tensor to odd-target terms, symbol (negated) to base-target terms."""
     ne = chart.n_even
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Coefficient] = {}
     for (idx, a), val in d.body.items():
         for (even, _), c in val.terms.items():
             key = (even, idx, ne + a)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     for (idx, t), val in d.symbol.items():
         for (even, _), c in val.terms.items():
             key = (even, idx, t)
-            terms[key] = terms.get(key, Fraction(0)) - c
+            terms[key] = terms.get(key, 0) - c
     return SuperVectorField(chart, terms)
 
 
@@ -534,7 +540,7 @@ def field_basis(
             continue
         for odd in itertools.combinations(range(no), odd_size):
             for e in exps:
-                out.append(SuperVectorField(chart, {(e, odd, target): Fraction(1)}))
+                out.append(SuperVectorField(chart, {(e, odd, target): 1}))
     return out
 
 

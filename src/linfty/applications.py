@@ -48,10 +48,7 @@ class LieAlgebraData:
 
     @staticmethod
     def build(dimension: int, structure=None) -> "LieAlgebraData":
-        consts = {}
-        for (i, j, k), c in (structure or {}).items():
-            consts[(i, j, k)] = Fraction(c) if isinstance(c, (int, Fraction)) else c
-        return LieAlgebraData(dimension, AlgebroidData.build(0, dimension, consts))
+        return LieAlgebraData(dimension, AlgebroidData.build(0, dimension, structure))
 
 
 def lie_algebra_deformation(g: LieAlgebraData, mu: Mapping) -> SuperVectorField:
@@ -76,7 +73,7 @@ def subalgebra_deformation(
     """
     setup = SplitSetup.build(g.data, 0, 0, sub_rank)
     delta = MCDelta.of(setup.valgebra(), build_xq(g.data, setup.chart))  # refuses a non-subalgebra block
-    d = DeformationPair.build(setup, phi={key: Fraction(val) for key, val in phi.items()})
+    d = DeformationPair.build(setup, phi=phi)
     return subalgebroid_mc_residual(setup, delta, d, cap=cap)
 
 

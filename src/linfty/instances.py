@@ -17,6 +17,7 @@ from typing import Any, Mapping
 from .algebroid import AlgebroidData, PolyDict, merge_polys
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
+from .superfield import _coefficient
 
 FORMAT_VERSION = 1
 
@@ -77,8 +78,8 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
         c = Fraction(numer, denom)
         if c != 0:
             key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + c
-    return {k: v for k, v in poly.items() if v != 0}
+            poly[key] = poly.get(key, 0) + c
+    return {k: _coefficient(v) for k, v in poly.items() if v != 0}
 
 
 def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[int, ...] = ()) -> list:

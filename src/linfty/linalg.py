@@ -1,7 +1,10 @@
 """Exact linear algebra over Q used by the cohomology computations.
 
 The work is done by ``EchelonBasis``: a reduced echelon basis whose rows are
-sparse ``{column: Fraction}`` dicts.  Field-complex differentials are very
+sparse ``{column: entry}`` dicts.  Entries are canonical coefficients, as in
+``superfield``: an ``int`` when integral, else a ``Fraction`` with
+denominator > 1, so the integral entries that dominate field-complex
+differentials stay in int arithmetic.  Field-complex differentials are very
 sparse and reach a few hundred rows and columns (sl(3) at cochain degree 2
 is a 448x224 system), so a vector is reduced against the rows it actually
 meets instead of re-eliminating a dense matrix.  Two invariants hold:
@@ -15,28 +18,31 @@ meets instead of re-eliminating a dense matrix.  Two invariants hold:
   it is independent of everything kept before it, so a quotient basis is
   chosen greedily in input order.
 
-``rref`` is the dense Gauss-Jordan reference the tests compare against.
-Dense matrices are lists of row lists of Fractions.
+``rref`` is the dense Gauss-Jordan reference the tests compare against; it
+works in ``Fraction`` throughout.  Dense matrices are lists of row lists of
+rationals.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
-Vector = dict[int, Fraction]  # sparse: column -> nonzero entry
+from .superfield import Coefficient, _coefficient
+
+Matrix = list[list[Coefficient]]
+Vector = dict[int, Coefficient]  # sparse: column -> nonzero canonical entry
 
 
-def _sparse(row: Sequence[Fraction]) -> Vector:
+def _sparse(row: Sequence[Coefficient]) -> Vector:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _subtract(target: Vector, f: Fraction, row: Vector) -> None:
-    """``target -= f * row`` in place, keeping only nonzero entries."""
+def _subtract(target: Vector, f: Coefficient, row: Vector) -> None:
+    """``target -= f * row`` in place, keeping only nonzero canonical entries."""
     for k, x in row.items():
         y = target.get(k, 0) - f * x
         if y:
-            target[k] = y
+            target[k] = y if type(y) is int else _coefficient(y)
         else:
             target.pop(k, None)
 
@@ -53,8 +59,8 @@ class EchelonBasis:
         return len(self.rows)
 
     def reduce(self, vector: Vector) -> Vector:
-        """``vector`` minus its part in the span: zero in every pivot column."""
-        out = dict(vector)
+        """``vector`` minus its part in the span: zero in every pivot column, entries canonical."""
+        out = {k: x if type(x) is int else _coefficient(x) for k, x in vector.items()}
         for c in [c for c in out if c in self.rows]:
             _subtract(out, out[c], self.rows[c])
         return out
@@ -65,8 +71,12 @@ class EchelonBasis:
         if not row:
             return False
         p = min(row)
-        inv = Fraction(1) / row[p]
-        row = {k: x * inv for k, x in row.items()}
+        pivot = row[p]
+        if pivot == -1:
+            row = {k: -x for k, x in row.items()}
+        elif pivot != 1:
+            inv = Fraction(1) / pivot
+            row = {k: _coefficient(x * inv) for k, x in row.items()}
         for other in self.rows.values():
             if p in other:
                 _subtract(other, other[p], row)
@@ -75,7 +85,7 @@ class EchelonBasis:
 
     def kernel(self, cols: int) -> list[Vector]:
         """Kernel basis of the map on Q^cols whose matrix rows this basis spans."""
-        free = {j: {j: Fraction(1)} for j in range(cols) if j not in self.rows}
+        free = {j: {j: 1} for j in range(cols) if j not in self.rows}
         for c, row in self.rows.items():
             for k, x in row.items():
                 if k != c:
@@ -112,7 +122,7 @@ def rank(matrix: Matrix) -> int:
     return len(EchelonBasis(_sparse(row) for row in matrix))
 
 
-def nullspace(matrix: Matrix, cols: int) -> list[list[Fraction]]:
+def nullspace(matrix: Matrix, cols: int) -> list[list[Coefficient]]:
     """Basis of the kernel of the linear map given by rows acting on R^cols.
 
     The matrix maps column vectors of length ``cols``; rows are the images'
@@ -122,7 +132,7 @@ def nullspace(matrix: Matrix, cols: int) -> list[list[Fraction]]:
     basis = EchelonBasis(_sparse(row) for row in matrix)
     out = []
     for v in basis.kernel(cols):
-        dense = [Fraction(0)] * cols
+        dense = [0] * cols
         for j, x in v.items():
             dense[j] = x
         out.append(dense)
@@ -130,8 +140,8 @@ def nullspace(matrix: Matrix, cols: int) -> list[list[Fraction]]:
 
 
 def quotient_representatives(
-    kernel: list[list[Fraction]], image: list[list[Fraction]]
-) -> list[list[Fraction]]:
+    kernel: list[list[Coefficient]], image: list[list[Coefficient]]
+) -> list[list[Coefficient]]:
     """Kernel vectors projecting to a basis of ker/im."""
     span = EchelonBasis(_sparse(v) for v in image)
     return [list(v) for v in kernel if span.add(_sparse(v))]

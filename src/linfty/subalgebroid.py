@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebroid import (
@@ -34,6 +35,7 @@ from .algebroid import (
 from .signs import shuffle_table
 from .superfield import (
     ChartMismatchError,
+    Coefficient,
     CoordinateChart,
     SuperFunction,
     SuperVectorField,
@@ -94,21 +96,23 @@ class SplitSetup:
         """
         if v.chart is not self.chart and v.chart != self.chart:
             raise ChartMismatchError("field and split setup on different charts")
-        ne = self.chart.n_even
-        sub = set(self.sub_indices)
-        normal_pos = set(self.normal_even_positions)
-        comp_targets = {ne + j for j in self.comp_indices}
-        normal_targets = set(normal_pos)
+        # the chart lists base then normal evens, sub-frame then complement odds
+        p, ne, l = self.base_dim, self.chart.n_even, self.sub_rank
         kept = {}
-        for (even, odd, target), c in v.terms.items():
-            if target not in comp_targets and target not in normal_targets:
-                continue
-            if any(even[pos] for pos in normal_pos):
-                continue
-            if any(j not in sub for j in odd):
-                continue
-            kept[(even, odd, target)] = c
+        for key, c in v.terms.items():
+            even, odd, target = key
+            if not (p <= target < ne or target >= ne + l):
+                continue  # neither a normal-even nor a complement-odd direction
+            if any(even[p:]) or (odd and odd[-1] >= l):
+                continue  # a normal even or a complement odd in the coefficient
+            kept[key] = c
         return SuperVectorField._of(self.chart, kept)
+
+    @cached_property
+    def sub_frame(self) -> "FrameForm":
+        """The sub-frame as a 1-form: values in the sub-frame, so not through ``FrameForm.build``."""
+        one = SuperFunction.constant(self.chart, 1)
+        return FrameForm(self, 1, {((i,), i): one for i in self.sub_indices})
 
     def abelian_basis(self, degree: int, poly_degree: int = 0) -> list[SuperVectorField]:
         """Monomial basis of the summand in one field degree."""
@@ -126,12 +130,12 @@ class SplitSetup:
             for odd in itertools.combinations(self.sub_indices, size_f):
                 for j in self.comp_indices:
                     for e in exps:
-                        out.append(SuperVectorField(self.chart, {(e, odd, ne + j): Fraction(1)}))
+                        out.append(SuperVectorField(self.chart, {(e, odd, ne + j): 1}))
         if 0 <= degree <= self.sub_rank:
             for odd in itertools.combinations(self.sub_indices, degree):
                 for k in self.normal_even_positions:
                     for e in exps:
-                        out.append(SuperVectorField(self.chart, {(e, odd, k): Fraction(1)}))
+                        out.append(SuperVectorField(self.chart, {(e, odd, k): 1}))
         return out
 
     def kernel_basis(self, poly_degree: int = 1) -> list[SuperVectorField]:
@@ -144,7 +148,7 @@ class SplitSetup:
             for size in range(no + 1):
                 for odd in itertools.combinations(range(no), size):
                     for target in range(ne + no):
-                        mono = SuperVectorField(self.chart, {(e, odd, target): Fraction(1)})
+                        mono = SuperVectorField(self.chart, {(e, odd, target): 1})
                         if self.project(mono).is_zero():
                             out.append(mono)
         return out
@@ -212,15 +216,15 @@ def _pad_exponents(exps: tuple[int, ...], total_even: int) -> tuple[int, ...]:
 def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
     """The degree-0 summand element of a candidate pair (a bijection)."""
     ne = setup.chart.n_even
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Coefficient] = {}
     for (i, j), poly in d.phi.items():
         for exps, c in poly.items():
             key = (_pad_exponents(exps, ne), (i,), ne + j)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     for k, poly in d.sigma.items():
         for exps, c in poly.items():
             key = (_pad_exponents(exps, ne), (), setup.base_dim + k)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     value = SuperVectorField(setup.chart, terms)
     return LInftyElement(value, 0)
 
@@ -290,19 +294,19 @@ def tangency_oracle(
     chart = setup.chart
     ne = chart.n_even
     mapping = graph_substitution(setup, gamma)
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Coefficient] = {}
     for pos_k, k in enumerate(setup.normal_even_positions):
         sigma_fn = mapping[k]
         residual = (z.component(k) - apply(z, sigma_fn)).substitute(mapping)
         for (even, odd), c in residual.terms.items():
             key = (even, odd, k)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     for j in setup.comp_indices:
         phi_fn = mapping[ne + j]
         residual = (z.component(ne + j) - apply(z, phi_fn)).substitute(mapping)
         for (even, odd), c in residual.terms.items():
             key = (even, odd, ne + j)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
     substitution = SuperVectorField(chart, terms)
     return TangencyResult(series, substitution)
 
@@ -485,9 +489,7 @@ def explicit_structure_maps(
     chart = setup.chart
     bracket = (calculus or SectionCalculus.of(setup.data, chart)).bracket
     shuffles = {} if shuffles is None else shuffles
-    one = SuperFunction.constant(chart, 1)
-    # the sub-frame as a 1-form (values in the sub-frame, so not through ``build``)
-    frame = FrameForm(setup, 1, {((i,), i): one for i in setup.sub_indices})
+    frame = setup.sub_frame
     if k == 1:
         (xi,) = args
         # F = G = frame meets each pair of letters in both orders, with equal sums
@@ -536,11 +538,11 @@ def encode_form(form: FrameForm) -> LInftyElement:
     chart = setup.chart
     ne = chart.n_even
     sign = _encode_sign(form.degree)
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Coefficient] = {}
     for (idx, j), val in form.values.items():
         for (even, _), c in val.terms.items():
             key = (even, idx, ne + j)
-            terms[key] = terms.get(key, Fraction(0)) + sign * c
+            terms[key] = terms.get(key, 0) + sign * c
     value = SuperVectorField(chart, terms)
     return LInftyElement(value, form.degree - 1)
 

@@ -7,6 +7,12 @@ sorting is absorbed into the coefficient, so equality is a term-map
 comparison.  A super vector field is a finite sum of
 (superfunction term) * d/d(coordinate) pieces.
 
+A stored coefficient is a nonzero ``int`` when it is integral and a
+``Fraction`` with denominator > 1 otherwise, never a float.  Nearly every
+coefficient is integral, and int arithmetic skips the gcd normalisation
+and the new object each ``Fraction`` operation pays for; ``Fraction(n) ==
+n`` with equal hashes, so term maps compare and render the same either way.
+
 All values are immutable after construction and every operation is pure.
 """
 from __future__ import annotations
@@ -75,11 +81,17 @@ class CoordinateChart:
         return target >= self.n_even
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+Coefficient = int | Fraction
+
+
+def _coefficient(c) -> Coefficient:
+    """The canonical form of a rational: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
@@ -137,10 +149,19 @@ def _merge_into(out: dict, right: dict) -> dict:
         else:
             c += old
             if c:
-                out[k] = c
+                out[k] = c if type(c) is int else _coefficient(c)
             else:
                 del out[k]
     return out
+
+
+def _scaled(terms: dict, c: Coefficient) -> dict:
+    """``c`` times a canonical term map, for a canonical nonzero ``c``."""
+    if c == 1:
+        return dict(terms)
+    if c == -1:
+        return {k: -v for k, v in terms.items()}
+    return {k: p if type(p := v * c) is int else _coefficient(p) for k, v in terms.items()}
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -151,10 +172,10 @@ class SuperFunction:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: CoordinateChart, terms: Mapping[TermKey, Fraction] | None = None):
-        canonical: dict[TermKey, Fraction] = {}
+    def __init__(self, chart: CoordinateChart, terms: Mapping[TermKey, Coefficient] | None = None):
+        canonical: dict[TermKey, Coefficient] = {}
         for (even, odd), c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = _coefficient(c)
             if c == 0:
                 continue
             even = tuple(even)
@@ -168,18 +189,21 @@ class SuperFunction:
             if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
                 raise ValueError("odd index out of range")
             key = (even, odd)
-            canonical[key] = canonical.get(key, Fraction(0)) + c
-            if canonical[key] == 0:
-                del canonical[key]
+            c = _coefficient(canonical.get(key, 0) + c)
+            if c:
+                canonical[key] = c
+            else:
+                canonical.pop(key, None)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", canonical)
 
     @classmethod
-    def _of(cls, chart: CoordinateChart, terms: dict[TermKey, Fraction]) -> "SuperFunction":
+    def _of(cls, chart: CoordinateChart, terms: dict[TermKey, Coefficient]) -> "SuperFunction":
         """Wrap a term map that is canonical by construction, without the checks.
 
         Only the kernel calls this, on maps it built from validated operands:
-        tuple keys, sorted odd indices, nonzero ``Fraction`` coefficients.
+        tuple keys, sorted odd indices, nonzero canonical coefficients (see
+        the module docstring).
         """
         f = object.__new__(cls)
         object.__setattr__(f, "chart", chart)
@@ -196,17 +220,17 @@ class SuperFunction:
 
     @staticmethod
     def constant(chart: CoordinateChart, c) -> "SuperFunction":
-        return SuperFunction(chart, {((0,) * chart.n_even, ()): _as_fraction(c)})
+        return SuperFunction(chart, {((0,) * chart.n_even, ()): c})
 
     @staticmethod
     def even_var(chart: CoordinateChart, i: int) -> "SuperFunction":
         exps = [0] * chart.n_even
         exps[i] = 1
-        return SuperFunction(chart, {(tuple(exps), ()): Fraction(1)})
+        return SuperFunction(chart, {(tuple(exps), ()): 1})
 
     @staticmethod
     def odd_var(chart: CoordinateChart, j: int) -> "SuperFunction":
-        return SuperFunction(chart, {((0,) * chart.n_even, (j,)): Fraction(1)})
+        return SuperFunction(chart, {((0,) * chart.n_even, (j,)): 1})
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -246,16 +270,16 @@ class SuperFunction:
         return self + (-other)
 
     def scale(self, c) -> "SuperFunction":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if not c:
             return SuperFunction.zero(self.chart)
-        return SuperFunction._of(self.chart, {k: c * v for k, v in self.terms.items()})
+        return SuperFunction._of(self.chart, _scaled(self.terms, c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coefficient] = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
                 product = _monomial_product(e1, o1, e2, o2)
@@ -266,7 +290,9 @@ class SuperFunction:
                 c = c1 * c2 if sign == 1 else -(c1 * c2)
                 old = out.get(key)
                 out[key] = c if old is None else old + c
-        return SuperFunction._of(self.chart, {k: c for k, c in out.items() if c})
+        return SuperFunction._of(
+            self.chart, {k: c if type(c) is int else _coefficient(c) for k, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -277,12 +303,13 @@ class SuperFunction:
         Distinct monomials have distinct nonzero derivatives, so no terms merge.
         """
         chart = self.chart
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coefficient] = {}
         for (even, odd), c in self.terms.items():
             d = _monomial_partial(even, odd, target, chart.n_even)
             if d is not None:
                 factor, even, odd = d
-                out[(even, odd)] = factor * c
+                c = factor * c
+                out[(even, odd)] = c if type(c) is int else _coefficient(c)
         return SuperFunction._of(chart, out)
 
     def substitute(self, mapping: Mapping[int, "SuperFunction"]) -> "SuperFunction":
@@ -316,7 +343,7 @@ class SuperFunction:
                 odd_values[j] = mapping[t] if t in mapping else SuperFunction.odd_var(chart, j)
             return odd_values[j]
 
-        total: dict[TermKey, Fraction] = {}
+        total: dict[TermKey, Coefficient] = {}
         for (even, odd), c in self.terms.items():
             # unmapped even coordinates stay in the starting monomial
             start = tuple(0 if i in mapping else e for i, e in enumerate(even))
@@ -346,10 +373,10 @@ class SuperVectorField:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: CoordinateChart, terms: Mapping[FieldKey, Fraction] | None = None):
-        canonical: dict[FieldKey, Fraction] = {}
+    def __init__(self, chart: CoordinateChart, terms: Mapping[FieldKey, Coefficient] | None = None):
+        canonical: dict[FieldKey, Coefficient] = {}
         for (even, odd, target), c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = _coefficient(c)
             if c == 0:
                 continue
             even = tuple(even)
@@ -365,14 +392,16 @@ class SuperVectorField:
             if not 0 <= target < chart.n_even + chart.n_odd:
                 raise ValueError("derivative target out of range")
             key = (even, odd, target)
-            canonical[key] = canonical.get(key, Fraction(0)) + c
-            if canonical[key] == 0:
-                del canonical[key]
+            c = _coefficient(canonical.get(key, 0) + c)
+            if c:
+                canonical[key] = c
+            else:
+                canonical.pop(key, None)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", canonical)
 
     @classmethod
-    def _of(cls, chart: CoordinateChart, terms: dict[FieldKey, Fraction]) -> "SuperVectorField":
+    def _of(cls, chart: CoordinateChart, terms: dict[FieldKey, Coefficient]) -> "SuperVectorField":
         """Wrap a term map that is canonical by construction, as ``SuperFunction._of``."""
         X = object.__new__(cls)
         object.__setattr__(X, "chart", chart)
@@ -393,7 +422,7 @@ class SuperVectorField:
         if name not in names:
             raise KeyError(name)
         key = ((0,) * chart.n_even, (), names.index(name))
-        return SuperVectorField(chart, {key: Fraction(1)})
+        return SuperVectorField(chart, {key: 1})
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -453,10 +482,10 @@ class SuperVectorField:
         return self + (-other)
 
     def scale(self, c) -> "SuperVectorField":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if not c:
             return SuperVectorField.zero(self.chart)
-        return SuperVectorField._of(self.chart, {k: c * v for k, v in self.terms.items()})
+        return SuperVectorField._of(self.chart, _scaled(self.terms, c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -497,22 +526,20 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
         raise ChartMismatchError("fields on different charts")
     chart = X.chart
     n_even = chart.n_even
-    out: dict[FieldKey, Fraction] = {}
+    out: dict[FieldKey, Coefficient] = {}
 
-    def add_term(product, factor: int, coefficient: Fraction, target: int):
+    def add_term(product, factor: int, coefficient: Coefficient, target: int):
         sign, even, odd = product
-        k = sign * factor  # mostly +-1: skip the Fraction product
+        k = sign * factor  # mostly +-1: skip the product
         c = coefficient if k == 1 else -coefficient if k == -1 else k * coefficient
         key = (even, odd, target)
         old = out.get(key)
-        if old is None:
-            out[key] = c
-        else:
+        if old is not None:
             c += old
-            if c:
-                out[key] = c
-            else:
+            if not c:
                 del out[key]
+                return
+        out[key] = c if type(c) is int else _coefficient(c)
 
     ys = [(e2, o2, b, c2, len(o2) - (b >= n_even)) for (e2, o2, b), c2 in Y.terms.items()]
     for (e1, o1, a), c1 in X.terms.items():

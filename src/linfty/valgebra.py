@@ -377,11 +377,8 @@ class AxiomReport:
         return not self.failures
 
 
-BracketProvider = Callable[[Sequence[LInftyElement]], LInftyElement]
-
-
 def generalized_jacobi(
-    m: BracketProvider,
+    m: Callable[[Sequence[LInftyElement]], LInftyElement],
     elements: Sequence[LInftyElement],
     chart: CoordinateChart,
     shuffles: dict | None = None,
@@ -404,7 +401,7 @@ def generalized_jacobi(
 
 
 def check_linfty_axioms(
-    m: BracketProvider,
+    m: Callable[[Sequence[LInftyElement]], LInftyElement],
     chart: CoordinateChart,
     max_arity: int,
     probes: Sequence[Sequence[LInftyElement]],

@@ -68,6 +68,21 @@ def _matrix(rng, rows, cols):
     return m
 
 
+def _canonical_entry(rng):
+    """Zero, an int or a non-integral Fraction: the entries the program's vectors carry."""
+    if rng.random() < 0.5:
+        return 0
+    x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return x.numerator if x.denominator == 1 else x
+
+
+def assert_canonical_vector(v):
+    """Nonzero entries, each an int or a Fraction that is not integral."""
+    for x in v.values():
+        assert x != 0
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (8, 5)]
 SEEDS = range(25)
 
@@ -82,6 +97,31 @@ def test_rank_and_rows_match_dense_rref(rows, cols):
         assert sorted(basis.rows) == pivots
         for r, c in enumerate(pivots):
             assert basis.rows[c] == {j: x for j, x in enumerate(reduced[r]) if x}
+        for v in [*basis.rows.values(), *basis.kernel(cols)]:
+            assert_canonical_vector(v)
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_mixed_int_fraction_entries_match_dense_rref(rows, cols):
+    for seed in SEEDS:
+        rng = random.Random(f"{seed}-{rows}x{cols}-mixed")
+        m = [[_canonical_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        m += [list(row) for row in m[:2]]  # repeated rows lower the rank
+        basis = EchelonBasis({j: x for j, x in enumerate(row) if x} for row in m)
+        reduced, pivots = rref(m)
+        assert sorted(basis.rows) == pivots
+        for r, c in enumerate(pivots):
+            assert basis.rows[c] == {j: x for j, x in enumerate(reduced[r]) if x}
+            assert type(basis.rows[c][c]) is int
+        kernel = basis.kernel(cols)
+        assert [[v.get(j, 0) for j in range(cols)] for v in kernel] == _dense_nullspace(m, cols)
+        for v in [*basis.rows.values(), *kernel]:
+            assert_canonical_vector(v)
+
+
+def test_float_entry_refused():
+    with pytest.raises(TypeError):
+        EchelonBasis([{0: 0.5}])
 
 
 @pytest.mark.parametrize("rows,cols", SHAPES)

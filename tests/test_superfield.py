@@ -322,11 +322,17 @@ class TestIsHomological:
 
 
 # -- the trusted kernel path ------------------------------------------
+def assert_coefficient(c):
+    """A canonical coefficient: a nonzero int, or a Fraction that is not integral."""
+    assert c != 0
+    assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 def assert_canonical(value):
-    """Terms as the public constructor would leave them: tuple keys, sorted odd indices, nonzero Fractions."""
+    """Terms as the public constructor would leave them: tuple keys, sorted odd indices, canonical coefficients."""
     assert value.terms == type(value)(value.chart, value.terms).terms
     for key, c in value.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert_coefficient(c)
         assert type(key[0]) is tuple and type(key[1]) is tuple
 
 
@@ -366,6 +372,75 @@ class TestTrustedResults:
     def test_project_refuses_another_chart(self):
         with pytest.raises(ChartMismatchError):
             SETUP.project(d_by("x"))
+
+
+HALF, THREE_HALVES, TWO_THIRDS = Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)
+X0, Y0, ONE0 = (1, 0), (0, 1), (0, 0)  # exponents of x, y and 1
+
+
+class TestIntegralResults:
+    """Fraction arithmetic that lands on an integer stores an int."""
+
+    def assert_terms(self, value, expected):
+        """``value`` has the ``expected`` terms, each stored with the type it is written with."""
+        assert value.terms == expected
+        assert_canonical(value)
+        assert all(type(value.terms[k]) is type(c) for k, c in expected.items())
+
+    def test_constructors(self):
+        self.assert_terms(fn({(X0, ()): Fraction(4, 2)}), {(X0, ()): 2})
+        self.assert_terms(fld({(X0, (), 0): Fraction(-3, 1)}), {(X0, (), 0): -3})
+        self.assert_terms(SuperFunction.constant(CHART, Fraction(6, 3)), {(ONE0, ()): 2})
+
+    def test_sum(self):
+        self.assert_terms(fn({(X0, ()): HALF}) + fn({(X0, ()): HALF}), {(X0, ()): 1})
+        self.assert_terms(fld({(X0, (0,), 1): HALF}) + fld({(X0, (0,), 1): HALF}), {(X0, (0,), 1): 1})
+
+    def test_product_and_scale(self):
+        self.assert_terms(fn({(X0, ()): HALF}) * 2, {(X0, ()): 1})
+        self.assert_terms(fn({(X0, ()): HALF}).scale(Fraction(4)), {(X0, ()): 2})
+        self.assert_terms(fld({(X0, (), 2): HALF}).scale(2), {(X0, (), 2): 1})
+        self.assert_terms(fn({(X0, ()): THREE_HALVES}) * fn({(Y0, ()): TWO_THIRDS}), {((1, 1), ()): 1})
+        # two products of non-integral coefficients meet on one monomial: 1/2 + 1/2
+        f = fn({(X0, ()): HALF, (Y0, ()): HALF})
+        self.assert_terms(f * fn({(Y0, ()): 1, (X0, ()): 1}), {((2, 0), ()): HALF, ((1, 1), ()): 1, ((0, 2), ()): HALF})
+
+    def test_partial(self):
+        self.assert_terms(fn({((2, 0), ()): HALF}).partial(0), {(X0, ()): 1})
+        self.assert_terms(fn({((0, 3), (1,)): TWO_THIRDS}).partial(1), {((0, 2), (1,)): 2})
+
+    def test_substitute(self):
+        f = fn({(X0, ()): HALF, (Y0, ()): THREE_HALVES})
+        mapping = {0: fn({(Y0, ()): 2}), 1: fn({(X0, ()): TWO_THIRDS})}
+        self.assert_terms(f.substitute(mapping), {(Y0, ()): 1, (X0, ()): 1})
+
+    def test_super_commutator(self):
+        # [(3/2) d/dx, (2/3) x d/dy] = d/dy
+        X = fld({(ONE0, (), 0): THREE_HALVES})
+        Y = fld({(X0, (), 1): TWO_THIRDS})
+        self.assert_terms(super_commutator(X, Y), {(ONE0, (), 1): 1})
+        # [(1/2) d/dx + (1/2) d/dy, (x + y) d/dy]: two halves meet on d/dy
+        X = fld({(ONE0, (), 0): HALF, (ONE0, (), 1): HALF})
+        Y = fld({(X0, (), 1): 1, (Y0, (), 1): 1})
+        self.assert_terms(super_commutator(X, Y), {(ONE0, (), 1): 1})
+        # [2 x d/dx, (1/2) x^2 d/dx]: the partial's factor 2 and the sum -1 + 2
+        X = fld({(X0, (), 0): 2})
+        Y = fld({((2, 0), (), 0): HALF})
+        self.assert_terms(super_commutator(X, Y), {((2, 0), (), 0): 1})
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            SuperFunction(CHART, {(X0, ()): 0.5})
+        with pytest.raises(TypeError):
+            SuperVectorField(CHART, {(X0, (), 0): 1.0})
+        with pytest.raises(TypeError):
+            SuperFunction.constant(CHART, 2.0)
+        with pytest.raises(TypeError):
+            fn({(X0, ()): 1}).scale(0.5)
+        with pytest.raises(TypeError):
+            fld({(X0, (), 0): 1}).scale(1.0)
+        with pytest.raises(TypeError):
+            AlgebroidData.build(1, 2, structure={(0, 1, 0): {(0,): 0.5}})
 
 
 def substitute_reference(f, mapping):

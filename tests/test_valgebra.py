@@ -1,6 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -515,3 +520,24 @@ class TestGeneralizedJacobiAgainstReference:
             assert generalized_jacobi(engine, probe, setup.chart, shuffles) == expected
             nonzero += not expected.is_zero()
         assert (nonzero > 0) == (data is NON_JACOBI)
+
+
+REIMPORT_SCRIPT = textwrap.dedent(
+    """
+    import gc, importlib, sys
+    for _ in range(6):
+        for name in [n for n in sys.modules if n == "linfty" or n.startswith("linfty.")]:
+            del sys.modules[name]
+        importlib.import_module("linfty")
+    gc.collect()
+    print(sum(isinstance(o, type) and o.__name__ == "LInftyElement" for o in gc.get_objects()))
+    """
+)
+
+
+def test_reimport_frees_the_dropped_copy():
+    """Nothing outside the package (such as a cached typing alias) keeps a dropped copy of it alive."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "1"
