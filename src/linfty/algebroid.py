@@ -27,7 +27,7 @@ from .superfield import (
     CoordinateChart,
     SuperFunction,
     SuperVectorField,
-    _coefficient,
+    coefficient,
     is_homological,
     render_field,
     render_function,
@@ -39,7 +39,7 @@ PolyDict = dict[tuple[int, ...], Coefficient]
 
 def _as_poly(value, base_dim: int) -> PolyDict:
     if isinstance(value, (int, Fraction)):
-        c = _coefficient(value)
+        c = coefficient(value)
         return {} if c == 0 else {(0,) * base_dim: c}
     out: PolyDict = {}
     for exps, c in dict(value).items():
@@ -48,10 +48,10 @@ def _as_poly(value, base_dim: int) -> PolyDict:
             raise ValueError(f"exponent tuple {exps} has wrong length (need {base_dim})")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
-        c = _coefficient(c)
+        c = coefficient(c)
         if c != 0:
             out[exps] = out.get(exps, 0) + c
-    return {k: _coefficient(v) for k, v in out.items() if v != 0}
+    return {k: coefficient(v) for k, v in out.items() if v != 0}
 
 
 def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
@@ -64,7 +64,7 @@ def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
     return {
         key: nonzero
         for key, poly in out.items()
-        if (nonzero := {e: _coefficient(c) for e, c in poly.items() if c})
+        if (nonzero := {e: coefficient(c) for e, c in poly.items() if c})
     }
 
 

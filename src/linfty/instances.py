@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from .algebroid import AlgebroidData, PolyDict, merge_polys
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
-from .superfield import _coefficient
+from .superfield import coefficient
 
 FORMAT_VERSION = 1
 
@@ -79,7 +79,7 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
         if c != 0:
             key = tuple(exps)
             poly[key] = poly.get(key, 0) + c
-    return {k: _coefficient(v) for k, v in poly.items() if v != 0}
+    return {k: coefficient(v) for k, v in poly.items() if v != 0}
 
 
 def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[int, ...] = ()) -> list:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .superfield import Coefficient, _coefficient
+from .superfield import Coefficient, coefficient
 
 Matrix = list[list[Coefficient]]
 Vector = dict[int, Coefficient]  # sparse: column -> nonzero canonical entry
@@ -42,7 +42,7 @@ def _subtract(target: Vector, f: Coefficient, row: Vector) -> None:
     for k, x in row.items():
         y = target.get(k, 0) - f * x
         if y:
-            target[k] = y if type(y) is int else _coefficient(y)
+            target[k] = coefficient(y)
         else:
             target.pop(k, None)
 
@@ -60,7 +60,7 @@ class EchelonBasis:
 
     def reduce(self, vector: Vector) -> Vector:
         """``vector`` minus its part in the span: zero in every pivot column, entries canonical."""
-        out = {k: x if type(x) is int else _coefficient(x) for k, x in vector.items()}
+        out = {k: coefficient(x) for k, x in vector.items()}
         for c in [c for c in out if c in self.rows]:
             _subtract(out, out[c], self.rows[c])
         return out
@@ -76,7 +76,7 @@ class EchelonBasis:
             row = {k: -x for k, x in row.items()}
         elif pivot != 1:
             inv = Fraction(1) / pivot
-            row = {k: _coefficient(x * inv) for k, x in row.items()}
+            row = {k: coefficient(x * inv) for k, x in row.items()}
         for other in self.rows.values():
             if p in other:
                 _subtract(other, other[p], row)

@@ -84,7 +84,7 @@ class CoordinateChart:
 Coefficient = int | Fraction
 
 
-def _coefficient(c) -> Coefficient:
+def coefficient(c) -> Coefficient:
     """The canonical form of a rational: an ``int`` when integral, else a ``Fraction``."""
     if type(c) is int:
         return c
@@ -149,7 +149,7 @@ def _merge_into(out: dict, right: dict) -> dict:
         else:
             c += old
             if c:
-                out[k] = c if type(c) is int else _coefficient(c)
+                out[k] = coefficient(c)
             else:
                 del out[k]
     return out
@@ -161,7 +161,7 @@ def _scaled(terms: dict, c: Coefficient) -> dict:
         return dict(terms)
     if c == -1:
         return {k: -v for k, v in terms.items()}
-    return {k: p if type(p := v * c) is int else _coefficient(p) for k, v in terms.items()}
+    return {k: coefficient(v * c) for k, v in terms.items()}
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -175,7 +175,7 @@ class SuperFunction:
     def __init__(self, chart: CoordinateChart, terms: Mapping[TermKey, Coefficient] | None = None):
         canonical: dict[TermKey, Coefficient] = {}
         for (even, odd), c in (terms or {}).items():
-            c = _coefficient(c)
+            c = coefficient(c)
             if c == 0:
                 continue
             even = tuple(even)
@@ -189,7 +189,7 @@ class SuperFunction:
             if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
                 raise ValueError("odd index out of range")
             key = (even, odd)
-            c = _coefficient(canonical.get(key, 0) + c)
+            c = coefficient(canonical.get(key, 0) + c)
             if c:
                 canonical[key] = c
             else:
@@ -270,7 +270,7 @@ class SuperFunction:
         return self + (-other)
 
     def scale(self, c) -> "SuperFunction":
-        c = _coefficient(c)
+        c = coefficient(c)
         if not c:
             return SuperFunction.zero(self.chart)
         return SuperFunction._of(self.chart, _scaled(self.terms, c))
@@ -291,7 +291,7 @@ class SuperFunction:
                 old = out.get(key)
                 out[key] = c if old is None else old + c
         return SuperFunction._of(
-            self.chart, {k: c if type(c) is int else _coefficient(c) for k, c in out.items() if c}
+            self.chart, {k: coefficient(c) for k, c in out.items() if c}
         )
 
     __rmul__ = __mul__
@@ -309,7 +309,7 @@ class SuperFunction:
             if d is not None:
                 factor, even, odd = d
                 c = factor * c
-                out[(even, odd)] = c if type(c) is int else _coefficient(c)
+                out[(even, odd)] = coefficient(c)
         return SuperFunction._of(chart, out)
 
     def substitute(self, mapping: Mapping[int, "SuperFunction"]) -> "SuperFunction":
@@ -376,7 +376,7 @@ class SuperVectorField:
     def __init__(self, chart: CoordinateChart, terms: Mapping[FieldKey, Coefficient] | None = None):
         canonical: dict[FieldKey, Coefficient] = {}
         for (even, odd, target), c in (terms or {}).items():
-            c = _coefficient(c)
+            c = coefficient(c)
             if c == 0:
                 continue
             even = tuple(even)
@@ -392,7 +392,7 @@ class SuperVectorField:
             if not 0 <= target < chart.n_even + chart.n_odd:
                 raise ValueError("derivative target out of range")
             key = (even, odd, target)
-            c = _coefficient(canonical.get(key, 0) + c)
+            c = coefficient(canonical.get(key, 0) + c)
             if c:
                 canonical[key] = c
             else:
@@ -482,7 +482,7 @@ class SuperVectorField:
         return self + (-other)
 
     def scale(self, c) -> "SuperVectorField":
-        c = _coefficient(c)
+        c = coefficient(c)
         if not c:
             return SuperVectorField.zero(self.chart)
         return SuperVectorField._of(self.chart, _scaled(self.terms, c))
@@ -528,10 +528,10 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
     n_even = chart.n_even
     out: dict[FieldKey, Coefficient] = {}
 
-    def add_term(product, factor: int, coefficient: Coefficient, target: int):
+    def add_term(product, factor: int, c: Coefficient, target: int):
         sign, even, odd = product
         k = sign * factor  # mostly +-1: skip the product
-        c = coefficient if k == 1 else -coefficient if k == -1 else k * coefficient
+        c = c if k == 1 else -c if k == -1 else k * c
         key = (even, odd, target)
         old = out.get(key)
         if old is not None:
@@ -539,7 +539,7 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
             if not c:
                 del out[key]
                 return
-        out[key] = c if type(c) is int else _coefficient(c)
+        out[key] = coefficient(c)
 
     ys = [(e2, o2, b, c2, len(o2) - (b >= n_even)) for (e2, o2, b), c2 in Y.terms.items()]
     for (e1, o1, a), c1 in X.terms.items():
