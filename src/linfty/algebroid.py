@@ -530,7 +530,11 @@ def derivation_bracket(chart: CoordinateChart, d1: Derivation, d2: Derivation) -
 def field_basis(
     chart: CoordinateChart, field_degree: int, poly_bound: int
 ) -> list[SuperVectorField]:
-    """Monomial fields of one degree with coefficient poly degree <= bound."""
+    """Monomial fields of one degree with coefficient poly degree <= bound.
+
+    Each field is one canonical term with coefficient 1, so it is wrapped
+    without re-validation.
+    """
     ne, no = chart.n_even, chart.n_odd
     exps = _exponents_up_to(ne, poly_bound)
     out = []
@@ -540,7 +544,7 @@ def field_basis(
             continue
         for odd in itertools.combinations(range(no), odd_size):
             for e in exps:
-                out.append(SuperVectorField(chart, {(e, odd, target): 1}))
+                out.append(SuperVectorField._of(chart, {(e, odd, target): 1}))
     return out
 
 
@@ -561,54 +565,79 @@ def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:
 class CohomologyResult:
     degree: int
     dimension: int
-    representatives: list[SuperVectorField]
     truncated: bool = False
 
 
-def complex_cohomology(
-    differential, basis_of_degree, degree: int, truncated: bool = False
-) -> CohomologyResult:
-    """ker/im of a degree +1 differential on an enumerated field complex.
+def _image_ranks(images: Iterable[SuperVectorField], window: list[SuperVectorField]) -> tuple[int, int]:
+    """Rank of the images, and rank of their parts outside the span of the window's monomials.
 
-    ``basis_of_degree(d)`` enumerates the chosen window of the complex in
-    one degree; image vectors falling outside the window enlarge the
-    coordinate space, so the reported quotient is exact whenever the window
-    is closed under the differential.  The representatives are the kernel
-    basis vectors, in order, that are independent of the image and of the
-    representatives before them; the dimension is their number.
+    Window coordinates are numbered 0, 1, ... and every other coordinate
+    -1, -2, ...; an echelon row's pivot is its lowest column, so the rows
+    nonzero outside the window are exactly those pivoting there.
     """
-    src = basis_of_degree(degree)
-    below = basis_of_degree(degree - 1)
-    keys: dict = {}
+    cols = {key: i for i, key in enumerate(key for w in window for key in w.terms)}
+    inside = len(cols)
+    echelon = linalg.EchelonBasis()
+    for v in images:
+        echelon.add({cols.setdefault(key, inside - 1 - len(cols)): c for key, c in v.terms.items()})
+    return len(echelon), sum(1 for p in echelon.rows if p < 0)
 
-    def vec(w: SuperVectorField) -> linalg.Vector:
-        return {keys.setdefault(key, len(keys)): c for key, c in w.terms.items()}
 
-    matrix: dict[int, linalg.Vector] = {}  # image coordinate -> {source index: entry}
-    for j, v in enumerate(src):
-        for i, c in vec(differential(v)).items():
-            matrix.setdefault(i, {})[j] = c
-    kernel = linalg.EchelonBasis(matrix.values()).kernel(len(src))
-    span = linalg.EchelonBasis(vec(differential(v)) for v in below)
-    reps = []
-    for coeffs in kernel:
-        f = SuperVectorField.zero(src[0].chart)
-        for j in sorted(coeffs):
-            f = f + src[j].scale(coeffs[j])
-        if span.add(vec(f)):
-            reps.append(f)
-    return CohomologyResult(degree, len(reps), reps, truncated)
+def complex_cohomology(
+    differential, basis_of_degree, degrees: Iterable[int], truncated: bool = False
+) -> list[CohomologyResult]:
+    """Dimensions of ker/im of a degree +1 differential on an enumerated field complex.
+
+    ``basis_of_degree(p)`` enumerates the chosen window B_p in degree p:
+    distinct monomial fields, so their span W_p is a coordinate subspace.
+    With pi_out the projection onto the coordinates outside W_p,
+
+        dim H^p = |B_p| - rank d(B_p) - rank d(B_{p-1}) + rank pi_out d(B_{p-1}),
+
+    the dimension of (ker d on W_p) / (image span ∩ ker).  As d^2 = 0 (every
+    caller checks it), an image vector inside W_p is a cycle, so image
+    span ∩ ker = image span ∩ W_p, of dimension rank d(B_{p-1}) - rank
+    pi_out d(B_{p-1}).  The count is exact whenever the window is closed
+    under d, and in every window it equals the number of kernel vectors
+    independent of the image.
+
+    Results come in increasing degree.  d is applied to each basis once:
+    the ranks of d(B_p) serve degree p and, when it is asked for, p + 1.
+    """
+    wanted = set(degrees)
+    bases: dict[int, list[SuperVectorField]] = {}
+    ranks: dict[int, tuple[int, int]] = {}
+
+    def basis(p: int) -> list[SuperVectorField]:
+        if p not in bases:
+            bases[p] = basis_of_degree(p)
+        return bases[p]
+
+    def image_ranks(p: int) -> tuple[int, int]:
+        """rank d(B_p), and its rank outside W_{p+1} (all of it when p + 1 is not asked for)."""
+        if p not in ranks:
+            window = basis(p + 1) if p + 1 in wanted else []
+            ranks[p] = _image_ranks((differential(v) for v in basis(p)), window)
+        return ranks[p]
+
+    out = []
+    for p in sorted(wanted):
+        rank_below, outside_below = image_ranks(p - 1)
+        dimension = len(basis(p)) - image_ranks(p)[0] - rank_below + outside_below
+        out.append(CohomologyResult(p, dimension, truncated))
+    return out
 
 
 def dgla_cohomology(
-    data: AlgebroidData, ce_degree: int, truncate: int | None = None
-) -> CohomologyResult:
-    """Deformation cohomology of the field complex at one cochain degree.
+    data: AlgebroidData, ce_degrees: Iterable[int], truncate: int | None = None
+) -> list[CohomologyResult]:
+    """Deformation cohomology of the field complex at the given cochain degrees.
 
     Cochain degree q corresponds to field degree q - 1.  Over a point the
     complex is finite and the answer exact; a polynomial base requires a
     truncation bound.  The structure field must be homological ([Q, Q] = 0),
-    else the field complex is not a complex.
+    else the field complex is not a complex; it is built and checked once
+    for all the degrees.
     """
     chart = data.plain_chart()
     if data.base_dim > 0 and truncate is None:
@@ -621,10 +650,10 @@ def dgla_cohomology(
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)
 
-    result = complex_cohomology(
+    results = complex_cohomology(
         diff,
         lambda d: field_basis(chart, d, bound),
-        ce_degree - 1,
+        [q - 1 for q in ce_degrees],
         truncated=data.base_dim > 0,
     )
-    return CohomologyResult(ce_degree, result.dimension, result.representatives, result.truncated)
+    return [CohomologyResult(r.degree + 1, r.dimension, r.truncated) for r in results]

@@ -365,22 +365,19 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
         top = data.fiber_rank
-        group = lambda q: dgla_cohomology(data, q, truncate=truncate)
+        groups = lambda qs: dgla_cohomology(data, qs, truncate=truncate)
     else:
         setup = _split_case(inst, args, "cohomology")[0]
         xq = build_xq(setup.data, setup.chart)
         top = setup.sub_rank + (1 if setup.normal_rank else 0)
-        group = lambda q: m1_cohomology(setup, xq, q - 1, truncate=truncate)
+        groups = lambda qs: m1_cohomology(setup, xq, [q - 1 for q in qs], truncate=truncate)
     if args.degree is not None and not 0 <= args.degree <= top:
         raise InstanceError("--degree", f"expected a degree in 0..{top}")
-    dims = {}
-    truncated = False
-    for q in [args.degree] if args.degree is not None else range(top + 1):
-        res = group(q)
-        dims[f"H^{q}"] = res.dimension
-        truncated = truncated or res.truncated
+    degrees = [args.degree] if args.degree is not None else list(range(top + 1))
+    results = groups(degrees)  # in increasing degree, each differential applied once
+    dims = {f"H^{q}": res.dimension for q, res in zip(degrees, results)}
     details: dict[str, Any] = {"dimensions": dims}
-    if truncated:
+    if any(res.truncated for res in results):
         details["truncated_at"] = truncate
     return Report("cohomology", "pass", details=details)
 

@@ -27,6 +27,27 @@ def koszul_sign(order: Sequence[int], degs: DegreeVector) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _blocks(
+    remaining: tuple[int, ...], sizes: tuple[int, ...], odd: Sequence[int]
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(odd-odd passes, blocks) of every split of ``remaining`` into blocks of ``sizes``.
+
+    A module-level generator rather than a closure: a closure that calls
+    itself holds its own cell, and every call would leave a reference cycle
+    for the collector.
+    """
+    if len(sizes) <= 1:
+        yield 0, (remaining,) * len(sizes)
+        return
+    for block in itertools.combinations(remaining, sizes[0]):
+        rest = tuple(p for p in remaining if p not in block)
+        # moving the block to the front passes each odd letter of it over
+        # the odd letters of the rest that stood before it
+        passed = sum(1 for p in block if odd[p] for q in rest if q < p and odd[q])
+        for more, tail in _blocks(rest, sizes[1:], odd):
+            yield passed + more, (block, *tail)
+
+
 def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[Shuffle]:
     """Every shuffle of a word into consecutive blocks of the given sizes.
 
@@ -37,20 +58,7 @@ def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[Shuffle]
     if any(s < 0 for s in sizes) or sum(sizes) != len(degs):
         raise ValueError(f"block sizes {tuple(sizes)} do not split a word of length {len(degs)}")
     odd = [d % 2 for d in degs]
-
-    def rec(remaining: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-        if len(sizes) <= 1:
-            yield 0, (remaining,) * len(sizes)
-            return
-        for block in itertools.combinations(remaining, sizes[0]):
-            rest = tuple(p for p in remaining if p not in block)
-            # moving the block to the front passes each odd letter of it over
-            # the odd letters of the rest that stood before it
-            passed = sum(1 for p in block if odd[p] for q in rest if q < p and odd[q])
-            for more, tail in rec(rest, sizes[1:]):
-                yield passed + more, (block, *tail)
-
-    for passed, blocks in rec(tuple(range(len(degs))), tuple(sizes)):
+    for passed, blocks in _blocks(tuple(range(len(degs))), tuple(sizes), odd):
         yield (-1 if passed % 2 else 1), blocks
 
 

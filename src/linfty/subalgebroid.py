@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebroid import (
     AlgebroidData,
@@ -115,7 +115,11 @@ class SplitSetup:
         return FrameForm(self, 1, {((i,), i): one for i in self.sub_indices})
 
     def abelian_basis(self, degree: int, poly_degree: int = 0) -> list[SuperVectorField]:
-        """Monomial basis of the summand in one field degree."""
+        """Monomial basis of the summand in one field degree.
+
+        Each field is one canonical term with coefficient 1, so it is
+        wrapped without re-validation.
+        """
         from .algebroid import _exponents_up_to
 
         ne = self.chart.n_even
@@ -130,12 +134,12 @@ class SplitSetup:
             for odd in itertools.combinations(self.sub_indices, size_f):
                 for j in self.comp_indices:
                     for e in exps:
-                        out.append(SuperVectorField(self.chart, {(e, odd, ne + j): 1}))
+                        out.append(SuperVectorField._of(self.chart, {(e, odd, ne + j): 1}))
         if 0 <= degree <= self.sub_rank:
             for odd in itertools.combinations(self.sub_indices, degree):
                 for k in self.normal_even_positions:
                     for e in exps:
-                        out.append(SuperVectorField(self.chart, {(e, odd, k): 1}))
+                        out.append(SuperVectorField._of(self.chart, {(e, odd, k): 1}))
         return out
 
     def kernel_basis(self, poly_degree: int = 1) -> list[SuperVectorField]:
@@ -601,14 +605,15 @@ def simultaneous_residual(
 def m1_cohomology(
     setup: SplitSetup,
     xq: SuperVectorField,
-    degree: int,
+    degrees: Iterable[int],
     truncate: int | None = None,
-) -> CohomologyResult:
-    """Exact rank computation of ker/im of the unary map on the summand.
+) -> list[CohomologyResult]:
+    """Exact ranks of ker/im of the unary map on the summand, at the given degrees.
 
-    ``degree`` is the intrinsic field degree of the summand.  A polynomial
-    base requires a truncation bound for the coefficient degree; the result
-    is flagged as truncated in that case.
+    A degree is the intrinsic field degree of the summand.  A polynomial
+    base requires a truncation bound for the coefficient degree; the results
+    are flagged as truncated in that case.  The unary map squares to zero
+    because [Q, Q] = 0 and P(Q) = 0, both checked once here.
     """
     if setup.base_dim > 0 and truncate is None:
         raise ValueError("polynomial base needs a truncation degree")
@@ -624,6 +629,6 @@ def m1_cohomology(
     return complex_cohomology(
         diff,
         lambda d: setup.abelian_basis(d, bound),
-        degree,
+        degrees,
         truncated=setup.base_dim > 0,
     )

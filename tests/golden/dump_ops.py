@@ -7,7 +7,11 @@ imports that tree's ``src/linfty`` and ``perfbench/workloads.py`` and writes
 nothing inside it. OUT.json maps ``"<seed>:<op name>"`` to ``[exit code,
 stdout]`` for every op of the ``decide``, ``chains`` and ``cohomology``
 workloads, each op run on a freshly parsed instance as ``linfty ... --json``
-would run it. Two trees print the same outputs exactly when their dumps are
+would run it. It also maps ``"cohomology <preset>"`` to the all-degree
+``cohomology`` of every bundled preset, and ``"cohomology <name> --truncate
+<t>"`` to the truncated windows t = 1-4 of ``foliation-r3``, ``tangent-r1``
+and ``tangent-r2``: paths the benchmark ops, which all pass ``--degree``,
+never take. Two trees print the same outputs exactly when their dumps are
 byte-identical::
 
     python tests/golden/dump_ops.py OLD old.json
@@ -20,6 +24,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("decide", "chains", "cohomology")
+TRUNCATION_LADDER = ("foliation-r3", "tangent-r1", "tangent-r2")  # each at --truncate 1-4
 
 
 def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
@@ -27,30 +32,40 @@ def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from linfty import cli
-    from linfty.instances import InstanceError, parse_instance
+    from linfty.instances import InstanceError, fixture_path, parse_instance
     from linfty.valgebra import SeriesCapExceeded
 
     out: dict[str, list] = {}
+
+    def run(key: str, command: str, source, args: dict) -> None:
+        if key in out:
+            raise SystemExit(f"duplicate op name {key}")
+        values = dict(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+        values.update(args)
+        try:
+            inst = parse_instance(source)
+            report = cli.run_command(command, inst, argparse.Namespace(**values))
+        except (InstanceError, SeriesCapExceeded, ValueError):
+            out[key] = [cli.EXIT_INPUT_ERROR, ""]
+            return
+        except Exception:
+            out[key] = [cli.EXIT_INTERNAL_ERROR, ""]
+            return
+        text = json.dumps(report.to_json_obj(), sort_keys=True, indent=1) + "\n"
+        out[key] = [report.exit_code, text]
+
     for seed in seeds:
         for name in WORKLOADS:
             workload = getattr(workloads, name)(seed, tree)
             for op in workload.ops:
-                key = f"{seed}:{op.name}"
-                if key in out:
-                    raise SystemExit(f"duplicate op name {key}")
-                values = dict(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
-                values.update(op.args)
-                try:
-                    inst = parse_instance(workload.inputs[op.instance])
-                    report = cli.run_command(op.command, inst, argparse.Namespace(**values))
-                except (InstanceError, SeriesCapExceeded, ValueError):
-                    out[key] = [cli.EXIT_INPUT_ERROR, ""]
-                    continue
-                except Exception:
-                    out[key] = [cli.EXIT_INTERNAL_ERROR, ""]
-                    continue
-                text = json.dumps(report.to_json_obj(), sort_keys=True, indent=1) + "\n"
-                out[key] = [report.exit_code, text]
+                run(f"{seed}:{op.name}", op.command, workload.inputs[op.instance], op.args)
+    # the benchmark ops all pass --degree: every degree at once, and truncated windows, here
+    presets = sorted(path.stem for path in (tree / "src" / "linfty" / "fixtures").glob("*.json"))
+    for name in presets:
+        run(f"cohomology {name}", "cohomology", fixture_path(name), {})
+    for name in TRUNCATION_LADDER:
+        for truncate in (1, 2, 3, 4):
+            run(f"cohomology {name} --truncate {truncate}", "cohomology", fixture_path(name), {"truncate": truncate})
     return out
 
 

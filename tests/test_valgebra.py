@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -352,6 +353,28 @@ class TestDerivedBracketsEngine:
         )
         assert shared == fresh
         assert shared.ok == ok and shared.checked == len(probes)
+
+    def test_axiom_check_leaves_no_reference_cycles(self):
+        # every object of an axiom check is freed by reference counting; a cycle
+        # (such as a self-calling closure in the shuffle enumeration) would wait
+        # for the cyclic collector
+        setup = SplitSetup.build(SL2, 0, 0, 2)
+        valg = setup.valgebra()
+        delta = MCDelta.of(valg, build_xq(SL2, setup.chart))
+        basis = summand_basis(setup, valg)
+        rng = random.Random(5)
+        probes = [tuple(rng.choice(basis) for _ in range(n)) for n in (3, 4) for _ in range(6)]
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = check_linfty_axioms(DerivedBrackets(valg, delta), setup.chart, 4, probes)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert report.ok and report.checked == len(probes)
+        assert garbage == 0
 
     def test_rejects_non_summand_argument_after_cached_ones(self, borel):
         setup, xq, valg, delta = borel
