@@ -11,29 +11,18 @@ from .superfield import (
     super_commutator,
 )
 from .valgebra import (
-    ExtElement,
     LInftyElement,
     MCDelta,
     SeriesCapExceeded,
-    VAlgebra,
     check_linfty_axioms,
-    check_v_algebra,
     derived_bracket,
-    extended_bracket,
     mc_residual,
     twisted_projection,
 )
 from .algebroid import (
     AlgebroidData,
-    CEForm,
-    Derivation,
     build_xq,
-    ce_differential,
-    deformation_residual,
-    derivation_bracket,
-    derivation_to_field,
     dgla_cohomology,
-    field_to_derivation,
     validate_algebroid,
 )
 from .subalgebroid import (
@@ -51,12 +40,8 @@ from .subalgebroid import (
 from .applications import (
     FoliationSetup,
     HomomorphismData,
-    LieAlgebraData,
     foliation_infinitesimal,
-    homomorphism_deformation,
-    lie_algebra_deformation,
     simultaneous_homomorphism,
-    subalgebra_deformation,
 )
 from .instances import InstanceError, parse_instance, serialize_instance
 

@@ -4,9 +4,8 @@ An algebroid over a polynomial chart is given by antisymmetric structure
 functions C^k_ij(x) and anchor coefficients b^t_i(x).  The odd degree-1
 field built from them squares to zero exactly when the data satisfies the
 classical axioms; both routes are implemented and cross-checked.  The
-module also carries the bundle-valued cochain calculus (forms and their
-differential), derivation complexes with their transport to fields, and
-the deformation residual for candidate structures.
+module also carries the residual of a candidate structure and the
+deformation cohomology of the field complex.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from . import linalg
-from .signs import koszul_sign
 from .superfield import (
     BASE,
     NORMAL,
@@ -325,203 +323,6 @@ def classically_valid(data: AlgebroidData, chart: CoordinateChart | None = None)
 def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> SuperVectorField:
     """[[X, X~]] + (1/2)[[X~, X~]], unchecked; with [[X, X]] = 0 it is half of [[X + X~, X + X~]]."""
     return super_commutator(xq, xq_tilde) + super_commutator(xq_tilde, xq_tilde).scale(Fraction(1, 2))
-
-
-def deformation_residual(
-    xq: SuperVectorField, xq_tilde: SuperVectorField
-) -> SuperVectorField:
-    """[[X, X~]] + (1/2)[[X~, X~]]; zero iff X + X~ is again homological."""
-    if not is_homological(xq) or (not xq.is_zero() and xq.degree() != 1):
-        raise ValueError("the base field must be homological of degree 1")
-    if not xq_tilde.is_zero() and xq_tilde.degree() != 1:
-        raise ValueError("the candidate must have degree 1")
-    return structure_residual(xq, xq_tilde)
-
-
-# ---------------------------------------------------------------------
-# bundle-valued forms and the differential
-# ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class CEForm:
-    """Element of the degree-n exterior power of the dual bundle.
-
-    Values are stored on strictly increasing frame index tuples with
-    polynomial base coefficients; evaluation on arbitrary tuples is the
-    antisymmetric extension.
-    """
-
-    chart: CoordinateChart
-    degree: int
-    values: Mapping[tuple[int, ...], SuperFunction]
-
-    @staticmethod
-    def build(chart: CoordinateChart, degree: int, values: Mapping) -> "CEForm":
-        canon: dict[tuple[int, ...], SuperFunction] = {}
-        for idx, val in values.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError("index tuple length must equal the form degree")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError("index tuples must be strictly increasing")
-            if not isinstance(val, SuperFunction):
-                val = SuperFunction.constant(chart, val)
-            if val.degrees() - {0}:
-                raise ValueError("form values must be even polynomials")
-            if not val.is_zero():
-                canon[idx] = canon.get(idx, SuperFunction.zero(chart)) + val
-        return CEForm(chart, degree, {k: v for k, v in canon.items() if not v.is_zero()})
-
-    def evaluate(self, indices: tuple[int, ...]) -> SuperFunction:
-        if len(indices) != self.degree:
-            raise ValueError("wrong number of arguments")
-        if len(set(indices)) != len(indices):
-            return SuperFunction.zero(self.chart)
-        order = sorted(range(len(indices)), key=indices.__getitem__)
-        val = self.values.get(tuple(indices[p] for p in order))
-        if val is None:
-            return SuperFunction.zero(self.chart)
-        return val.scale(koszul_sign(order, (1,) * len(indices)))
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-
-def ce_differential(data: AlgebroidData, form: CEForm) -> CEForm:
-    """Cartan-type differential on bundle forms (frame-triple enumeration)."""
-    calc = SectionCalculus.of(data, form.chart)
-    n = form.degree
-    out: dict[tuple[int, ...], SuperFunction] = {}
-    for idx in itertools.combinations(range(data.fiber_rank), n + 1):
-        total = SuperFunction.zero(form.chart)
-        for pos, u in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            inner = form.evaluate(rest)
-            if not inner.is_zero():
-                sign = -1 if pos % 2 else 1
-                total = total + calc.anchor_apply(u, inner).scale(sign)
-        for pa, pb in itertools.combinations(range(n + 1), 2):
-            u, v = idx[pa], idx[pb]
-            rest = tuple(w for p, w in enumerate(idx) if p not in (pa, pb))
-            sign = -1 if (pa + pb) % 2 else 1
-            for c, coeff in calc.structure.get((u, v), {}).items():
-                val = form.evaluate((c,) + rest)
-                if not val.is_zero():
-                    total = total + (coeff * val).scale(sign)
-        add_into(out, idx, total)
-    return CEForm(form.chart, n + 1, out)
-
-
-def form_to_superfunction(form: CEForm) -> SuperFunction:
-    """Canonical identification of bundle forms with superfunctions.
-
-    Carries the sign (-1)^degree, which intertwines the Cartan differential
-    with the action of the structure field exactly.
-    """
-    chart = form.chart
-    ne = chart.n_even
-    sign = -1 if form.degree % 2 else 1
-    total = SuperFunction.zero(chart)
-    for idx, val in form.values.items():
-        mono = SuperFunction(chart, {((0,) * ne, idx): sign})
-        total = total + mono * val
-    return total
-
-
-def superfunction_to_form(f: SuperFunction, degree: int) -> CEForm:
-    """Inverse of the canonical identification in one degree."""
-    chart = f.chart
-    sign = -1 if degree % 2 else 1
-    values: dict[tuple[int, ...], SuperFunction] = {}
-    for (even, odd), c in f.terms.items():
-        if len(odd) != degree:
-            raise ValueError("superfunction is not homogeneous of the requested degree")
-        cur = values.get(odd, SuperFunction.zero(chart))
-        values[odd] = cur + SuperFunction(chart, {(even, ()): c * sign})
-    return CEForm.build(chart, degree, values)
-
-
-# ---------------------------------------------------------------------
-# derivations with symbols (degree-shifted multilinear operators)
-# ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class Derivation:
-    """Degree-p derivation: antisymmetric body tensor plus its symbol.
-
-    The body maps (p+1)-tuples of frame elements to frame coefficients;
-    the symbol maps p-tuples to base vector field coefficients.  Both are
-    stored on strictly increasing tuples with polynomial values.
-    """
-
-    degree: int
-    body: Mapping[tuple[tuple[int, ...], int], SuperFunction]
-    symbol: Mapping[tuple[tuple[int, ...], int], SuperFunction]
-
-    @staticmethod
-    def build(chart: CoordinateChart, degree: int, body=None, symbol=None) -> "Derivation":
-        def canon(entries, arity):
-            out = {}
-            for (idx, target), val in (entries or {}).items():
-                idx = tuple(idx)
-                if len(idx) != arity or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"index tuple must be strictly increasing of length {arity}")
-                if not isinstance(val, SuperFunction):
-                    val = SuperFunction.constant(chart, val)
-                if val.degrees() - {0}:
-                    raise ValueError("tensor values must be even polynomials")
-                if not val.is_zero():
-                    out[(idx, target)] = out.get((idx, target), SuperFunction.zero(chart)) + val
-            return {k: v for k, v in out.items() if not v.is_zero()}
-
-        return Derivation(degree, canon(body, degree + 1), canon(symbol, degree))
-
-    def is_zero(self) -> bool:
-        return not self.body and not self.symbol
-
-
-def derivation_to_field(chart: CoordinateChart, d: Derivation) -> SuperVectorField:
-    """Body tensor to odd-target terms, symbol (negated) to base-target terms."""
-    ne = chart.n_even
-    terms: dict[tuple, Coefficient] = {}
-    for (idx, a), val in d.body.items():
-        for (even, _), c in val.terms.items():
-            key = (even, idx, ne + a)
-            terms[key] = terms.get(key, 0) + c
-    for (idx, t), val in d.symbol.items():
-        for (even, _), c in val.terms.items():
-            key = (even, idx, t)
-            terms[key] = terms.get(key, 0) - c
-    return SuperVectorField(chart, terms)
-
-
-def field_to_derivation(chart: CoordinateChart, X: SuperVectorField) -> Derivation:
-    """Inverse transport; raises if the field is not of derivation shape."""
-    if X.is_zero():
-        return Derivation(0, {}, {})
-    p = X.degree()
-    if p is None:
-        raise ValueError("field is not homogeneous")
-    ne = chart.n_even
-    body: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
-    symbol: dict[tuple[tuple[int, ...], int], SuperFunction] = {}
-    for (even, odd, target), c in X.terms.items():
-        mono = SuperFunction(chart, {(even, ()): c})
-        if chart.target_is_odd(target):
-            key = (odd, target - ne)
-            body[key] = body.get(key, SuperFunction.zero(chart)) + mono
-        else:
-            key = (odd, target)
-            symbol[key] = symbol.get(key, SuperFunction.zero(chart)) - mono
-    return Derivation(
-        p,
-        {k: v for k, v in body.items() if not v.is_zero()},
-        {k: v for k, v in symbol.items() if not v.is_zero()},
-    )
-
-
-def derivation_bracket(chart: CoordinateChart, d1: Derivation, d2: Derivation) -> Derivation:
-    """Bracket transported through the field isomorphism (true by construction)."""
-    bracket = super_commutator(derivation_to_field(chart, d1), derivation_to_field(chart, d2))
-    return field_to_derivation(chart, bracket)
 
 
 # ---------------------------------------------------------------------

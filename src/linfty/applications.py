@@ -1,10 +1,10 @@
-"""Degenerate-case drivers: Lie algebras, foliations, homomorphism graphs.
+"""Foliations and homomorphism graphs as split setups.
 
-Everything here reduces to the split-setup machinery: a Lie (sub)algebra is
-an algebroid over a point, a foliation is a subalgebroid of a tangent
-algebroid over a fixed base, and a bundle-map homomorphism is a graph
-subalgebroid of a direct sum presented in adapted coordinates around the
-zero map.
+Both reduce to the split-setup machinery: a foliation is a subalgebroid of
+a tangent algebroid over a fixed base, and a bundle-map homomorphism is a
+graph subalgebroid of a direct sum presented in adapted coordinates around
+the zero map.  (A Lie (sub)algebra needs nothing here: it is an algebroid
+over a point.)
 """
 from __future__ import annotations
 
@@ -33,48 +33,7 @@ from .subalgebroid import (
     subalgebroid_mc_residual,
 )
 from .superfield import SuperFunction, SuperVectorField, is_homological
-from .valgebra import DEFAULT_SERIES_CAP, LInftyElement, MCDelta
-
-
-# ---------------------------------------------------------------------
-# Lie algebras over a point
-# ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class LieAlgebraData:
-    """Constant structure tensor; a thin wrapper over a point-base algebroid."""
-
-    dimension: int
-    data: AlgebroidData
-
-    @staticmethod
-    def build(dimension: int, structure=None) -> "LieAlgebraData":
-        return LieAlgebraData(dimension, AlgebroidData.build(0, dimension, structure))
-
-
-def lie_algebra_deformation(g: LieAlgebraData, mu: Mapping) -> SuperVectorField:
-    """Residual of a constant bracket perturbation; zero iff c + mu is Lie."""
-    from .algebroid import deformation_residual
-
-    base = build_xq(g.data)
-    pert = AlgebroidData.build(0, g.dimension, mu)
-    return deformation_residual(base, build_xq(pert, g.data.plain_chart()))
-
-
-def subalgebra_deformation(
-    g: LieAlgebraData,
-    sub_rank: int,
-    phi: Mapping[tuple[int, int], Fraction | int],
-    cap: int = DEFAULT_SERIES_CAP,
-) -> LInftyElement:
-    """Residual of a graph candidate over a sub-Lie-algebra of g.
-
-    The first ``sub_rank`` frame elements must span a subalgebra; phi maps
-    (sub index, complement index) to the rational matrix entry.
-    """
-    setup = SplitSetup.build(g.data, 0, 0, sub_rank)
-    delta = MCDelta.of(setup.valgebra(), build_xq(g.data, setup.chart))  # refuses a non-subalgebra block
-    d = DeformationPair.build(setup, phi=phi)
-    return subalgebroid_mc_residual(setup, delta, d, cap=cap)
+from .valgebra import DEFAULT_SERIES_CAP, MCDelta
 
 
 # ---------------------------------------------------------------------
@@ -300,7 +259,7 @@ class GraphSetup:
     @cached_property
     def delta(self) -> MCDelta:
         """The checked structure field of the sum: one square for every residual of this setup."""
-        return MCDelta.of(self.setup.valgebra(), build_xq(self.sum_data, self.setup.chart))
+        return MCDelta.of(self.setup, build_xq(self.sum_data, self.setup.chart))
 
 
 def graph_setup(h: HomomorphismData) -> GraphSetup:
@@ -343,19 +302,6 @@ def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
         raise ValueError("the base bundle map is not a homomorphism")
 
 
-def homomorphism_deformation(
-    h: HomomorphismData,
-    bundle_map=None,
-    base_map=None,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> LInftyElement:
-    """Residual of a (bundle map, base map) offset of a homomorphism; zero iff the deformed map is one."""
-    gs = graph_setup(h)
-    require_homomorphism(gs, cap=cap)
-    pair = gs.base_pair.add(candidate_pair(gs, bundle_map, base_map))
-    return subalgebroid_mc_residual(gs.setup, gs.delta, pair, cap=cap)
-
-
 def block_perturbation(
     h: HomomorphismData, source: AlgebroidData | None, target: AlgebroidData | None
 ) -> AlgebroidData:
@@ -395,40 +341,6 @@ def simultaneous_homomorphism(
     )
 
 
-# ---------------------------------------------------------------------
-# preset instances
-# ---------------------------------------------------------------------
-def sl2() -> LieAlgebraData:
-    """Frame order (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-    return LieAlgebraData.build(3, {(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
-
-
-def heisenberg3() -> LieAlgebraData:
-    """Frame order (z, p, q) with [p,q]=z (center first)."""
-    return LieAlgebraData.build(3, {(1, 2, 0): 1})
-
-
-def abelian(n: int) -> LieAlgebraData:
-    return LieAlgebraData.build(n, {})
-
-
-def non_jacobi3() -> LieAlgebraData:
-    """[e1,e2]=e3, [e1,e3]=e1: fails the Jacobi identity on (e1,e2,e3)."""
-    return LieAlgebraData.build(3, {(0, 1, 2): 1, (0, 2, 0): 1})
-
-
 def tangent_rn(n: int) -> AlgebroidData:
+    """The tangent algebroid of R^n in the coordinate frame."""
     return AlgebroidData.build(n, n, anchor={(i, i): 1 for i in range(n)})
-
-
-def foliation_r3() -> FoliationSetup:
-    """Coordinate distribution spanned by the first two directions in R^3."""
-    frames = [{0: 1}, {1: 1}, {2: 1}]
-    return FoliationSetup.build(3, 2, frames)
-
-
-def hom_sl2_id() -> HomomorphismData:
-    g = sl2().data
-    return HomomorphismData.build(
-        g, g, bundle_map={(i, i): 1 for i in range(3)}, base_map={}
-    )

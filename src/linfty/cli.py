@@ -213,7 +213,8 @@ def _split_case(
     """
     if inst.kind in _SPLIT_KINDS:
         setup = inst.payload["setup"]
-        cand = _phi_override(setup, args.phi) if getattr(args, "phi", None) else inst.payload["candidate"]
+        phi = getattr(args, "phi", None)  # an empty --phi is given too, and refused for its length
+        cand = inst.payload["candidate"] if phi is None else _phi_override(setup, phi)
         return setup, inst.payload.get("base") or DeformationPair.zero(), cand, None
     if inst.kind == "foliation" and command != "simultaneous":
         setup = inst.payload["foliation"].setup
@@ -231,7 +232,7 @@ def _structure_delta(setup: SplitSetup, gs: GraphSetup | None) -> MCDelta:
     """The checked MCDelta of the ambient structure field; a graph setup's own is shared."""
     if gs is not None:
         return gs.delta
-    return MCDelta.of(setup.valgebra(), build_xq(setup.data, setup.chart))
+    return MCDelta.of(setup, build_xq(setup.data, setup.chart))
 
 
 def _summand_brackets(setup: SplitSetup, gs: GraphSetup | None) -> tuple[DerivedBrackets, list[LInftyElement]]:
@@ -239,12 +240,11 @@ def _summand_brackets(setup: SplitSetup, gs: GraphSetup | None) -> tuple[Derived
 
     The brackets share their chains and checks for as long as the returned object lives: one command.
     """
-    valg = setup.valgebra()
     delta = _structure_delta(setup, gs)
     basis: list[LInftyElement] = []
     for d in range(-1, setup.sub_rank + 1):
-        basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
-    return DerivedBrackets(valg, delta), basis
+        basis.extend(LInftyElement.of(setup, b) for b in setup.abelian_basis(d))
+    return DerivedBrackets(setup, delta), basis
 
 
 # ---------------------------------------------------------------------
@@ -281,8 +281,8 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         )
     if inst.kind == "foliation":
         fol: FoliationSetup = inst.payload["foliation"]
-        ok = fol.is_integrable()
         rep = validate_algebroid(fol.algebroid, fol.setup.chart)
+        ok = fol.setup.project(rep.xq).is_zero()  # integrable, read off the field validation built
         return Report(
             "validate",
             "pass" if (ok and rep.ok) else "fail",
@@ -439,7 +439,7 @@ def _cmd_axioms(inst: InstanceFile, args) -> Report:
     for n in (3, 4):
         for _ in range(probes_count):
             probes.append(tuple(rng.choice(basis) for _ in range(n)))
-    rep = check_linfty_axioms(bracket, setup.chart, 4, probes)
+    rep = check_linfty_axioms(bracket, setup.chart, probes)
     return Report(
         "axioms",
         "pass" if rep.ok else "fail",

@@ -82,12 +82,12 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
     return {k: coefficient(v) for k, v in poly.items() if v != 0}
 
 
-def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[int, ...] = ()) -> list:
+def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...] = ()) -> list:
     """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into (key, polynomial) pairs, in order.
 
     ``names`` gives one letter per index field; the key is the tuple of the
     indices, or the index itself for a single field.  Each index must be an
-    integer, below its entry in ``bounds`` where one is given.
+    integer, in its entry of ``bounds`` where one is given.
     """
     _expect(isinstance(obj, list), path, "expected a list")
     out = []
@@ -99,7 +99,8 @@ def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[i
             v = entry.get(name)
             _expect(_is_int(v), f"{epath}.{name}", "expected an integer")
             if pos < len(bounds):
-                _expect(0 <= v < bounds[pos], f"{epath}.{name}", f"index out of range 0..{bounds[pos] - 1}")
+                r = bounds[pos]
+                _expect(v in r, f"{epath}.{name}", f"index out of range {r.start}..{r.stop - 1}")
             key.append(v)
         poly = _parse_terms(entry.get("terms", []), n_even, f"{epath}.terms")
         out.append((tuple(key) if len(key) > 1 else key[0], poly))
@@ -109,10 +110,10 @@ def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[i
 def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str) -> AlgebroidData:
     """Structure and anchor tensor lists of an object, over the given dimensions."""
     _expect(isinstance(obj, dict), path, "expected an object")
-    structure = _parse_entries(obj.get("structure", []), f"{path}.structure", base_dim, "ijk", (rank,) * 3)
+    structure = _parse_entries(obj.get("structure", []), f"{path}.structure", base_dim, "ijk", (range(rank),) * 3)
     for idx, ((i, j, _), _) in enumerate(structure):
         _expect(i != j, f"{path}.structure[{idx}]", "diagonal structure entries must be omitted")
-    anchor = _parse_entries(obj.get("anchor", []), f"{path}.anchor", base_dim, "it", (rank, base_dim))
+    anchor = _parse_entries(obj.get("anchor", []), f"{path}.anchor", base_dim, "it", (range(rank), range(base_dim)))
     try:
         return AlgebroidData.build(base_dim, rank, merge_polys(structure), {k: p for k, p in anchor if p})
     except ValueError as exc:
@@ -128,19 +129,20 @@ def _parse_algebroid(obj: Any, path: str) -> AlgebroidData:
     return _parse_tensors(obj, base_dim, rank, path)
 
 
-def _parse_sigma_phi(obj: Any, n_even: int, path: str) -> tuple[dict, dict]:
-    """The ``sigma`` (k, terms) and ``phi`` (i, j, terms) lists of a candidate object."""
+def _parse_sigma_phi(obj: Any, n_even: int, path: str, normal: range, sub: range, comp: range) -> tuple[dict, dict]:
+    """The ``sigma`` (k, terms) and ``phi`` (i, j, terms) lists of a candidate object.
+
+    k must lie in ``normal``, i in ``sub`` and j in ``comp``.
+    """
     _expect(isinstance(obj, dict), path, "expected an object")
-    sigma = dict(_parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k"))
-    return sigma, dict(_parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij"))
+    sigma = dict(_parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k", (normal,)))
+    return sigma, dict(_parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij", (sub, comp)))
 
 
-def _parse_candidate_pair(obj: Mapping, setup: SplitSetup, path: str) -> DeformationPair:
-    sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path)
-    try:
-        return DeformationPair.build(setup, sigma=sigma, phi=phi)
-    except ValueError as exc:
-        raise InstanceError(path, str(exc)) from exc
+def _parse_candidate_pair(obj: Any, setup: SplitSetup, path: str) -> DeformationPair:
+    normal, sub, comp = range(setup.normal_rank), range(setup.sub_rank), range(setup.sub_rank, setup.data.fiber_rank)
+    sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path, normal, sub, comp)
+    return DeformationPair.build(setup, sigma=sigma, phi=phi)
 
 
 def parse_instance(path_or_obj) -> InstanceFile:
@@ -236,12 +238,12 @@ def parse_instance(path_or_obj) -> InstanceFile:
         frames = []
         for fi, entries in enumerate(frames_obj):
             _expect(isinstance(entries, list), f"$.frames[{fi}]", "expected a list of components")
-            frames.append(dict(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (base_dim,))))
+            frames.append(dict(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (range(base_dim),))))
         try:
             fol = FoliationSetup.build(base_dim, sub_rank, frames)
         except ValueError as exc:
             raise InstanceError("$.frames", str(exc)) from exc
-        psi = dict(_parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij"))
+        psi = dict(_parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim))))
         instance.payload["foliation"] = fol
         instance.payload["psi"] = psi
         return instance
@@ -250,14 +252,12 @@ def parse_instance(path_or_obj) -> InstanceFile:
         source_data = _parse_algebroid(obj.get("source", {}), "$.source")
         target_data = _parse_algebroid(obj.get("target", {}), "$.target")
         m = source_data.base_dim
-        bundle = dict(_parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij"))
-        base_map = dict(_parse_entries(obj.get("base_map", []), "$.base_map", m, "k"))
-        try:
-            h = HomomorphismData.build(source_data, target_data, bundle, base_map)
-        except ValueError as exc:
-            raise InstanceError("$", str(exc)) from exc
-        instance.payload["homomorphism"] = h
-        cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate")
+        frames = (range(source_data.fiber_rank), range(target_data.fiber_rank))
+        coords = (range(target_data.base_dim),)
+        bundle = dict(_parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij", frames))
+        base_map = dict(_parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords))
+        instance.payload["homomorphism"] = HomomorphismData.build(source_data, target_data, bundle, base_map)
+        cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
         instance.payload["candidate_bundle"] = cand_bundle
         instance.payload["candidate_base"] = cand_base
         if "candidate_xq" in obj:

@@ -47,7 +47,6 @@ from .valgebra import (
     DEFAULT_SERIES_CAP,
     LInftyElement,
     MCDelta,
-    VAlgebra,
     mc_residual,
     twisted_projection,
 )
@@ -141,29 +140,6 @@ class SplitSetup:
                     for e in exps:
                         out.append(SuperVectorField._of(self.chart, {(e, odd, k): 1}))
         return out
-
-    def kernel_basis(self, poly_degree: int = 1) -> list[SuperVectorField]:
-        """Monomial fields annihilated by the projection, up to a poly bound."""
-        from .algebroid import _exponents_up_to
-
-        ne, no = self.chart.n_even, self.chart.n_odd
-        out = []
-        for e in _exponents_up_to(ne, poly_degree):
-            for size in range(no + 1):
-                for odd in itertools.combinations(range(no), size):
-                    for target in range(ne + no):
-                        mono = SuperVectorField(self.chart, {(e, odd, target): 1})
-                        if self.project(mono).is_zero():
-                            out.append(mono)
-        return out
-
-    def valgebra(self, poly_degree: int = 0) -> VAlgebra:
-        return VAlgebra(
-            chart=self.chart,
-            project=self.project,
-            abelian_basis=lambda d: self.abelian_basis(d, poly_degree),
-            kernel_basis=self.kernel_basis,
-        )
 
 
 @dataclass(frozen=True)
@@ -285,15 +261,14 @@ def tangency_oracle(
     neither the precondition nor the series' n = 0 term projects it again:
     its series is the MC residual of the candidate.
     """
-    valg = setup.valgebra()
     candidate = LInftyElement(-encode_deformation(setup, gamma).value, 0)
     if isinstance(z, MCDelta):
-        series = mc_residual(valg, z, candidate, cap=cap).value
+        series = mc_residual(setup, z, candidate, cap=cap).value
         z = z.delta
     elif not setup.project(z).is_zero():
         raise ValueError("field is not tangent to the zero section")
     else:
-        series = twisted_projection(valg, candidate, z, cap=cap)
+        series = twisted_projection(setup, candidate, z, cap=cap)
 
     chart = setup.chart
     ne = chart.n_even
@@ -331,7 +306,7 @@ def subalgebroid_mc_residual(
     a subalgebroid.
     """
     candidate = LInftyElement(-encode_deformation(setup, d).value, 0)
-    return mc_residual(setup.valgebra(), delta, candidate, cap=cap)
+    return mc_residual(setup, delta, candidate, cap=cap)
 
 
 @dataclass
@@ -583,19 +558,18 @@ def simultaneous_residual(
     second iff the summed candidate graph is a subalgebroid of the deformed
     structure.  The base pair must already be a deformation.
     """
-    valg = setup.valgebra()
     if not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
         raise ValueError("the base pair is not a deformation of the subalgebroid")
     if not cand_xq.is_zero():
         if cand_xq.degree() != 1:
             raise ValueError("the structure candidate must have degree 1")
-        if not valg.project(cand_xq).is_zero():
+        if not setup.project(cand_xq).is_zero():
             raise ValueError("the structure candidate must lie in ker(P)")
     v_residual = structure_residual(delta.delta, cand_xq)
     twist = LInftyElement(
         -(encode_deformation(setup, base).value + encode_deformation(setup, cand_def).value), 0
     )
-    a_residual = twisted_projection(valg, twist, delta.delta + cand_xq, cap=cap)
+    a_residual = twisted_projection(setup, twist, delta.delta + cand_xq, cap=cap)
     return v_residual, a_residual
 
 

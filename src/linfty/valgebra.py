@@ -2,9 +2,12 @@
 
 A V-algebra is the graded Lie algebra of super vector fields on a chart,
 split as an abelian summand (the image of the projection) plus the
-bracket-closed kernel of the projection.  A square-zero degree-1 element of
-the kernel induces the derived multibrackets on the abelian summand, an
-extended structure on the shifted ambient plus the summand, and twisted
+bracket-closed kernel of the projection.  The split itself is the only
+data the brackets need: any object with a ``chart`` and a ``project``
+(the retraction P onto the summand; in the package, ``SplitSetup``).
+Elements of the summand are realised as fields fixed by P, so the
+injection is the identity inclusion.  A square-zero degree-1 element of
+the kernel induces the derived multibrackets on the summand and twisted
 projections along degree-0 elements.  Everything is exact; the series
 encountered terminate for polynomial inputs and a hard cap turns silent
 divergence into a typed error.
@@ -14,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .signs import koszul_sign, shuffle_table
+from .signs import shuffle_table
 from .superfield import (
     CoordinateChart,
     SuperVectorField,
@@ -24,8 +27,10 @@ from .superfield import (
     super_commutator,
 )
 
+if TYPE_CHECKING:
+    from .subalgebroid import SplitSetup
+
 DEFAULT_SERIES_CAP = 64
-DEFAULT_MAX_ARITY = 4
 
 
 class SeriesCapExceeded(RuntimeError):
@@ -36,30 +41,11 @@ class NotInAbelianPart(ValueError):
     """An argument expected in the abelian summand is not fixed by P."""
 
 
-@dataclass(frozen=True)
-class VAlgebra:
-    """Split of the field algebra on a chart into abelian summand + kernel.
-
-    ``project`` is the retraction P onto the summand; elements of the
-    summand are realised as fields fixed by P, so the injection is the
-    identity inclusion.  ``abelian_basis(degree)`` enumerates a basis of
-    the summand in one degree (optionally capped in polynomial degree via
-    ``poly_degree``); ``kernel_basis(poly_degree)`` enumerates monomial
-    fields spanning the kernel up to that polynomial degree.
-    """
-
-    chart: CoordinateChart
-    project: Callable[[SuperVectorField], SuperVectorField]
-    abelian_basis: Callable[[int], list[SuperVectorField]]
-    kernel_basis: Callable[[int], list[SuperVectorField]]
-
-    def contains_in_abelian(self, v: SuperVectorField) -> bool:
-        return self.project(v) == v
-
-    def require_abelian(self, v: SuperVectorField) -> SuperVectorField:
-        if not self.contains_in_abelian(v):
-            raise NotInAbelianPart("element is not fixed by the projection")
-        return v
+def require_abelian(split: SplitSetup, v: SuperVectorField) -> SuperVectorField:
+    """``v`` itself, after checking that the split's projection fixes it."""
+    if split.project(v) != v:
+        raise NotInAbelianPart("element is not fixed by the projection")
+    return v
 
 
 @dataclass(frozen=True)
@@ -70,8 +56,8 @@ class LInftyElement:
     degree: int | None
 
     @staticmethod
-    def of(valg: VAlgebra, v: SuperVectorField) -> "LInftyElement":
-        valg.require_abelian(v)
+    def of(split: SplitSetup, v: SuperVectorField) -> "LInftyElement":
+        require_abelian(split, v)
         return LInftyElement(v, v.degree())
 
     def is_zero(self) -> bool:
@@ -85,73 +71,14 @@ class MCDelta:
     delta: SuperVectorField
 
     @staticmethod
-    def of(valg: VAlgebra, delta: SuperVectorField) -> "MCDelta":
+    def of(split: SplitSetup, delta: SuperVectorField) -> "MCDelta":
         if not delta.is_zero() and delta.degree() != 1:
             raise ValueError("delta must be homogeneous of degree 1")
-        if not valg.project(delta).is_zero():
+        if not split.project(delta).is_zero():
             raise ValueError("delta must lie in ker(P)")
         if not super_commutator(delta, delta).is_zero():
             raise ValueError("delta must satisfy [[delta, delta]] = 0")
         return MCDelta(delta)
-
-
-# ---------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------
-@dataclass
-class VAlgebraReport:
-    retraction_ok: bool = True
-    abelian_ok: bool = True
-    kernel_closed: bool = True
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.retraction_ok and self.abelian_ok and self.kernel_closed
-
-
-def check_v_algebra(
-    valg: VAlgebra,
-    probe_degree_bound: int = 2,
-    poly_degree_bound: int = 1,
-) -> VAlgebraReport:
-    """Verify P o I = id, abelianness of the summand and kernel closure.
-
-    Probes run over all basis pairs with degree in [-1, probe_degree_bound]
-    and polynomial degree up to the given bound; the report carries the
-    first counterexample of each kind.
-    """
-    report = VAlgebraReport()
-    abelian: list[SuperVectorField] = []
-    for d in range(-1, probe_degree_bound + 1):
-        abelian.extend(valg.abelian_basis(d))
-    for a in abelian:
-        if valg.project(a) != a:
-            report.retraction_ok = False
-            report.failures.append(f"P(I(a)) != a for a = {a!r}")
-            break
-    for a in abelian:
-        done = False
-        for b in abelian:
-            if not super_commutator(a, b).is_zero():
-                report.abelian_ok = False
-                report.failures.append(f"[[I(a), I(b)]] != 0 for a = {a!r}, b = {b!r}")
-                done = True
-                break
-        if done:
-            break
-    kernel = valg.kernel_basis(poly_degree_bound)
-    for u in kernel:
-        done = False
-        for w in kernel:
-            if not valg.project(super_commutator(u, w)).is_zero():
-                report.kernel_closed = False
-                report.failures.append(f"ker(P) not closed: [[{u!r}, {w!r}]]")
-                done = True
-                break
-        if done:
-            break
-    return report
 
 
 # ---------------------------------------------------------------------
@@ -170,8 +97,8 @@ class DerivedBrackets:
     would give.
     """
 
-    def __init__(self, valg: VAlgebra, delta: MCDelta):
-        self.valg = valg
+    def __init__(self, split: SplitSetup, delta: MCDelta):
+        self.split = split
         self._ids: dict[SuperVectorField, int] = {}
         # id(v) -> (v, number); holding v keeps its id from being reused
         self._by_object: dict[int, tuple[SuperVectorField, int]] = {}
@@ -182,7 +109,7 @@ class DerivedBrackets:
         """Number an argument object met for the first time; a value never seen is checked first."""
         ident = self._ids.get(v)
         if ident is None:
-            self.valg.require_abelian(v)
+            require_abelian(self.split, v)
             ident = self._ids[v] = len(self._ids)
         self._by_object[id(v)] = (v, ident)
         return ident
@@ -210,7 +137,7 @@ class DerivedBrackets:
             if step is None:
                 step = chains[ids[:i]] = super_commutator(w, args[i - 1].value)
             w = step
-        value = self.valg.project(w)
+        value = self.split.project(w)
         degree = value.degree()
         if degree is None:  # zero or mixed: the tag follows from the arguments' tags
             degs = [a.degree for a in args]
@@ -220,14 +147,14 @@ class DerivedBrackets:
 
 
 def derived_bracket(
-    valg: VAlgebra, delta: MCDelta, args: Sequence[LInftyElement]
+    split: SplitSetup, delta: MCDelta, args: Sequence[LInftyElement]
 ) -> LInftyElement:
     """The k-th derived bracket P[[...[[delta, a_1]], ...], a_k]], evaluated once."""
-    return DerivedBrackets(valg, delta)(args)
+    return DerivedBrackets(split, delta)(args)
 
 
 def _ad_series(
-    valg: VAlgebra, acc: SuperVectorField, w: SuperVectorField, x: LInftyElement, cap: int, what: str
+    split: SplitSetup, acc: SuperVectorField, w: SuperVectorField, x: LInftyElement, cap: int, what: str
 ) -> SuperVectorField:
     """acc + sum_{n>=1} (1/n!) P([...[w, x], ..., x]) with n brackets, for x of degree 0 in the summand.
 
@@ -236,7 +163,7 @@ def _ad_series(
     """
     if x.degree not in (0, None) and not x.value.is_zero():
         raise ValueError(f"the {what} needs an element of degree 0")
-    valg.require_abelian(x.value)
+    require_abelian(split, x.value)
     n = 0
     while True:
         w = super_commutator(w, x.value)
@@ -245,21 +172,21 @@ def _ad_series(
         n += 1
         if n > cap:
             raise SeriesCapExceeded(f"{what} did not terminate within {cap} brackets")
-        acc = acc + valg.project(w).scale(Fraction(1, factorial(n)))
+        acc = acc + split.project(w).scale(Fraction(1, factorial(n)))
 
 
 def twisted_projection(
-    valg: VAlgebra,
+    split: SplitSetup,
     phi: LInftyElement,
     v: SuperVectorField,
     cap: int = DEFAULT_SERIES_CAP,
 ) -> SuperVectorField:
     """P applied to the exponential of bracketing with a degree-0 element: sum_n (1/n!) P([...[v, phi], ..., phi])."""
-    return _ad_series(valg, valg.project(v), v, phi, cap, "twisted projection")
+    return _ad_series(split, split.project(v), v, phi, cap, "twisted projection")
 
 
 def mc_residual(
-    valg: VAlgebra,
+    split: SplitSetup,
     delta: MCDelta,
     candidate: LInftyElement,
     cap: int = DEFAULT_SERIES_CAP,
@@ -269,99 +196,8 @@ def mc_residual(
     This is the twisted projection of delta along the candidate; its n = 0
     term P(delta) vanishes because delta lies in ker(P), so it is not formed.
     """
-    acc = _ad_series(valg, SuperVectorField.zero(valg.chart), delta.delta, candidate, cap, "MC series")
+    acc = _ad_series(split, SuperVectorField.zero(split.chart), delta.delta, candidate, cap, "MC series")
     return LInftyElement(acc, acc.degree() if not acc.is_zero() else 1)
-
-
-# ---------------------------------------------------------------------
-# extended structure on V[1] (+) a
-# ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExtElement:
-    """Element (v[1], a) of the extended algebra; v is stored unshifted.
-
-    A homogeneous element has deg(v) - 1 == deg(a); the common shifted
-    degree is the ``degree`` tag.
-    """
-
-    v: SuperVectorField
-    a: SuperVectorField
-    degree: int | None
-
-    @staticmethod
-    def of(
-        valg: VAlgebra, v: SuperVectorField, a: SuperVectorField
-    ) -> "ExtElement":
-        valg.require_abelian(a)
-        dv = None if v.is_zero() else v.degree()
-        da = None if a.is_zero() else a.degree()
-        shifted = dv - 1 if dv is not None else None
-        if shifted is not None and da is not None and shifted != da:
-            raise ValueError("components have incompatible degrees")
-        return ExtElement(v, a, shifted if shifted is not None else da)
-
-    def is_zero(self) -> bool:
-        return self.v.is_zero() and self.a.is_zero()
-
-
-def extended_bracket(
-    valg: VAlgebra,
-    delta: MCDelta,
-    args: Sequence[ExtElement],
-) -> ExtElement:
-    """Structure maps of the extended algebra, any arity, flat (m_0 = 0).
-
-    The four defining patterns are: the unary map on pairs, the binary map
-    on two shifted fields, the chain started from one shifted field on
-    summand arguments, and the plain derived bracket; every other argument
-    pattern vanishes.  Mixed inputs expand multilinearly with Koszul
-    reordering signs.
-    """
-    chart = valg.chart
-    P = valg.project
-    zero = SuperVectorField.zero(chart)
-    if len(args) == 0:
-        return ExtElement(zero, zero, None)
-    for arg in args:
-        valg.require_abelian(arg.a)
-    if any(arg.degree is None and not arg.is_zero() for arg in args):
-        raise ValueError("extended bracket needs homogeneous arguments")
-    k = len(args)
-    if k == 1:
-        (x,) = args
-        v_part = -super_commutator(delta.delta, x.v)
-        a_part = P(x.v + super_commutator(delta.delta, x.a))
-        deg = x.degree + 1 if x.degree is not None else None
-        return ExtElement(v_part, a_part, deg)
-
-    degs = tuple(0 if arg.degree is None else arg.degree for arg in args)
-    v_total = zero
-    a_total = zero
-    # pattern (0, k): plain derived bracket of the summand components
-    chain = delta.delta
-    for arg in args:
-        chain = super_commutator(chain, arg.a)
-    a_total = a_total + P(chain)
-    # pattern (1, k-1): one shifted field first, with the reordering sign
-    for pos in range(k):
-        x = args[pos]
-        if x.v.is_zero():
-            continue
-        others = tuple(i for i in range(k) if i != pos)
-        sign = koszul_sign((pos, *others), degs)
-        chain = x.v
-        for i in others:
-            chain = super_commutator(chain, args[i].a)
-        a_total = a_total + P(chain).scale(sign)
-    # pattern (2, 0): only at arity 2
-    if k == 2:
-        x, y = args
-        if not x.v.is_zero() and not y.v.is_zero():
-            dv = x.v.degree()
-            sign = -1 if dv % 2 else 1
-            v_total = v_total + super_commutator(x.v, y.v).scale(sign)
-    deg = 1 + sum(degs)
-    return ExtElement(v_total, a_total, deg)
 
 
 # ---------------------------------------------------------------------
@@ -403,18 +239,15 @@ def generalized_jacobi(
 def check_linfty_axioms(
     m: Callable[[Sequence[LInftyElement]], LInftyElement],
     chart: CoordinateChart,
-    max_arity: int,
     probes: Sequence[Sequence[LInftyElement]],
 ) -> AxiomReport:
-    """Exact generalized-Jacobi check on each probe tuple of arity <= max_arity.
+    """Exact generalized-Jacobi check on each probe tuple.
 
     The probes share one set of shuffle tables, which lives as long as the call.
     """
     report = AxiomReport()
     shuffles: dict = {}
     for probe in probes:
-        if len(probe) > max_arity:
-            continue
         residue = generalized_jacobi(m, probe, chart, shuffles)
         report.checked += 1
         if not residue.is_zero():

@@ -12,21 +12,12 @@ from fractions import Fraction
 import pytest
 
 from instance_gen import random_candidate, random_instance
-from linfty.algebroid import (
-    AlgebroidData,
-    Derivation,
-    build_xq,
-    derivation_bracket,
-    derivation_to_field,
-    dgla_cohomology,
-    validate_algebroid,
-)
+from linfty.algebroid import AlgebroidData, build_xq, dgla_cohomology, validate_algebroid
 from linfty.applications import (
+    candidate_pair,
     foliation_infinitesimal,
-    foliation_r3,
-    hom_sl2_id,
-    homomorphism_deformation,
-    sl2,
+    graph_setup,
+    require_homomorphism,
     tangent_rn,
 )
 from linfty.cli import run_command
@@ -52,6 +43,9 @@ from linfty.valgebra import (
     mc_residual,
     twisted_projection,
 )
+from reference_oracles import Derivation, derivation_bracket, derivation_to_field
+
+SL2 = parse_instance(fixture_path("sl2")).payload["data"]
 
 
 def verdict(number: int, ok: bool, text: str):
@@ -61,10 +55,9 @@ def verdict(number: int, ok: bool, text: str):
 
 @pytest.fixture(scope="module")
 def borel():
-    setup = SplitSetup.build(sl2().data, 0, 0, 2)
-    xq = build_xq(sl2().data, setup.chart)
-    valg = setup.valgebra()
-    return setup, xq, valg, MCDelta.of(valg, xq)
+    setup = parse_instance(fixture_path("sl2-borel")).payload["setup"]
+    xq = build_xq(setup.data, setup.chart)
+    return setup, xq, MCDelta.of(setup, xq)
 
 
 def phi_pair(setup, a, b):
@@ -91,11 +84,11 @@ def test_criterion_1_homological_validation():
 
 
 def test_criterion_2_linfty_axioms(borel):
-    setup, xq, valg, delta = borel
+    setup, xq, delta = borel
     start = time.perf_counter()
     basis = []
     for d in (-1, 0, 1):
-        basis.extend(LInftyElement.of(valg, b) for b in setup.abelian_basis(d))
+        basis.extend(LInftyElement.of(setup, b) for b in setup.abelian_basis(d))
     probes = [(b,) for b in basis]
     probes += [(a, b) for a in basis for b in basis]
     exhaustive = len(probes)
@@ -104,7 +97,7 @@ def test_criterion_2_linfty_axioms(borel):
         for _ in range(100):
             probes.append(tuple(rng.choice(basis) for _ in range(n)))
     report = check_linfty_axioms(
-        lambda args: derived_bracket(valg, delta, args), setup.chart, 4, probes
+        lambda args: derived_bracket(setup, delta, args), setup.chart, probes
     )
     elapsed = time.perf_counter() - start
     ok = report.ok and report.checked == exhaustive + 200 and elapsed < 30.0
@@ -114,15 +107,14 @@ def test_criterion_2_linfty_axioms(borel):
 
 def test_criterion_3_explicit_formula_equivalence():
     instances = [
-        (sl2().data, 2, "borel split"),
+        (SL2, 2, "borel split"),
         (AlgebroidData.build(0, 3), 2, "rank-(2,1) abelian"),
     ]
     ok = True
     for data, sub_rank, _ in instances:
         setup = SplitSetup.build(data, 0, 0, sub_rank)
         xq = build_xq(data, setup.chart)
-        valg = setup.valgebra()
-        delta = MCDelta.of(valg, xq)
+        delta = MCDelta.of(setup, xq)
         forms = []
         for deg in range(setup.sub_rank + 1):
             for idx in itertools.combinations(setup.sub_indices, deg):
@@ -130,16 +122,16 @@ def test_criterion_3_explicit_formula_equivalence():
                     forms.append(FrameForm.build(setup, deg, {(idx, j): 1}))
         for arity in (1, 2, 3):
             for combo in itertools.product(forms, repeat=arity):
-                derived = derived_bracket(valg, delta, [encode_form(f) for f in combo])
+                derived = derived_bracket(setup, delta, [encode_form(f) for f in combo])
                 explicit = encode_form(explicit_structure_maps(setup, arity, list(combo)))
                 ok = ok and derived.value == explicit.value
         for combo in itertools.product(forms, repeat=4):
-            ok = ok and derived_bracket(valg, delta, [encode_form(f) for f in combo]).value.is_zero()
+            ok = ok and derived_bracket(setup, delta, [encode_form(f) for f in combo]).value.is_zero()
     verdict(3, ok, "shuffle-sum formulas equal nested brackets exhaustively; arity >= 4 vanishes")
 
 
 def test_criterion_4_mc_locus(borel):
-    setup, xq, valg, delta = borel
+    setup, xq, delta = borel
     expected_zero = {(-2, 1), (0, 0), (2, 1)}
     ok = True
     zero_points = set()
@@ -172,7 +164,7 @@ def test_criterion_5_oracle_equivalence():
     while checked < 50:
         setup, xq = random_instance(rng)
         pair = random_candidate(setup, rng)
-        residual = subalgebroid_mc_residual(setup, MCDelta.of(setup.valgebra(), xq), pair)
+        residual = subalgebroid_mc_residual(setup, MCDelta.of(setup, xq), pair)
         oracle = graph_closure_oracle(setup, pair)
         ok = ok and (residual.value.is_zero() == oracle.accepts)
         tan = tangency_oracle(setup, xq, pair)
@@ -189,24 +181,24 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_twisting(borel):
-    setup, xq, valg, delta = borel
+    setup, xq, delta = borel
     base = encode_deformation(setup, phi_pair(setup, 2, 1)).value
     ok = True
     for a in range(-2, 3):
         for b in range(-2, 3):
             cand = encode_deformation(setup, phi_pair(setup, a, b)).value
-            twisted = twisted_projection(valg, LInftyElement(-(base + cand), 0), delta.delta)
+            twisted = twisted_projection(setup, LInftyElement(-(base + cand), 0), delta.delta)
             on_locus = (2 + a) ** 2 == 4 * (1 + b)
             ok = ok and twisted.is_zero() == on_locus
-            summed = mc_residual(valg, delta, LInftyElement(-(base + cand), 0))
+            summed = mc_residual(setup, delta, LInftyElement(-(base + cand), 0))
             ok = ok and twisted == summed.value
     verdict(6, ok, "twisted locus around (2,1) is {(2+a)^2 = 4(1+b)} on the 5x5 grid")
 
 
 def test_criterion_7_cohomology(borel):
     start = time.perf_counter()
-    ok = all(r.dimension == 0 for r in dgla_cohomology(sl2().data, range(4)))
-    setup, xq, valg, delta = borel
+    ok = all(r.dimension == 0 for r in dgla_cohomology(SL2, range(4)))
+    setup, xq, delta = borel
     ok = ok and [r.dimension for r in m1_cohomology(setup, xq, (-1, 0, 1))] == [0, 0, 0]
     import math
 
@@ -223,7 +215,7 @@ def test_criterion_8_derivation_transport():
     ok = True
     rng = random.Random(88)
     # the bracket-derivation with anchor symbol maps to the structure field
-    for g in (sl2().data, tangent_rn(1)):
+    for g in (SL2, tangent_rn(1)):
         chart = g.plain_chart()
         body = {
             ((i, j), k): SuperFunction(chart, {(e, ()): c for e, c in poly.items()})
@@ -264,7 +256,7 @@ def test_criterion_8_derivation_transport():
 
 
 def test_criterion_9_applications():
-    fol = foliation_r3()
+    fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
     accept = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
     reject = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}})
     ok = accept.closed and accept.agree
@@ -272,7 +264,10 @@ def test_criterion_9_applications():
     ok = ok and reject.residual.values == {
         ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
     }
+    gs = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"])
+    require_homomorphism(gs)
     for t, expected in ((1, False), (0, True), (-1, True)):
-        res = homomorphism_deformation(hom_sl2_id(), bundle_map={(i, i): t for i in range(3)})
+        pair = gs.base_pair.add(candidate_pair(gs, {(i, i): t for i in range(3)}))
+        res = subalgebroid_mc_residual(gs.setup, gs.delta, pair)
         ok = ok and res.value.is_zero() == expected
     verdict(9, ok, "foliation fixture accepts/rejects with coefficient -1; scaled identity rejected except t in {0,-1}")

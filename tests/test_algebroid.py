@@ -10,26 +10,29 @@ from golden import record_instance_gen
 from instance_gen import random_candidate, random_instance
 from linfty.algebroid import (
     AlgebroidData,
-    CEForm,
-    Derivation,
     SectionCalculus,
     build_xq,
-    ce_differential,
     classical_anchor_defects,
     classical_jacobi_defects,
-    deformation_residual,
-    derivation_bracket,
-    derivation_to_field,
     dgla_cohomology,
-    field_to_derivation,
-    form_to_superfunction,
     merge_polys,
-    superfunction_to_form,
+    structure_residual,
     validate_algebroid,
 )
 from linfty.applications import candidate_pair, graph_setup, tangent_rn
 from linfty.instances import fixture_path, parse_instance
-from linfty.subalgebroid import DeformationPair, graph_closure_oracle
+from linfty.subalgebroid import DeformationPair, graph_closure_oracle, simultaneous_residual
+from linfty.valgebra import MCDelta
+from reference_oracles import (
+    CEForm,
+    Derivation,
+    ce_differential,
+    derivation_bracket,
+    derivation_to_field,
+    field_to_derivation,
+    form_to_superfunction,
+    superfunction_to_form,
+)
 from linfty.superfield import (
     SuperFunction,
     SuperVectorField,
@@ -168,26 +171,30 @@ class TestValidateAlgebroid:
             assert rep.ok == rep.classical_ok
 
 
+def preset_data(name):
+    return parse_instance(fixture_path(name)).payload["data"]
+
+
 class TestDeformationResidual:
+    """The residual of a structure candidate, as ``mc-check`` and ``simultaneous`` compute it."""
+
     def test_zero_candidate(self):
-        xq = build_xq(SL2)
-        assert deformation_residual(xq, SuperVectorField.zero(xq.chart)).is_zero()
+        xq = build_xq(preset_data("sl2"))
+        assert structure_residual(xq, SuperVectorField.zero(xq.chart)).is_zero()
 
     def test_two_dim_brackets_always_lie(self):
-        ab2 = AlgebroidData.build(0, 2)
-        chart = ab2.plain_chart()
-        cand = build_xq(AlgebroidData.build(0, 2, structure={(0, 1, 0): 1}), chart)
-        assert deformation_residual(build_xq(ab2), cand).is_zero()
+        ab2 = preset_data("abelian-2")
+        cand = build_xq(AlgebroidData.build(0, 2, structure={(0, 1, 0): 1}), ab2.plain_chart())
+        assert structure_residual(build_xq(ab2), cand).is_zero()
 
     def test_detects_jacobiator(self):
-        ab3 = AlgebroidData.build(0, 3)
-        chart = ab3.plain_chart()
-        cand = build_xq(NON_JACOBI, chart)
-        assert not deformation_residual(build_xq(ab3), cand).is_zero()
+        ab3 = preset_data("abelian-3")
+        cand = build_xq(preset_data("non-jacobi-3"), ab3.plain_chart())
+        assert not structure_residual(build_xq(ab3), cand).is_zero()
 
     def test_zero_iff_sum_homological(self):
         rng = random.Random(2)
-        xq = build_xq(SL2)
+        xq = build_xq(preset_data("sl2"))
         chart = SL2.plain_chart()
         hits = {True: 0, False: 0}
         for _ in range(30):
@@ -198,16 +205,17 @@ class TestDeformationResidual:
                     if c:
                         structure[(i, j, k)] = c
             cand = build_xq(AlgebroidData.build(0, 3, structure), chart)
-            zero = deformation_residual(xq, cand).is_zero()
+            zero = structure_residual(xq, cand).is_zero()
             hits[zero] += 1
             assert zero == is_homological(xq + cand)
         assert hits[False] > 0  # the sample is not vacuous
 
     def test_degree_violation(self):
-        xq = build_xq(SL2)
-        bad = SuperVectorField(xq.chart, {((), (0, 1), 0): Fraction(1), ((), (), 0): Fraction(1)})
-        with pytest.raises(ValueError):
-            deformation_residual(xq, bad)
+        setup = parse_instance(fixture_path("sl2-borel")).payload["setup"]
+        delta = MCDelta.of(setup, build_xq(setup.data, setup.chart))
+        bad = SuperVectorField(setup.chart, {((), (0, 1), 0): Fraction(1), ((), (), 0): Fraction(1)})
+        with pytest.raises(ValueError, match="degree 1"):
+            simultaneous_residual(setup, delta, DeformationPair.zero(), bad, DeformationPair.zero())
 
 
 class TestCEDifferential:

@@ -1,4 +1,6 @@
+import argparse
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,26 +10,28 @@ from linfty.algebroid import AlgebroidData, build_xq, validate_algebroid
 from linfty.applications import (
     FoliationSetup,
     HomomorphismData,
-    abelian,
     block_perturbation,
     block_sum_data,
     candidate_pair,
     foliation_infinitesimal,
-    foliation_r3,
     graph_setup,
-    heisenberg3,
-    hom_sl2_id,
-    homomorphism_deformation,
-    lie_algebra_deformation,
-    non_jacobi3,
+    require_homomorphism,
     simultaneous_homomorphism,
-    sl2,
-    subalgebra_deformation,
     tangent_rn,
 )
-from linfty.applications import LieAlgebraData
-from linfty.subalgebroid import graph_closure_oracle
+from linfty.cli import run_command
+from linfty.instances import FORMAT_VERSION, fixture_path, parse_instance
+from linfty.subalgebroid import graph_closure_oracle, subalgebroid_mc_residual
 from linfty.superfield import SuperFunction, is_homological
+
+
+def preset_data(name: str) -> AlgebroidData:
+    return parse_instance(fixture_path(name)).payload["data"]
+
+
+def constant_entries(tensor: dict, names: str) -> list[dict]:
+    """Instance-file entries of constant values keyed by index tuples."""
+    return [{**dict(zip(names, key)), "terms": [{"exponents": [], "numer": c}]} for key, c in tensor.items() if c]
 
 
 def direct_sum_algebroid(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
@@ -40,13 +44,13 @@ def direct_sum_algebroid(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
 
 class TestDirectSum:
     def test_sum_with_zero_algebra_is_isomorphic(self):
-        g = sl2().data
+        g = preset_data("sl2")
         zero = AlgebroidData.build(0, 0)
         ds = direct_sum_algebroid(g, zero)
         assert ds.structure == g.structure and ds.fiber_rank == 3
 
     def test_sl2_plus_sl2_validates(self):
-        ds = direct_sum_algebroid(sl2().data, sl2().data)
+        ds = direct_sum_algebroid(preset_data("sl2"), preset_data("sl2"))
         assert validate_algebroid(ds).ok
 
     def test_tangent_sum_anchor_blocks(self):
@@ -55,7 +59,7 @@ class TestDirectSum:
         assert ds.anchor == {(0, 0): {(0, 0): Fraction(1)}, (1, 1): {(0, 0): Fraction(1)}}
 
     def test_structure_field_is_sum_of_blocks(self):
-        a, b = sl2().data, heisenberg3().data
+        a, b = preset_data("sl2"), preset_data("heisenberg-3")
         ds = direct_sum_algebroid(a, b)
         left = block_sum_data(a, AlgebroidData.build(0, 3))
         right = block_sum_data(AlgebroidData.build(0, 3), b)
@@ -63,12 +67,21 @@ class TestDirectSum:
 
     def test_invalid_summand_rejected(self):
         with pytest.raises(ValueError):
-            direct_sum_algebroid(non_jacobi3().data, sl2().data)
+            direct_sum_algebroid(preset_data("non-jacobi-3"), preset_data("sl2"))
+
+
+def mc_check(name: str, mu: dict) -> bool:
+    """Whether ``mc-check`` finds the preset plus the constant perturbation ``mu`` a Lie algebra."""
+    obj = json.loads(fixture_path(name).read_text())
+    obj["candidate"] = {"structure": constant_entries(mu, "ijk")}
+    report = run_command("mc-check", parse_instance(obj))
+    assert report.oracle_agreement
+    return report.verdict == "mc-zero"
 
 
 class TestLieAlgebraDeformation:
     def test_zero_perturbation(self):
-        assert lie_algebra_deformation(sl2(), {}).is_zero()
+        assert mc_check("sl2", {})
 
     def test_every_two_dim_bracket_is_lie(self):
         rng = random.Random(3)
@@ -78,59 +91,69 @@ class TestLieAlgebraDeformation:
                 c = rng.randint(-3, 3)
                 if c:
                     mu[(0, 1, k)] = c
-            assert lie_algebra_deformation(abelian(2), mu).is_zero()
+            assert mc_check("abelian-2", mu)
 
     def test_non_jacobi_rejected(self):
         mu = {(0, 1, 2): 1, (0, 2, 0): 1}
-        assert not lie_algebra_deformation(abelian(3), mu).is_zero()
+        assert not mc_check("abelian-3", mu)
 
     def test_matches_classical_jacobi_exhaustively_dim3(self):
         # small coefficient grid over a fixed sparse support
         support = [(0, 1, 2), (0, 2, 0), (1, 2, 1)]
         for coeffs in itertools.product((-1, 0, 1), repeat=3):
             mu = {key: c for key, c in zip(support, coeffs) if c}
-            residual_zero = lie_algebra_deformation(abelian(3), mu).is_zero()
+            residual_zero = mc_check("abelian-3", mu)
             classical = validate_algebroid(AlgebroidData.build(0, 3, mu)).classical_ok
             assert residual_zero == classical
 
 
+def subalg_check(structure: dict, sub_rank: int, phi: dict):
+    """``subalg-check`` of the graph of ``phi`` over the span of the first ``sub_rank`` frame elements."""
+    obj = {
+        "format_version": FORMAT_VERSION, "kind": "subalgebra", "dimension": 3, "sub_rank": sub_rank,
+        "structure": constant_entries(structure, "ijk"), "candidate": {"phi": constant_entries(phi, "ij")},
+    }
+    return run_command("subalg-check", parse_instance(obj))
+
+
 class TestSubalgebraDeformation:
     def test_borel_locus(self):
+        borel = parse_instance(fixture_path("sl2-borel"))
         for a in range(-2, 3):
             for b in range(-2, 3):
-                res = subalgebra_deformation(sl2(), 2, {(0, 2): a, (1, 2): b})
-                assert res.value.is_zero() == (a * a == 4 * b)
+                args = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None, degree=None,
+                                          phi=[str(a), str(b)])
+                assert (run_command("subalg-check", borel, args).verdict == "mc-zero") == (a * a == 4 * b)
 
     def test_line_in_sl2_always_deforms(self):
         # frame order (f, h, e): span(f) is an abelian line
-        g = LieAlgebraData.build(3, {(0, 1, 0): 2, (0, 2, 1): -1, (1, 2, 2): 2})
+        g = {(0, 1, 0): 2, (0, 2, 1): -1, (1, 2, 2): 2}
         for a in (-2, 0, 1):
             for b in (-1, 0, 3):
-                res = subalgebra_deformation(g, 1, {(0, 1): a, (0, 2): b})
-                assert res.value.is_zero()
+                assert subalg_check(g, 1, {(0, 1): a, (0, 2): b}).verdict == "mc-zero"
 
     def test_zero_candidate(self):
-        assert subalgebra_deformation(sl2(), 2, {}).value.is_zero()
+        assert run_command("subalg-check", parse_instance(fixture_path("sl2-borel"))).verdict == "mc-zero"
 
     def test_non_subalgebra_rejected(self):
         # frame order (h, f, e): span(h, f) is not closed ([h,f] = -2f is fine,
         # but take span(e, f) instead: [e,f] = h escapes)
         # frame (e, f, h): [e,f]=h, [h,e]=2e, [h,f]=-2f
-        g = LieAlgebraData.build(3, {(0, 1, 2): 1, (2, 0, 0): 2, (2, 1, 1): -2})
+        g = {(0, 1, 2): 1, (2, 0, 0): 2, (2, 1, 1): -2}
         with pytest.raises(ValueError):
-            subalgebra_deformation(g, 2, {})
+            subalg_check(g, 2, {})
 
 
 class TestFoliation:
     def test_fixture_accepts_symmetric_candidate(self):
-        fol = foliation_r3()
+        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
         res = foliation_infinitesimal(
             fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
         )
         assert res.closed and res.agree and not res.condition_defects
 
     def test_fixture_rejects_half_candidate_with_minus_one(self):
-        fol = foliation_r3()
+        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
         res = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}})
         assert not res.closed and res.agree
         assert res.residual.values == {
@@ -138,7 +161,7 @@ class TestFoliation:
         }
 
     def test_zero_candidate_closed(self):
-        fol = foliation_r3()
+        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
         res = foliation_infinitesimal(fol, {})
         assert res.closed and res.agree
 
@@ -172,30 +195,40 @@ class TestFoliation:
             FoliationSetup.build(1, 1, [{0: {(1,): 1}}])
 
 
+def hom_sl2_id() -> HomomorphismData:
+    return parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]
+
+
+def homomorphism_residual(h: HomomorphismData, bundle_map=None, base_map=None):
+    """The residual ``subalg-check`` decides on a homomorphism: its checked graph setup plus the offsets."""
+    gs = graph_setup(h)
+    require_homomorphism(gs)
+    return subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair.add(candidate_pair(gs, bundle_map, base_map)))
+
+
 class TestHomomorphisms:
     def test_identity_is_homomorphism(self):
-        assert homomorphism_deformation(hom_sl2_id()).value.is_zero()
+        assert homomorphism_residual(hom_sl2_id()).value.is_zero()
 
     def test_scaling_sl2_identity(self):
         for t, ok in ((0, True), (-1, True), (1, False), (2, False), (-2, False)):
-            res = homomorphism_deformation(
-                hom_sl2_id(), bundle_map={(i, i): t for i in range(3)}
-            )
+            res = homomorphism_residual(hom_sl2_id(), bundle_map={(i, i): t for i in range(3)})
             assert res.value.is_zero() == ok
 
     def test_abelian_linear_maps_always_work(self):
-        h = HomomorphismData.build(
-            abelian(1).data, abelian(1).data, bundle_map={(0, 0): 1}
-        )
+        line = AlgebroidData.build(0, 1)
+        h = HomomorphismData.build(line, line, bundle_map={(0, 0): 1})
         for t in (-3, 0, 7):
-            res = homomorphism_deformation(h, bundle_map={(0, 0): t})
+            res = homomorphism_residual(h, bundle_map={(0, 0): t})
             assert res.value.is_zero()
 
     def test_invalid_base_homomorphism_rejected(self):
         # the zero-bracket target cannot receive the identity from sl2
-        h = HomomorphismData.build(sl2().data, abelian(3).data, bundle_map={(i, i): 1 for i in range(3)})
+        h = HomomorphismData.build(
+            preset_data("sl2"), preset_data("abelian-3"), bundle_map={(i, i): 1 for i in range(3)}
+        )
         with pytest.raises(ValueError):
-            homomorphism_deformation(h, bundle_map={})
+            homomorphism_residual(h, bundle_map={})
 
     def test_graph_oracle_agrees(self):
         gs = graph_setup(hom_sl2_id())
@@ -209,10 +242,10 @@ class TestHomomorphisms:
         h = HomomorphismData.build(
             tangent_rn(1), tangent_rn(1), bundle_map={(0, 0): 1}, base_map={0: {(1,): 1}}
         )
-        res = homomorphism_deformation(h)
+        res = homomorphism_residual(h)
         assert res.value.is_zero()
         # shifting the base map without touching anchors breaks the square
-        res2 = homomorphism_deformation(h, bundle_map={(0, 0): {(2,): 1}})
+        res2 = homomorphism_residual(h, bundle_map={(0, 0): {(2,): 1}})
         assert not res2.value.is_zero()
 
 
@@ -222,21 +255,21 @@ class TestSimultaneousHomomorphism:
         assert v.is_zero() and a.is_zero()
 
     def test_matched_deformations_of_abelian_pair(self):
-        A = abelian(2).data
+        A = preset_data("abelian-2")
         h = HomomorphismData.build(A, A, bundle_map={(0, 0): 1, (1, 1): 1})
         pert = AlgebroidData.build(0, 2, {(0, 1, 0): 1})
         v, a = simultaneous_homomorphism(h, pert, pert)
         assert v.is_zero() and a.is_zero()
 
     def test_one_sided_deformation_breaks_identity(self):
-        A = abelian(2).data
+        A = preset_data("abelian-2")
         h = HomomorphismData.build(A, A, bundle_map={(0, 0): 1, (1, 1): 1})
         pert = AlgebroidData.build(0, 2, {(0, 1, 0): 1})
         v, a = simultaneous_homomorphism(h, pert, None)
         assert v.is_zero() and not a.is_zero()
 
     def test_block_perturbation_checks_dimensions(self):
-        h = HomomorphismData.build(sl2().data, abelian(2).data)
+        h = HomomorphismData.build(preset_data("sl2"), preset_data("abelian-2"))
         pert = AlgebroidData.build(0, 3, {(0, 1, 0): 1})
         assert block_perturbation(h, pert, None) == block_sum_data(pert, AlgebroidData.build(0, 2))
         with pytest.raises(ValueError, match="target"):
@@ -248,8 +281,7 @@ class TestSimultaneousHomomorphism:
 
     @pytest.mark.parametrize("blocks", [("source",), ("target",), ("source", "target")])
     def test_matches_cli_simultaneous(self, blocks):
-        from linfty.cli import _residual_terms, run_command
-        from linfty.instances import FORMAT_VERSION, parse_instance
+        from linfty.cli import _residual_terms
 
         one = [{"exponents": [], "numer": 1, "denom": 1}]
         block = {"base_dim": 0, "fiber_rank": 2, "structure": [], "anchor": []}

@@ -182,6 +182,34 @@ class TestParsing:
         assert err.value.path == path
 
     @pytest.mark.parametrize(
+        "preset,where,entry,path",
+        [  # the entry list's location, an entry with one index out of its range, the reported path
+            ("foliation-r3", ["psi"], {"i": 0, "j": 7}, "$.psi[0].j"),
+            ("foliation-r3", ["psi"], {"i": 0, "j": 1}, "$.psi[0].j"),  # a sub-frame index
+            ("foliation-r3", ["psi"], {"i": 2, "j": 2}, "$.psi[0].i"),  # a complement index
+            ("hom-sl2-id", ["candidate", "phi"], {"i": 0, "j": 9}, "$.candidate.phi[0].j"),
+            ("hom-sl2-id", ["candidate", "phi"], {"i": 3, "j": 0}, "$.candidate.phi[0].i"),
+            ("hom-sl2-id", ["candidate", "sigma"], {"k": 0}, "$.candidate.sigma[0].k"),  # the target has no base
+            ("hom-sl2-id", ["bundle_map"], {"i": 0, "j": 3}, "$.bundle_map[0].j"),
+            ("hom-sl2-id", ["base_map"], {"k": 0}, "$.base_map[0].k"),
+            ("sl2-borel", ["candidate", "phi"], {"i": 0, "j": 1}, "$.candidate.phi[0].j"),
+            ("tangent-r1-origin", ["base", "sigma"], {"k": 1}, "$.base.sigma[0].k"),
+        ],
+    )
+    def test_out_of_range_entry_names_its_path(self, capsys, tmp_path, preset, where, entry, path):
+        obj = json.loads(fixture_path(preset).read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[where[-1]] = [{**entry, "terms": []}]
+        with pytest.raises(InstanceError) as err:
+            parse_instance(obj)
+        assert err.value.path == path and "index out of range" in str(err.value)
+        write_instance(obj, tmp_path / "bad.json")
+        code, out, err = run_cli(capsys, "validate", str(tmp_path / "bad.json"))
+        assert (code, out) == (2, "") and path in err
+
+    @pytest.mark.parametrize(
         "preset,where,value,path",
         [  # the field's location in the preset, the boolean put there, the reported path
             ("sl2", ["format_version"], True, "$.format_version"),
@@ -347,9 +375,12 @@ class TestCommands:
         from linfty import algebroid
 
         calls = record_calls(monkeypatch, algebroid.build_xq)
-        code, _, _ = run_cli(capsys, "validate", "sl2-borel", "--json")
-        assert code == 0
-        assert len(calls) == 1  # was 2: one for validate_algebroid, one for the P(X) check
+        # was 2 for each: one for validate_algebroid, one for the P(X) (integrability) check
+        for preset in ("sl2-borel", "foliation-r3"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "validate", preset, "--json")
+            assert code == 0
+            assert len(calls) == 1, preset
 
     @pytest.mark.parametrize(
         "preset,count",
@@ -524,6 +555,8 @@ class TestCommands:
             (["validate", "sl2-borel", "--cap", "3"], "--cap"),
             (["mc-check", "sl2", "--cap", "3"], "--cap"),
             (["oracle-compare", "abelian-3", "--cap", "3"], "--cap"),
+            # an empty --phi is given all the same, and has the wrong length
+            (["subalg-check", "sl2-borel", "--phi"], "--phi"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):

@@ -6,7 +6,7 @@ import pytest
 
 from cohomology_oracle import m1_representatives
 from instance_gen import random_candidate, random_fixed_base_instance, random_instance
-from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq
+from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq, structure_residual
 from linfty.applications import block_sum_data, graph_setup
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
@@ -43,7 +43,7 @@ def borel():
 
 
 def checked(setup, xq):
-    return MCDelta.of(setup.valgebra(), xq)
+    return MCDelta.of(setup, xq)
 
 
 def phi_pair(setup, a, b):
@@ -274,8 +274,7 @@ class TestExplicitStructureMaps:
     def test_matches_derived_brackets_exhaustively(self, data, sub_rank):
         setup = SplitSetup.build(data, data.base_dim, 0, sub_rank)
         xq = build_xq(data, setup.chart)
-        valg = setup.valgebra()
-        bracket = DerivedBrackets(valg, MCDelta.of(valg, xq))
+        bracket = DerivedBrackets(setup, MCDelta.of(setup, xq))
         forms = self.frame_forms(setup)
         encoded = [encode_form(f) for f in forms]
         calculus, shuffles = SectionCalculus.of(data, setup.chart), {}
@@ -293,11 +292,10 @@ class TestExplicitStructureMaps:
     def test_arity_four_and_up_vanish(self, data, sub_rank):
         setup = SplitSetup.build(data, 0, 0, sub_rank)
         xq = build_xq(data, setup.chart)
-        valg = setup.valgebra()
-        delta = MCDelta.of(valg, xq)
+        delta = MCDelta.of(setup, xq)
         forms = [encode_form(f) for f in self.frame_forms(setup)]
         for combo in itertools.product(forms, repeat=4):
-            assert derived_bracket(valg, delta, list(combo)).value.is_zero()
+            assert derived_bracket(setup, delta, list(combo)).value.is_zero()
 
     def test_form_encoding_round_trip(self, borel):
         setup, _ = borel
@@ -372,9 +370,7 @@ class TestSimultaneous:
                 setup, checked(setup, xq), DeformationPair.zero(), cand_xq, cand_def
             )
             # first component: the structure deformation residual
-            from linfty.algebroid import deformation_residual
-
-            assert v == deformation_residual(xq, cand_xq)
+            assert v == structure_residual(xq, cand_xq)
             # second: when the sum is a structure, the plain residual of the sum
             if v.is_zero():
                 direct = subalgebroid_mc_residual(setup, checked(setup, xq + cand_xq), cand_def)
@@ -435,14 +431,13 @@ class TestM1Cohomology:
         # bracket must satisfy the shuffle Jacobi identity exactly
         setup = SplitSetup.build(HEIS_CENTER, 0, 0, 1)
         xq = build_xq(HEIS_CENTER, setup.chart)
-        valg = setup.valgebra()
-        delta = MCDelta.of(valg, xq)
+        delta = MCDelta.of(setup, xq)
         reps = m1_representatives(setup, xq, -1) + m1_representatives(setup, xq, 0)
         assert len(reps) == 4
-        elements = [LInftyElement.of(valg, r) for r in reps]
+        elements = [LInftyElement.of(setup, r) for r in reps]
         from linfty.valgebra import generalized_jacobi
 
-        m = lambda args: derived_bracket(valg, delta, args)
+        m = lambda args: derived_bracket(setup, delta, args)
         for combo in itertools.product(elements, repeat=3):
             assert generalized_jacobi(m, list(combo), setup.chart).is_zero()
 
