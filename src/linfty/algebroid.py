@@ -23,11 +23,11 @@ from .superfield import (
     COMPLEMENT_FRAME,
     Coefficient,
     CoordinateChart,
+    PreconditionError,
     SuperFunction,
     SuperVectorField,
     coefficient,
     is_homological,
-    render_field,
     render_function,
     super_commutator,
 )
@@ -143,12 +143,6 @@ class AlgebroidData:
         odd_roles = (SUB_FRAME,) * sub_rank + (COMPLEMENT_FRAME,) * (self.fiber_rank - sub_rank)
         return CoordinateChart(evens, roles, odds, odd_roles)
 
-    def max_poly_degree(self) -> int:
-        degs = [0]
-        for poly in list(self.structure.values()) + list(self.anchor.values()):
-            degs.extend(sum(e) for e in poly)
-        return max(degs)
-
 
 def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> SuperVectorField:
     """Degree-1 field (1/2) C^k_ij xi^i xi^j d/dxi^k - b^t_i xi^i d/dx^t."""
@@ -171,13 +165,13 @@ def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> Super
 # ---------------------------------------------------------------------
 @dataclass
 class AlgebroidReport:
-    """Both routes' verdicts, with the structure field the homological one squared."""
+    """Both routes' verdicts, with the structure field the homological route squared and that square."""
 
     homological: bool
-    square_terms: list[str] = field(default_factory=list)
+    xq: SuperVectorField | None = None
+    square: SuperVectorField | None = None
     anchor_defects: dict[tuple[int, int, int], str] = field(default_factory=dict)
     jacobi_defects: dict[tuple[int, int, int, int], str] = field(default_factory=dict)
-    xq: SuperVectorField | None = None
 
     @property
     def ok(self) -> bool:
@@ -195,11 +189,7 @@ def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None
     square = super_commutator(xq, xq)
     degree = xq.degree()  # is_homological's rules, reusing the square
     homological = xq.is_zero() or (degree is not None and degree % 2 == 1 and square.is_zero())
-    report = AlgebroidReport(homological=homological, xq=xq)
-    if not square.is_zero():
-        for key, c in sorted(square.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])):
-            single = SuperVectorField(chart, {key: c})
-            report.square_terms.append(render_field(single))
+    report = AlgebroidReport(homological, xq, square)
     for (i, j, t), poly in classical_anchor_defects(data, chart).items():
         report.anchor_defects[(i, j, t)] = render_function(poly)
     for (i, j, k, c), poly in classical_jacobi_defects(data, chart).items():
@@ -442,11 +432,11 @@ def dgla_cohomology(
     """
     chart = data.plain_chart()
     if data.base_dim > 0 and truncate is None:
-        raise ValueError("polynomial base needs a truncation degree")
+        raise PreconditionError("polynomial base needs a truncation degree")
     bound = 0 if data.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
     xq = build_xq(data, chart)
     if not is_homological(xq):
-        raise ValueError("the structure field must be homological")
+        raise PreconditionError("the structure field must be homological")
 
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)

@@ -32,7 +32,7 @@ from .subalgebroid import (
     simultaneous_residual,
     subalgebroid_mc_residual,
 )
-from .superfield import SuperFunction, SuperVectorField, is_homological
+from .superfield import PreconditionError, SuperFunction, SuperVectorField, is_homological
 from .valgebra import DEFAULT_SERIES_CAP, MCDelta
 
 
@@ -87,10 +87,6 @@ class FoliationSetup:
         data = _tangent_in_frame(base_dim, norm)
         setup = SplitSetup.build(data, base_dim, 0, sub_rank)
         return FoliationSetup(base_dim, sub_rank, norm, data, setup)
-
-    def is_integrable(self) -> bool:
-        xq = build_xq(self.algebroid, self.setup.chart)
-        return self.setup.project(xq).is_zero()
 
 
 def _det(chart, mat) -> SuperFunction:
@@ -168,15 +164,15 @@ class FoliationResult:
         return self.closed == (not self.condition_defects)
 
 
-def foliation_infinitesimal(fol: FoliationSetup, psi: Mapping) -> FoliationResult:
+def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, psi: Mapping) -> FoliationResult:
     """Whether a candidate bundle map is closed for the unary structure map.
 
     Evaluates the unary map on the candidate and, independently, the
     classical condition pi_F([psi v, w] + [v, psi w]) = psi([v, w]) on
-    frame pairs of the distribution; both verdicts are reported.
+    frame pairs of the distribution; both verdicts are reported.  The
+    checked structure field ``delta`` of ``fol.setup`` is the proof that
+    the distribution is integrable (P(delta) = 0), which the unary map needs.
     """
-    if not fol.is_integrable():
-        raise ValueError("the distribution is not integrable")
     setup = fol.setup
     chart = setup.chart
     form = FrameForm.build(
@@ -252,14 +248,13 @@ class GraphSetup:
     """Adapted presentation of the graph of a homomorphism in a direct sum."""
 
     h: HomomorphismData
-    sum_data: AlgebroidData
     setup: SplitSetup
     base_pair: DeformationPair
 
     @cached_property
     def delta(self) -> MCDelta:
         """The checked structure field of the sum: one square for every residual of this setup."""
-        return MCDelta.of(self.setup, build_xq(self.sum_data, self.setup.chart))
+        return MCDelta.of(self.setup, build_xq(self.setup.data, self.setup.chart))
 
 
 def graph_setup(h: HomomorphismData) -> GraphSetup:
@@ -271,17 +266,16 @@ def graph_setup(h: HomomorphismData) -> GraphSetup:
     """
     for name, block in (("source", h.source), ("target", h.target)):
         if not is_homological(build_xq(block)):
-            raise ValueError(f"invalid {name} algebroid")
-    sum_data = block_sum_data(h.source, h.target)
+            raise PreconditionError(f"invalid {name} algebroid")
     setup = SplitSetup.build(
-        sum_data, h.source.base_dim, h.target.base_dim, h.source.fiber_rank
+        block_sum_data(h.source, h.target), h.source.base_dim, h.target.base_dim, h.source.fiber_rank
     )
     base_pair = DeformationPair.build(
         setup,
         sigma={k: dict(poly) for k, poly in h.base_map.items()},
         phi={(i, h.source.fiber_rank + j): dict(poly) for (i, j), poly in h.bundle_map.items()},
     )
-    return GraphSetup(h, sum_data, setup, base_pair)
+    return GraphSetup(h, setup, base_pair)
 
 
 def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> DeformationPair:
@@ -299,7 +293,7 @@ def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> Deformatio
 def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
     """Refuse a graph setup whose base bundle map is not itself a homomorphism."""
     if not subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=cap).value.is_zero():
-        raise ValueError("the base bundle map is not a homomorphism")
+        raise PreconditionError("the base bundle map is not a homomorphism")
 
 
 def block_perturbation(

@@ -2,9 +2,12 @@
 
 Every command produces a deterministic report; ``--json`` emits the
 machine-readable form (timing omitted so reports are byte-stable).  Exit
-codes: 0 pass/mc-zero, 1 mathematical failure, 2 input error, 3 internal
-inconsistency (the two independent routes disagreed; must never happen),
-4 internal error (an uncaught exception; must never happen either).
+codes: 0 pass/mc-zero, 1 mathematical failure, 2 input error (a bad file
+or flag, a series over its cap, or input that fails a documented
+precondition, raised as ``PreconditionError``), 3 internal inconsistency
+(the two independent routes disagreed; must never happen), 4 internal
+error (any other exception, a plain ``ValueError`` included; must never
+happen either).
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from .subalgebroid import (
     subalgebroid_mc_residual,
     tangency_oracle,
 )
-from .superfield import SuperVectorField, render_field
+from .superfield import PreconditionError, SuperVectorField, render_field
 from .valgebra import (
     DerivedBrackets,
     LInftyElement,
@@ -262,7 +265,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         return Report(
             "validate",
             "pass" if rep.ok else "fail",
-            residual_terms=rep.square_terms or [],
+            residual_terms=_residual_terms(rep.square),
             oracle_agreement=agreement,
             details=details,
         )
@@ -275,7 +278,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         return Report(
             "validate",
             "pass" if (rep.ok and p_ok) else "fail",
-            residual_terms=rep.square_terms + _residual_terms(projected),
+            residual_terms=_residual_terms(rep.square) + _residual_terms(projected),
             oracle_agreement=(rep.ok and p_ok) == (rep.classical_ok and oracle.accepts),
             details={"ambient_valid": rep.ok, "subbundle_closed": p_ok},
         )
@@ -368,9 +371,10 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
         groups = lambda qs: dgla_cohomology(data, qs, truncate=truncate)
     else:
         setup = _split_case(inst, args, "cohomology")[0]
-        xq = build_xq(setup.data, setup.chart)
         top = setup.sub_rank + (1 if setup.normal_rank else 0)
-        groups = lambda qs: m1_cohomology(setup, xq, [q - 1 for q in qs], truncate=truncate)
+        groups = lambda qs: m1_cohomology(
+            setup, _structure_delta(setup, None), [q - 1 for q in qs], truncate=truncate
+        )
     if args.degree is not None and not 0 <= args.degree <= top:
         raise InstanceError("--degree", f"expected a degree in 0..{top}")
     degrees = [args.degree] if args.degree is not None else list(range(top + 1))
@@ -471,7 +475,7 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
     pair = base.add(cand)
     delta = _structure_delta(setup, gs)
     if inst.kind == "foliation":
-        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], inst.payload["psi"])
+        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], delta, inst.payload["psi"])
         mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
         third_agrees = infinitesimal.agree
         details = {"infinitesimal_closed": infinitesimal.closed}
@@ -554,7 +558,7 @@ def main(argv=None) -> int:
     except SeriesCapExceeded as exc:
         print(f"series cap exceeded: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:

@@ -37,10 +37,10 @@ from .superfield import (
     ChartMismatchError,
     Coefficient,
     CoordinateChart,
+    PreconditionError,
     SuperFunction,
     SuperVectorField,
     apply,
-    is_homological,
     super_commutator,
 )
 from .valgebra import (
@@ -240,10 +240,6 @@ class TangencyResult:
     @property
     def agree(self) -> bool:
         return self.series == self.substitution
-
-    @property
-    def tangent(self) -> bool:
-        return self.series.is_zero() and self.substitution.is_zero()
 
 
 def tangency_oracle(
@@ -559,12 +555,12 @@ def simultaneous_residual(
     structure.  The base pair must already be a deformation.
     """
     if not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
-        raise ValueError("the base pair is not a deformation of the subalgebroid")
+        raise PreconditionError("the base pair is not a deformation of the subalgebroid")
     if not cand_xq.is_zero():
         if cand_xq.degree() != 1:
-            raise ValueError("the structure candidate must have degree 1")
+            raise PreconditionError("the structure candidate must have degree 1")
         if not setup.project(cand_xq).is_zero():
-            raise ValueError("the structure candidate must lie in ker(P)")
+            raise PreconditionError("the structure candidate must lie in ker(P)")
     v_residual = structure_residual(delta.delta, cand_xq)
     twist = LInftyElement(
         -(encode_deformation(setup, base).value + encode_deformation(setup, cand_def).value), 0
@@ -578,7 +574,7 @@ def simultaneous_residual(
 # ---------------------------------------------------------------------
 def m1_cohomology(
     setup: SplitSetup,
-    xq: SuperVectorField,
+    delta: MCDelta,
     degrees: Iterable[int],
     truncate: int | None = None,
 ) -> list[CohomologyResult]:
@@ -587,18 +583,14 @@ def m1_cohomology(
     A degree is the intrinsic field degree of the summand.  A polynomial
     base requires a truncation bound for the coefficient degree; the results
     are flagged as truncated in that case.  The unary map squares to zero
-    because [Q, Q] = 0 and P(Q) = 0, both checked once here.
+    because the checked structure field ``delta`` has [Q, Q] = 0 and P(Q) = 0.
     """
     if setup.base_dim > 0 and truncate is None:
-        raise ValueError("polynomial base needs a truncation degree")
+        raise PreconditionError("polynomial base needs a truncation degree")
     bound = 0 if setup.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
-    if not is_homological(xq):
-        raise ValueError("the structure field must be homological")
-    if not setup.project(xq).is_zero():
-        raise ValueError("the sub-frame must be a subalgebroid")
 
     def diff(v: SuperVectorField) -> SuperVectorField:
-        return setup.project(super_commutator(xq, v))
+        return setup.project(super_commutator(delta.delta, v))
 
     return complex_cohomology(
         diff,

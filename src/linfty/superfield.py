@@ -36,6 +36,10 @@ class ChartMismatchError(ValueError):
     """Operands live on different coordinate charts."""
 
 
+class PreconditionError(ValueError):
+    """The input fails a documented precondition of a decision: the CLI's exit 2, not a program fault."""
+
+
 @dataclass(frozen=True)
 class CoordinateChart:
     """Named even/odd coordinates with their geometric roles.
@@ -165,16 +169,25 @@ def _scaled(terms: dict, c: Coefficient) -> dict:
 
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
+FieldKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-class SuperFunction:
-    """Polynomial superfunction: finite map (even exponents, odd subset) -> Q."""
+class _Terms:
+    """A chart and a canonical term map: what superfunctions and fields share.
+
+    A key is (even exponents, sorted odd subset), followed for a field by
+    the derivative target; ``_targets`` says how many targets a key carries.
+    Equality is exact in type, so a function never equals a field.
+    """
 
     __slots__ = ("chart", "terms")
+    _targets = 0
 
-    def __init__(self, chart: CoordinateChart, terms: Mapping[TermKey, Coefficient] | None = None):
-        canonical: dict[TermKey, Coefficient] = {}
-        for (even, odd), c in (terms or {}).items():
+    def __init__(self, chart: CoordinateChart, terms: Mapping | None = None):
+        canonical: dict = {}
+        for (even, odd, *target), c in (terms or {}).items():
+            if len(target) != self._targets:
+                raise ValueError(f"a {type(self).__name__} term key has {2 + self._targets} parts")
             c = coefficient(c)
             if c == 0:
                 continue
@@ -188,7 +201,9 @@ class SuperFunction:
                 raise ValueError("odd subset must be strictly increasing")
             if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
                 raise ValueError("odd index out of range")
-            key = (even, odd)
+            if target and not 0 <= target[0] < chart.n_even + chart.n_odd:
+                raise ValueError("derivative target out of range")
+            key = (even, odd, *target)
             c = coefficient(canonical.get(key, 0) + c)
             if c:
                 canonical[key] = c
@@ -198,26 +213,62 @@ class SuperFunction:
         object.__setattr__(self, "terms", canonical)
 
     @classmethod
-    def _of(cls, chart: CoordinateChart, terms: dict[TermKey, Coefficient]) -> "SuperFunction":
+    def _of(cls, chart: CoordinateChart, terms: dict):
         """Wrap a term map that is canonical by construction, without the checks.
 
         Only the kernel calls this, on maps it built from validated operands:
         tuple keys, sorted odd indices, nonzero canonical coefficients (see
         the module docstring).
         """
-        f = object.__new__(cls)
-        object.__setattr__(f, "chart", chart)
-        object.__setattr__(f, "terms", terms)
-        return f
+        v = object.__new__(cls)
+        object.__setattr__(v, "chart", chart)
+        object.__setattr__(v, "terms", terms)
+        return v
 
     def __setattr__(self, *a):
-        raise AttributeError("SuperFunction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, chart: CoordinateChart):
+        return cls._of(chart, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.chart == other.chart and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.chart, frozenset(self.terms.items())))
+
+    def _check(self, other):
+        if self.chart is not other.chart and self.chart != other.chart:
+            raise ChartMismatchError(f"{type(self).__name__} operands on different charts")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._of(self.chart, _merge_into(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return self._of(self.chart, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = coefficient(c)
+        if not c:
+            return self.zero(self.chart)
+        return self._of(self.chart, _scaled(self.terms, c))
+
+
+class SuperFunction(_Terms):
+    """Polynomial superfunction: finite map (even exponents, odd subset) -> Q."""
+
+    __slots__ = ()
+    __init__ = _Terms.__init__  # its own entry, so a tracer can wrap function construction alone
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(chart: CoordinateChart) -> "SuperFunction":
-        return SuperFunction._of(chart, {})
-
     @staticmethod
     def constant(chart: CoordinateChart, c) -> "SuperFunction":
         return SuperFunction(chart, {((0,) * chart.n_even, ()): c})
@@ -233,48 +284,10 @@ class SuperFunction:
         return SuperFunction(chart, {((0,) * chart.n_even, (j,)): 1})
 
     # -- structure ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> set[int]:
         return {len(odd) for (_, odd) in self.terms}
 
-    def degree_part(self, d: int) -> "SuperFunction":
-        return SuperFunction._of(
-            self.chart, {k: c for k, c in self.terms.items() if len(k[1]) == d}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperFunction)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
-
     # -- algebra ------------------------------------------------------
-    def _check(self, other: "SuperFunction"):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatchError("superfunctions on different charts")
-
-    def __add__(self, other: "SuperFunction") -> "SuperFunction":
-        self._check(other)
-        return SuperFunction._of(self.chart, _merge_into(dict(self.terms), other.terms))
-
-    def __neg__(self) -> "SuperFunction":
-        return SuperFunction._of(self.chart, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SuperFunction") -> "SuperFunction":
-        return self + (-other)
-
-    def scale(self, c) -> "SuperFunction":
-        c = coefficient(c)
-        if not c:
-            return SuperFunction.zero(self.chart)
-        return SuperFunction._of(self.chart, _scaled(self.terms, c))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -360,10 +373,7 @@ class SuperFunction:
         return f"SuperFunction({render_function(self)})"
 
 
-FieldKey = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-class SuperVectorField:
+class SuperVectorField(_Terms):
     """Finite sum of (coefficient term) * d/d(coordinate), canonical form.
 
     The degree of a term is (number of odd factors in its coefficient) minus
@@ -371,63 +381,10 @@ class SuperVectorField:
     terms share one degree.
     """
 
-    __slots__ = ("chart", "terms")
-
-    def __init__(self, chart: CoordinateChart, terms: Mapping[FieldKey, Coefficient] | None = None):
-        canonical: dict[FieldKey, Coefficient] = {}
-        for (even, odd, target), c in (terms or {}).items():
-            c = coefficient(c)
-            if c == 0:
-                continue
-            even = tuple(even)
-            odd = tuple(odd)
-            if len(even) != chart.n_even:
-                raise ValueError("even exponent tuple has wrong length")
-            if any(e < 0 for e in even):
-                raise ValueError("negative exponent")
-            if list(odd) != sorted(set(odd)):
-                raise ValueError("odd subset must be strictly increasing")
-            if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
-                raise ValueError("odd index out of range")
-            if not 0 <= target < chart.n_even + chart.n_odd:
-                raise ValueError("derivative target out of range")
-            key = (even, odd, target)
-            c = coefficient(canonical.get(key, 0) + c)
-            if c:
-                canonical[key] = c
-            else:
-                canonical.pop(key, None)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", canonical)
-
-    @classmethod
-    def _of(cls, chart: CoordinateChart, terms: dict[FieldKey, Coefficient]) -> "SuperVectorField":
-        """Wrap a term map that is canonical by construction, as ``SuperFunction._of``."""
-        X = object.__new__(cls)
-        object.__setattr__(X, "chart", chart)
-        object.__setattr__(X, "terms", terms)
-        return X
-
-    def __setattr__(self, *a):
-        raise AttributeError("SuperVectorField is immutable")
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(chart: CoordinateChart) -> "SuperVectorField":
-        return SuperVectorField._of(chart, {})
-
-    @staticmethod
-    def d_by(chart: CoordinateChart, name: str) -> "SuperVectorField":
-        names = chart.even_names + chart.odd_names
-        if name not in names:
-            raise KeyError(name)
-        key = ((0,) * chart.n_even, (), names.index(name))
-        return SuperVectorField(chart, {key: 1})
+    __slots__ = ()
+    _targets = 1
 
     # -- structure ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _term_degree(self, key: FieldKey) -> int:
         _, odd, target = key
         return len(odd) - (1 if self.chart.target_is_odd(target) else 0)
@@ -444,11 +401,6 @@ class SuperVectorField:
             return None
         return ds.pop()
 
-    def degree_part(self, d: int) -> "SuperVectorField":
-        return SuperVectorField._of(
-            self.chart, {k: c for k, c in self.terms.items() if self._term_degree(k) == d}
-        )
-
     def component(self, target: int) -> SuperFunction:
         """The coefficient superfunction of d/d(coordinate #target)."""
         return SuperFunction._of(
@@ -456,37 +408,7 @@ class SuperVectorField:
             {(even, odd): c for (even, odd, t), c in self.terms.items() if t == target},
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperVectorField)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
-
     # -- algebra ------------------------------------------------------
-    def _check(self, other: "SuperVectorField"):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatchError("fields on different charts")
-
-    def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
-        self._check(other)
-        return SuperVectorField._of(self.chart, _merge_into(dict(self.terms), other.terms))
-
-    def __neg__(self) -> "SuperVectorField":
-        return SuperVectorField._of(self.chart, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SuperVectorField") -> "SuperVectorField":
-        return self + (-other)
-
-    def scale(self, c) -> "SuperVectorField":
-        c = coefficient(c)
-        if not c:
-            return SuperVectorField.zero(self.chart)
-        return SuperVectorField._of(self.chart, _scaled(self.terms, c))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .signs import shuffle_table
 from .superfield import (
     CoordinateChart,
+    PreconditionError,
     SuperVectorField,
     _merge_into,
     super_commutator,
@@ -73,11 +74,11 @@ class MCDelta:
     @staticmethod
     def of(split: SplitSetup, delta: SuperVectorField) -> "MCDelta":
         if not delta.is_zero() and delta.degree() != 1:
-            raise ValueError("delta must be homogeneous of degree 1")
+            raise PreconditionError("delta must be homogeneous of degree 1")
         if not split.project(delta).is_zero():
-            raise ValueError("delta must lie in ker(P)")
+            raise PreconditionError("delta must lie in ker(P)")
         if not super_commutator(delta, delta).is_zero():
-            raise ValueError("delta must satisfy [[delta, delta]] = 0")
+            raise PreconditionError("delta must satisfy [[delta, delta]] = 0")
         return MCDelta(delta)
 
 

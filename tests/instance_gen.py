@@ -105,13 +105,18 @@ def _frame_twist(data: AlgebroidData, p: int, q: int, l: int, rng) -> AlgebroidD
     return AlgebroidData.build(data.base_dim, rank, structure, anchor)
 
 
+def max_poly_degree(data: AlgebroidData) -> int:
+    """The largest total degree of a structure or anchor coefficient (0 for none)."""
+    return max((sum(e) for poly in [*data.structure.values(), *data.anchor.values()] for e in poly), default=0)
+
+
 def random_instance(rng: random.Random):
     """One validated split instance (structure degree <= 3): (setup, field)."""
     while True:
         data, p, q, l = _catalog(rng)
         if rng.random() < 0.7:
             data = _frame_twist(data, p, q, l, rng)
-        if data.max_poly_degree() > 3:
+        if max_poly_degree(data) > 3:
             continue
         setup = SplitSetup.build(data, p, q, l)
         xq = build_xq(data, setup.chart)
@@ -128,7 +133,7 @@ def random_fixed_base_instance(rng: random.Random) -> tuple[AlgebroidData, int]:
         if q or l == data.fiber_rank:
             continue
         twisted = _frame_twist(data, p, q, l, rng)
-        if twisted == data or twisted.max_poly_degree() > 3:
+        if twisted == data or max_poly_degree(twisted) > 3:
             continue
         setup = SplitSetup.build(twisted, p, 0, l)
         assert validate_algebroid(twisted, setup.chart).ok, "generator produced a non-algebroid"

@@ -199,12 +199,12 @@ def test_criterion_7_cohomology(borel):
     start = time.perf_counter()
     ok = all(r.dimension == 0 for r in dgla_cohomology(SL2, range(4)))
     setup, xq, delta = borel
-    ok = ok and [r.dimension for r in m1_cohomology(setup, xq, (-1, 0, 1))] == [0, 0, 0]
+    ok = ok and [r.dimension for r in m1_cohomology(setup, delta, (-1, 0, 1))] == [0, 0, 0]
     import math
 
     ab = SplitSetup.build(AlgebroidData.build(0, 3), 0, 0, 2)
     ab_xq = SuperVectorField.zero(ab.chart)
-    dims = [r.dimension for r in m1_cohomology(ab, ab_xq, (-1, 0, 1))]
+    dims = [r.dimension for r in m1_cohomology(ab, MCDelta.of(ab, ab_xq), (-1, 0, 1))]
     ok = ok and dims == [math.comb(2, n) for n in (0, 1, 2)]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
@@ -257,8 +257,9 @@ def test_criterion_8_derivation_transport():
 
 def test_criterion_9_applications():
     fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-    accept = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
-    reject = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}})
+    delta = MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
+    accept = foliation_infinitesimal(fol, delta, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
+    reject = foliation_infinitesimal(fol, delta, {(0, 2): {(0, 1, 0): 1}})
     ok = accept.closed and accept.agree
     ok = ok and (not reject.closed) and reject.agree
     ok = ok and reject.residual.values == {

@@ -116,7 +116,7 @@ class TestValidateAlgebroid:
     def test_non_jacobi_fails_with_localized_defect(self):
         rep = validate_algebroid(NON_JACOBI)
         assert not rep.ok
-        assert rep.square_terms
+        assert not rep.square.is_zero()
         assert rep.jacobi_defects == {(0, 1, 2, 2): "-1"}
 
     def test_rank_one_trivial_bracket_any_anchor(self):
@@ -539,7 +539,7 @@ def _preset_algebroids():
         else:
             h = inst.payload["homomorphism"]
             gs = graph_setup(h)
-            out += [(h.source, None), (h.target, None), (gs.sum_data, gs.setup.chart)]
+            out += [(h.source, None), (h.target, None), (gs.setup.data, gs.setup.chart)]
     return out
 
 

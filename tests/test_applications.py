@@ -22,7 +22,8 @@ from linfty.applications import (
 from linfty.cli import run_command
 from linfty.instances import FORMAT_VERSION, fixture_path, parse_instance
 from linfty.subalgebroid import graph_closure_oracle, subalgebroid_mc_residual
-from linfty.superfield import SuperFunction, is_homological
+from linfty.superfield import PreconditionError, SuperFunction, is_homological
+from linfty.valgebra import MCDelta
 
 
 def preset_data(name: str) -> AlgebroidData:
@@ -144,17 +145,22 @@ class TestSubalgebraDeformation:
             subalg_check(g, 2, {})
 
 
+def checked_delta(fol: FoliationSetup) -> MCDelta:
+    """The checked structure field of a foliation's split: refused unless the distribution is integrable."""
+    return MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
+
+
 class TestFoliation:
     def test_fixture_accepts_symmetric_candidate(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
         res = foliation_infinitesimal(
-            fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
+            fol, checked_delta(fol), {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
         )
         assert res.closed and res.agree and not res.condition_defects
 
     def test_fixture_rejects_half_candidate_with_minus_one(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, {(0, 2): {(0, 1, 0): 1}})
+        res = foliation_infinitesimal(fol, checked_delta(fol), {(0, 2): {(0, 1, 0): 1}})
         assert not res.closed and res.agree
         assert res.residual.values == {
             ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
@@ -162,7 +168,7 @@ class TestFoliation:
 
     def test_zero_candidate_closed(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, {})
+        res = foliation_infinitesimal(fol, checked_delta(fol), {})
         assert res.closed and res.agree
 
     def test_rank_one_distributions_accept_everything(self):
@@ -173,9 +179,9 @@ class TestFoliation:
             frames[0] = {0: 1, 1: {(rng.randint(0, 2), rng.randint(0, 1)): rng.randint(-2, 2)}}
             frames[1] = {1: 1}
             fol = FoliationSetup.build(2, 1, frames)
-            assert fol.is_integrable()
+            delta = checked_delta(fol)  # integrable: P(delta) = 0
             psi = {(0, 1): {(rng.randint(0, 2), 0): rng.randint(-2, 2)}}
-            res = foliation_infinitesimal(fol, psi)
+            res = foliation_infinitesimal(fol, delta, psi)
             assert res.closed and res.agree
 
     def test_non_integrable_rejected(self):
@@ -186,9 +192,9 @@ class TestFoliation:
             {2: 1},
         ]
         fol = FoliationSetup.build(3, 2, frames)
-        assert not fol.is_integrable()
-        with pytest.raises(ValueError):
-            foliation_infinitesimal(fol, {})
+        assert not fol.setup.project(build_xq(fol.algebroid, fol.setup.chart)).is_zero()
+        with pytest.raises(PreconditionError, match="ker"):
+            checked_delta(fol)
 
     def test_non_constant_determinant_rejected(self):
         with pytest.raises(ValueError):

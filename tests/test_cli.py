@@ -14,6 +14,8 @@ from linfty.instances import (
     serialize_algebroid,
     write_instance,
 )
+from linfty.superfield import ChartMismatchError
+from linfty.valgebra import NotInAbelianPart
 
 
 GOLDEN_COHOMOLOGY = json.loads((Path(__file__).parent / "golden" / "cohomology.json").read_text())
@@ -375,12 +377,15 @@ class TestCommands:
         from linfty import algebroid
 
         calls = record_calls(monkeypatch, algebroid.build_xq)
-        # was 2 for each: one for validate_algebroid, one for the P(X) (integrability) check
-        for preset in ("sl2-borel", "foliation-r3"):
+        # was 2 for each: validate built it for validate_algebroid and again for the
+        # P(X) (integrability) check, oracle-compare for MCDelta.of and again for
+        # the foliation's integrability check
+        pairs = [("validate", "sl2-borel"), ("validate", "foliation-r3"), ("oracle-compare", "foliation-r3")]
+        for command, preset in pairs:
             calls.clear()
-            code, _, _ = run_cli(capsys, "validate", preset, "--json")
+            code, _, _ = run_cli(capsys, command, preset, "--json")
             assert code == 0
-            assert len(calls) == 1, preset
+            assert len(calls) == 1, (command, preset)
 
     @pytest.mark.parametrize(
         "preset,count",
@@ -628,6 +633,19 @@ class TestReportContract:
 
         monkeypatch.setitem(cli.COMMANDS, "validate", broken)
         assert run_cli(capsys, "validate", "sl2") == (4, "", "internal error: RuntimeError: boom\n")
+
+    @pytest.mark.parametrize("error", [ValueError, ChartMismatchError, NotInAbelianPart], ids=lambda e: e.__name__)
+    def test_internal_value_error_is_internal_error(self, capsys, monkeypatch, error):
+        import linfty.cli as cli
+
+        def broken(order, degrees):
+            raise error("bad permutation")
+
+        # a ValueError that is not a PreconditionError is a fault of the program, not of the input
+        monkeypatch.setattr(cli, "koszul_sign", broken)
+        assert run_cli(capsys, "brackets", "sl2-borel", "--json") == (
+            4, "", f"internal error: {error.__name__}: bad permutation\n"
+        )
 
     def test_bad_phi_arity_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "subalg-check", "sl2-borel", "--phi", "1")

@@ -5,8 +5,14 @@ package code: by module-level code, by a private helper, or by another public
 definition that is itself used (so a chain of definitions only the tests call
 counts as unused as a whole).  Re-exports in ``__init__.py`` are no use.  The
 few exceptions are listed in ``ALLOWED`` with the reason each is kept.
+
+Every public method and property of a package class (dunders aside) must be
+read as an attribute somewhere in the package outside its own body.  Types
+are not tracked, so a name that some other object's attribute shares counts
+as used.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,8 +78,30 @@ def unused_definitions() -> set[str]:
         live -= dead
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unused_methods() -> set[str]:
+    """``module.Class.name`` of every public method or property no package code reads outside its own body."""
+    reads: Counter = Counter()
+    methods = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads(tree)
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    methods.append((f"{path.stem}.{cls.name}.{node.name}", node))
+    return {name for name, node in methods if reads[node.name] == _attribute_reads(node)[node.name]}
+
+
 def test_every_public_definition_is_used_by_the_package():
     assert unused_definitions() == set()
+
+
+def test_every_public_method_is_used_by_the_package():
+    assert unused_methods() == set()
 
 
 def test_allowed_names_exist_and_have_their_reason():

@@ -30,7 +30,17 @@ def fld(terms):
 
 
 def d_by(name):
-    return SuperVectorField.d_by(CHART, name)
+    """The coordinate field d/d(name) on the test chart."""
+    names = CHART.even_names + CHART.odd_names
+    return SuperVectorField(CHART, {((0,) * NE, (), names.index(name)): 1})
+
+
+def degree_part(v, d):
+    """The terms of a superfunction or field in one degree."""
+    if isinstance(v, SuperFunction):
+        return SuperFunction(v.chart, {k: c for k, c in v.terms.items() if len(k[1]) == d})
+    ne = v.chart.n_even
+    return SuperVectorField(v.chart, {k: c for k, c in v.terms.items() if len(k[1]) - (k[2] >= ne) == d})
 
 
 class TestSuperFunctionAlgebra:
@@ -154,7 +164,7 @@ def random_functions(max_terms=3):
 
 
 def homogeneous_parts(X):
-    return [X.degree_part(d) for d in sorted(X.degrees())]
+    return [degree_part(X, d) for d in sorted(X.degrees())]
 
 
 class TestGradedIdentities:
@@ -184,7 +194,7 @@ class TestGradedIdentities:
     def test_leibniz_rule(self, X, f, g):
         for Xh in homogeneous_parts(X):
             dX = Xh.degree()
-            for fh in (f.degree_part(d) for d in sorted(f.degrees())):
+            for fh in (degree_part(f, d) for d in sorted(f.degrees())):
                 df = next(iter(fh.degrees()))
                 sign = -1 if (dX * df) % 2 else 1
                 lhs = apply(Xh, fh * g)
@@ -302,6 +312,16 @@ class TestSuperVectorFieldKeys:
         with pytest.raises(ValueError, match="odd index out of range"):
             fld({((0, 0), (-1, 0), NE): 1})
 
+    def test_key_shape_follows_the_type(self):
+        # one shared constructor: a function key has no target, a field key has one
+        with pytest.raises(ValueError, match="SuperFunction term key"):
+            fn({((0, 0), (), 0): 1})
+        with pytest.raises(ValueError, match="SuperVectorField term key"):
+            fld({((0, 0), ()): 1})
+        with pytest.raises(ValueError, match="derivative target out of range"):
+            fld({((0, 0), (), NE + CHART.n_odd): 1})
+        assert SuperFunction.zero(CHART) != SuperVectorField.zero(CHART)
+
 
 class TestIsHomological:
     def test_zero_field(self):
@@ -352,7 +372,7 @@ class TestTrustedResults:
     def test_function_ops(self, f, g, c):
         results = [f + g, f - g, -f, f.scale(c), f * c, f.scale(0), f * g, g * f, SuperFunction.zero(CHART)]
         results += [f.partial(t) for t in range(NE + CHART.n_odd)]
-        results += [f.degree_part(d) for d in range(CHART.n_odd + 1)]
+        results += [degree_part(f, d) for d in range(CHART.n_odd + 1)]
         results.append(f + (-f))
         for value in results:
             assert_canonical(value)
@@ -361,7 +381,7 @@ class TestTrustedResults:
     @given(random_fields(4), random_fields(4), random_functions(3), st.fractions(-2, 2, max_denominator=2))
     def test_field_ops(self, X, Y, f, c):
         results = [X + Y, X - Y, -X, X.scale(c), X * c, X.scale(0), X + (-X), SuperVectorField.zero(CHART)]
-        results += [X.degree_part(d) for d in range(-1, CHART.n_odd + 1)]
+        results += [degree_part(X, d) for d in range(-1, CHART.n_odd + 1)]
         results += [super_commutator(X, Y), super_commutator(X, X)]
         results.append(SETUP.project(SuperVectorField(SETUP.chart, X.terms)))
         for value in results:
@@ -471,9 +491,9 @@ def substitutions(draw):
         if draw(st.booleans()):
             value = draw(random_functions(3))
             if t < NE:
-                mapping[t] = value.degree_part(0) + value.degree_part(2)
+                mapping[t] = degree_part(value, 0) + degree_part(value, 2)
             else:
-                mapping[t] = value.degree_part(1)
+                mapping[t] = degree_part(value, 1)
     return mapping
 
 
