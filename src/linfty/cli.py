@@ -56,6 +56,7 @@ from .subalgebroid import (
 )
 from .superfield import PreconditionError, SuperVectorField, render_field
 from .valgebra import (
+    DEFAULT_SERIES_CAP,
     DerivedBrackets,
     LInftyElement,
     MCDelta,
@@ -536,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("instance", help="instance file path or bundled preset name (e.g. sl2, sl2-borel, abelian-3)")
-    parser.add_argument("--cap", type=int, default=None, help="bracket series cap (default 64)")
+    parser.add_argument("--cap", type=int, default=None, help=f"bracket series cap (default {DEFAULT_SERIES_CAP})")
     parser.add_argument("--truncate", type=int, default=None, help="cohomology polynomial truncation degree")
     parser.add_argument("--probes", type=int, default=None, help="random probe count for the axiom checker")
     parser.add_argument("--seed", type=int, default=None, help="random seed for probe generation")

@@ -18,6 +18,7 @@ from .algebroid import AlgebroidData, PolyDict, merge_polys
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
 from .superfield import coefficient
+from .valgebra import DEFAULT_SERIES_CAP
 
 FORMAT_VERSION = 1
 
@@ -34,7 +35,7 @@ class InstanceError(ValueError):
 
 @dataclass
 class Options:
-    series_cap: int = 64
+    series_cap: int = DEFAULT_SERIES_CAP
     truncate: int | None = None
     probes: int = 100
     seed: int = 0

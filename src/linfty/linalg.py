@@ -1,31 +1,35 @@
 """Exact linear algebra over Q used by the cohomology computations.
 
-The work is done by ``EchelonBasis``: a reduced echelon basis whose rows are
-sparse ``{column: entry}`` dicts.  Entries are canonical coefficients, as in
-``superfield``: an ``int`` when integral, else a ``Fraction`` with
-denominator > 1, so the integral entries that dominate field-complex
-differentials stay in int arithmetic.  Field-complex differentials are very
-sparse and reach a few hundred rows and columns (sl(3) at cochain degree 2
-is a 448x224 system), so a vector is reduced against the rows it actually
-meets instead of re-eliminating a dense matrix.  Two invariants hold:
+Cohomology dimensions need ranks only, and ``EchelonBasis`` counts them.
+Its rows are sparse ``{column: int}`` dicts: every vector it is given is
+scaled to a row of coprime integers, so no ``Fraction`` is stored, and
+floats are refused.  A row's pivot is its lowest column.  While another
+row already holds that pivot, the new row becomes the integer combination
+that cancels it (fraction-free elimination, after Bareiss, with each row
+divided by its content gcd instead of by the previous pivot); a row whose
+lowest column is free is stored under it and never touched again.
+Field-complex differentials are very sparse and reach a few hundred rows
+and columns (sl(3) at cochain degree 2 is a 448x224 system), so a vector
+meets only the rows whose pivots it reaches.  Two invariants hold:
 
-- every row has its pivot, its lowest column, equal to 1 and is zero in the
-  pivot column of every other row.  The rows are then exactly the nonzero
-  rows of the dense ``rref`` of any matrix spanning the same row space, so
-  the kernel basis read off them (one vector per free column, in increasing
-  column order, 1 at that column) is canonical for a fixed column order;
+- the pivots are those of every echelon form of the span, the pivot list
+  of the dense ``rref``, and the rows nonzero in some column below c are
+  exactly the rows pivoting below c;
 - vectors are taken in the order given, and ``add`` keeps one exactly when
   it is independent of everything kept before it, so a quotient basis is
   chosen greedily in input order.
 
-``rref`` is the dense Gauss-Jordan reference the tests compare against; it
-works in ``Fraction`` throughout.  Dense matrices are lists of row lists of
-rationals.
+``rref`` is the dense Gauss-Jordan reference: it works in ``Fraction``
+throughout, ``nullspace`` reads its canonical kernel basis off it, and the
+tests compare the echelon basis against it.  Dense matrices are lists of
+row lists of rationals.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 
 from .superfield import Coefficient, coefficient
 
@@ -37,60 +41,50 @@ def _sparse(row: Sequence[Coefficient]) -> Vector:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _subtract(target: Vector, f: Coefficient, row: Vector) -> None:
-    """``target -= f * row`` in place, keeping only nonzero canonical entries."""
-    for k, x in row.items():
-        y = target.get(k, 0) - f * x
-        if y:
-            target[k] = coefficient(y)
-        else:
-            target.pop(k, None)
+def _coprime(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
+
+
+_DENOMINATOR = attrgetter("denominator")
 
 
 class EchelonBasis:
-    """Reduced echelon basis of a subspace of Q^n that grows one vector at a time."""
+    """Echelon basis of a subspace of Q^n that grows one vector at a time; its size is the rank."""
 
     def __init__(self, vectors: Iterable[Vector] = ()) -> None:
-        self.rows: dict[int, Vector] = {}  # pivot column -> row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot (lowest) column -> coprime integer row
         for v in vectors:
             self.add(v)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vector: Vector) -> Vector:
-        """``vector`` minus its part in the span: zero in every pivot column, entries canonical."""
-        out = {k: coefficient(x) for k, x in vector.items()}
-        for c in [c for c in out if c in self.rows]:
-            _subtract(out, out[c], self.rows[c])
-        return out
-
     def add(self, vector: Vector) -> bool:
         """Insert ``vector`` if it is independent of the span; report whether it was."""
-        row = self.reduce(vector)
-        if not row:
-            return False
-        p = min(row)
-        pivot = row[p]
-        if pivot == -1:
-            row = {k: -x for k, x in row.items()}
-        elif pivot != 1:
-            inv = Fraction(1) / pivot
-            row = {k: coefficient(x * inv) for k, x in row.items()}
-        for other in self.rows.values():
-            if p in other:
-                _subtract(other, other[p], row)
-        self.rows[p] = row
-        return True
-
-    def kernel(self, cols: int) -> list[Vector]:
-        """Kernel basis of the map on Q^cols whose matrix rows this basis spans."""
-        free = {j: {j: 1} for j in range(cols) if j not in self.rows}
-        for c, row in self.rows.items():
-            for k, x in row.items():
-                if k != c:
-                    free[k][c] = -x
-        return list(free.values())
+        row = {k: coefficient(x) for k, x in vector.items()}
+        den = lcm(*map(_DENOMINATOR, row.values()))
+        if den > 1:
+            row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+        row = _coprime(row)
+        while row:
+            p = min(row)
+            other = self.rows.get(p)
+            if other is None:
+                self.rows[p] = row
+                return True
+            g = gcd(other[p], row[p])
+            a, b = other[p] // g, row[p] // g
+            row = {k: a * x for k, x in row.items()}
+            for k, y in other.items():
+                z = row.get(k, 0) - b * y
+                if z:
+                    row[k] = z
+                else:
+                    del row[k]
+            row = _coprime(row)
+        return False
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -127,15 +121,18 @@ def nullspace(matrix: Matrix, cols: int) -> list[list[Coefficient]]:
 
     The matrix maps column vectors of length ``cols``; rows are the images'
     coordinates, i.e. entry [i][j] is the i-th output coordinate of basis
-    vector j.  (Column-convention kernel.)
+    vector j.  (Column-convention kernel.)  There is one basis vector per
+    free column of ``rref``, in increasing column order, 1 at that column
+    and 0 at the other free ones; entries are canonical coefficients.
     """
-    basis = EchelonBasis(_sparse(row) for row in matrix)
+    reduced, pivots = rref(matrix)
     out = []
-    for v in basis.kernel(cols):
-        dense = [0] * cols
-        for j, x in v.items():
-            dense[j] = x
-        out.append(dense)
+    for j in sorted(set(range(cols)) - set(pivots)):
+        v: list[Coefficient] = [0] * cols
+        v[j] = 1
+        for r, c in enumerate(pivots):
+            v[c] = coefficient(-reduced[r][j])
+        out.append(v)
     return out
 
 

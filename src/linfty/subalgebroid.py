@@ -27,6 +27,7 @@ from .algebroid import (
     PolyDict,
     SectionCalculus,
     _as_poly,
+    _exponents_up_to,
     add_into,
     complex_cohomology,
     merge_polys,
@@ -119,8 +120,6 @@ class SplitSetup:
         Each field is one canonical term with coefficient 1, so it is
         wrapped without re-validation.
         """
-        from .algebroid import _exponents_up_to
-
         ne = self.chart.n_even
         exps = [
             e

@@ -185,14 +185,14 @@ class _Terms:
 
     def __init__(self, chart: CoordinateChart, terms: Mapping | None = None):
         canonical: dict = {}
-        for (even, odd, *target), c in (terms or {}).items():
-            if len(target) != self._targets:
+        for key, c in (terms or {}).items():
+            if len(key) != 2 + self._targets:
                 raise ValueError(f"a {type(self).__name__} term key has {2 + self._targets} parts")
             c = coefficient(c)
             if c == 0:
                 continue
-            even = tuple(even)
-            odd = tuple(odd)
+            even = tuple(key[0])
+            odd = tuple(key[1])
             if len(even) != chart.n_even:
                 raise ValueError("even exponent tuple has wrong length")
             if any(e < 0 for e in even):
@@ -201,9 +201,12 @@ class _Terms:
                 raise ValueError("odd subset must be strictly increasing")
             if odd and (odd[0] < 0 or odd[-1] >= chart.n_odd):
                 raise ValueError("odd index out of range")
-            if target and not 0 <= target[0] < chart.n_even + chart.n_odd:
+            if not self._targets:
+                key = (even, odd)
+            elif 0 <= key[2] < chart.n_even + chart.n_odd:
+                key = (even, odd, key[2])
+            else:
                 raise ValueError("derivative target out of range")
-            key = (even, odd, *target)
             c = coefficient(canonical.get(key, 0) + c)
             if c:
                 canonical[key] = c

@@ -1,10 +1,12 @@
 """Greedy kernel/representative cohomology: the reference the rank formula is checked against.
 
 ``greedy_cohomology`` is the route the package took before it computed
-dimensions from ranks alone.  It builds a reduced kernel basis of the
-differential on the window, turns each kernel vector into a field and
-keeps it when it is independent of the image of the degree below and of
-the representatives kept before it.  The number kept is the dimension.
+dimensions from ranks alone.  It reads a kernel basis of the differential
+on the window off the dense ``rref`` (``linalg.nullspace``), not off the
+sparse ``EchelonBasis`` whose ranks the package's formula counts, turns
+each kernel vector into a field and keeps it when it is independent of the
+image of the degree below and of the representatives kept before it.  The
+number kept is the dimension.
 """
 from __future__ import annotations
 
@@ -27,13 +29,14 @@ def greedy_cohomology(differential, basis_of_degree, degree: int) -> list[SuperV
     for j, v in enumerate(src):
         for i, c in vec(differential(v)).items():
             matrix.setdefault(i, {})[j] = c
-    kernel = linalg.EchelonBasis(matrix.values()).kernel(len(src))
+    dense = [[row.get(j, 0) for j in range(len(src))] for row in matrix.values()]
     span = linalg.EchelonBasis(vec(differential(v)) for v in below)
     reps = []
-    for coeffs in kernel:
+    for coeffs in linalg.nullspace(dense, len(src)):
         f = SuperVectorField.zero(src[0].chart)
-        for j in sorted(coeffs):
-            f = f + src[j].scale(coeffs[j])
+        for j, c in enumerate(coeffs):
+            if c:
+                f = f + src[j].scale(c)
         if span.add(vec(f)):
             reps.append(f)
     return reps

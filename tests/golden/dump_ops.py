@@ -11,8 +11,11 @@ would run it. It also maps ``"cohomology <preset>"`` to the all-degree
 ``cohomology`` of every bundled preset, and ``"cohomology <name> --truncate
 <t>"`` to the truncated windows t = 1-4 of ``foliation-r3``, ``tangent-r1``
 and ``tangent-r2``: paths the benchmark ops, which all pass ``--degree``,
-never take. Two trees print the same outputs exactly when their dumps are
-byte-identical::
+never take. Larger eliminations than any preset's come from the generated
+Lie algebras of ``perfbench/ladder.py``: ``"cohomology <name>"`` is the
+all-degree ``cohomology`` of sl3, heisenberg-5 and heisenberg-7, and
+``"cohomology sl4 --degree <q>"`` that of sl(4) at q = 0-2. Two trees print
+the same outputs exactly when their dumps are byte-identical::
 
     python tests/golden/dump_ops.py OLD old.json
     python tests/golden/dump_ops.py NEW new.json
@@ -25,11 +28,14 @@ from pathlib import Path
 
 WORKLOADS = ("decide", "chains", "cohomology")
 TRUNCATION_LADDER = ("foliation-r3", "tangent-r1", "tangent-r2")  # each at --truncate 1-4
+GENERATED = ("sl3", "heisenberg-5", "heisenberg-7")  # every degree
+SL4_DEGREES = (0, 1, 2)
 
 
 def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
     sys.dont_write_bytecode = True  # leave the tree as it is
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import ladder
     import workloads
     from linfty import cli
     from linfty.instances import InstanceError, fixture_path, parse_instance
@@ -66,6 +72,10 @@ def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
     for name in TRUNCATION_LADDER:
         for truncate in (1, 2, 3, 4):
             run(f"cohomology {name} --truncate {truncate}", "cohomology", fixture_path(name), {"truncate": truncate})
+    for name in GENERATED:
+        run(f"cohomology {name}", "cohomology", ladder.lie_algebra(*ladder.algebra(name)), {})
+    for degree in SL4_DEGREES:
+        run(f"cohomology sl4 --degree {degree}", "cohomology", ladder.lie_algebra(*ladder.sl_n(4)), {"degree": degree})
     return out
 
 

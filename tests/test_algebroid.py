@@ -70,6 +70,11 @@ def _sl3() -> AlgebroidData:
     return AlgebroidData.build(0, len(basis), structure=structure)
 
 
+def _heisenberg(n: int) -> AlgebroidData:
+    """The Heisenberg algebra on (z, p_1..p_n, q_1..q_n), [p_i, q_i] = z."""
+    return AlgebroidData.build(0, 2 * n + 1, structure={(1 + i, 1 + n + i, 0): 1 for i in range(n)})
+
+
 class TestBuildXq:
     def test_abelian_gives_zero(self):
         assert build_xq(AlgebroidData.build(0, 3)).is_zero()
@@ -371,8 +376,24 @@ class TestDeformationCohomology:
         assert res.dimension == 0
 
     def test_sl3_whitehead_rigidity(self):
-        # H^2(g; g) = 0 for semisimple g: sl(3) has no infinitesimal obstructions
-        assert [r.dimension for r in dgla_cohomology(_sl3(), [2])] == [0]
+        # H^q(g; g) = H^q(g) (x) g^g = 0 for simple g: in particular sl(3) has no
+        # infinitesimal deformations (q = 1) and no obstructions (q = 2); at q = 2
+        # the elimination meets a 448x224 system
+        assert [r.dimension for r in dgla_cohomology(_sl3(), range(9))] == [0] * 9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_heisenberg_outer_derivations(self, n):
+        # H^1(h; h) = Der(h) / ad(h) for the Heisenberg algebra h of dimension 2n + 1
+        assert [r.dimension for r in dgla_cohomology(_heisenberg(n), [1])] == [2 * n * n + n + 1]
+
+    @pytest.mark.parametrize("name", ["sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
+                                      "sl3", "h3", "h5"])
+    def test_euler_characteristic_vanishes(self, name):
+        # sum_q (-1)^q dim C^q = n * (1 - 1)^n = 0 for the full complex of an n-dimensional Lie algebra
+        built = {"sl3": _sl3, "h3": lambda: _heisenberg(1), "h5": lambda: _heisenberg(2)}
+        data = built[name]() if name in built else parse_instance(fixture_path(name)).payload["data"]
+        dims = [r.dimension for r in dgla_cohomology(data, range(data.fiber_rank + 1))]
+        assert sum((-1) ** q * d for q, d in enumerate(dims)) == 0
 
 
 # ---------------------------------------------------------------------

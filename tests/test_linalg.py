@@ -1,4 +1,5 @@
 """The sparse echelon basis against dense Gauss-Jordan ``rref``."""
+import math
 import random
 from fractions import Fraction
 
@@ -87,18 +88,34 @@ SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (8, 5)
 SEEDS = range(25)
 
 
+def assert_echelon_of(basis, m):
+    """``basis`` is an echelon basis of the row space of ``m``, checked against the dense ``rref``.
+
+    The pivot set is an invariant of the row space; each stored row is a
+    coprime integer vector keyed by its lowest column and lies in the span
+    of the ``rref`` rows.
+    """
+    reduced, pivots = rref(m)
+    assert len(basis) == len(pivots)
+    assert sorted(basis.rows) == pivots
+    for c, row in basis.rows.items():
+        assert row and min(row) == c
+        assert all(type(x) is int and x for x in row.values()), row
+        assert math.gcd(*row.values()) == 1
+        rest = dict(row)
+        for r, p in enumerate(pivots):
+            f = rest.get(p, 0)
+            for j, x in enumerate(reduced[r]):
+                rest[j] = rest.get(j, 0) - f * x
+        assert not any(rest.values()), (row, rest)
+
+
 @pytest.mark.parametrize("rows,cols", SHAPES)
 def test_rank_and_rows_match_dense_rref(rows, cols):
     for seed in SEEDS:
         m = _matrix(random.Random(f"{seed}-{rows}x{cols}"), rows, cols)
         assert rank(m) == _dense_rank(m)
-        basis = EchelonBasis({j: x for j, x in enumerate(row) if x} for row in m)
-        reduced, pivots = rref(m)
-        assert sorted(basis.rows) == pivots
-        for r, c in enumerate(pivots):
-            assert basis.rows[c] == {j: x for j, x in enumerate(reduced[r]) if x}
-        for v in [*basis.rows.values(), *basis.kernel(cols)]:
-            assert_canonical_vector(v)
+        assert_echelon_of(EchelonBasis({j: x for j, x in enumerate(row) if x} for row in m), m)
 
 
 @pytest.mark.parametrize("rows,cols", SHAPES)
@@ -107,16 +124,11 @@ def test_mixed_int_fraction_entries_match_dense_rref(rows, cols):
         rng = random.Random(f"{seed}-{rows}x{cols}-mixed")
         m = [[_canonical_entry(rng) for _ in range(cols)] for _ in range(rows)]
         m += [list(row) for row in m[:2]]  # repeated rows lower the rank
-        basis = EchelonBasis({j: x for j, x in enumerate(row) if x} for row in m)
-        reduced, pivots = rref(m)
-        assert sorted(basis.rows) == pivots
-        for r, c in enumerate(pivots):
-            assert basis.rows[c] == {j: x for j, x in enumerate(reduced[r]) if x}
-            assert type(basis.rows[c][c]) is int
-        kernel = basis.kernel(cols)
-        assert [[v.get(j, 0) for j in range(cols)] for v in kernel] == _dense_nullspace(m, cols)
-        for v in [*basis.rows.values(), *kernel]:
-            assert_canonical_vector(v)
+        assert_echelon_of(EchelonBasis({j: x for j, x in enumerate(row) if x} for row in m), m)
+        kernel = nullspace(m, cols)
+        assert kernel == _dense_nullspace(m, cols)
+        for v in kernel:
+            assert_canonical_vector({j: x for j, x in enumerate(v) if x})
 
 
 def test_float_entry_refused():
