@@ -10,7 +10,6 @@ deformation cohomology of the field complex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
@@ -23,7 +22,9 @@ from .superfield import (
     COMPLEMENT_FRAME,
     Coefficient,
     CoordinateChart,
+    Frozen,
     PreconditionError,
+    Record,
     SuperFunction,
     SuperVectorField,
     coefficient,
@@ -81,8 +82,7 @@ def add_into(out: dict, key, val: SuperFunction) -> None:
         out[key] = total
 
 
-@dataclass(frozen=True)
-class AlgebroidData:
+class AlgebroidData(Frozen):
     """Polynomial structure functions of a Lie algebroid candidate.
 
     ``structure`` maps (i, j, k) with i < j to the polynomial coefficient of
@@ -92,10 +92,14 @@ class AlgebroidData:
     Jacobi/anchor axioms are what ``validate_algebroid`` decides.
     """
 
-    base_dim: int
-    fiber_rank: int
-    structure: Mapping[tuple[int, int, int], PolyDict]
-    anchor: Mapping[tuple[int, int], PolyDict]
+    __slots__ = _fields = ("base_dim", "fiber_rank", "structure", "anchor")
+
+    def __init__(self, base_dim: int, fiber_rank: int, structure: Mapping[tuple[int, int, int], PolyDict],
+                 anchor: Mapping[tuple[int, int], PolyDict]):
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "fiber_rank", fiber_rank)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "anchor", anchor)
 
     @staticmethod
     def build(base_dim: int, fiber_rank: int, structure=None, anchor=None) -> "AlgebroidData":
@@ -163,15 +167,17 @@ def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> Super
 # ---------------------------------------------------------------------
 # validation: homological route and classical route
 # ---------------------------------------------------------------------
-@dataclass
-class AlgebroidReport:
+class AlgebroidReport(Record):
     """Both routes' verdicts, with the structure field the homological route squared and that square."""
 
-    homological: bool
-    xq: SuperVectorField | None = None
-    square: SuperVectorField | None = None
-    anchor_defects: dict[tuple[int, int, int], str] = field(default_factory=dict)
-    jacobi_defects: dict[tuple[int, int, int, int], str] = field(default_factory=dict)
+    __slots__ = _fields = ("homological", "xq", "square", "anchor_defects", "jacobi_defects")
+
+    def __init__(self, homological: bool, xq: SuperVectorField | None = None, square: SuperVectorField | None = None,
+                 anchor_defects: dict[tuple[int, int, int], str] | None = None,
+                 jacobi_defects: dict[tuple[int, int, int, int], str] | None = None):
+        self.homological, self.xq, self.square = homological, xq, square
+        self.anchor_defects = {} if anchor_defects is None else anchor_defects
+        self.jacobi_defects = {} if jacobi_defects is None else jacobi_defects
 
     @property
     def ok(self) -> bool:
@@ -200,8 +206,7 @@ def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None
 Section = dict[int, SuperFunction]  # frame index -> coefficient
 
 
-@dataclass(frozen=True)
-class SectionCalculus:
+class SectionCalculus(Frozen):
     """The bracket and anchor of an algebroid on sections in its frame, on one chart.
 
     ``structure[(a, b)]`` holds the nonzero C^c_ab as ``{c: function}`` for
@@ -209,9 +214,13 @@ class SectionCalculus:
     each is built once from the polynomial data.
     """
 
-    chart: CoordinateChart
-    structure: Mapping[tuple[int, int], Section]
-    anchor: Mapping[int, Section]
+    __slots__ = _fields = ("chart", "structure", "anchor")
+
+    def __init__(self, chart: CoordinateChart, structure: Mapping[tuple[int, int], Section],
+                 anchor: Mapping[int, Section]):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "anchor", anchor)
 
     @staticmethod
     def of(data: AlgebroidData, chart: CoordinateChart | None = None) -> "SectionCalculus":
@@ -352,11 +361,11 @@ def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass
-class CohomologyResult:
-    degree: int
-    dimension: int
-    truncated: bool = False
+class CohomologyResult(Record):
+    __slots__ = _fields = ("degree", "dimension", "truncated")
+
+    def __init__(self, degree: int, dimension: int, truncated: bool = False):
+        self.degree, self.dimension, self.truncated = degree, dimension, truncated
 
 
 def _image_ranks(images: Iterable[SuperVectorField], window: list[SuperVectorField]) -> tuple[int, int]:

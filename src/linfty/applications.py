@@ -9,7 +9,6 @@ over a point.)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,7 +31,7 @@ from .subalgebroid import (
     simultaneous_residual,
     subalgebroid_mc_residual,
 )
-from .superfield import PreconditionError, SuperFunction, SuperVectorField, is_homological
+from .superfield import Frozen, PreconditionError, Record, SuperFunction, SuperVectorField, is_homological
 from .valgebra import DEFAULT_SERIES_CAP, MCDelta
 
 
@@ -61,8 +60,7 @@ def block_sum_data(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
 VectorFieldCoeffs = Mapping[int, PolyDict]
 
 
-@dataclass(frozen=True)
-class FoliationSetup:
+class FoliationSetup(Frozen):
     """A polynomial frame of the tangent bundle, split distribution-first.
 
     The first ``sub_rank`` frame fields span the distribution; the frame
@@ -71,11 +69,15 @@ class FoliationSetup:
     structure functions in this frame and ``setup`` the fixed-base split.
     """
 
-    base_dim: int
-    sub_rank: int
-    frames: tuple[tuple[PolyDict, ...], ...]
-    algebroid: AlgebroidData
-    setup: SplitSetup
+    __slots__ = _fields = ("base_dim", "sub_rank", "frames", "algebroid", "setup")
+
+    def __init__(self, base_dim: int, sub_rank: int, frames: tuple[tuple[PolyDict, ...], ...],
+                 algebroid: AlgebroidData, setup: SplitSetup):
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "sub_rank", sub_rank)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "algebroid", algebroid)
+        object.__setattr__(self, "setup", setup)
 
     @staticmethod
     def build(base_dim: int, sub_rank: int, frames: Sequence[VectorFieldCoeffs]) -> "FoliationSetup":
@@ -153,11 +155,11 @@ def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
     return AlgebroidData.build(base_dim, base_dim, structure, anchor)
 
 
-@dataclass
-class FoliationResult:
-    closed: bool
-    residual: FrameForm
-    condition_defects: dict[tuple[int, int, int], SuperFunction]
+class FoliationResult(Record):
+    __slots__ = _fields = ("closed", "residual", "condition_defects")
+
+    def __init__(self, closed: bool, residual: FrameForm, condition_defects: dict[tuple[int, int, int], SuperFunction]):
+        self.closed, self.residual, self.condition_defects = closed, residual, condition_defects
 
     @property
     def agree(self) -> bool:
@@ -210,8 +212,7 @@ def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, psi: Mapping) -
 # ---------------------------------------------------------------------
 # homomorphisms of algebroids via the graph construction
 # ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class HomomorphismData:
+class HomomorphismData(Frozen):
     """Bundle map over a polynomial base map between two algebroids.
 
     ``bundle_map`` sends (source frame index, target frame index) to the
@@ -219,10 +220,14 @@ class HomomorphismData:
     target coordinate index to its polynomial expression.
     """
 
-    source: AlgebroidData
-    target: AlgebroidData
-    bundle_map: Mapping[tuple[int, int], PolyDict]
-    base_map: Mapping[int, PolyDict]
+    __slots__ = _fields = ("source", "target", "bundle_map", "base_map")
+
+    def __init__(self, source: AlgebroidData, target: AlgebroidData, bundle_map: Mapping[tuple[int, int], PolyDict],
+                 base_map: Mapping[int, PolyDict]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "bundle_map", bundle_map)
+        object.__setattr__(self, "base_map", base_map)
 
     @staticmethod
     def build(source, target, bundle_map=None, base_map=None) -> "HomomorphismData":
@@ -243,13 +248,16 @@ class HomomorphismData:
         return HomomorphismData(source, target, bm, psi)
 
 
-@dataclass(frozen=True)
-class GraphSetup:
+class GraphSetup(Frozen):
     """Adapted presentation of the graph of a homomorphism in a direct sum."""
 
-    h: HomomorphismData
-    setup: SplitSetup
-    base_pair: DeformationPair
+    __slots__ = ("h", "setup", "base_pair", "__dict__")  # the dict holds ``delta``
+    _fields = __slots__[:3]
+
+    def __init__(self, h: HomomorphismData, setup: SplitSetup, base_pair: DeformationPair):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "base_pair", base_pair)
 
     @cached_property
     def delta(self) -> MCDelta:

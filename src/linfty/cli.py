@@ -17,7 +17,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any
 
@@ -54,7 +53,7 @@ from .subalgebroid import (
     subalgebroid_mc_residual,
     tangency_oracle,
 )
-from .superfield import PreconditionError, SuperVectorField, render_field
+from .superfield import PreconditionError, Record, SuperVectorField, render_field
 from .valgebra import (
     DEFAULT_SERIES_CAP,
     DerivedBrackets,
@@ -77,15 +76,16 @@ EXIT_INCONSISTENT = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-@dataclass
-class Report:
-    command: str
-    verdict: str
-    residual_terms: list[str] | None = None
-    oracle_agreement: bool | None = None
-    timing_ms: float = 0.0
-    conventions: tuple[str, ...] = CONVENTIONS
-    details: dict[str, Any] = dc_field(default_factory=dict)
+class Report(Record):
+    __slots__ = _fields = ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "conventions",
+                           "details")
+
+    def __init__(self, command: str, verdict: str, residual_terms: list[str] | None = None,
+                 oracle_agreement: bool | None = None, timing_ms: float = 0.0,
+                 conventions: tuple[str, ...] = CONVENTIONS, details: dict[str, Any] | None = None):
+        self.command, self.verdict, self.residual_terms = command, verdict, residual_terms
+        self.oracle_agreement, self.timing_ms, self.conventions = oracle_agreement, timing_ms, conventions
+        self.details = {} if details is None else details
 
     @property
     def exit_code(self) -> int:

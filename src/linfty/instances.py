@@ -8,7 +8,6 @@ the identity on canonical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Any, Mapping
 from .algebroid import AlgebroidData, PolyDict, merge_polys
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
-from .superfield import coefficient
+from .superfield import Record, coefficient
 from .valgebra import DEFAULT_SERIES_CAP
 
 FORMAT_VERSION = 1
@@ -33,20 +32,20 @@ class InstanceError(ValueError):
         self.path = path
 
 
-@dataclass
-class Options:
-    series_cap: int = DEFAULT_SERIES_CAP
-    truncate: int | None = None
-    probes: int = 100
-    seed: int = 0
+class Options(Record):
+    __slots__ = _fields = ("series_cap", "truncate", "probes", "seed")
+
+    def __init__(self, series_cap: int = DEFAULT_SERIES_CAP, truncate: int | None = None, probes: int = 100,
+                 seed: int = 0):
+        self.series_cap, self.truncate, self.probes, self.seed = series_cap, truncate, probes, seed
 
 
-@dataclass
-class InstanceFile:
-    kind: str
-    payload: dict[str, Any]
-    options: Options = field(default_factory=Options)
-    source: str = "<memory>"
+class InstanceFile(Record):
+    __slots__ = _fields = ("kind", "payload", "options", "source")
+
+    def __init__(self, kind: str, payload: dict[str, Any], options: Options | None = None, source: str = "<memory>"):
+        self.kind, self.payload, self.source = kind, payload, source
+        self.options = Options() if options is None else options
 
 
 def _is_int(value: Any) -> bool:

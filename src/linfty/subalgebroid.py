@@ -16,7 +16,6 @@ and the classical graph-closure/anchor oracle also implemented here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +37,9 @@ from .superfield import (
     ChartMismatchError,
     Coefficient,
     CoordinateChart,
+    Frozen,
     PreconditionError,
+    Record,
     SuperFunction,
     SuperVectorField,
     apply,
@@ -53,8 +54,7 @@ from .valgebra import (
 )
 
 
-@dataclass(frozen=True)
-class SplitSetup:
+class SplitSetup(Frozen):
     """Adapted-coordinate data of a subbundle over a submanifold.
 
     ``base_dim`` (p) counts base coordinates, ``normal_rank`` (q) normal
@@ -62,11 +62,15 @@ class SplitSetup:
     p+q even coordinates with the full odd frame.
     """
 
-    data: AlgebroidData
-    base_dim: int
-    normal_rank: int
-    sub_rank: int
-    chart: CoordinateChart
+    __slots__ = ("data", "base_dim", "normal_rank", "sub_rank", "chart", "__dict__")  # the dict holds ``sub_frame``
+    _fields = __slots__[:5]
+
+    def __init__(self, data: AlgebroidData, base_dim: int, normal_rank: int, sub_rank: int, chart: CoordinateChart):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "normal_rank", normal_rank)
+        object.__setattr__(self, "sub_rank", sub_rank)
+        object.__setattr__(self, "chart", chart)
 
     @staticmethod
     def build(data: AlgebroidData, base_dim: int, normal_rank: int, sub_rank: int) -> "SplitSetup":
@@ -141,8 +145,7 @@ class SplitSetup:
         return out
 
 
-@dataclass(frozen=True)
-class DeformationPair:
+class DeformationPair(Frozen):
     """Candidate deformation: normal section coefficients plus a bundle map.
 
     ``sigma`` maps a normal index k to the polynomial (in base coordinates)
@@ -150,8 +153,11 @@ class DeformationPair:
     index j) to the polynomial matrix entry.
     """
 
-    sigma: Mapping[int, PolyDict]
-    phi: Mapping[tuple[int, int], PolyDict]
+    __slots__ = _fields = ("sigma", "phi")
+
+    def __init__(self, sigma: Mapping[int, PolyDict], phi: Mapping[tuple[int, int], PolyDict]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "phi", phi)
 
     @staticmethod
     def build(setup: SplitSetup, sigma=None, phi=None) -> "DeformationPair":
@@ -231,10 +237,11 @@ def graph_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, Super
     return mapping
 
 
-@dataclass
-class TangencyResult:
-    series: SuperVectorField
-    substitution: SuperVectorField
+class TangencyResult(Record):
+    __slots__ = _fields = ("series", "substitution")
+
+    def __init__(self, series: SuperVectorField, substitution: SuperVectorField):
+        self.series, self.substitution = series, substitution
 
     @property
     def agree(self) -> bool:
@@ -304,10 +311,13 @@ def subalgebroid_mc_residual(
     return mc_residual(setup, delta, candidate, cap=cap)
 
 
-@dataclass
-class GraphClosureReport:
-    anchor_defects: dict[tuple[int, int], SuperFunction] = field(default_factory=dict)
-    closure_defects: dict[tuple[int, int, int], SuperFunction] = field(default_factory=dict)
+class GraphClosureReport(Record):
+    __slots__ = _fields = ("anchor_defects", "closure_defects")
+
+    def __init__(self, anchor_defects: dict[tuple[int, int], SuperFunction] | None = None,
+                 closure_defects: dict[tuple[int, int, int], SuperFunction] | None = None):
+        self.anchor_defects = {} if anchor_defects is None else anchor_defects
+        self.closure_defects = {} if closure_defects is None else closure_defects
 
     @property
     def accepts(self) -> bool:
@@ -364,13 +374,15 @@ def _parity_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-@dataclass(frozen=True)
-class FrameForm:
+class FrameForm(Frozen):
     """Alternating sub-frame form with complement-valued polynomial entries."""
 
-    setup: SplitSetup
-    degree: int
-    values: Mapping[tuple[tuple[int, ...], int], SuperFunction]
+    __slots__ = _fields = ("setup", "degree", "values")
+
+    def __init__(self, setup: SplitSetup, degree: int, values: Mapping[tuple[tuple[int, ...], int], SuperFunction]):
+        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def build(setup: SplitSetup, degree: int, values: Mapping) -> "FrameForm":

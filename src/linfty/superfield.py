@@ -14,10 +14,15 @@ and the new object each ``Fraction`` operation pays for; ``Fraction(n) ==
 n`` with equal hashes, so term maps compare and render the same either way.
 
 All values are immutable after construction and every operation is pure.
+
+The package's records derive from ``Record``, or from ``Frozen`` when hashable
+and immutable: value ``==``, ``hash`` and ``repr`` over a class's ``_fields``.
+They are not ``@dataclass``es, which ``exec``-compile up to six methods per class
+at import (about 18 ms of each cold ``import linfty``, which every CLI run
+pays) and whose module imports ``inspect`` (11-13 ms more).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Mapping
@@ -40,33 +45,81 @@ class PreconditionError(ValueError):
     """The input fails a documented precondition of a decision: the CLI's exit 2, not a program fault."""
 
 
-@dataclass(frozen=True)
-class CoordinateChart:
+class Record:
+    """A record: value ``==`` and ``repr`` over the attributes named in ``_fields``.
+
+    A subclass declares ``__slots__``, ``_fields`` and an explicit ``__init__``.
+    Records are mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A record that hashes by value and refuses assignment and deletion: ``__init__`` uses ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class CoordinateChart(Frozen):
     """Named even/odd coordinates with their geometric roles.
 
     Roles partition the chart once and for all: higher layers read them
-    instead of re-deriving the split.
+    instead of re-deriving the split.  Every term map compares and hashes
+    its chart, so equality tries identity first and the hash is computed once.
     """
 
-    even_names: tuple[str, ...]
-    even_roles: tuple[str, ...]
-    odd_names: tuple[str, ...]
-    odd_roles: tuple[str, ...]
+    __slots__ = ("even_names", "even_roles", "odd_names", "odd_roles", "_hash")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
-        names = self.even_names + self.odd_names
+    def __init__(self, even_names: tuple[str, ...], even_roles: tuple[str, ...], odd_names: tuple[str, ...],
+                 odd_roles: tuple[str, ...]):
+        names = even_names + odd_names
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be unique")
-        if len(self.even_roles) != len(self.even_names):
+        if len(even_roles) != len(even_names):
             raise ValueError("one role per even coordinate")
-        if len(self.odd_roles) != len(self.odd_names):
+        if len(odd_roles) != len(odd_names):
             raise ValueError("one role per odd coordinate")
-        for r in self.even_roles:
+        for r in even_roles:
             if r not in _EVEN_ROLES:
                 raise ValueError(f"bad even role {r!r}")
-        for r in self.odd_roles:
+        for r in odd_roles:
             if r not in _ODD_ROLES:
                 raise ValueError(f"bad odd role {r!r}")
+        object.__setattr__(self, "even_names", even_names)
+        object.__setattr__(self, "even_roles", even_roles)
+        object.__setattr__(self, "odd_names", odd_names)
+        object.__setattr__(self, "odd_roles", odd_roles)
+        object.__setattr__(self, "_hash", hash((even_names, even_roles, odd_names, odd_roles)))
+
+    def __eq__(self, other):
+        return self is other or Record.__eq__(self, other)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n_even(self) -> int:
@@ -172,7 +225,7 @@ TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 FieldKey = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-class _Terms:
+class _Terms(Frozen):
     """A chart and a canonical term map: what superfunctions and fields share.
 
     A key is (even exponents, sorted odd subset), followed for a field by
@@ -227,9 +280,6 @@ class _Terms:
         object.__setattr__(v, "chart", chart)
         object.__setattr__(v, "terms", terms)
         return v
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, chart: CoordinateChart):

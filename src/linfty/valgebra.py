@@ -14,7 +14,6 @@ divergence into a typed error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -22,7 +21,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .signs import shuffle_table
 from .superfield import (
     CoordinateChart,
+    Frozen,
     PreconditionError,
+    Record,
     SuperVectorField,
     _merge_into,
     super_commutator,
@@ -49,12 +50,14 @@ def require_abelian(split: SplitSetup, v: SuperVectorField) -> SuperVectorField:
     return v
 
 
-@dataclass(frozen=True)
-class LInftyElement:
+class LInftyElement(Frozen):
     """Element of the abelian summand with its degree tag (None if mixed)."""
 
-    value: SuperVectorField
-    degree: int | None
+    __slots__ = _fields = ("value", "degree")
+
+    def __init__(self, value: SuperVectorField, degree: int | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "degree", degree)
 
     @staticmethod
     def of(split: SplitSetup, v: SuperVectorField) -> "LInftyElement":
@@ -65,11 +68,13 @@ class LInftyElement:
         return self.value.is_zero()
 
 
-@dataclass(frozen=True)
-class MCDelta:
+class MCDelta(Frozen):
     """Degree-1 square-zero element of the kernel of P."""
 
-    delta: SuperVectorField
+    __slots__ = _fields = ("delta",)
+
+    def __init__(self, delta: SuperVectorField):
+        object.__setattr__(self, "delta", delta)
 
     @staticmethod
     def of(split: SplitSetup, delta: SuperVectorField) -> "MCDelta":
@@ -204,10 +209,12 @@ def mc_residual(
 # ---------------------------------------------------------------------
 # generalized Jacobi checker
 # ---------------------------------------------------------------------
-@dataclass
-class AxiomReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+class AxiomReport(Record):
+    __slots__ = _fields = ("checked", "failures")
+
+    def __init__(self, checked: int = 0, failures: list[str] | None = None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

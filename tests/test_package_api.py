@@ -12,6 +12,10 @@ are not tracked, so a name that some other object's attribute shares counts
 as used.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -111,3 +115,17 @@ def test_allowed_names_exist_and_have_their_reason():
         module, attr = name.split(".")
         assert f"def {attr}(" in (PACKAGE / f"{module}.py").read_text(), name
         assert name in tracing or f"`{attr}`" in readme, name
+
+
+def test_cold_cli_import_skips_dataclasses_and_inspect():
+    """Every CLI run pays this import; ``dataclasses`` alone would add ``inspect`` to it."""
+    script = (
+        "import json, sys; before = set(sys.modules); import linfty.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "linfty.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
