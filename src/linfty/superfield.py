@@ -15,6 +15,16 @@ n`` with equal hashes, so term maps compare and render the same either way.
 
 All values are immutable after construction and every operation is pure.
 
+The graded commutator is the kernel under every derived bracket, series and
+cohomology differential.  It reads each operand as *rows*, one per term:
+(even, odd, target, coefficient, degree parity, target - n_even), built the
+first time a field is an operand and kept in the field's ``_rows`` slot, so
+a reused operand (Q, a chain prefix, a series argument) is read once.  Its
+pair loop calls no function: the partial derivative, the Koszul sign of
+merging the odd parts, the exponent sum and the accumulation are written out
+inline.  ``_monomial_partial`` and ``_monomial_product`` remain because
+``SuperFunction.partial`` and ``__mul__`` use them.
+
 The package's records derive from ``Record``, or from ``Frozen`` when hashable
 and immutable: value ``==``, ``hash`` and ``repr`` over a class's ``_fields``.
 They are not ``@dataclass``es, which ``exec``-compile up to six methods per class
@@ -230,10 +240,12 @@ class _Terms(Frozen):
 
     A key is (even exponents, sorted odd subset), followed for a field by
     the derivative target; ``_targets`` says how many targets a key carries.
-    Equality is exact in type, so a function never equals a field.
+    Equality is exact in type, so a function never equals a field.  A field
+    that has been a commutator operand also holds its term rows in ``_rows``
+    (unset until then; see ``super_commutator``).
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_rows")
     _targets = 0
 
     def __init__(self, chart: CoordinateChart, terms: Mapping | None = None):
@@ -487,55 +499,132 @@ def apply(X: SuperVectorField, f: SuperFunction) -> SuperFunction:
     return out
 
 
+def _term_rows(V: SuperVectorField, n_even: int) -> list:
+    """V's rows (even, odd, target, c, degree parity, target - n_even), built once and kept on V."""
+    rows = [(even, odd, t, c, (len(odd) - (t >= n_even)) & 1, t - n_even) for (even, odd, t), c in V.terms.items()]
+    object.__setattr__(V, "_rows", rows)
+    return rows
+
+
 def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
     """Graded commutator of derivations; second-order parts cancel exactly.
 
     For single terms f*d_a and g*d_b the bracket is
     f*(d_a g)*d_b - (-1)^(|X||Y|) g*(d_b f)*d_a; general fields expand
     bilinearly over their (automatically homogeneous) terms.  The expansion
-    runs on raw monomials: each pair of terms adds at most two monomials to
-    one output dict, X's term order outside, Y's inside, the d_b piece before
-    the d_a piece, so equal results also list their terms in equal order.
+    runs on each operand's term rows (``_rows``: even exponents, odd indices,
+    target, coefficient, degree parity, target - n_even), which a field builds
+    the first time it is an operand and keeps, so a reused operand (Q, a chain
+    prefix, a series argument) never re-reads its term map.  The pair loop
+    calls no function: the partial derivative, the Koszul sign of merging the
+    odd parts, the exponent sum and the accumulation are written out inline;
+    ``_monomial_partial``/``_monomial_product`` remain only because
+    ``SuperFunction`` uses them.  Each pair of terms adds at most two
+    monomials to one output dict, X's term order outside, Y's inside, the d_b
+    piece before the d_a piece, so equal results also list their terms in
+    equal order.
     """
     if X.chart is not Y.chart and X.chart != Y.chart:
         raise ChartMismatchError("fields on different charts")
-    chart = X.chart
-    n_even = chart.n_even
+    n_even = len(X.chart.even_names)
+    xs = getattr(X, "_rows", None)
+    if xs is None:
+        xs = _term_rows(X, n_even)
     out: dict[FieldKey, Coefficient] = {}
-
-    def add_term(product, factor: int, c: Coefficient, target: int):
-        sign, even, odd = product
-        k = sign * factor  # mostly +-1: skip the product
-        c = c if k == 1 else -c if k == -1 else k * c
-        key = (even, odd, target)
-        old = out.get(key)
-        if old is not None:
-            c += old
-            if not c:
-                del out[key]
-                return
-        out[key] = coefficient(c)
-
-    ys = [(e2, o2, b, c2, len(o2) - (b >= n_even)) for (e2, o2, b), c2 in Y.terms.items()]
-    for (e1, o1, a), c1 in X.terms.items():
-        d1 = len(o1) - (a >= n_even)
-        for e2, o2, b, c2, d2 in ys:
-            left = right = None
-            dg = _monomial_partial(e2, o2, a, n_even)
-            if dg is not None:
-                left = _monomial_product(e1, o1, dg[1], dg[2])
-            df = _monomial_partial(e1, o1, b, n_even)
-            if df is not None:
-                right = _monomial_product(e2, o2, df[1], df[2])
-            if left is None and right is None:
-                continue
-            c12 = c1 * c2
-            if left is not None:
-                add_term(left, dg[0], c12, b)
-            if right is not None:
-                sign = -1 if (d1 * d2) % 2 else 1
-                add_term(right, -sign * df[0], c12, a)
-    return SuperVectorField._of(chart, out)
+    if not xs:  # a zero X, such as Q of an abelian algebra: Y's rows are not needed
+        return SuperVectorField._of(X.chart, out)
+    ys = getattr(Y, "_rows", None)
+    if ys is None:
+        ys = _term_rows(Y, n_even)
+    for e1, o1, a, c1, p1, ja in xs:
+        for e2, o2, b, c2, p2, jb in ys:
+            # f*(d_a g)*d_b: k is the derivative's factor, then times the merge sign
+            if ja >= 0:
+                if ja in o2:
+                    pos = o2.index(ja)
+                    k = -1 if pos & 1 else 1
+                    go = o2[:pos] + o2[pos + 1 :]
+                else:
+                    k = 0
+            else:
+                k = e2[a]
+                go = o2
+            if k:
+                if o1 and go:
+                    n = 0
+                    for i in o1:
+                        if i in go:
+                            k = 0
+                            break
+                        for j in go:
+                            if j > i:
+                                break
+                            n += 1
+                    odd = tuple(sorted(o1 + go)) if k else None
+                    if n & 1:
+                        k = -k
+                else:
+                    odd = o1 or go
+            if k:
+                if ja >= 0:  # e1 is () on a chart without even coordinates
+                    even = tuple(map(add, e1, e2)) if e1 else e1
+                else:
+                    s = list(map(add, e1, e2))
+                    s[a] -= 1
+                    even = tuple(s)
+                key = (even, odd, b)
+                c = c1 * c2 * k
+                old = out.get(key)
+                if old is not None:
+                    c += old
+                if not c:
+                    del out[key]
+                else:
+                    out[key] = c.numerator if type(c) is not int and c.denominator == 1 else c
+            # -(-1)^(|X||Y|) g*(d_b f)*d_a
+            if jb >= 0:
+                if jb in o1:
+                    pos = o1.index(jb)
+                    k = -1 if pos & 1 else 1
+                    fo = o1[:pos] + o1[pos + 1 :]
+                else:
+                    k = 0
+            else:
+                k = e1[b]
+                fo = o1
+            if k:
+                if o2 and fo:
+                    n = 0
+                    for i in o2:
+                        if i in fo:
+                            k = 0
+                            break
+                        for j in fo:
+                            if j > i:
+                                break
+                            n += 1
+                    odd = tuple(sorted(o2 + fo)) if k else None
+                    if n & 1:
+                        k = -k
+                else:
+                    odd = o2 or fo
+            if k:
+                if jb >= 0:
+                    even = tuple(map(add, e1, e2)) if e1 else e1
+                else:
+                    s = list(map(add, e1, e2))
+                    s[b] -= 1
+                    even = tuple(s)
+                key = (even, odd, a)
+                c = c1 * c2 * (k if p1 & p2 else -k)
+                old = out.get(key)
+                if old is not None:
+                    c += old
+                if not c:
+                    del out[key]
+                else:
+                    out[key] = c.numerator if type(c) is not int and c.denominator == 1 else c
+    return SuperVectorField._of(X.chart, out)
 
 
 def is_homological(X: SuperVectorField) -> bool:

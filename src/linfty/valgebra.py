@@ -165,9 +165,10 @@ def _ad_series(
     """acc + sum_{n>=1} (1/n!) P([...[w, x], ..., x]) with n brackets, for x of degree 0 in the summand.
 
     The caller supplies the n = 0 term as ``acc``.  The sum ends when the
-    bracket chain reaches exact zero, guarded by the cap.
+    bracket chain reaches exact zero, guarded by the cap.  The value's own
+    degree is checked, not the tag, which is None for a mixed value.
     """
-    if x.degree not in (0, None) and not x.value.is_zero():
+    if not x.value.is_zero() and x.value.degree() != 0:
         raise ValueError(f"the {what} needs an element of degree 0")
     require_abelian(split, x.value)
     n = 0

@@ -301,6 +301,49 @@ class TestFusedKernel:
         assert_matches_reference(xq, xq)
 
 
+def snapshot(fields):
+    return [list(V.terms.items()) for V in fields]
+
+
+class TestOperandReuse:
+    """A field keeps its term rows from its first commutator on; reusing it changes no result."""
+
+    @staticmethod
+    def check_against(X, Ys):
+        # each result is dropped after use, so a later result may take its place in memory
+        for Y in Ys:
+            Z = super_commutator(X, Y)
+            expected = pairwise_commutator(X, Y)
+            assert Z == expected
+            assert list(Z.terms) == list(expected.terms)
+            for U, V in ((Z, X), (Y, Z), (Z, Z), (X, Z)):
+                assert_matches_reference(U, V)
+
+    def test_one_field_against_every_monomial(self):
+        for X in (MONOMIAL_FIELDS[7], MONOMIAL_FIELDS[-1], fld({((1, 0), (0,), 0): 2, ((0, 1), (1, 2), NE): -1})):
+            before = snapshot(MONOMIAL_FIELDS + [X])
+            self.check_against(X, MONOMIAL_FIELDS)
+            assert snapshot(MONOMIAL_FIELDS + [X]) == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_fields(4), st.lists(random_fields(4), min_size=1, max_size=6))
+    def test_one_field_against_random_fields(self, X, Ys):
+        before = snapshot([X] + Ys)
+        self.check_against(X, Ys)
+        self.check_against(X, Ys)  # now every operand already holds its rows
+        assert snapshot([X] + Ys) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_fields(4), random_fields(4))
+    def test_equal_operands_give_equal_results(self, X, Y):
+        first = super_commutator(X, Y)
+        X2, Y2 = SuperVectorField(CHART, X.terms), SuperVectorField(CHART, Y.terms)
+        for U, V in ((X2, Y2), (X, Y2), (X2, Y), (X, Y)):
+            again = super_commutator(U, V)
+            assert again == first
+            assert list(again.terms) == list(first.terms)
+
+
 class TestSuperVectorFieldKeys:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):

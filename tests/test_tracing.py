@@ -29,7 +29,11 @@ codes = [
     cli.run_command("oracle-compare", inst).exit_code,
     cli.run_command("subalg-check", parse_instance(fixture_path("hom-sl2-id"))).exit_code,
 ]
+before = tracer.calls["superfield.commutator"]
+codes.append(cli.run_command("cohomology", parse_instance(fixture_path("sl2")),
+                             argparse.Namespace(**dict(flags, degree=1))).exit_code)
 print(json.dumps({
+    "cohomology_commutators": tracer.calls["superfield.commutator"] - before,
     "codes": codes,
     "yielded": tracer.counts["signs.shuffles.yielded"],
     "explicit_calls": tracer.calls["subalgebroid.explicit_maps"],
@@ -46,7 +50,10 @@ def test_tracer_installs_and_counts():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["yielded"] > 0
     assert result["explicit_calls"] > 0
     assert result["mc_residual_calls"] > 0  # the residual the CLI computes is the traced one
+    # H^1(sl2; sl2) maps B_0 (9 fields) and B_-1 (3) once each and checks [Q, Q] once: a
+    # commutator that bypasses the traced name would leave the per-layer counters empty
+    assert result["cohomology_commutators"] == 9 + 3 + 1

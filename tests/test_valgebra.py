@@ -161,6 +161,32 @@ class TestMCResidual:
         with pytest.raises(SeriesCapExceeded):
             mc_residual(setup, delta, cand, cap=1)
 
+    @staticmethod
+    def preset():
+        setup = parse_instance(fixture_path("sl2-borel")).payload["setup"]
+        return setup, MCDelta.of(setup, build_xq(setup.data, setup.chart))
+
+    def test_refuses_a_mixed_degree_candidate(self):
+        # LInftyElement.of tags a value of degrees {0, 1} None: the value's degree decides
+        setup, delta = self.preset()
+        cand = LInftyElement.of(setup, setup.abelian_basis(0)[0] + setup.abelian_basis(1)[0])
+        assert cand.degree is None
+        with pytest.raises(ValueError, match="degree 0"):
+            mc_residual(setup, delta, cand)
+        with pytest.raises(ValueError, match="degree 0"):
+            twisted_projection(setup, cand, delta.delta)
+
+    def test_refuses_a_degree_one_candidate_tagged_none(self):
+        setup, delta = self.preset()
+        cand = LInftyElement(setup.abelian_basis(1)[0], None)
+        with pytest.raises(ValueError, match="degree 0"):
+            mc_residual(setup, delta, cand)
+
+    def test_a_degree_zero_value_is_accepted_whatever_its_tag(self):
+        setup, delta = self.preset()
+        v = setup.abelian_basis(0)[0]
+        assert mc_residual(setup, delta, LInftyElement(v, None)) == mc_residual(setup, delta, LInftyElement(v, 0))
+
 
 class TestTwistedProjection:
     def test_zero_twist_is_projection(self, borel):
