@@ -258,14 +258,11 @@ class SectionCalculus(Frozen):
                 for c, cf in cab.items():
                     add_into(out, c, _times(uv, cf))
         anchor = self.anchor
-        for a, ua in u.items():
-            if a in anchor:
-                for c, vc in v.items():
-                    add_into(out, c, ua * self.anchor_apply(a, vc))
-        for b, vb in v.items():
-            if b in anchor:
-                for c, uc in u.items():
-                    add_into(out, c, -(vb * self.anchor_apply(b, uc)))
+        for x, y, sign in ((u, v, 1), (v, u, -1)):
+            for a, xa in x.items():
+                if a in anchor:
+                    for c, yc in y.items():
+                        add_into(out, c, (xa * self.anchor_apply(a, yc)).scale(sign))
         return out
 
 
@@ -327,25 +324,35 @@ def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> Supe
 # ---------------------------------------------------------------------
 # deformation cohomology of the field complex
 # ---------------------------------------------------------------------
+def monomial_fields(
+    chart: CoordinateChart, field_degree: int, exps: list[tuple[int, ...]], odd_pool: Iterable[int],
+    odd_targets: Iterable[int], even_targets: Iterable[int],
+) -> list[SuperVectorField]:
+    """Monomial fields of one degree: x^e * (odd subset of the pool) * d/d(target), coefficient 1.
+
+    Odd targets come first, then even ones; within each, odd subsets
+    outermost, then targets, then the exponent tuples in the given order.
+    Each field is one canonical term, so it is wrapped without re-validation.
+    """
+    out = []
+    for odd_size, targets in ((field_degree + 1, odd_targets), (field_degree, even_targets)):
+        if odd_size < 0:
+            continue
+        for odd in itertools.combinations(odd_pool, odd_size):
+            for target in targets:
+                for e in exps:
+                    out.append(SuperVectorField._of(chart, {(e, odd, target): 1}))
+    return out
+
+
 def field_basis(
     chart: CoordinateChart, field_degree: int, poly_bound: int
 ) -> list[SuperVectorField]:
-    """Monomial fields of one degree with coefficient poly degree <= bound.
-
-    Each field is one canonical term with coefficient 1, so it is wrapped
-    without re-validation.
-    """
+    """Monomial fields of one degree with coefficient poly degree <= bound."""
     ne, no = chart.n_even, chart.n_odd
-    exps = _exponents_up_to(ne, poly_bound)
-    out = []
-    for target in range(ne + no):
-        odd_size = field_degree + (1 if target >= ne else 0)
-        if odd_size < 0 or odd_size > no:
-            continue
-        for odd in itertools.combinations(range(no), odd_size):
-            for e in exps:
-                out.append(SuperVectorField._of(chart, {(e, odd, target): 1}))
-    return out
+    return monomial_fields(
+        chart, field_degree, _exponents_up_to(ne, poly_bound), range(no), range(ne, ne + no), range(ne)
+    )
 
 
 def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:

@@ -82,12 +82,13 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
     return {k: coefficient(v) for k, v in poly.items() if v != 0}
 
 
-def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...] = ()) -> list:
-    """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into (key, polynomial) pairs, in order.
+def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...] = ()) -> dict:
+    """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into {key: polynomial}, by ``merge_polys``.
 
     ``names`` gives one letter per index field; the key is the tuple of the
     indices, or the index itself for a single field.  Each index must be an
-    integer, in its entry of ``bounds`` where one is given.
+    integer, in its entry of ``bounds`` where one is given.  Entries with
+    equal keys add up, and zero polynomials are dropped.
     """
     _expect(isinstance(obj, list), path, "expected a list")
     out = []
@@ -104,18 +105,19 @@ def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[r
             key.append(v)
         poly = _parse_terms(entry.get("terms", []), n_even, f"{epath}.terms")
         out.append((tuple(key) if len(key) > 1 else key[0], poly))
-    return out
+    return merge_polys(out)
 
 
 def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str) -> AlgebroidData:
     """Structure and anchor tensor lists of an object, over the given dimensions."""
     _expect(isinstance(obj, dict), path, "expected an object")
-    structure = _parse_entries(obj.get("structure", []), f"{path}.structure", base_dim, "ijk", (range(rank),) * 3)
-    for idx, ((i, j, _), _) in enumerate(structure):
-        _expect(i != j, f"{path}.structure[{idx}]", "diagonal structure entries must be omitted")
+    entries = obj.get("structure", [])
+    structure = _parse_entries(entries, f"{path}.structure", base_dim, "ijk", (range(rank),) * 3)
+    for idx, entry in enumerate(entries):  # every entry is an object with integer indices by now
+        _expect(entry["i"] != entry["j"], f"{path}.structure[{idx}]", "diagonal structure entries must be omitted")
     anchor = _parse_entries(obj.get("anchor", []), f"{path}.anchor", base_dim, "it", (range(rank), range(base_dim)))
     try:
-        return AlgebroidData.build(base_dim, rank, merge_polys(structure), {k: p for k, p in anchor if p})
+        return AlgebroidData.build(base_dim, rank, structure, anchor)
     except ValueError as exc:
         raise InstanceError(path, str(exc)) from exc
 
@@ -135,8 +137,8 @@ def _parse_sigma_phi(obj: Any, n_even: int, path: str, normal: range, sub: range
     k must lie in ``normal``, i in ``sub`` and j in ``comp``.
     """
     _expect(isinstance(obj, dict), path, "expected an object")
-    sigma = dict(_parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k", (normal,)))
-    return sigma, dict(_parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij", (sub, comp)))
+    sigma = _parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k", (normal,))
+    return sigma, _parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij", (sub, comp))
 
 
 def _parse_candidate_pair(obj: Any, setup: SplitSetup, path: str) -> DeformationPair:
@@ -238,12 +240,12 @@ def parse_instance(path_or_obj) -> InstanceFile:
         frames = []
         for fi, entries in enumerate(frames_obj):
             _expect(isinstance(entries, list), f"$.frames[{fi}]", "expected a list of components")
-            frames.append(dict(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (range(base_dim),))))
+            frames.append(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (range(base_dim),)))
         try:
             fol = FoliationSetup.build(base_dim, sub_rank, frames)
         except ValueError as exc:
             raise InstanceError("$.frames", str(exc)) from exc
-        psi = dict(_parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim))))
+        psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
         instance.payload["foliation"] = fol
         instance.payload["psi"] = psi
         return instance
@@ -254,8 +256,8 @@ def parse_instance(path_or_obj) -> InstanceFile:
         m = source_data.base_dim
         frames = (range(source_data.fiber_rank), range(target_data.fiber_rank))
         coords = (range(target_data.base_dim),)
-        bundle = dict(_parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij", frames))
-        base_map = dict(_parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords))
+        bundle = _parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij", frames)
+        base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
         instance.payload["homomorphism"] = HomomorphismData.build(source_data, target_data, bundle, base_map)
         cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
         instance.payload["candidate_bundle"] = cand_bundle
@@ -298,7 +300,7 @@ def _tensors_obj(data: AlgebroidData) -> dict:
     return {"structure": _entries_obj(data.structure, "ijk"), "anchor": _entries_obj(data.anchor, "it")}
 
 
-def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid", options: Options | None = None) -> dict:
+def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid") -> dict:
     obj: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": kind}
     if kind == "lie_algebra":
         obj["dimension"] = data.fiber_rank
@@ -307,10 +309,6 @@ def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid", options: O
         obj["base_dim"] = data.base_dim
         obj["fiber_rank"] = data.fiber_rank
         obj.update(_tensors_obj(data))
-    if options is not None:
-        obj["options"] = {"series_cap": options.series_cap, "probes": options.probes, "seed": options.seed}
-        if options.truncate is not None:
-            obj["options"]["truncate"] = options.truncate
     return obj
 
 
@@ -319,15 +317,14 @@ def serialize_pair(d: DeformationPair) -> dict:
 
 
 def serialize_instance(inst: InstanceFile) -> dict:
-    """Canonical JSON object of a parsed instance (all kinds)."""
+    """Canonical JSON object of a parsed instance (all kinds); options only where they differ from the defaults."""
     obj: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": inst.kind}
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
         obj.update(serialize_algebroid(data, kind=inst.kind))
         if "candidate" in inst.payload:
             obj["candidate"] = _tensors_obj(inst.payload["candidate"])
-        return obj
-    if inst.kind in ("subalgebroid", "subalgebra"):
+    elif inst.kind in ("subalgebroid", "subalgebra"):
         setup: SplitSetup = inst.payload["setup"]
         data = inst.payload["data"]
         if inst.kind == "subalgebra":
@@ -345,15 +342,13 @@ def serialize_instance(inst: InstanceFile) -> dict:
             obj["base"] = serialize_pair(inst.payload["base"])
         if "candidate_xq" in inst.payload:
             obj["candidate_xq"] = _tensors_obj(inst.payload["candidate_xq"])
-        return obj
-    if inst.kind == "foliation":
+    elif inst.kind == "foliation":
         fol: FoliationSetup = inst.payload["foliation"]
         obj["base_dim"] = fol.base_dim
         obj["sub_rank"] = fol.sub_rank
         obj["frames"] = [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames]
         obj["psi"] = _entries_obj(inst.payload["psi"], "ij")
-        return obj
-    if inst.kind == "homomorphism":
+    elif inst.kind == "homomorphism":
         h: HomomorphismData = inst.payload["homomorphism"]
         for field_name, data in (("source", h.source), ("target", h.target)):
             obj[field_name] = {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank, **_tensors_obj(data)}
@@ -368,8 +363,15 @@ def serialize_instance(inst: InstanceFile) -> dict:
                 which: _tensors_obj(pert)
                 for which, pert in sorted(inst.payload["candidate_xq"].items())
             }
-        return obj
-    raise InstanceError("$.kind", f"cannot serialize kind {inst.kind!r}")
+    else:
+        raise InstanceError("$.kind", f"cannot serialize kind {inst.kind!r}")
+    defaults = Options()
+    options = {
+        name: value for name in Options._fields if (value := getattr(inst.options, name)) != getattr(defaults, name)
+    }
+    if options:
+        obj["options"] = options
+    return obj
 
 
 def write_instance(obj: dict, path: str | Path):

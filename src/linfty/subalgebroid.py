@@ -30,6 +30,7 @@ from .algebroid import (
     add_into,
     complex_cohomology,
     merge_polys,
+    monomial_fields,
     structure_residual,
 )
 from .signs import shuffle_table
@@ -121,28 +122,12 @@ class SplitSetup(Frozen):
     def abelian_basis(self, degree: int, poly_degree: int = 0) -> list[SuperVectorField]:
         """Monomial basis of the summand in one field degree.
 
-        Each field is one canonical term with coefficient 1, so it is
-        wrapped without re-validation.
+        Coefficients are sub-frame odd monomials times base monomials; complement-odd targets come before normal-even ones.
         """
         ne = self.chart.n_even
-        exps = [
-            e
-            for e in _exponents_up_to(ne, poly_degree)
-            if all(e[pos] == 0 for pos in self.normal_even_positions)
-        ]
-        out = []
-        size_f = degree + 1
-        if 0 <= size_f <= self.sub_rank:
-            for odd in itertools.combinations(self.sub_indices, size_f):
-                for j in self.comp_indices:
-                    for e in exps:
-                        out.append(SuperVectorField._of(self.chart, {(e, odd, ne + j): 1}))
-        if 0 <= degree <= self.sub_rank:
-            for odd in itertools.combinations(self.sub_indices, degree):
-                for k in self.normal_even_positions:
-                    for e in exps:
-                        out.append(SuperVectorField._of(self.chart, {(e, odd, k): 1}))
-        return out
+        exps = [e for e in _exponents_up_to(ne, poly_degree) if not any(e[self.base_dim :])]
+        odd_targets = [ne + j for j in self.comp_indices]
+        return monomial_fields(self.chart, degree, exps, self.sub_indices, odd_targets, self.normal_even_positions)
 
 
 class DeformationPair(Frozen):
@@ -272,24 +257,12 @@ def tangency_oracle(
     else:
         series = twisted_projection(setup, candidate, z, cap=cap)
 
-    chart = setup.chart
-    ne = chart.n_even
     mapping = graph_substitution(setup, gamma)
     terms: dict[tuple, Coefficient] = {}
-    for pos_k, k in enumerate(setup.normal_even_positions):
-        sigma_fn = mapping[k]
-        residual = (z.component(k) - apply(z, sigma_fn)).substitute(mapping)
-        for (even, odd), c in residual.terms.items():
-            key = (even, odd, k)
-            terms[key] = terms.get(key, 0) + c
-    for j in setup.comp_indices:
-        phi_fn = mapping[ne + j]
-        residual = (z.component(ne + j) - apply(z, phi_fn)).substitute(mapping)
-        for (even, odd), c in residual.terms.items():
-            key = (even, odd, ne + j)
-            terms[key] = terms.get(key, 0) + c
-    substitution = SuperVectorField(chart, terms)
-    return TangencyResult(series, substitution)
+    for t, graph_fn in mapping.items():
+        residual = (z.component(t) - apply(z, graph_fn)).substitute(mapping)
+        terms.update(((even, odd, t), c) for (even, odd), c in residual.terms.items())
+    return TangencyResult(series, SuperVectorField(setup.chart, terms))
 
 
 # ---------------------------------------------------------------------

@@ -19,11 +19,13 @@ The graded commutator is the kernel under every derived bracket, series and
 cohomology differential.  It reads each operand as *rows*, one per term:
 (even, odd, target, coefficient, degree parity, target - n_even), built the
 first time a field is an operand and kept in the field's ``_rows`` slot, so
-a reused operand (Q, a chain prefix, a series argument) is read once.  Its
-pair loop calls no function: the partial derivative, the Koszul sign of
-merging the odd parts, the exponent sum and the accumulation are written out
-inline.  ``_monomial_partial`` and ``_monomial_product`` remain because
-``SuperFunction.partial`` and ``__mul__`` use them.
+a reused operand (Q, a chain prefix, a series argument) is read once.  One
+pair body, which calls no function (the partial derivative, the Koszul sign
+of merging the odd parts, the exponent sum and the accumulation are written
+out inline), expands f*(d_a g)*d_b; it runs over (X's rows, Y's rows) and
+then, with the operands' roles swapped and the sign of the second term,
+over (Y's rows, X's rows).  ``_monomial_partial`` and ``_monomial_product``
+remain because ``SuperFunction.partial`` and ``__mul__`` use them.
 
 The package's records derive from ``Record``, or from ``Frozen`` when hashable
 and immutable: value ``==``, ``hash`` and ``repr`` over a class's ``_fields``.
@@ -515,14 +517,12 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
     runs on each operand's term rows (``_rows``: even exponents, odd indices,
     target, coefficient, degree parity, target - n_even), which a field builds
     the first time it is an operand and keeps, so a reused operand (Q, a chain
-    prefix, a series argument) never re-reads its term map.  The pair loop
-    calls no function: the partial derivative, the Koszul sign of merging the
-    odd parts, the exponent sum and the accumulation are written out inline;
-    ``_monomial_partial``/``_monomial_product`` remain only because
-    ``SuperFunction`` uses them.  Each pair of terms adds at most two
-    monomials to one output dict, X's term order outside, Y's inside, the d_b
-    piece before the d_a piece, so equal results also list their terms in
-    equal order.
+    prefix, a series argument) never re-reads its term map.  One pair body
+    adds f*(d_a g)*d_b to one output dict: first over X's rows outside and
+    Y's inside, then over Y's rows outside and X's inside, where it adds
+    g*(d_b f)*d_a times -(-1)^(|X||Y|).  So the d_b pieces are all added
+    before the d_a pieces, and equal results also list their terms in equal
+    order.
     """
     if X.chart is not Y.chart and X.chart != Y.chart:
         raise ChartMismatchError("fields on different charts")
@@ -536,20 +536,22 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
     ys = getattr(Y, "_rows", None)
     if ys is None:
         ys = _term_rows(Y, n_even)
-    for e1, o1, a, c1, p1, ja in xs:
-        for e2, o2, b, c2, p2, jb in ys:
-            # f*(d_a g)*d_b: k is the derivative's factor, then times the merge sign
-            if ja >= 0:
-                if ja in o2:
+    # the second pass negates unless both terms are odd: flip > p1 & p2 exactly then
+    for rows, cols, flip in ((xs, ys, 0), (ys, xs, 1)):
+        for e1, o1, a, c1, p1, ja in rows:
+            for e2, o2, b, c2, p2, _ in cols:
+                # k is the derivative's factor, then times the merge sign
+                if ja >= 0:
+                    if ja not in o2:
+                        continue
                     pos = o2.index(ja)
                     k = -1 if pos & 1 else 1
                     go = o2[:pos] + o2[pos + 1 :]
                 else:
-                    k = 0
-            else:
-                k = e2[a]
-                go = o2
-            if k:
+                    k = e2[a]
+                    if not k:
+                        continue
+                    go = o2
                 if o1 and go:
                     n = 0
                     for i in o1:
@@ -560,12 +562,13 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
                             if j > i:
                                 break
                             n += 1
-                    odd = tuple(sorted(o1 + go)) if k else None
+                    if not k:
+                        continue
+                    odd = tuple(sorted(o1 + go))
                     if n & 1:
                         k = -k
                 else:
                     odd = o1 or go
-            if k:
                 if ja >= 0:  # e1 is () on a chart without even coordinates
                     even = tuple(map(add, e1, e2)) if e1 else e1
                 else:
@@ -573,50 +576,7 @@ def super_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFie
                     s[a] -= 1
                     even = tuple(s)
                 key = (even, odd, b)
-                c = c1 * c2 * k
-                old = out.get(key)
-                if old is not None:
-                    c += old
-                if not c:
-                    del out[key]
-                else:
-                    out[key] = c.numerator if type(c) is not int and c.denominator == 1 else c
-            # -(-1)^(|X||Y|) g*(d_b f)*d_a
-            if jb >= 0:
-                if jb in o1:
-                    pos = o1.index(jb)
-                    k = -1 if pos & 1 else 1
-                    fo = o1[:pos] + o1[pos + 1 :]
-                else:
-                    k = 0
-            else:
-                k = e1[b]
-                fo = o1
-            if k:
-                if o2 and fo:
-                    n = 0
-                    for i in o2:
-                        if i in fo:
-                            k = 0
-                            break
-                        for j in fo:
-                            if j > i:
-                                break
-                            n += 1
-                    odd = tuple(sorted(o2 + fo)) if k else None
-                    if n & 1:
-                        k = -k
-                else:
-                    odd = o2 or fo
-            if k:
-                if jb >= 0:
-                    even = tuple(map(add, e1, e2)) if e1 else e1
-                else:
-                    s = list(map(add, e1, e2))
-                    s[b] -= 1
-                    even = tuple(s)
-                key = (even, odd, a)
-                c = c1 * c2 * (k if p1 & p2 else -k)
+                c = c1 * c2 * (-k if flip > p1 & p2 else k)
                 old = out.get(key)
                 if old is not None:
                     c += old

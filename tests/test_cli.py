@@ -12,6 +12,7 @@ from linfty.instances import (
     parse_instance,
     resolve_instance,
     serialize_algebroid,
+    serialize_instance,
     write_instance,
 )
 from linfty.superfield import ChartMismatchError
@@ -134,20 +135,66 @@ class TestParsing:
             resolve_instance(str(tmp_path / "missing.json"))
 
     @pytest.mark.parametrize(
-        "name",
+        "name,options",
         [
-            "sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
-            "non-jacobi-3", "tangent-r1", "tangent-r2", "sl2-borel",
-            "tangent-r1-origin", "foliation-r3", "hom-sl2-id",
+            pytest.param(name, None, id=name)
+            for name in (
+                "sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
+                "non-jacobi-3", "tangent-r1", "tangent-r2", "sl2-borel",
+                "tangent-r1-origin", "foliation-r3", "hom-sl2-id",
+            )
+        ]
+        + [
+            pytest.param("tangent-r1", {"truncate": 2, "probes": 7}, id="tangent-r1-options"),
+            pytest.param("hom-sl2-id", {"series_cap": 9, "seed": 4}, id="hom-sl2-id-options"),
         ],
     )
-    def test_parse_serialize_parse_identity(self, name):
-        from linfty.instances import serialize_instance
-
-        first = parse_instance(fixture_path(name))
+    def test_parse_serialize_parse_identity(self, name, options):
+        obj = json.loads(fixture_path(name).read_text())
+        if options is not None:
+            obj["options"] = options
+        first = parse_instance(obj)
         serialized = serialize_instance(first)
         second = parse_instance(serialized)
         assert serialize_instance(second) == serialized
+        assert second.options == first.options
+        assert serialized.get("options") == options  # only what differs from the defaults is written
+
+    @pytest.mark.parametrize(
+        "preset,where,entry",
+        [  # the entry list's location and one entry, given twice in the list
+            ("sl2", ["structure"], {"i": 0, "j": 1, "k": 1, "exponents": []}),
+            ("tangent-r1", ["anchor"], {"i": 0, "t": 0, "exponents": [1]}),
+            ("tangent-r1-origin", ["candidate", "sigma"], {"k": 0, "exponents": []}),
+            ("sl2-borel", ["candidate", "phi"], {"i": 0, "j": 2, "exponents": []}),
+            ("hom-sl2-id", ["bundle_map"], {"i": 0, "j": 0, "exponents": []}),
+            ("hom-sl2-id", ["candidate", "phi"], {"i": 1, "j": 2, "exponents": []}),
+            ("foliation-r3", ["psi"], {"i": 0, "j": 2, "exponents": [0, 0, 1]}),
+            ("foliation-r3", ["frames", 0], {"t": 0, "exponents": [0, 0, 0]}),
+        ],
+    )
+    def test_repeated_entry_key_adds(self, preset, where, entry):
+        def with_list(entries):
+            obj = json.loads(fixture_path(preset).read_text())
+            parent = obj
+            for key in where[:-1]:
+                parent = parent.setdefault(key, {}) if isinstance(key, str) else parent[key]
+            parent[where[-1]] = entries
+            return serialize_instance(parse_instance(obj))
+
+        indices = {name: v for name, v in entry.items() if name != "exponents"}
+
+        def one(numer):
+            return {**indices, "terms": [{"exponents": entry["exponents"], "numer": numer}]}
+
+        assert with_list([one(1), one(1)]) == with_list([one(2)])
+
+    def test_diagonal_structure_entry_names_its_path(self):
+        obj = json.loads(fixture_path("sl2").read_text())
+        obj["structure"].append({"i": 2, "j": 2, "k": 0, "terms": []})
+        with pytest.raises(InstanceError) as err:
+            parse_instance(obj)
+        assert err.value.path == f"$.structure[{len(obj['structure']) - 1}]"
 
     @pytest.mark.parametrize(
         "preset,where,bad,path",

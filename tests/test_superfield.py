@@ -229,7 +229,8 @@ def pairwise_commutator(X, Y):
     """Reference: the term-pair expansion through single-term SuperFunctions.
 
     The fused ``super_commutator`` must match it in value and in the order
-    of its result's terms.
+    of its result's terms: every f*(d_a g)*d_b piece over (X's terms, Y's
+    terms), then every g*(d_b f)*d_a piece over (Y's terms, X's terms).
     """
     chart = X.chart
     out = {}
@@ -244,16 +245,18 @@ def pairwise_commutator(X, Y):
                 out[key] = val
 
     for (e1, o1, a), c1 in X.terms.items():
-        d1 = len(o1) - (1 if chart.target_is_odd(a) else 0)
         f1 = SuperFunction(chart, {(e1, o1): c1})
         for (e2, o2, b), c2 in Y.terms.items():
-            d2 = len(o2) - (1 if chart.target_is_odd(b) else 0)
-            f2 = SuperFunction(chart, {(e2, o2): c2})
-            sign = -1 if (d1 * d2) % 2 else 1
-            left = f1 * f2.partial(a)
+            left = f1 * SuperFunction(chart, {(e2, o2): c2}).partial(a)
             if not left.is_zero():
                 add_terms(left, b, 1)
-            right = f2 * f1.partial(b)
+    for (e2, o2, b), c2 in Y.terms.items():
+        d2 = len(o2) - (1 if chart.target_is_odd(b) else 0)
+        f2 = SuperFunction(chart, {(e2, o2): c2})
+        for (e1, o1, a), c1 in X.terms.items():
+            d1 = len(o1) - (1 if chart.target_is_odd(a) else 0)
+            sign = -1 if (d1 * d2) % 2 else 1
+            right = f2 * SuperFunction(chart, {(e1, o1): c1}).partial(b)
             if not right.is_zero():
                 add_terms(right, a, -sign)
     return SuperVectorField(chart, out)
