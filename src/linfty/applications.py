@@ -280,22 +280,17 @@ def graph_setup(h: HomomorphismData) -> GraphSetup:
     )
     base_pair = DeformationPair.build(
         setup,
-        sigma={k: dict(poly) for k, poly in h.base_map.items()},
-        phi={(i, h.source.fiber_rank + j): dict(poly) for (i, j), poly in h.bundle_map.items()},
+        sigma=h.base_map,
+        phi={(i, h.source.fiber_rank + j): poly for (i, j), poly in h.bundle_map.items()},
     )
     return GraphSetup(h, setup, base_pair)
 
 
 def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> DeformationPair:
-    """Offsets of the bundle and base maps as a deformation pair."""
-    h = gs.h
-    sigma = {}
-    for k, val in (base_map or {}).items():
-        sigma[k] = _as_poly(val, h.source.base_dim)
-    phi = {}
-    for (i, j), val in (bundle_map or {}).items():
-        phi[(i, h.source.fiber_rank + j)] = _as_poly(val, h.source.base_dim)
-    return DeformationPair.build(gs.setup, sigma=sigma, phi=phi)
+    """Offsets of the bundle and base maps as a deformation pair (``DeformationPair.build`` normalises them)."""
+    offset = gs.h.source.fiber_rank
+    phi = {(i, offset + j): val for (i, j), val in (bundle_map or {}).items()}
+    return DeformationPair.build(gs.setup, sigma=base_map, phi=phi)
 
 
 def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:

@@ -1,9 +1,11 @@
 """Instance file schema: versioned JSON with exact rational polynomial terms.
 
 Every polynomial is a list of terms; a term carries an exponent vector over
-the even coordinates and an integer numerator/denominator pair.  Parsing
-errors point at the offending field path.  Parse -> serialize -> parse is
-the identity on canonical files.
+the even coordinates and an integer numerator/denominator pair.  A
+``lie_algebra`` or ``subalgebra`` file is read and written as an
+``algebroid`` or ``subalgebroid`` over a point.  Parsing errors, an unknown
+key among them, point at the offending field path.  Parse -> serialize ->
+parse is the identity on canonical files.
 """
 from __future__ import annotations
 
@@ -29,7 +31,11 @@ class InstanceError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
+        self.path, self.message = path, message
+
+    def under(self, prefix: str) -> "InstanceError":
+        """The same error, its path read below ``prefix`` (paths inside a list entry are built only on failure)."""
+        return InstanceError(prefix + self.path, self.message)
 
 
 class Options(Record):
@@ -48,9 +54,26 @@ class InstanceFile(Record):
         self.options = Options() if options is None else options
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not (``bool`` subclasses ``int``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# A Lie algebra (subalgebra) is a Lie algebroid (subalgebroid) over a point.  Its file is the general
+# kind's with ``fiber_rank`` named ``dimension``, and without ``base_dim``, ``normal_rank`` or ``anchor``.
+_OVER_A_POINT = {"lie_algebra": "algebroid", "subalgebra": "subalgebroid"}
+_AT_A_POINT = {"fiber_rank": "dimension", "base_dim": None, "normal_rank": None, "anchor": None}
+
+# the keys each object of the schema may hold; any other key is refused at its path
+_TENSORS = frozenset(("structure", "anchor"))
+_BLOCK = _TENSORS | {"base_dim", "fiber_rank"}
+_PAIR = frozenset(("sigma", "phi"))
+_TERM = frozenset(("exponents", "numer", "denom"))
+_OPTIONS = {"series_cap": 1, "truncate": 0, "probes": 0, "seed": None}  # each option's lower bound
+_KEYS = {  # each kind's top-level keys besides format_version, kind and options
+    "algebroid": (*_BLOCK, "candidate"),
+    "subalgebroid": (*_BLOCK, "normal_rank", "sub_rank", "candidate", "base", "candidate_xq"),
+    "foliation": ("base_dim", "sub_rank", "frames", "psi"),
+    "homomorphism": ("source", "target", "bundle_map", "base_map", "candidate", "candidate_xq"),
+}
+for _point, _general in _OVER_A_POINT.items():
+    _KEYS[_point] = {_AT_A_POINT.get(key, key) for key in _KEYS[_general]} - {None}
+_KEYS = {kind: frozenset(keys) | {"format_version", "kind", "options"} for kind, keys in _KEYS.items()}
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -58,77 +81,83 @@ def _expect(cond: bool, path: str, message: str):
         raise InstanceError(path, message)
 
 
+def _only(obj: dict, keys: frozenset, path: str):
+    """Refuse the first key of ``obj`` that ``keys`` does not list."""
+    if not obj.keys() <= keys:
+        key = next(k for k in obj if k not in keys)
+        raise InstanceError(f"{path}.{key}", f"unknown key (expected one of {', '.join(sorted(keys))})")
+
+
+def _int(obj: dict, key: str, path: str, low: int | None = 0, high: int | None = None, default: Any = None) -> int:
+    """The integer ``obj[key]`` in low..high (None leaves that end open); ``true``/``false`` are not integers."""
+    value = obj.get(key, default)
+    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
+        return value
+    message = (
+        "expected an integer" if type(value) is not int
+        else f"expected an integer >= {low}" if high is None else f"index out of range {low}..{high}"
+    )
+    raise InstanceError(f"{path}.{key}", message)
+
+
 def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
     _expect(isinstance(obj, list), path, "expected a list of terms")
     poly: PolyDict = {}
     for idx, term in enumerate(obj):
-        tpath = f"{path}[{idx}]"
-        _expect(isinstance(term, dict), tpath, "expected a term object")
-        exps = term.get("exponents", [])
-        _expect(isinstance(exps, list), f"{tpath}.exponents", "expected a list")
-        _expect(
-            len(exps) == n_even, f"{tpath}.exponents", f"expected {n_even} exponents"
-        )
-        _expect(all(_is_int(e) and e >= 0 for e in exps), f"{tpath}.exponents", "exponents must be nonnegative integers")
-        numer = term.get("numer")
-        denom = term.get("denom", 1)
-        _expect(_is_int(numer), f"{tpath}.numer", "expected an integer")
-        _expect(_is_int(denom), f"{tpath}.denom", "expected an integer")
-        _expect(denom > 0, f"{tpath}.denom", "denominator must be positive")
-        c = Fraction(numer, denom)
-        if c != 0:
+        try:
+            _expect(isinstance(term, dict), "", "expected a term object")
+            exps = term.get("exponents", [])
+            if not isinstance(exps, list) or len(exps) != n_even or not all(type(e) is int and e >= 0 for e in exps):
+                raise InstanceError(".exponents", f"expected a list of {n_even} nonnegative integers")
+            numer = _int(term, "numer", "", None)
+            denom = _int(term, "denom", "", 1, default=1)
+            _only(term, _TERM, "")
+        except InstanceError as exc:
+            raise exc.under(f"{path}[{idx}]") from None
+        if numer:
             key = tuple(exps)
-            poly[key] = poly.get(key, 0) + c
+            poly[key] = poly.get(key, 0) + (numer if denom == 1 else Fraction(numer, denom))
     return {k: coefficient(v) for k, v in poly.items() if v != 0}
 
 
-def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...] = ()) -> dict:
+def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...]) -> dict:
     """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into {key: polynomial}, by ``merge_polys``.
 
     ``names`` gives one letter per index field; the key is the tuple of the
     indices, or the index itself for a single field.  Each index must be an
-    integer, in its entry of ``bounds`` where one is given.  Entries with
-    equal keys add up, and zero polynomials are dropped.
+    integer in its entry of ``bounds``.  Entries with equal keys add up, and
+    zero polynomials are dropped.
     """
     _expect(isinstance(obj, list), path, "expected a list")
+    keys = frozenset((*names, "terms"))
     out = []
     for idx, entry in enumerate(obj):
-        epath = f"{path}[{idx}]"
-        _expect(isinstance(entry, dict), epath, "expected an object")
-        key = []
-        for pos, name in enumerate(names):
-            v = entry.get(name)
-            _expect(_is_int(v), f"{epath}.{name}", "expected an integer")
-            if pos < len(bounds):
-                r = bounds[pos]
-                _expect(v in r, f"{epath}.{name}", f"index out of range {r.start}..{r.stop - 1}")
-            key.append(v)
-        poly = _parse_terms(entry.get("terms", []), n_even, f"{epath}.terms")
-        out.append((tuple(key) if len(key) > 1 else key[0], poly))
+        try:
+            _expect(isinstance(entry, dict), "", "expected an object")
+            key = tuple([_int(entry, name, "", r.start, r.stop - 1) for name, r in zip(names, bounds)])
+            poly = _parse_terms(entry.get("terms", []), n_even, ".terms")
+            _only(entry, keys, "")
+        except InstanceError as exc:
+            raise exc.under(f"{path}[{idx}]") from None
+        out.append((key if len(key) > 1 else key[0], poly))
     return merge_polys(out)
 
 
-def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str) -> AlgebroidData:
-    """Structure and anchor tensor lists of an object, over the given dimensions."""
+def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str, keys: frozenset = _TENSORS) -> AlgebroidData:
+    """Structure and anchor lists of an object of the given ``keys`` (a point kind's top level lists no anchor)."""
     _expect(isinstance(obj, dict), path, "expected an object")
     entries = obj.get("structure", [])
     structure = _parse_entries(entries, f"{path}.structure", base_dim, "ijk", (range(rank),) * 3)
     for idx, entry in enumerate(entries):  # every entry is an object with integer indices by now
         _expect(entry["i"] != entry["j"], f"{path}.structure[{idx}]", "diagonal structure entries must be omitted")
-    anchor = _parse_entries(obj.get("anchor", []), f"{path}.anchor", base_dim, "it", (range(rank), range(base_dim)))
+    anchor = obj.get("anchor", []) if "anchor" in keys else []
+    anchor = _parse_entries(anchor, f"{path}.anchor", base_dim, "it", (range(rank), range(base_dim)))
     try:
-        return AlgebroidData.build(base_dim, rank, structure, anchor)
+        data = AlgebroidData.build(base_dim, rank, structure, anchor)
     except ValueError as exc:
         raise InstanceError(path, str(exc)) from exc
-
-
-def _parse_algebroid(obj: Any, path: str) -> AlgebroidData:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    base_dim = obj.get("base_dim")
-    rank = obj.get("fiber_rank")
-    _expect(_is_int(base_dim) and base_dim >= 0, f"{path}.base_dim", "expected a nonnegative integer")
-    _expect(_is_int(rank) and rank >= 0, f"{path}.fiber_rank", "expected a nonnegative integer")
-    return _parse_tensors(obj, base_dim, rank, path)
+    _only(obj, keys, path)
+    return data
 
 
 def _parse_sigma_phi(obj: Any, n_even: int, path: str, normal: range, sub: range, comp: range) -> tuple[dict, dict]:
@@ -138,13 +167,87 @@ def _parse_sigma_phi(obj: Any, n_even: int, path: str, normal: range, sub: range
     """
     _expect(isinstance(obj, dict), path, "expected an object")
     sigma = _parse_entries(obj.get("sigma", []), f"{path}.sigma", n_even, "k", (normal,))
-    return sigma, _parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij", (sub, comp))
+    phi = _parse_entries(obj.get("phi", []), f"{path}.phi", n_even, "ij", (sub, comp))
+    _only(obj, _PAIR, path)
+    return sigma, phi
 
 
 def _parse_candidate_pair(obj: Any, setup: SplitSetup, path: str) -> DeformationPair:
     normal, sub, comp = range(setup.normal_rank), range(setup.sub_rank), range(setup.sub_rank, setup.data.fiber_rank)
     sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path, normal, sub, comp)
     return DeformationPair.build(setup, sigma=sigma, phi=phi)
+
+
+def _read_algebroid(obj: dict, kind: str) -> dict:
+    """The payload of an ``algebroid`` or ``subalgebroid`` file, or of either over a point."""
+    point, split = kind in _OVER_A_POINT, _OVER_A_POINT.get(kind, kind) == "subalgebroid"
+    p = 0 if point else _int(obj, "base_dim", "$")
+    q = _int(obj, "normal_rank", "$") if split and not point else 0
+    rank = _int(obj, "dimension" if point else "fiber_rank", "$")
+    sub_rank = _int(obj, "sub_rank", "$", 0, rank) if split else 0
+    data = _parse_tensors(obj, p + q, rank, "$", _KEYS[kind])
+    payload: dict[str, Any] = {"data": data}
+    if not split:
+        if "candidate" in obj:
+            payload["candidate"] = _parse_tensors(obj["candidate"], p, rank, "$.candidate")
+        return payload
+    try:
+        payload["setup"] = setup = SplitSetup.build(data, p, q, sub_rank)
+    except ValueError as exc:
+        raise InstanceError("$", str(exc)) from exc
+    payload["candidate"] = _parse_candidate_pair(obj.get("candidate", {}), setup, "$.candidate")
+    if "base" in obj:
+        payload["base"] = _parse_candidate_pair(obj["base"], setup, "$.base")
+    if "candidate_xq" in obj:
+        payload["candidate_xq"] = _parse_tensors(obj["candidate_xq"], p + q, rank, "$.candidate_xq")
+    return payload
+
+
+def _read_foliation(obj: dict, kind: str) -> dict:
+    base_dim = _int(obj, "base_dim", "$", 1)
+    sub_rank = _int(obj, "sub_rank", "$", 0, base_dim)
+    frames_obj = obj.get("frames")
+    if not isinstance(frames_obj, list) or len(frames_obj) != base_dim:
+        raise InstanceError("$.frames", f"expected {base_dim} frame fields")
+    coords = (range(base_dim),)
+    frames = [_parse_entries(f, f"$.frames[{fi}]", base_dim, "t", coords) for fi, f in enumerate(frames_obj)]
+    try:
+        fol = FoliationSetup.build(base_dim, sub_rank, frames)
+    except ValueError as exc:
+        raise InstanceError("$.frames", str(exc)) from exc
+    psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
+    return {"foliation": fol, "psi": psi}
+
+
+def _parse_block(obj: Any, path: str) -> AlgebroidData:
+    """A homomorphism's source or target algebroid."""
+    _expect(isinstance(obj, dict), path, "expected an object")
+    return _parse_tensors(obj, _int(obj, "base_dim", path), _int(obj, "fiber_rank", path), path, _BLOCK)
+
+
+def _read_homomorphism(obj: dict, kind: str) -> dict:
+    source, target = _parse_block(obj.get("source", {}), "$.source"), _parse_block(obj.get("target", {}), "$.target")
+    m = source.base_dim
+    frames, coords = (range(source.fiber_rank), range(target.fiber_rank)), (range(target.base_dim),)
+    bundle = _parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij", frames)
+    base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
+    h = HomomorphismData.build(source, target, bundle, base_map)
+    cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
+    payload: dict[str, Any] = {"homomorphism": h, "candidate_bundle": cand_bundle, "candidate_base": cand_base}
+    if "candidate_xq" in obj:
+        cxq = obj["candidate_xq"]
+        _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")
+        payload["candidate_xq"] = {
+            which: _parse_tensors(cxq[which], data.base_dim, data.fiber_rank, f"$.candidate_xq.{which}")
+            for which, data in (("source", source), ("target", target))
+            if which in cxq
+        }
+        _only(cxq, frozenset(("source", "target")), "$.candidate_xq")
+    return payload
+
+
+_READERS = {"algebroid": _read_algebroid, "subalgebroid": _read_algebroid, "foliation": _read_foliation,
+            "homomorphism": _read_homomorphism}
 
 
 def parse_instance(path_or_obj) -> InstanceFile:
@@ -164,127 +267,26 @@ def parse_instance(path_or_obj) -> InstanceFile:
         obj = path_or_obj
     _expect(isinstance(obj, dict), "$", "expected a JSON object")
     version = obj.get("format_version")
-    _expect(_is_int(version) and version == FORMAT_VERSION, "$.format_version", f"expected {FORMAT_VERSION}")
+    _expect(type(version) is int and version == FORMAT_VERSION, "$.format_version", f"expected {FORMAT_VERSION}")
     kind = obj.get("kind")
     _expect(kind in KINDS, "$.kind", f"expected one of {KINDS}")
-
-    opts_obj = obj.get("options", {})
-    _expect(isinstance(opts_obj, dict), "$.options", "expected an object")
+    opts = obj.get("options", {})
+    _expect(isinstance(opts, dict), "$.options", "expected an object")
     options = Options()
-    if "series_cap" in opts_obj:
-        _expect(_is_int(opts_obj["series_cap"]) and opts_obj["series_cap"] > 0, "$.options.series_cap", "expected a positive integer")
-        options.series_cap = opts_obj["series_cap"]
-    if "truncate" in opts_obj and opts_obj["truncate"] is not None:
-        _expect(_is_int(opts_obj["truncate"]) and opts_obj["truncate"] >= 0, "$.options.truncate", "expected a nonnegative integer")
-        options.truncate = opts_obj["truncate"]
-    if "probes" in opts_obj:
-        _expect(_is_int(opts_obj["probes"]) and opts_obj["probes"] >= 0, "$.options.probes", "expected a nonnegative integer")
-        options.probes = opts_obj["probes"]
-    if "seed" in opts_obj:
-        _expect(_is_int(opts_obj["seed"]), "$.options.seed", "expected an integer")
-        options.seed = opts_obj["seed"]
-
-    instance = InstanceFile(kind=kind, payload={}, options=options, source=source)
-
-    if kind in ("algebroid", "lie_algebra"):
-        if kind == "lie_algebra":
-            dim = obj.get("dimension")
-            _expect(_is_int(dim) and dim >= 0, "$.dimension", "expected a nonnegative integer")
-            data = _parse_tensors({"structure": obj.get("structure", [])}, 0, dim, "$")
-        else:
-            data = _parse_algebroid(obj, "$")
-        instance.payload["data"] = data
-        if "candidate" in obj:
-            instance.payload["candidate"] = _parse_tensors(obj["candidate"], data.base_dim, data.fiber_rank, "$.candidate")
-        return instance
-
-    if kind in ("subalgebroid", "subalgebra"):
-        if kind == "subalgebra":
-            dim = obj.get("dimension")
-            _expect(_is_int(dim) and dim >= 0, "$.dimension", "expected a nonnegative integer")
-            sub_rank = obj.get("sub_rank")
-            _expect(_is_int(sub_rank) and 0 <= sub_rank <= dim, "$.sub_rank", "sub rank out of range")
-            shaped = {"structure": obj.get("structure", [])}
-            p, q, l, rank = 0, 0, sub_rank, dim
-        else:
-            p = obj.get("base_dim")
-            q = obj.get("normal_rank")
-            l = obj.get("sub_rank")
-            rank = obj.get("fiber_rank")
-            _expect(_is_int(p) and p >= 0, "$.base_dim", "expected a nonnegative integer")
-            _expect(_is_int(q) and q >= 0, "$.normal_rank", "expected a nonnegative integer")
-            _expect(_is_int(rank) and rank >= 0, "$.fiber_rank", "expected a nonnegative integer")
-            _expect(_is_int(l) and 0 <= l <= rank, "$.sub_rank", "sub rank out of range")
-            shaped = obj
-        data = _parse_tensors(shaped, p + q, rank, "$")
-        try:
-            setup = SplitSetup.build(data, p, q, l)
-        except ValueError as exc:
-            raise InstanceError("$", str(exc)) from exc
-        instance.payload["data"] = data
-        instance.payload["setup"] = setup
-        instance.payload["candidate"] = _parse_candidate_pair(obj.get("candidate", {}), setup, "$.candidate")
-        if "base" in obj:
-            instance.payload["base"] = _parse_candidate_pair(obj["base"], setup, "$.base")
-        if "candidate_xq" in obj:
-            instance.payload["candidate_xq"] = _parse_tensors(obj["candidate_xq"], data.base_dim, data.fiber_rank, "$.candidate_xq")
-        return instance
-
-    if kind == "foliation":
-        base_dim = obj.get("base_dim")
-        sub_rank = obj.get("sub_rank")
-        _expect(_is_int(base_dim) and base_dim > 0, "$.base_dim", "expected a positive integer")
-        _expect(_is_int(sub_rank) and 0 <= sub_rank <= base_dim, "$.sub_rank", "sub rank out of range")
-        frames_obj = obj.get("frames")
-        _expect(isinstance(frames_obj, list) and len(frames_obj) == base_dim, "$.frames", f"expected {base_dim} frame fields")
-        frames = []
-        for fi, entries in enumerate(frames_obj):
-            _expect(isinstance(entries, list), f"$.frames[{fi}]", "expected a list of components")
-            frames.append(_parse_entries(entries, f"$.frames[{fi}]", base_dim, "t", (range(base_dim),)))
-        try:
-            fol = FoliationSetup.build(base_dim, sub_rank, frames)
-        except ValueError as exc:
-            raise InstanceError("$.frames", str(exc)) from exc
-        psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
-        instance.payload["foliation"] = fol
-        instance.payload["psi"] = psi
-        return instance
-
-    if kind == "homomorphism":
-        source_data = _parse_algebroid(obj.get("source", {}), "$.source")
-        target_data = _parse_algebroid(obj.get("target", {}), "$.target")
-        m = source_data.base_dim
-        frames = (range(source_data.fiber_rank), range(target_data.fiber_rank))
-        coords = (range(target_data.base_dim),)
-        bundle = _parse_entries(obj.get("bundle_map", []), "$.bundle_map", m, "ij", frames)
-        base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
-        instance.payload["homomorphism"] = HomomorphismData.build(source_data, target_data, bundle, base_map)
-        cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
-        instance.payload["candidate_bundle"] = cand_bundle
-        instance.payload["candidate_base"] = cand_base
-        if "candidate_xq" in obj:
-            cxq = obj["candidate_xq"]
-            _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")
-            pert = {
-                which: _parse_tensors(cxq[which], data.base_dim, data.fiber_rank, f"$.candidate_xq.{which}")
-                for which, data in (("source", source_data), ("target", target_data))
-                if which in cxq
-            }
-            instance.payload["candidate_xq"] = pert
-        return instance
-
-    raise InstanceError("$.kind", f"unsupported kind {kind!r}")
+    for name, low in _OPTIONS.items():
+        if name in opts and (opts[name] is not None or name != "truncate"):
+            setattr(options, name, _int(opts, name, "$.options", low))
+    _only(opts, _OPTIONS.keys(), "$.options")
+    payload = _READERS[_OVER_A_POINT.get(kind, kind)](obj, kind)
+    _only(obj, _KEYS[kind], "$")
+    return InstanceFile(kind, payload, options, source)
 
 
 # ---------------------------------------------------------------------
 # serialization (canonical form)
 # ---------------------------------------------------------------------
 def _terms_obj(poly: PolyDict) -> list[dict]:
-    out = []
-    for exps in sorted(poly):
-        c = poly[exps]
-        out.append({"exponents": list(exps), "numer": c.numerator, "denom": c.denominator})
-    return out
+    return [{"exponents": list(e), "numer": poly[e].numerator, "denom": poly[e].denominator} for e in sorted(poly)]
 
 
 def _entries_obj(polys: Mapping, names: str) -> list[dict]:
@@ -300,16 +302,20 @@ def _tensors_obj(data: AlgebroidData) -> dict:
     return {"structure": _entries_obj(data.structure, "ijk"), "anchor": _entries_obj(data.anchor, "it")}
 
 
-def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid") -> dict:
-    obj: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": kind}
-    if kind == "lie_algebra":
-        obj["dimension"] = data.fiber_rank
-        obj["structure"] = _tensors_obj(data)["structure"]
-    else:
-        obj["base_dim"] = data.base_dim
-        obj["fiber_rank"] = data.fiber_rank
-        obj.update(_tensors_obj(data))
+def _block_obj(data: AlgebroidData) -> dict:
+    return {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank, **_tensors_obj(data)}
+
+
+def _as_kind(kind: str, obj: dict) -> dict:
+    """A file of ``kind`` holding the general-form fields ``obj``; over a point they are renamed or dropped."""
+    obj = {**obj, "format_version": FORMAT_VERSION, "kind": kind}
+    if kind in _OVER_A_POINT:
+        obj = {name: value for key, value in obj.items() if (name := _AT_A_POINT.get(key, key))}
     return obj
+
+
+def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid") -> dict:
+    return _as_kind(kind, _block_obj(data))
 
 
 def serialize_pair(d: DeformationPair) -> dict:
@@ -318,53 +324,42 @@ def serialize_pair(d: DeformationPair) -> dict:
 
 def serialize_instance(inst: InstanceFile) -> dict:
     """Canonical JSON object of a parsed instance (all kinds); options only where they differ from the defaults."""
-    obj: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": inst.kind}
-    if inst.kind in ("algebroid", "lie_algebra"):
-        data: AlgebroidData = inst.payload["data"]
-        obj.update(serialize_algebroid(data, kind=inst.kind))
-        if "candidate" in inst.payload:
-            obj["candidate"] = _tensors_obj(inst.payload["candidate"])
-    elif inst.kind in ("subalgebroid", "subalgebra"):
-        setup: SplitSetup = inst.payload["setup"]
-        data = inst.payload["data"]
-        if inst.kind == "subalgebra":
-            obj["dimension"] = data.fiber_rank
-            obj["sub_rank"] = setup.sub_rank
-            obj["structure"] = _tensors_obj(data)["structure"]
-        else:
-            obj["base_dim"] = setup.base_dim
-            obj["normal_rank"] = setup.normal_rank
-            obj["sub_rank"] = setup.sub_rank
-            obj["fiber_rank"] = data.fiber_rank
-            obj.update(_tensors_obj(data))
-        obj["candidate"] = serialize_pair(inst.payload["candidate"])
-        if "base" in inst.payload:
-            obj["base"] = serialize_pair(inst.payload["base"])
-        if "candidate_xq" in inst.payload:
-            obj["candidate_xq"] = _tensors_obj(inst.payload["candidate_xq"])
-    elif inst.kind == "foliation":
-        fol: FoliationSetup = inst.payload["foliation"]
-        obj["base_dim"] = fol.base_dim
-        obj["sub_rank"] = fol.sub_rank
-        obj["frames"] = [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames]
-        obj["psi"] = _entries_obj(inst.payload["psi"], "ij")
-    elif inst.kind == "homomorphism":
-        h: HomomorphismData = inst.payload["homomorphism"]
-        for field_name, data in (("source", h.source), ("target", h.target)):
-            obj[field_name] = {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank, **_tensors_obj(data)}
-        obj["bundle_map"] = _entries_obj(h.bundle_map, "ij")
-        obj["base_map"] = _entries_obj(h.base_map, "k")
-        obj["candidate"] = {
-            "sigma": _entries_obj(inst.payload["candidate_base"], "k"),
-            "phi": _entries_obj(inst.payload["candidate_bundle"], "ij"),
+    general, payload = _OVER_A_POINT.get(inst.kind, inst.kind), inst.payload
+    if general in ("algebroid", "subalgebroid"):
+        obj = serialize_algebroid(payload["data"])
+        if general == "subalgebroid":
+            setup: SplitSetup = payload["setup"]
+            # the data's base dimension counts the normal coordinates too
+            obj.update(base_dim=setup.base_dim, normal_rank=setup.normal_rank, sub_rank=setup.sub_rank)
+        for key in ("candidate", "base", "candidate_xq"):
+            if key in payload:
+                value = payload[key]
+                obj[key] = serialize_pair(value) if isinstance(value, DeformationPair) else _tensors_obj(value)
+    elif general == "foliation":
+        fol: FoliationSetup = payload["foliation"]
+        obj = {
+            "base_dim": fol.base_dim,
+            "sub_rank": fol.sub_rank,
+            "frames": [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames],
+            "psi": _entries_obj(payload["psi"], "ij"),
         }
-        if "candidate_xq" in inst.payload:
-            obj["candidate_xq"] = {
-                which: _tensors_obj(pert)
-                for which, pert in sorted(inst.payload["candidate_xq"].items())
-            }
+    elif general == "homomorphism":
+        h: HomomorphismData = payload["homomorphism"]
+        obj = {
+            "source": _block_obj(h.source),
+            "target": _block_obj(h.target),
+            "bundle_map": _entries_obj(h.bundle_map, "ij"),
+            "base_map": _entries_obj(h.base_map, "k"),
+            "candidate": {
+                "sigma": _entries_obj(payload["candidate_base"], "k"),
+                "phi": _entries_obj(payload["candidate_bundle"], "ij"),
+            },
+        }
+        if "candidate_xq" in payload:
+            obj["candidate_xq"] = {which: _tensors_obj(pert) for which, pert in sorted(payload["candidate_xq"].items())}
     else:
         raise InstanceError("$.kind", f"cannot serialize kind {inst.kind!r}")
+    obj = _as_kind(inst.kind, obj)
     defaults = Options()
     options = {
         name: value for name in Options._fields if (value := getattr(inst.options, name)) != getattr(defaults, name)

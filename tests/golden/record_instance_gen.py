@@ -23,7 +23,7 @@ SEEDS = range(40)
 def record_seed(seed: int) -> dict:
     rng = random.Random(seed)
     setup, _ = random_instance(rng)
-    obj = serialize_algebroid(setup.data)
+    obj = serialize_algebroid(setup.data, kind="subalgebroid")
     obj.update(base_dim=setup.base_dim, normal_rank=setup.normal_rank, sub_rank=setup.sub_rank)
     obj["candidate"] = serialize_pair(random_candidate(setup, rng))
     return obj

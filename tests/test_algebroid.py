@@ -717,3 +717,13 @@ def test_instance_generator_is_unchanged():
     """``instance_gen`` draws the recorded instances (``tests/golden/instance_gen.json``)."""
     recorded = json.loads((Path(__file__).parent / "golden" / "instance_gen.json").read_text())
     assert json.loads(json.dumps(record_instance_gen.record())) == recorded
+
+
+def test_recorded_instances_parse_as_drawn():
+    """Each recorded instance is a ``subalgebroid`` file that reads back as the split and candidate drawn."""
+    recorded = json.loads((Path(__file__).parent / "golden" / "instance_gen.json").read_text())
+    for seed, obj in recorded.items():
+        rng = random.Random(int(seed))
+        setup, _ = random_instance(rng)
+        inst = parse_instance(obj)
+        assert inst.payload["setup"] == setup and inst.payload["candidate"] == random_candidate(setup, rng), seed

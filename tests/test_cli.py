@@ -1,9 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from linfty.cli import main
+from linfty.cli import COMMANDS, main
 from linfty.instances import (
     FORMAT_VERSION,
     InstanceError,
@@ -21,6 +22,7 @@ from linfty.valgebra import NotInAbelianPart
 
 GOLDEN_COHOMOLOGY = json.loads((Path(__file__).parent / "golden" / "cohomology.json").read_text())
 GOLDEN_COMMANDS = json.loads((Path(__file__).parent / "golden" / "commands.json").read_text())
+FIXTURES = sorted(path.stem for path in fixture_path("sl2").parent.glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +290,166 @@ class TestParsing:
         with pytest.raises(InstanceError) as err:
             parse_instance(obj)
         assert err.value.path == path
+
+
+def enriched(name: str) -> dict:
+    """A bundled fixture with options and every optional object its kind may hold, each list entry given a term."""
+    obj = json.loads(fixture_path(name).read_text())
+    obj["options"] = {"seed": 1}
+    kind = obj["kind"]
+    term = [{"exponents": [0] * obj.get("base_dim", 0), "numer": 1}]
+    tensors = {"structure": obj.get("structure", []), "anchor": obj.get("anchor", [])}
+    if kind in ("algebroid", "lie_algebra"):
+        obj["candidate"] = tensors
+    elif kind in ("subalgebroid", "subalgebra"):
+        phi = [{"i": 0, "j": obj["sub_rank"], "terms": term}] if obj["sub_rank"] else []
+        obj["base"] = {"sigma": obj["candidate"].get("sigma", []), "phi": phi}
+        obj["candidate_xq"] = tensors
+    elif kind == "homomorphism":
+        obj["candidate"]["phi"] = [{"i": 0, "j": 1, "terms": term}]
+        obj["candidate_xq"] = {which: {key: obj[which][key] for key in tensors} for which in ("source", "target")}
+    return json.loads(json.dumps(obj))  # no list is shared between two places
+
+
+def json_containers(node, path: str = "$"):
+    """(path, container) of every JSON object and list in ``node``, the outermost first."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from json_containers(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        yield path, node
+        for idx, value in enumerate(node):
+            yield from json_containers(value, f"{path}[{idx}]")
+
+
+def json_objects(node) -> list:
+    """(path, object) of every JSON object in ``node``, the outermost first."""
+    return [(path, value) for path, value in json_containers(node) if isinstance(value, dict)]
+
+
+# wrong types, a float where an integer belongs, and indices out of every range
+WRONG_VALUES = (None, True, "x", 1.5, -1, 99, [], {})
+
+
+def single_field_mutations(obj):
+    """Mutate ``obj`` in place one field at a time, yielding a label for each; it is restored after each one.
+
+    Every field of every object and every list entry is set to each of
+    ``WRONG_VALUES`` and removed, and every object gets the extra key ``zz``.
+    """
+    for path, node in list(json_containers(obj)):
+        is_object = isinstance(node, dict)
+        for key in list(node) if is_object else range(len(node)):
+            where = f"{path}.{key}" if is_object else f"{path}[{key}]"
+            saved = node[key]
+            for value in WRONG_VALUES:
+                node[key] = value
+                yield f"{where} = {value!r}"
+            node[key] = saved
+            items = list(node.items()) if is_object else None
+            del node[key]
+            yield f"{where} removed"
+            if is_object:
+                node.clear()
+                node.update(items)
+            else:
+                node.insert(key, saved)
+        if is_object:
+            node["zz"] = 1
+            yield f"{path}.zz added"
+            del node["zz"]
+
+
+class TestStrictSchema:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_unknown_key_is_refused_at_its_path(self, capsys, tmp_path, name):
+        obj = enriched(name)
+        parse_instance(obj)
+        for path, node in json_objects(obj):
+            node["zz"] = 1
+            with pytest.raises(InstanceError) as err:
+                parse_instance(obj)
+            assert err.value.path == f"{path}.zz"
+            write_instance(obj, tmp_path / "bad.json")
+            del node["zz"]
+            code, out, err = run_cli(capsys, "validate", str(tmp_path / "bad.json"))
+            assert (code, out) == (2, "") and f"{path}.zz: unknown key" in err
+
+    def test_enriched_fixtures_hold_every_object_of_the_schema(self):
+        shapes = {re.sub(r"\[\d+\]", "[]", path) for name in FIXTURES for path, _ in json_objects(enriched(name))}
+        entries = ("structure", "anchor", "candidate.structure", "candidate.anchor", "candidate.sigma", "candidate.phi",
+                   "base.phi", "candidate_xq.structure", "frames[]", "psi", "bundle_map", "source.structure",
+                   "candidate_xq.target.structure")
+        objects = ("", ".options", ".candidate", ".base", ".candidate_xq", ".source", ".target",
+                   ".candidate_xq.source", ".candidate_xq.target")
+        # hom-sl2-id's target has no base coordinates, so no fixture holds a base_map or homomorphism sigma entry
+        assert {f"${where}" for where in objects} | {f"$.{where}[].terms[]" for where in entries} <= shapes
+
+    @pytest.mark.parametrize(
+        "preset,command,change,path",
+        [
+            ("sl2", "validate", {"strucutre": "structure"}, "$.strucutre"),  # was read as the abelian algebra
+            ("sl2", "validate", {"anchor": [{"i": 9, "t": 5, "terms": "junk"}]}, "$.anchor"),  # was never read
+            ("sl2-borel", "mc-check", {"candidate": {"phy": [{"i": 0, "j": 2, "terms": [{"numer": 5}]}]}},
+             "$.candidate.phy"),  # was read as the zero candidate
+        ],
+        ids=["misspelt-structure", "anchor-over-a-point", "misspelt-phi"],
+    )
+    def test_misspelt_or_misplaced_key_exits_2(self, capsys, tmp_path, preset, command, change, path):
+        obj = json.loads(fixture_path(preset).read_text())
+        for key, value in change.items():
+            obj[key] = obj.pop(value) if isinstance(value, str) else value
+        write_instance(obj, tmp_path / "bad.json")
+        code, out, err = run_cli(capsys, command, str(tmp_path / "bad.json"), "--json")
+        assert (code, out) == (2, "") and f"{path}: unknown key" in err
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_single_field_mutation_parses_or_names_a_path(self, name):
+        obj = enriched(name)
+        count = 0
+        for label in single_field_mutations(obj):
+            try:
+                parse_instance(obj)
+            except InstanceError as exc:
+                assert exc.path.startswith("$"), (label, exc.path)
+            except Exception as exc:
+                raise AssertionError(label) from exc
+            count += 1
+        assert obj == enriched(name)  # every mutation was undone
+        assert count > 50
+
+    @pytest.mark.parametrize(
+        "name,general,extra",
+        [
+            ("sl2", "algebroid", {"base_dim": 0, "anchor": []}),
+            ("sl2-borel", "subalgebroid", {"base_dim": 0, "normal_rank": 0, "anchor": []}),
+        ],
+    )
+    def test_point_kind_is_its_general_kind_over_a_point(self, capsys, tmp_path, name, general, extra):
+        point = json.loads(fixture_path(name).read_text())
+        if "candidate" not in point:  # give mc-check and oracle-compare a candidate to decide
+            point["candidate"] = {"structure": [{"i": 0, "j": 1, "k": 2, "terms": [{"numer": 1}]}]}
+        same = {**point, **extra, "kind": general, "fiber_rank": point["dimension"]}
+        del same["dimension"]
+        first, second = parse_instance(point), parse_instance(same)
+        assert first.payload.keys() == second.payload.keys()
+        assert first.payload["data"] == second.payload["data"]
+        assert first.payload.get("setup") == second.payload.get("setup")
+        assert first.payload["candidate"] == second.payload["candidate"]
+        written = serialize_instance(first)  # and both are written through one path
+        dimension = written.pop("dimension")
+        assert serialize_instance(second) == {**written, **extra, "kind": general, "fiber_rank": dimension}
+        taken = set()
+        for command in COMMANDS:
+            outputs = []
+            for obj in (point, same):
+                write_instance(obj, tmp_path / "instance.json")
+                outputs.append(run_cli(capsys, command, str(tmp_path / "instance.json"), "--json")[:2])
+            assert outputs[0] == outputs[1], command
+            if outputs[0][0] in (0, 1):
+                taken.add(command)
+        assert {"validate", "mc-check", "cohomology", "oracle-compare"} <= taken
 
 
 class TestCommands:
