@@ -45,16 +45,38 @@ def _as_poly(value, base_dim: int) -> PolyDict:
         exps = tuple(exps)
         if len(exps) != base_dim:
             raise ValueError(f"exponent tuple {exps} has wrong length (need {base_dim})")
-        if any(e < 0 for e in exps):
+        if exps and min(exps) < 0:
             raise ValueError("negative exponent")
         c = coefficient(c)
         if c != 0:
-            out[exps] = out.get(exps, 0) + c
-    return {k: coefficient(v) for k, v in out.items() if v != 0}
+            out[exps] = c
+    return out
+
+
+def poly_map(values: Mapping, base_dim: int, bounds: tuple[range, ...], what: str) -> dict:
+    """A keyed polynomial map, checked and normalised: the one way such a map enters a record.
+
+    A key is a tuple of indices, or a bare index when ``bounds`` holds one
+    range; each index must lie in its range, and any other key is refused.  A value is a rational (a
+    constant) or a map from exponent tuples over ``base_dim`` coordinates to
+    rationals; it is normalised by ``_as_poly``, and zero entries are dropped.
+    """
+    out = {}
+    for key, value in values.items():
+        indices = (key,) if len(bounds) == 1 else key
+        if type(indices) is not tuple or len(indices) != len(bounds):
+            raise ValueError(f"{what} index out of range: {key}")
+        for index, bound in zip(indices, bounds):
+            if index not in bound:
+                raise ValueError(f"{what} index out of range: {key}")
+        poly = _as_poly(value, base_dim)
+        if poly:
+            out[key] = poly
+    return out
 
 
 def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
-    """Sum the polynomials of equal keys, in first-seen key order; zero terms and entries dropped."""
+    """Sum normal polynomials of equal keys, in first-seen key order; zero terms and entries dropped."""
     out: dict[Any, PolyDict] = {}
     for key, poly in entries:
         merged = out.setdefault(key, {})
@@ -67,8 +89,15 @@ def merge_polys(entries: Iterable[tuple[Any, PolyDict]]) -> dict[Any, PolyDict]:
     }
 
 
-def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
-    return SuperFunction(chart, {(exps, ()): c for exps, c in poly.items()})
+def _poly_terms(out: dict, poly: PolyDict, n_even: int, *tail) -> dict:
+    """Write poly(x)'s terms into ``out`` under keys (exps, *tail), exps zero-padded to ``n_even`` entries."""
+    for exps, c in poly.items():
+        out[(exps + (0,) * (n_even - len(exps)),) + tail] = c
+    return out
+
+
+def _poly_fn(chart: CoordinateChart, poly: PolyDict, odd: tuple[int, ...] = ()) -> SuperFunction:
+    return SuperFunction(chart, _poly_terms({}, poly, chart.n_even, odd))
 
 
 def add_into(out: dict, key, val: SuperFunction) -> None:
@@ -103,27 +132,17 @@ class AlgebroidData(Frozen):
 
     @staticmethod
     def build(base_dim: int, fiber_rank: int, structure=None, anchor=None) -> "AlgebroidData":
+        frame = range(fiber_rank)
         entries = []
-        for (i, j, k), value in (structure or {}).items():
-            if not (0 <= i < fiber_rank and 0 <= j < fiber_rank and 0 <= k < fiber_rank):
-                raise ValueError(f"structure index out of range: {(i, j, k)}")
-            poly = _as_poly(value, base_dim)
-            if not poly:
-                continue
+        for (i, j, k), poly in poly_map(structure or {}, base_dim, (frame,) * 3, "structure").items():
             if i == j:
                 raise ValueError(f"nonzero diagonal structure constant at {(i, j, k)}")
             if i > j:
                 i, j = j, i
                 poly = {e: -c for e, c in poly.items()}
             entries.append(((i, j, k), poly))
-        anch: dict[tuple[int, int], PolyDict] = {}
-        for (i, t), value in (anchor or {}).items():
-            if not (0 <= i < fiber_rank and 0 <= t < base_dim):
-                raise ValueError(f"anchor index out of range: {(i, t)}")
-            poly = _as_poly(value, base_dim)
-            if poly:
-                anch[(i, t)] = poly
-        return AlgebroidData(base_dim, fiber_rank, merge_polys(entries), anch)
+        anchor = poly_map(anchor or {}, base_dim, (frame, range(base_dim)), "anchor")
+        return AlgebroidData(base_dim, fiber_rank, merge_polys(entries), anchor)
 
     # -- charts ---------------------------------------------------------
     def plain_chart(self) -> CoordinateChart:

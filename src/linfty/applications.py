@@ -17,10 +17,10 @@ from .algebroid import (
     AlgebroidData,
     PolyDict,
     SectionCalculus,
-    _as_poly,
     _poly_fn,
     add_into,
     build_xq,
+    poly_map,
 )
 from .signs import koszul_sign
 from .subalgebroid import (
@@ -83,9 +83,9 @@ class FoliationSetup(Frozen):
     def build(base_dim: int, sub_rank: int, frames: Sequence[VectorFieldCoeffs]) -> "FoliationSetup":
         if len(frames) != base_dim:
             raise ValueError("need one frame field per tangent direction")
-        norm = tuple(
-            tuple(_as_poly(dict(f).get(t, {}), base_dim) for t in range(base_dim)) for f in frames
-        )
+        coords = range(base_dim)
+        fields = [poly_map(f, base_dim, (coords,), f"frame {fi} coordinate") for fi, f in enumerate(frames)]
+        norm = tuple(tuple([f.get(t, {}) for t in coords]) for f in fields)
         data = _tangent_in_frame(base_dim, norm)
         setup = SplitSetup.build(data, base_dim, 0, sub_rank)
         return FoliationSetup(base_dim, sub_rank, norm, data, setup)
@@ -177,14 +177,8 @@ def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, psi: Mapping) -
     """
     setup = fol.setup
     chart = setup.chart
-    form = FrameForm.build(
-        setup,
-        1,
-        {
-            ((i,), j): _poly_fn(chart, _as_poly(val, fol.base_dim))
-            for (i, j), val in psi.items()
-        },
-    )
+    psi = poly_map(psi, fol.base_dim, (range(setup.sub_rank), range(setup.sub_rank, fol.base_dim)), "psi")
+    form = FrameForm.build(setup, 1, {((i,), j): _poly_fn(chart, poly) for (i, j), poly in psi.items()})
     residual = explicit_structure_maps(setup, 1, [form])
 
     # classical route on distribution frame pairs
@@ -231,21 +225,9 @@ class HomomorphismData(Frozen):
 
     @staticmethod
     def build(source, target, bundle_map=None, base_map=None) -> "HomomorphismData":
-        bm = {}
-        for (i, j), val in (bundle_map or {}).items():
-            if not (0 <= i < source.fiber_rank and 0 <= j < target.fiber_rank):
-                raise ValueError(f"bundle map index out of range: {(i, j)}")
-            poly = _as_poly(val, source.base_dim)
-            if poly:
-                bm[(i, j)] = poly
-        psi = {}
-        for k, val in (base_map or {}).items():
-            if not 0 <= k < target.base_dim:
-                raise ValueError(f"base map index out of range: {k}")
-            poly = _as_poly(val, source.base_dim)
-            if poly:
-                psi[k] = poly
-        return HomomorphismData(source, target, bm, psi)
+        m, coords = source.base_dim, (range(target.base_dim),)
+        bundle_map = poly_map(bundle_map or {}, m, (range(source.fiber_rank), range(target.fiber_rank)), "bundle map")
+        return HomomorphismData(source, target, bundle_map, poly_map(base_map or {}, m, coords, "base map"))
 
 
 class GraphSetup(Frozen):

@@ -31,7 +31,6 @@ from .algebroid import (
     validate_algebroid,
 )
 from .applications import (
-    FoliationSetup,
     GraphSetup,
     block_perturbation,
     candidate_pair,
@@ -270,40 +269,33 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
             oracle_agreement=agreement,
             details=details,
         )
-    if inst.kind in _SPLIT_KINDS:
-        setup: SplitSetup = inst.payload["setup"]
-        rep = validate_algebroid(inst.payload["data"], setup.chart)
-        projected = setup.project(rep.xq)
-        p_ok = projected.is_zero()
-        oracle = graph_closure_oracle(setup, DeformationPair.zero())
-        return Report(
-            "validate",
-            "pass" if (rep.ok and p_ok) else "fail",
-            residual_terms=_residual_terms(rep.square) + _residual_terms(projected),
-            oracle_agreement=(rep.ok and p_ok) == (rep.classical_ok and oracle.accepts),
-            details={"ambient_valid": rep.ok, "subbundle_closed": p_ok},
-        )
-    if inst.kind == "foliation":
-        fol: FoliationSetup = inst.payload["foliation"]
-        rep = validate_algebroid(fol.algebroid, fol.setup.chart)
-        ok = fol.setup.project(rep.xq).is_zero()  # integrable, read off the field validation built
-        return Report(
-            "validate",
-            "pass" if (ok and rep.ok) else "fail",
-            oracle_agreement=rep.ok == rep.classical_ok,
-            details={"integrable": ok},
-        )
-    if inst.kind == "homomorphism":
-        gs = graph_setup(inst.payload["homomorphism"])
-        res = subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=_cap(inst, args))
-        oracle = graph_closure_oracle(gs.setup, gs.base_pair)
+    setup, base, _, gs = _split_case(inst, args, "validate")
+    if gs is not None:  # a homomorphism: its graph, the base pair, must be a subalgebroid
+        res = subalgebroid_mc_residual(setup, gs.delta, base, cap=_cap(inst, args))
         return Report(
             "validate",
             "pass" if res.value.is_zero() else "fail",
             residual_terms=_residual_terms(res.value),
-            oracle_agreement=res.value.is_zero() == oracle.accepts,
+            oracle_agreement=res.value.is_zero() == graph_closure_oracle(setup, base).accepts,
         )
-    raise InstanceError("$.kind", f"validate does not support kind {inst.kind!r}")
+    rep = validate_algebroid(setup.data, setup.chart)
+    projected = setup.project(rep.xq)
+    closed = projected.is_zero()
+    if inst.kind == "foliation":  # closed: the distribution is integrable
+        return Report(
+            "validate",
+            "pass" if (closed and rep.ok) else "fail",
+            oracle_agreement=rep.ok == rep.classical_ok,
+            details={"integrable": closed},
+        )
+    oracle = graph_closure_oracle(setup, DeformationPair.zero())
+    return Report(
+        "validate",
+        "pass" if (rep.ok and closed) else "fail",
+        residual_terms=_residual_terms(rep.square) + _residual_terms(projected),
+        oracle_agreement=(rep.ok and closed) == (rep.classical_ok and oracle.accepts),
+        details={"ambient_valid": rep.ok, "subbundle_closed": closed},
+    )
 
 
 def _cmd_mc_check(inst: InstanceFile, args) -> Report:

@@ -15,10 +15,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebroid import AlgebroidData, PolyDict, merge_polys
+from .algebroid import AlgebroidData, PolyDict, poly_map
 from .applications import FoliationSetup, HomomorphismData
 from .subalgebroid import DeformationPair, SplitSetup
-from .superfield import Record, coefficient
+from .superfield import Record
 from .valgebra import DEFAULT_SERIES_CAP
 
 FORMAT_VERSION = 1
@@ -100,9 +100,9 @@ def _int(obj: dict, key: str, path: str, low: int | None = 0, high: int | None =
     raise InstanceError(f"{path}.{key}", message)
 
 
-def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
+def _parse_terms(obj: Any, n_even: int, path: str, poly: dict) -> None:
+    """Add a list of terms into ``poly``, raw: the record build that takes it normalises it."""
     _expect(isinstance(obj, list), path, "expected a list of terms")
-    poly: PolyDict = {}
     for idx, term in enumerate(obj):
         try:
             _expect(isinstance(term, dict), "", "expected a term object")
@@ -117,30 +117,28 @@ def _parse_terms(obj: Any, n_even: int, path: str) -> PolyDict:
         if numer:
             key = tuple(exps)
             poly[key] = poly.get(key, 0) + (numer if denom == 1 else Fraction(numer, denom))
-    return {k: coefficient(v) for k, v in poly.items() if v != 0}
 
 
 def _parse_entries(obj: Any, path: str, n_even: int, names: str, bounds: tuple[range, ...]) -> dict:
-    """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into {key: polynomial}, by ``merge_polys``.
+    """Parse ``[{name: index, ..., "terms": [...]}, ...]`` into {key: polynomial}, summed raw.
 
     ``names`` gives one letter per index field; the key is the tuple of the
     indices, or the index itself for a single field.  Each index must be an
-    integer in its entry of ``bounds``.  Entries with equal keys add up, and
-    zero polynomials are dropped.
+    integer in its entry of ``bounds``.  Entries with equal keys add up; the
+    sums are left for ``poly_map`` to normalise.
     """
     _expect(isinstance(obj, list), path, "expected a list")
     keys = frozenset((*names, "terms"))
-    out = []
+    out: dict = {}
     for idx, entry in enumerate(obj):
         try:
             _expect(isinstance(entry, dict), "", "expected an object")
             key = tuple([_int(entry, name, "", r.start, r.stop - 1) for name, r in zip(names, bounds)])
-            poly = _parse_terms(entry.get("terms", []), n_even, ".terms")
+            _parse_terms(entry.get("terms", []), n_even, ".terms", out.setdefault(key if len(key) > 1 else key[0], {}))
             _only(entry, keys, "")
         except InstanceError as exc:
             raise exc.under(f"{path}[{idx}]") from None
-        out.append((key if len(key) > 1 else key[0], poly))
-    return merge_polys(out)
+    return out
 
 
 def _parse_tensors(obj: Any, base_dim: int, rank: int, path: str, keys: frozenset = _TENSORS) -> AlgebroidData:
@@ -215,8 +213,9 @@ def _read_foliation(obj: dict, kind: str) -> dict:
         fol = FoliationSetup.build(base_dim, sub_rank, frames)
     except ValueError as exc:
         raise InstanceError("$.frames", str(exc)) from exc
-    psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
-    return {"foliation": fol, "psi": psi}
+    bounds = (range(sub_rank), range(sub_rank, base_dim))
+    psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", bounds)
+    return {"foliation": fol, "psi": poly_map(psi, base_dim, bounds, "psi")}
 
 
 def _parse_block(obj: Any, path: str) -> AlgebroidData:
@@ -233,7 +232,8 @@ def _read_homomorphism(obj: dict, kind: str) -> dict:
     base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
     h = HomomorphismData.build(source, target, bundle, base_map)
     cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
-    payload: dict[str, Any] = {"homomorphism": h, "candidate_bundle": cand_bundle, "candidate_base": cand_base}
+    payload: dict[str, Any] = {"homomorphism": h, "candidate_bundle": poly_map(cand_bundle, m, frames, "bundle map"),
+                               "candidate_base": poly_map(cand_base, m, coords, "base map")}
     if "candidate_xq" in obj:
         cxq = obj["candidate_xq"]
         _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")

@@ -25,12 +25,14 @@ from .algebroid import (
     CohomologyResult,
     PolyDict,
     SectionCalculus,
-    _as_poly,
     _exponents_up_to,
+    _poly_fn,
+    _poly_terms,
     add_into,
     complex_cohomology,
     merge_polys,
     monomial_fields,
+    poly_map,
     structure_residual,
 )
 from .signs import shuffle_table
@@ -146,24 +148,9 @@ class DeformationPair(Frozen):
 
     @staticmethod
     def build(setup: SplitSetup, sigma=None, phi=None) -> "DeformationPair":
-        p = setup.base_dim
-        sig: dict[int, PolyDict] = {}
-        for k, value in (sigma or {}).items():
-            if not 0 <= k < setup.normal_rank:
-                raise ValueError(f"normal index out of range: {k}")
-            poly = _as_poly(value, p)
-            if poly:
-                sig[k] = poly
-        ph: dict[tuple[int, int], PolyDict] = {}
-        for (i, j), value in (phi or {}).items():
-            if i not in setup.sub_indices:
-                raise ValueError(f"sub-frame index out of range: {i}")
-            if j not in setup.comp_indices:
-                raise ValueError(f"complement index out of range: {j}")
-            poly = _as_poly(value, p)
-            if poly:
-                ph[(i, j)] = poly
-        return DeformationPair(sig, ph)
+        p, comp = setup.base_dim, range(setup.sub_rank, setup.data.fiber_rank)
+        sigma = poly_map(sigma or {}, p, (range(setup.normal_rank),), "normal section")
+        return DeformationPair(sigma, poly_map(phi or {}, p, (range(setup.sub_rank), comp), "bundle map"))
 
     @staticmethod
     def zero() -> "DeformationPair":
@@ -179,24 +166,15 @@ class DeformationPair(Frozen):
         return not self.sigma and not self.phi
 
 
-def _pad_exponents(exps: tuple[int, ...], total_even: int) -> tuple[int, ...]:
-    return exps + (0,) * (total_even - len(exps))
-
-
 def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
     """The degree-0 summand element of a candidate pair (a bijection)."""
     ne = setup.chart.n_even
     terms: dict[tuple, Coefficient] = {}
     for (i, j), poly in d.phi.items():
-        for exps, c in poly.items():
-            key = (_pad_exponents(exps, ne), (i,), ne + j)
-            terms[key] = terms.get(key, 0) + c
+        _poly_terms(terms, poly, ne, (i,), ne + j)
     for k, poly in d.sigma.items():
-        for exps, c in poly.items():
-            key = (_pad_exponents(exps, ne), (), setup.base_dim + k)
-            terms[key] = terms.get(key, 0) + c
-    value = SuperVectorField(setup.chart, terms)
-    return LInftyElement(value, 0)
+        _poly_terms(terms, poly, ne, (), setup.base_dim + k)
+    return LInftyElement(SuperVectorField(setup.chart, terms), 0)
 
 
 # ---------------------------------------------------------------------
@@ -204,20 +182,13 @@ def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
 # ---------------------------------------------------------------------
 def graph_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, SuperFunction]:
     """Coordinate replacements realizing restriction to the candidate graph."""
-    chart = setup.chart
-    ne = chart.n_even
-    mapping: dict[int, SuperFunction] = {}
-    for pos_k, k in enumerate(setup.normal_even_positions):
-        poly = d.sigma.get(pos_k, {})
-        mapping[k] = SuperFunction(
-            chart, {(_pad_exponents(e, ne), ()): c for e, c in poly.items()}
-        )
+    chart, ne = setup.chart, setup.chart.n_even
+    mapping = {k: _poly_fn(chart, d.sigma.get(pos_k, {})) for pos_k, k in enumerate(setup.normal_even_positions)}
     for j in setup.comp_indices:
         terms = {}
         for i in setup.sub_indices:
-            poly = d.phi.get((i, j), {})
-            for e, c in poly.items():
-                terms[(_pad_exponents(e, ne), (i,))] = c
+            if (i, j) in d.phi:
+                _poly_terms(terms, d.phi[(i, j)], ne, (i,))
         mapping[ne + j] = SuperFunction(chart, terms)
     return mapping
 
@@ -305,7 +276,6 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
     tangent to it.  Independent of the bracket-series machinery.
     """
     chart = setup.chart
-    ne = chart.n_even
     calc = SectionCalculus.of(setup.data, chart)
     mapping = graph_substitution(setup, d)
     zero = SuperFunction.zero(chart)
@@ -314,7 +284,7 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
     # graph frame: eps_i = xi_i + sum_j phi^j_i xi_j
     sections = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
     for (i, j), poly in d.phi.items():
-        sections[i][j] = SuperFunction(chart, {(_pad_exponents(e, ne), ()): c for e, c in poly.items()})
+        sections[i][j] = _poly_fn(chart, poly)
 
     # anchor condition: rho(eps_i) kills y_k - sigma_k on the section image
     for i in setup.sub_indices:

@@ -98,8 +98,9 @@ class Frozen(Record):
 class CoordinateChart(Frozen):
     """Named even/odd coordinates with their geometric roles.
 
-    Roles partition the chart once and for all: higher layers read them
-    instead of re-deriving the split.  Every term map compares and hashes
+    No code reads the roles: they keep charts of different splits with the
+    same names (two sub-frame sizes, a plain chart and a split one) unequal,
+    so each refuses the other's fields.  Every term map compares and hashes
     its chart, so equality tries identity first and the hash is computed once.
     """
 

@@ -4,15 +4,21 @@ Each record is a plain class on ``superfield.Record`` or ``superfield.Frozen``.
 These tests pin what callers rely on: the constructor's positional and keyword
 signature with its defaults, equality by value and by exact type, the ``repr``,
 hashing and the refusal to assign or delete on frozen records, a fresh default
-container per instance on mutable ones, and the cached properties.
+container per instance on mutable ones, and the cached properties.  They
+also pin what the builds of records holding keyed polynomial maps share, and
+that chart roles keep the charts of different splits apart.
 """
+import re
+from fractions import Fraction
+
 import pytest
 
 from linfty import algebroid, applications, cli, instances, subalgebroid, valgebra
-from linfty.algebroid import AlgebroidData
-from linfty.applications import graph_setup
+from linfty.algebroid import AlgebroidData, build_xq
+from linfty.applications import FoliationSetup, HomomorphismData, graph_setup, tangent_rn
 from linfty.instances import fixture_path, parse_instance
-from linfty.superfield import CoordinateChart, SuperFunction, SuperVectorField
+from linfty.subalgebroid import DeformationPair, SplitSetup
+from linfty.superfield import ChartMismatchError, CoordinateChart, SuperFunction, SuperVectorField, super_commutator
 
 CHART_ARGS = (("x", "y"), ("base", "normal"), ("xi1", "xi2"), ("sub_frame", "complement_frame"))
 CHART = CoordinateChart(*CHART_ARGS)
@@ -196,3 +202,70 @@ def test_terms_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             delattr(f, name)
     assert f.chart is CHART and f.terms == {((1, 0), ()): 1}
+
+
+# ---------------------------------------------------------------------
+# builds of records with keyed polynomial maps
+# ---------------------------------------------------------------------
+PAIR_SETUP = SplitSetup.build(AlgebroidData.build(2, 2), 1, 1, 1)  # normal index 0, sub 0, complement 1
+LINE = tangent_rn(1)
+
+# (a build taking one keyed map, the number of base coordinates, a key in range, keys out of range)
+KEYED_MAPS = {
+    "structure": (lambda m: AlgebroidData.build(1, 2, structure=m), 1, (0, 1, 0), [(0, 1, 2), (-1, 1, 0), (0, 1), 0]),
+    "anchor": (lambda m: AlgebroidData.build(1, 2, anchor=m), 1, (1, 0), [(2, 0), (0, 1), (0, -1), (1, 0, 0)]),
+    "sigma": (lambda m: DeformationPair.build(PAIR_SETUP, sigma=m), 1, 0, [1, -1, (0,)]),
+    "phi": (lambda m: DeformationPair.build(PAIR_SETUP, phi=m), 1, (0, 1), [(0, 0), (1, 1), (0, 2), 1]),
+    "bundle_map": (lambda m: HomomorphismData.build(LINE, LINE, bundle_map=m), 1, (0, 0), [(1, 0), (0, 1)]),
+    "base_map": (lambda m: HomomorphismData.build(LINE, LINE, base_map=m), 1, 0, [1, -1, (0,)]),
+    # the frame field (1, m) next to (0, 1): its determinant stays 1
+    "frames": (lambda m: FoliationSetup.build(2, 1, [{0: 1, **m}, {1: 1}]), 2, 1, [7, -1, 2, (1,)]),
+}
+
+
+@pytest.mark.parametrize("name", KEYED_MAPS)
+class TestKeyedMapBuilds:
+    """Every build checks each key against its ranges and normalises each polynomial, as a parsed file's are."""
+
+    def test_out_of_range_key_refused(self, name):
+        build, n, key, bad_keys = KEYED_MAPS[name]
+        for bad in bad_keys:
+            with pytest.raises(ValueError, match=re.escape(f"index out of range: {bad}")):
+                build({key: 1, bad: 5})
+
+    def test_equal_polynomials_build_equal_records(self, name):
+        build, n, key, _ = KEYED_MAPS[name]
+        x, one = (1,) + (0,) * (n - 1), (0,) * n
+        record = build({key: {x: 2}})
+        assert build({key: {x: Fraction(4, 2)}}) == record
+        assert build({key: {x: 2, one: Fraction(1, 3) - Fraction(1, 3)}}) == record  # a term that cancels
+        assert build({key: {one: 3}}) == build({key: 3})  # a rational is a constant polynomial
+        assert build({key: {x: 0, one: Fraction(0)}}) == build({})  # an entry that cancels is dropped
+
+
+# ---------------------------------------------------------------------
+# chart roles
+# ---------------------------------------------------------------------
+ROLE_DATA = AlgebroidData.build(1, 2, structure={(0, 1, 1): {(1,): 1}}, anchor={(0, 0): 1, (1, 0): {(1,): 1}})
+NARROW, WIDE = SplitSetup.build(ROLE_DATA, 1, 0, 1), SplitSetup.build(ROLE_DATA, 1, 0, 2)
+# charts with the same coordinate names that only their roles tell apart, each with its split setup if it has one
+CHART_PAIRS = {
+    "sub ranks 1 and 2": ((NARROW.chart, NARROW), (WIDE.chart, WIDE)),
+    "plain and split with normal rank 0": ((ROLE_DATA.plain_chart(), None), (NARROW.chart, NARROW)),
+}
+
+
+@pytest.mark.parametrize("pair", CHART_PAIRS)
+def test_roles_keep_splits_with_equal_names_apart(pair):
+    (chart_a, setup_a), (chart_b, setup_b) = CHART_PAIRS[pair]
+    assert (chart_a.even_names, chart_a.odd_names) == (chart_b.even_names, chart_b.odd_names)
+    field_a, field_b = build_xq(ROLE_DATA, chart_a), build_xq(ROLE_DATA, chart_b)
+    assert not field_a.is_zero() and not field_b.is_zero()
+    for setup, other in ((setup_a, field_b), (setup_b, field_a)):
+        if setup is not None:
+            with pytest.raises(ChartMismatchError):
+                setup.project(other)
+    for x, y in ((field_a, field_b), (field_b, field_a)):
+        with pytest.raises(ChartMismatchError):
+            super_commutator(x, y)
+    assert chart_a != chart_b
