@@ -96,8 +96,8 @@ def _poly_terms(out: dict, poly: PolyDict, n_even: int, *tail) -> dict:
     return out
 
 
-def _poly_fn(chart: CoordinateChart, poly: PolyDict, odd: tuple[int, ...] = ()) -> SuperFunction:
-    return SuperFunction(chart, _poly_terms({}, poly, chart.n_even, odd))
+def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
+    return SuperFunction(chart, _poly_terms({}, poly, chart.n_even, ()))
 
 
 def add_into(out: dict, key, val: SuperFunction) -> None:
