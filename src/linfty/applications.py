@@ -9,7 +9,6 @@ over a point.)
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -29,7 +28,6 @@ from .subalgebroid import (
     SplitSetup,
     explicit_structure_maps,
     simultaneous_residual,
-    subalgebroid_mc_residual,
 )
 from .superfield import Frozen, PreconditionError, Record, SuperFunction, SuperVectorField, is_homological
 from .valgebra import DEFAULT_SERIES_CAP, MCDelta
@@ -39,7 +37,7 @@ from .valgebra import DEFAULT_SERIES_CAP, MCDelta
 # direct sums and block embeddings
 # ---------------------------------------------------------------------
 def block_sum_data(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
-    """Block-diagonal structure and anchor tensors on the product base."""
+    """Block-diagonal structure and anchor tensors on the product base (both blocks normal, so the sum is)."""
     m_a, n_a = a.base_dim, a.fiber_rank
     structure: dict[tuple[int, int, int], PolyDict] = {}
     anchor: dict[tuple[int, int], PolyDict] = {}
@@ -51,7 +49,7 @@ def block_sum_data(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
         structure[(i + n_a, j + n_a, k + n_a)] = {(0,) * m_a + e: c for e, c in poly.items()}
     for (i, t), poly in b.anchor.items():
         anchor[(i + n_a, t + m_a)] = {(0,) * m_a + e: c for e, c in poly.items()}
-    return AlgebroidData.build(m_a + b.base_dim, n_a + b.fiber_rank, structure, anchor)
+    return AlgebroidData(m_a + b.base_dim, n_a + b.fiber_rank, structure, anchor)
 
 
 # ---------------------------------------------------------------------
@@ -166,8 +164,8 @@ class FoliationResult(Record):
         return self.closed == (not self.condition_defects)
 
 
-def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, psi: Mapping) -> FoliationResult:
-    """Whether a candidate bundle map is closed for the unary structure map.
+def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, cand: DeformationPair) -> FoliationResult:
+    """Whether a candidate bundle map ``cand.phi`` is closed for the unary structure map.
 
     Evaluates the unary map on the candidate and, independently, the
     classical condition pi_F([psi v, w] + [v, psi w]) = psi([v, w]) on
@@ -177,8 +175,7 @@ def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, psi: Mapping) -
     """
     setup = fol.setup
     chart = setup.chart
-    psi = poly_map(psi, fol.base_dim, (range(setup.sub_rank), range(setup.sub_rank, fol.base_dim)), "psi")
-    form = FrameForm.build(setup, 1, {((i,), j): _poly_fn(chart, poly) for (i, j), poly in psi.items()})
+    form = FrameForm.build(setup, 1, {((i,), j): _poly_fn(chart, poly) for (i, j), poly in cand.phi.items()})
     residual = explicit_structure_maps(setup, 1, [form])
 
     # classical route on distribution frame pairs
@@ -230,55 +227,40 @@ class HomomorphismData(Frozen):
         return HomomorphismData(source, target, bundle_map, poly_map(base_map or {}, m, coords, "base map"))
 
 
-class GraphSetup(Frozen):
-    """Adapted presentation of the graph of a homomorphism in a direct sum."""
-
-    __slots__ = ("h", "setup", "base_pair", "__dict__")  # the dict holds ``delta``
-    _fields = __slots__[:3]
-
-    def __init__(self, h: HomomorphismData, setup: SplitSetup, base_pair: DeformationPair):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "setup", setup)
-        object.__setattr__(self, "base_pair", base_pair)
-
-    @cached_property
-    def delta(self) -> MCDelta:
-        """The checked structure field of the sum: one square for every residual of this setup."""
-        return MCDelta.of(self.setup, build_xq(self.setup.data, self.setup.chart))
-
-
-def graph_setup(h: HomomorphismData) -> GraphSetup:
-    """Adapted split around the zero map, with the homomorphism as base pair.
+def graph_setup(
+    h: HomomorphismData, bundle_map=None, base_map=None
+) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
+    """Adapted split around the zero map: (setup, base pair, candidate pair).
 
     Source coordinates and frame form the base/sub blocks, target ones the
     normal/complement blocks; the homomorphism itself enters as the base
-    deformation pair (its graph is the candidate subbundle).
+    deformation pair (its graph is the base subbundle), and the offsets
+    ``bundle_map`` and ``base_map`` as the candidate.  Every map is normal
+    already (as in ``HomomorphismData``), so none is normalised again.
     """
-    for name, block in (("source", h.source), ("target", h.target)):
-        if not is_homological(build_xq(block)):
-            raise PreconditionError(f"invalid {name} algebroid")
-    setup = SplitSetup.build(
-        block_sum_data(h.source, h.target), h.source.base_dim, h.target.base_dim, h.source.fiber_rank
-    )
-    base_pair = DeformationPair.build(
-        setup,
-        sigma=h.base_map,
-        phi={(i, h.source.fiber_rank + j): poly for (i, j), poly in h.bundle_map.items()},
-    )
-    return GraphSetup(h, setup, base_pair)
+    offset = h.source.fiber_rank
+    setup = SplitSetup.build(block_sum_data(h.source, h.target), h.source.base_dim, h.target.base_dim, offset)
+
+    def pair(bundle: Mapping, base: Mapping) -> DeformationPair:
+        return DeformationPair(base, {(i, offset + j): poly for (i, j), poly in bundle.items()})
+
+    return setup, pair(h.bundle_map, h.base_map), pair(bundle_map or {}, base_map or {})
 
 
-def candidate_pair(gs: GraphSetup, bundle_map=None, base_map=None) -> DeformationPair:
-    """Offsets of the bundle and base maps as a deformation pair (``DeformationPair.build`` normalises them)."""
-    offset = gs.h.source.fiber_rank
-    phi = {(i, offset + j): val for (i, j), val in (bundle_map or {}).items()}
-    return DeformationPair.build(gs.setup, sigma=base_map, phi=phi)
+def structure_delta(setup: SplitSetup, h: HomomorphismData | None = None) -> MCDelta:
+    """The checked structure field of a split, squared once.
 
-
-def require_homomorphism(gs: GraphSetup, cap: int = DEFAULT_SERIES_CAP) -> None:
-    """Refuse a graph setup whose base bundle map is not itself a homomorphism."""
-    if not subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair, cap=cap).value.is_zero():
-        raise PreconditionError("the base bundle map is not a homomorphism")
+    On the graph of a homomorphism ``h`` the square of the block sum is the
+    sum of the blocks' squares, so the blocks are squared only when it
+    fails, to name the one at fault.
+    """
+    try:
+        return MCDelta.of(setup, build_xq(setup.data, setup.chart))
+    except PreconditionError:
+        for name, block in (("source", h.source), ("target", h.target)) if h is not None else ():
+            if not is_homological(build_xq(block)):
+                raise PreconditionError(f"invalid {name} algebroid") from None
+        raise
 
 
 def block_perturbation(
@@ -289,7 +271,7 @@ def block_perturbation(
     for name, block, pert in (("source", h.source, source), ("target", h.target, target)):
         dims = (block.base_dim, block.fiber_rank)
         if pert is None:
-            pert = AlgebroidData.build(*dims)
+            pert = AlgebroidData(*dims, {}, {})
         elif (pert.base_dim, pert.fiber_rank) != dims:
             raise ValueError(f"{name} perturbation has wrong dimensions")
         blocks.append(pert)
@@ -307,17 +289,13 @@ def simultaneous_homomorphism(
     """Joint residual: deform both block structures and the map between them.
 
     Zero iff both deformed structures are algebroids and the deformed map is
-    a homomorphism between them.
+    a homomorphism between them.  The map offsets are normal, as in
+    ``HomomorphismData``.
     """
-    gs = graph_setup(h)
-    return simultaneous_residual(
-        gs.setup,
-        gs.delta,
-        gs.base_pair,
-        build_xq(block_perturbation(h, cand_source, cand_target), gs.setup.chart),
-        candidate_pair(gs, bundle_map, base_map),
-        cap=cap,
-    )
+    setup, base, cand = graph_setup(h, bundle_map, base_map)
+    delta = structure_delta(setup, h)
+    perturbation = build_xq(block_perturbation(h, cand_source, cand_target), setup.chart)
+    return simultaneous_residual(setup, delta, base, perturbation, cand, cap=cap)
 
 
 def tangent_rn(n: int) -> AlgebroidData:

@@ -30,14 +30,7 @@ from .algebroid import (
     structure_residual,
     validate_algebroid,
 )
-from .applications import (
-    GraphSetup,
-    block_perturbation,
-    candidate_pair,
-    foliation_infinitesimal,
-    graph_setup,
-    require_homomorphism,
-)
+from .applications import block_perturbation, foliation_infinitesimal, structure_delta
 from .instances import InstanceError, InstanceFile, parse_instance, resolve_instance
 from .signs import koszul_sign
 from .subalgebroid import (
@@ -204,46 +197,37 @@ def _cap(inst: InstanceFile, args) -> int:
     return _option(args, "cap", inst.options.series_cap)
 
 
-def _split_case(
-    inst: InstanceFile, args, command: str
-) -> tuple[SplitSetup, DeformationPair, DeformationPair, GraphSetup | None]:
-    """An instance as a subalgebroid in a split presentation: (setup, base pair, candidate pair, graph setup).
+# (command, kind) pairs a split payload does not support: a foliation's tangent structure is fixed, and a
+# homomorphism's cohomology would be that of its graph, not of the map
+_UNSUPPORTED = {("simultaneous", "foliation"), ("cohomology", "homomorphism")}
+
+
+def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
+    """An instance as a subalgebroid in its split presentation: (setup, base pair, candidate pair).
 
     The ambient algebroid is ``setup.data``; the deformed graph is that of
-    ``base.add(cand)``.  A homomorphism becomes the graph of its bundle map
-    in the direct sum, with the map as base pair and its offsets as the
-    candidate; its graph setup comes last (None for the other kinds).
+    ``base.add(cand)``.  Subalgebroids, foliations and homomorphisms (the
+    graph of the bundle map in the direct sum) are presented at parse.
     """
-    if inst.kind in _SPLIT_KINDS:
-        setup = inst.payload["setup"]
-        phi = getattr(args, "phi", None)  # an empty --phi is given too, and refused for its length
-        cand = inst.payload["candidate"] if phi is None else _phi_override(setup, phi)
-        return setup, inst.payload.get("base") or DeformationPair.zero(), cand, None
-    if inst.kind == "foliation" and command != "simultaneous":
-        setup = inst.payload["foliation"].setup
-        return setup, DeformationPair.zero(), DeformationPair.build(setup, phi=inst.payload["psi"]), None
-    if inst.kind == "homomorphism" and command != "cohomology":
-        gs = graph_setup(inst.payload["homomorphism"])
-        if command in ("subalg-check", "mc-check"):
-            require_homomorphism(gs, cap=_cap(inst, args))
-        cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-        return gs.setup, gs.base_pair, cand, gs
-    raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
+    if "setup" not in inst.payload or (command, inst.kind) in _UNSUPPORTED:
+        raise InstanceError("$.kind", f"{command} does not support kind {inst.kind!r}")
+    setup = inst.payload["setup"]
+    phi = getattr(args, "phi", None)  # an empty --phi is given too, and refused for its length
+    cand = inst.payload["candidate"] if phi is None else _phi_override(setup, phi)
+    return setup, inst.payload.get("base") or DeformationPair.zero(), cand
 
 
-def _structure_delta(setup: SplitSetup, gs: GraphSetup | None) -> MCDelta:
-    """The checked MCDelta of the ambient structure field; a graph setup's own is shared."""
-    if gs is not None:
-        return gs.delta
-    return MCDelta.of(setup, build_xq(setup.data, setup.chart))
+def _structure_delta(inst: InstanceFile, setup: SplitSetup) -> MCDelta:
+    """The checked MCDelta of the ambient structure field, computed once per command."""
+    return structure_delta(setup, inst.payload.get("homomorphism"))
 
 
-def _summand_brackets(setup: SplitSetup, gs: GraphSetup | None) -> tuple[DerivedBrackets, list[LInftyElement]]:
+def _summand_brackets(inst: InstanceFile, setup: SplitSetup) -> tuple[DerivedBrackets, list[LInftyElement]]:
     """The derived brackets of the split and the constant-coefficient basis of its summand.
 
     The brackets share their chains and checks for as long as the returned object lives: one command.
     """
-    delta = _structure_delta(setup, gs)
+    delta = _structure_delta(inst, setup)
     basis: list[LInftyElement] = []
     for d in range(-1, setup.sub_rank + 1):
         basis.extend(LInftyElement.of(setup, b) for b in setup.abelian_basis(d))
@@ -269,9 +253,9 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
             oracle_agreement=agreement,
             details=details,
         )
-    setup, base, _, gs = _split_case(inst, args, "validate")
-    if gs is not None:  # a homomorphism: its graph, the base pair, must be a subalgebroid
-        res = subalgebroid_mc_residual(setup, gs.delta, base, cap=_cap(inst, args))
+    setup, base, _ = _split_case(inst, args, "validate")
+    if inst.kind == "homomorphism":  # its graph, the base pair, must be a subalgebroid
+        res = subalgebroid_mc_residual(setup, _structure_delta(inst, setup), base, cap=_cap(inst, args))
         return Report(
             "validate",
             "pass" if res.value.is_zero() else "fail",
@@ -315,9 +299,12 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
-    setup, base, cand, gs = _split_case(inst, args, command)
+    setup, base, cand = _split_case(inst, args, command)
+    delta, cap = _structure_delta(inst, setup), _cap(inst, args)
+    if inst.kind == "homomorphism" and not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
+        raise PreconditionError("the base bundle map is not a homomorphism")
     pair = base.add(cand)
-    residual = subalgebroid_mc_residual(setup, _structure_delta(setup, gs), pair, cap=_cap(inst, args))
+    residual = subalgebroid_mc_residual(setup, delta, pair, cap=cap)
     oracle = graph_closure_oracle(setup, pair)
     zero = residual.value.is_zero()
     return Report(
@@ -329,14 +316,14 @@ def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -
 
 
 def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
-    setup, base, cand_def, gs = _split_case(inst, args, "simultaneous")
+    setup, base, cand_def = _split_case(inst, args, "simultaneous")
     data = setup.data
     cand_data = inst.payload.get("candidate_xq")
     if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
         cand_data = block_perturbation(inst.payload["homomorphism"], cand_data.get("source"), cand_data.get("target"))
     cand_xq = build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
     v_res, a_res = simultaneous_residual(
-        setup, _structure_delta(setup, gs), base, cand_xq, cand_def, cap=_cap(inst, args)
+        setup, _structure_delta(inst, setup), base, cand_xq, cand_def, cap=_cap(inst, args)
     )
     zero = v_res.is_zero() and a_res.is_zero()
     summed = _data_sum(data, cand_data) if cand_data is not None else data
@@ -366,7 +353,7 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
         setup = _split_case(inst, args, "cohomology")[0]
         top = setup.sub_rank + (1 if setup.normal_rank else 0)
         groups = lambda qs: m1_cohomology(
-            setup, _structure_delta(setup, None), [q - 1 for q in qs], truncate=truncate
+            setup, _structure_delta(inst, setup), [q - 1 for q in qs], truncate=truncate
         )
     if args.degree is not None and not 0 <= args.degree <= top:
         raise InstanceError("--degree", f"expected a degree in 0..{top}")
@@ -388,8 +375,8 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
     combination comes first among its orderings, so its value is ready when
     the others need it.
     """
-    setup, _, _, gs = _split_case(inst, args, "brackets")
-    bracket, basis = _summand_brackets(setup, gs)
+    setup = _split_case(inst, args, "brackets")[0]
+    bracket, basis = _summand_brackets(inst, setup)
     table = {}
     details: dict[str, Any] = {"nonzero_brackets": table, "basis_size": len(basis)}
     fixed_base = setup.normal_rank == 0
@@ -428,12 +415,12 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
     probes_count = _option(args, "probes", inst.options.probes)
     seed = args.seed if args.seed is not None else inst.options.seed
-    setup, _, _, gs = _split_case(inst, args, "axioms")
-    bracket, basis = _summand_brackets(setup, gs)
+    setup = _split_case(inst, args, "axioms")[0]
+    bracket, basis = _summand_brackets(inst, setup)
     probes: list[tuple[LInftyElement, ...]] = [(b,) for b in basis]
     probes += [(a, b) for a in basis for b in basis]
     rng = random.Random(seed)
-    for n in (3, 4):
+    for n in (3, 4) if basis else ():  # an empty summand has nothing to draw
         for _ in range(probes_count):
             probes.append(tuple(rng.choice(basis) for _ in range(n)))
     rep = check_linfty_axioms(bracket, setup.chart, probes)
@@ -464,11 +451,11 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
     # MC residual vs graph closure, plus a third route: the classical
     # infinitesimal condition for a foliation, graph substitution otherwise
     cap = _cap(inst, args)
-    setup, base, cand, gs = _split_case(inst, args, "oracle-compare")
+    setup, base, cand = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
-    delta = _structure_delta(setup, gs)
+    delta = _structure_delta(inst, setup)
     if inst.kind == "foliation":
-        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], delta, inst.payload["psi"])
+        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], delta, cand)
         mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
         third_agrees = infinitesimal.agree
         details = {"infinitesimal_closed": infinitesimal.closed}
@@ -540,6 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact coefficients of any length are rendered in full
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         path = resolve_instance(args.instance)

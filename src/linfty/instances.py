@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .algebroid import AlgebroidData, PolyDict, poly_map
-from .applications import FoliationSetup, HomomorphismData
+from .applications import FoliationSetup, HomomorphismData, graph_setup
 from .subalgebroid import DeformationPair, SplitSetup
 from .superfield import Record
 from .valgebra import DEFAULT_SERIES_CAP
@@ -213,9 +213,8 @@ def _read_foliation(obj: dict, kind: str) -> dict:
         fol = FoliationSetup.build(base_dim, sub_rank, frames)
     except ValueError as exc:
         raise InstanceError("$.frames", str(exc)) from exc
-    bounds = (range(sub_rank), range(sub_rank, base_dim))
-    psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", bounds)
-    return {"foliation": fol, "psi": poly_map(psi, base_dim, bounds, "psi")}
+    psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
+    return {"foliation": fol, "setup": fol.setup, "candidate": DeformationPair.build(fol.setup, phi=psi)}
 
 
 def _parse_block(obj: Any, path: str) -> AlgebroidData:
@@ -232,8 +231,9 @@ def _read_homomorphism(obj: dict, kind: str) -> dict:
     base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
     h = HomomorphismData.build(source, target, bundle, base_map)
     cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
-    payload: dict[str, Any] = {"homomorphism": h, "candidate_bundle": poly_map(cand_bundle, m, frames, "bundle map"),
-                               "candidate_base": poly_map(cand_base, m, coords, "base map")}
+    offsets = poly_map(cand_bundle, m, frames, "bundle map"), poly_map(cand_base, m, coords, "base map")
+    payload: dict[str, Any] = {"homomorphism": h}
+    payload["setup"], payload["base"], payload["candidate"] = graph_setup(h, *offsets)
     if "candidate_xq" in obj:
         cxq = obj["candidate_xq"]
         _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")
@@ -256,11 +256,11 @@ def parse_instance(path_or_obj) -> InstanceFile:
         source = str(path_or_obj)
         try:
             text = Path(path_or_obj).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InstanceError(source, f"cannot read file: {exc}") from exc
         try:
             obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise InstanceError(source, f"invalid JSON: {exc}") from exc
     else:
         source = "<memory>"
@@ -341,18 +341,19 @@ def serialize_instance(inst: InstanceFile) -> dict:
             "base_dim": fol.base_dim,
             "sub_rank": fol.sub_rank,
             "frames": [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames],
-            "psi": _entries_obj(payload["psi"], "ij"),
+            "psi": _entries_obj(payload["candidate"].phi, "ij"),
         }
     elif general == "homomorphism":
         h: HomomorphismData = payload["homomorphism"]
+        cand, offset = payload["candidate"], h.source.fiber_rank  # the candidate maps into the target frame
         obj = {
             "source": _block_obj(h.source),
             "target": _block_obj(h.target),
             "bundle_map": _entries_obj(h.bundle_map, "ij"),
             "base_map": _entries_obj(h.base_map, "k"),
             "candidate": {
-                "sigma": _entries_obj(payload["candidate_base"], "k"),
-                "phi": _entries_obj(payload["candidate_bundle"], "ij"),
+                "sigma": _entries_obj(cand.sigma, "k"),
+                "phi": _entries_obj({(i, j - offset): poly for (i, j), poly in cand.phi.items()}, "ij"),
             },
         }
         if "candidate_xq" in payload:

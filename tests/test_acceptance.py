@@ -13,13 +13,7 @@ import pytest
 
 from instance_gen import random_candidate, random_instance
 from linfty.algebroid import AlgebroidData, build_xq, dgla_cohomology, validate_algebroid
-from linfty.applications import (
-    candidate_pair,
-    foliation_infinitesimal,
-    graph_setup,
-    require_homomorphism,
-    tangent_rn,
-)
+from linfty.applications import HomomorphismData, foliation_infinitesimal, graph_setup, structure_delta, tangent_rn
 from linfty.cli import run_command
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
@@ -258,17 +252,21 @@ def test_criterion_8_derivation_transport():
 def test_criterion_9_applications():
     fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
     delta = MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
-    accept = foliation_infinitesimal(fol, delta, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
-    reject = foliation_infinitesimal(fol, delta, {(0, 2): {(0, 1, 0): 1}})
+    psi = {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
+    accept = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi=psi))
+    reject = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi={(0, 2): psi[(0, 2)]}))
     ok = accept.closed and accept.agree
     ok = ok and (not reject.closed) and reject.agree
     ok = ok and reject.residual.values == {
         ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
     }
-    gs = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"])
-    require_homomorphism(gs)
+    h = parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]
+    setup, base, _ = graph_setup(h)
+    delta = structure_delta(setup, h)
+    ok = ok and subalgebroid_mc_residual(setup, delta, base).value.is_zero()
     for t, expected in ((1, False), (0, True), (-1, True)):
-        pair = gs.base_pair.add(candidate_pair(gs, {(i, i): t for i in range(3)}))
-        res = subalgebroid_mc_residual(gs.setup, gs.delta, pair)
+        offsets = HomomorphismData.build(h.source, h.target, {(i, i): t for i in range(3)})
+        pair = base.add(graph_setup(h, offsets.bundle_map)[2])
+        res = subalgebroid_mc_residual(setup, delta, pair)
         ok = ok and res.value.is_zero() == expected
     verdict(9, ok, "foliation fixture accepts/rejects with coefficient -1; scaled identity rejected except t in {0,-1}")

@@ -19,7 +19,7 @@ from linfty.algebroid import (
     structure_residual,
     validate_algebroid,
 )
-from linfty.applications import candidate_pair, graph_setup, tangent_rn
+from linfty.applications import tangent_rn
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import DeformationPair, graph_closure_oracle, simultaneous_residual
 from linfty.valgebra import MCDelta
@@ -558,9 +558,8 @@ def _preset_algebroids():
             fol = inst.payload["foliation"]
             out.append((fol.algebroid, fol.setup.chart))
         else:
-            h = inst.payload["homomorphism"]
-            gs = graph_setup(h)
-            out += [(h.source, None), (h.target, None), (gs.setup.data, gs.setup.chart)]
+            h, setup = inst.payload["homomorphism"], inst.payload["setup"]
+            out += [(h.source, None), (h.target, None), (setup.data, setup.chart)]
     return out
 
 
@@ -689,16 +688,12 @@ class TestClassicalRouteAgainstReference:
         cases = []
         for name in _presets():
             inst = parse_instance(fixture_path(name))
-            if inst.kind in ("subalgebroid", "subalgebra"):
+            if inst.kind in ("subalgebroid", "subalgebra", "homomorphism"):
                 setup, cand = inst.payload["setup"], inst.payload["candidate"]
-                cases += [(setup, DeformationPair.zero()), (setup, cand)]
+                base = inst.payload.get("base") or DeformationPair.zero()
+                cases += [(setup, base), (setup, base.add(cand))]
             elif inst.kind == "foliation":
-                setup = inst.payload["foliation"].setup
-                cases.append((setup, DeformationPair.build(setup, phi=inst.payload["psi"])))
-            elif inst.kind == "homomorphism":
-                gs = graph_setup(inst.payload["homomorphism"])
-                cand = candidate_pair(gs, inst.payload["candidate_bundle"], inst.payload["candidate_base"])
-                cases += [(gs.setup, gs.base_pair), (gs.setup, gs.base_pair.add(cand))]
+                cases.append((inst.payload["setup"], inst.payload["candidate"]))
         rng = random.Random(24)
         for _ in range(40):
             setup, _ = random_instance(rng)

@@ -12,16 +12,15 @@ from linfty.applications import (
     HomomorphismData,
     block_perturbation,
     block_sum_data,
-    candidate_pair,
     foliation_infinitesimal,
     graph_setup,
-    require_homomorphism,
     simultaneous_homomorphism,
+    structure_delta,
     tangent_rn,
 )
 from linfty.cli import run_command
 from linfty.instances import FORMAT_VERSION, fixture_path, parse_instance
-from linfty.subalgebroid import graph_closure_oracle, subalgebroid_mc_residual
+from linfty.subalgebroid import DeformationPair, graph_closure_oracle, subalgebroid_mc_residual
 from linfty.superfield import PreconditionError, SuperFunction, is_homological
 from linfty.valgebra import MCDelta
 
@@ -150,17 +149,21 @@ def checked_delta(fol: FoliationSetup) -> MCDelta:
     return MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
 
 
+def psi(fol: FoliationSetup, phi: dict) -> DeformationPair:
+    """A foliation candidate: the bundle map ``phi`` from the distribution to the complement."""
+    return DeformationPair.build(fol.setup, phi=phi)
+
+
 class TestFoliation:
     def test_fixture_accepts_symmetric_candidate(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(
-            fol, checked_delta(fol), {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
-        )
+        candidate = psi(fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
+        res = foliation_infinitesimal(fol, checked_delta(fol), candidate)
         assert res.closed and res.agree and not res.condition_defects
 
     def test_fixture_rejects_half_candidate_with_minus_one(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, checked_delta(fol), {(0, 2): {(0, 1, 0): 1}})
+        res = foliation_infinitesimal(fol, checked_delta(fol), psi(fol, {(0, 2): {(0, 1, 0): 1}}))
         assert not res.closed and res.agree
         assert res.residual.values == {
             ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
@@ -168,7 +171,7 @@ class TestFoliation:
 
     def test_zero_candidate_closed(self):
         fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, checked_delta(fol), {})
+        res = foliation_infinitesimal(fol, checked_delta(fol), DeformationPair.zero())
         assert res.closed and res.agree
 
     def test_rank_one_distributions_accept_everything(self):
@@ -180,8 +183,7 @@ class TestFoliation:
             frames[1] = {1: 1}
             fol = FoliationSetup.build(2, 1, frames)
             delta = checked_delta(fol)  # integrable: P(delta) = 0
-            psi = {(0, 1): {(rng.randint(0, 2), 0): rng.randint(-2, 2)}}
-            res = foliation_infinitesimal(fol, delta, psi)
+            res = foliation_infinitesimal(fol, delta, psi(fol, {(0, 1): {(rng.randint(0, 2), 0): rng.randint(-2, 2)}}))
             assert res.closed and res.agree
 
     def test_non_integrable_rejected(self):
@@ -205,11 +207,19 @@ def hom_sl2_id() -> HomomorphismData:
     return parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]
 
 
+def graph_pairs(h: HomomorphismData, bundle_map=None, base_map=None):
+    """The graph split of ``h`` with its base pair and the pair of the given offsets, normalised here."""
+    offsets = HomomorphismData.build(h.source, h.target, bundle_map, base_map)
+    return graph_setup(h, offsets.bundle_map, offsets.base_map)
+
+
 def homomorphism_residual(h: HomomorphismData, bundle_map=None, base_map=None):
-    """The residual ``subalg-check`` decides on a homomorphism: its checked graph setup plus the offsets."""
-    gs = graph_setup(h)
-    require_homomorphism(gs)
-    return subalgebroid_mc_residual(gs.setup, gs.delta, gs.base_pair.add(candidate_pair(gs, bundle_map, base_map)))
+    """The residual ``subalg-check`` decides on a homomorphism: refused unless the base pair is one."""
+    setup, base, cand = graph_pairs(h, bundle_map, base_map)
+    delta = structure_delta(setup, h)
+    if not subalgebroid_mc_residual(setup, delta, base).value.is_zero():
+        raise PreconditionError("the base bundle map is not a homomorphism")
+    return subalgebroid_mc_residual(setup, delta, base.add(cand))
 
 
 class TestHomomorphisms:
@@ -237,10 +247,9 @@ class TestHomomorphisms:
             homomorphism_residual(h, bundle_map={})
 
     def test_graph_oracle_agrees(self):
-        gs = graph_setup(hom_sl2_id())
         for t in (0, 1, -1, 2):
-            pair = gs.base_pair.add(candidate_pair(gs, {(i, i): t for i in range(3)}))
-            accepted = graph_closure_oracle(gs.setup, pair).accepts
+            setup, base, cand = graph_pairs(hom_sl2_id(), {(i, i): t for i in range(3)})
+            accepted = graph_closure_oracle(setup, base.add(cand)).accepts
             assert accepted == (t in (0, -1))
 
     def test_polynomial_base_map(self):

@@ -15,7 +15,7 @@ import pytest
 
 from linfty import algebroid, applications, cli, instances, subalgebroid, valgebra
 from linfty.algebroid import AlgebroidData, build_xq
-from linfty.applications import FoliationSetup, HomomorphismData, graph_setup, tangent_rn
+from linfty.applications import FoliationSetup, HomomorphismData, tangent_rn
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import DeformationPair, SplitSetup
 from linfty.superfield import ChartMismatchError, CoordinateChart, SuperFunction, SuperVectorField, super_commutator
@@ -38,7 +38,6 @@ RECORDS = [
     (applications.FoliationResult, ("closed", "residual", "condition_defects"), (True, "residual", {}), {}),
     (applications.HomomorphismData, ("source", "target", "bundle_map", "base_map"),
      ("source", "target", {(0, 0): {(): 1}}, {}), {}),
-    (applications.GraphSetup, ("h", "setup", "base_pair"), ("h", "setup", "pair"), {}),
     (subalgebroid.SplitSetup, ("data", "base_dim", "normal_rank", "sub_rank", "chart"),
      ("data", 1, 1, 1, CHART), {}),
     (subalgebroid.DeformationPair, ("sigma", "phi"), ({0: {(0,): 1}}, {}), {}),
@@ -61,7 +60,7 @@ RECORDS = [
 ]
 FROZEN = {
     CoordinateChart, AlgebroidData, algebroid.SectionCalculus, applications.FoliationSetup,
-    applications.HomomorphismData, applications.GraphSetup, subalgebroid.SplitSetup, subalgebroid.DeformationPair,
+    applications.HomomorphismData, subalgebroid.SplitSetup, subalgebroid.DeformationPair,
     subalgebroid.FrameForm, valgebra.LInftyElement, valgebra.MCDelta,
 }
 HASHABLE = {CoordinateChart: CHART_ARGS, valgebra.LInftyElement: (FIELD, 0), valgebra.MCDelta: (FIELD,)}
@@ -162,12 +161,11 @@ def test_mutable_records_never_share_a_default(make, attrs):
 
 
 def test_cached_properties_are_computed_once():
-    gs = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"])
-    assert gs.delta is gs.delta
-    assert gs.setup.sub_frame is gs.setup.sub_frame
+    setup = parse_instance(fixture_path("hom-sl2-id")).payload["setup"]
+    assert setup.sub_frame is setup.sub_frame
     with pytest.raises(AttributeError):
-        gs.delta = None
-    assert gs == applications.GraphSetup(gs.h, gs.setup, gs.base_pair)
+        setup.sub_frame = None
+    assert setup == subalgebroid.SplitSetup(setup.data, setup.base_dim, setup.normal_rank, setup.sub_rank, setup.chart)
 
 
 @pytest.mark.parametrize("args, message", [

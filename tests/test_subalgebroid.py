@@ -7,7 +7,7 @@ import pytest
 from cohomology_oracle import m1_representatives
 from instance_gen import random_candidate, random_fixed_base_instance, random_instance
 from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq, structure_residual
-from linfty.applications import block_sum_data, graph_setup
+from linfty.applications import block_sum_data
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
     DeformationPair,
@@ -31,7 +31,7 @@ HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
 # sl(2) in the frame (e, h, f); split along span{e}, its complement brackets land back in it
 SL2_EHF = AlgebroidData.build(0, 3, structure={(0, 1, 0): -2, (0, 2, 1): 1, (1, 2, 2): -2})
 # the split of sl(2) + sl(2) along the graph of the identity (the hom-sl2-id preset)
-HOM_SL2_ID = graph_setup(parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]).setup
+HOM_SL2_ID = parse_instance(fixture_path("hom-sl2-id")).payload["setup"]
 # the coordinate distribution spanned by the first two directions of R^3 (the foliation-r3 preset)
 FOLIATION_R3 = parse_instance(fixture_path("foliation-r3")).payload["foliation"].setup
 
