@@ -228,23 +228,23 @@ class HomomorphismData(Frozen):
 
 
 def graph_setup(
-    h: HomomorphismData, bundle_map=None, base_map=None
+    h: HomomorphismData, offsets: HomomorphismData | None = None
 ) -> tuple[SplitSetup, DeformationPair, DeformationPair]:
     """Adapted split around the zero map: (setup, base pair, candidate pair).
 
     Source coordinates and frame form the base/sub blocks, target ones the
     normal/complement blocks; the homomorphism itself enters as the base
-    deformation pair (its graph is the base subbundle), and the offsets
-    ``bundle_map`` and ``base_map`` as the candidate.  Every map is normal
-    already (as in ``HomomorphismData``), so none is normalised again.
+    deformation pair (its graph is the base subbundle), and the maps of
+    ``offsets`` (between the same blocks) as the candidate.  Both records
+    are normal already, so no map is normalised again.
     """
     offset = h.source.fiber_rank
     setup = SplitSetup.build(block_sum_data(h.source, h.target), h.source.base_dim, h.target.base_dim, offset)
 
-    def pair(bundle: Mapping, base: Mapping) -> DeformationPair:
-        return DeformationPair(base, {(i, offset + j): poly for (i, j), poly in bundle.items()})
+    def pair(maps: HomomorphismData) -> DeformationPair:
+        return DeformationPair(maps.base_map, {(i, offset + j): poly for (i, j), poly in maps.bundle_map.items()})
 
-    return setup, pair(h.bundle_map, h.base_map), pair(bundle_map or {}, base_map or {})
+    return setup, pair(h), pair(offsets) if offsets is not None else DeformationPair.zero()
 
 
 def structure_delta(setup: SplitSetup, h: HomomorphismData | None = None) -> MCDelta:
@@ -289,10 +289,9 @@ def simultaneous_homomorphism(
     """Joint residual: deform both block structures and the map between them.
 
     Zero iff both deformed structures are algebroids and the deformed map is
-    a homomorphism between them.  The map offsets are normal, as in
-    ``HomomorphismData``.
+    a homomorphism between them.
     """
-    setup, base, cand = graph_setup(h, bundle_map, base_map)
+    setup, base, cand = graph_setup(h, HomomorphismData.build(h.source, h.target, bundle_map, base_map))
     delta = structure_delta(setup, h)
     perturbation = build_xq(block_perturbation(h, cand_source, cand_target), setup.chart)
     return simultaneous_residual(setup, delta, base, perturbation, cand, cap=cap)

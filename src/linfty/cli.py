@@ -527,9 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact coefficients of any length are rendered in full
+    """Run one command; exact coefficients of any length are read and rendered in full while it runs."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    try:
+        return _main(build_parser().parse_args(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(args) -> int:
     try:
         path = resolve_instance(args.instance)
         inst = parse_instance(path)

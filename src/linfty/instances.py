@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebroid import AlgebroidData, PolyDict, poly_map
+from .algebroid import AlgebroidData, PolyDict
 from .applications import FoliationSetup, HomomorphismData, graph_setup
 from .subalgebroid import DeformationPair, SplitSetup
 from .superfield import Record
@@ -231,9 +231,9 @@ def _read_homomorphism(obj: dict, kind: str) -> dict:
     base_map = _parse_entries(obj.get("base_map", []), "$.base_map", m, "k", coords)
     h = HomomorphismData.build(source, target, bundle, base_map)
     cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
-    offsets = poly_map(cand_bundle, m, frames, "bundle map"), poly_map(cand_base, m, coords, "base map")
-    payload: dict[str, Any] = {"homomorphism": h}
-    payload["setup"], payload["base"], payload["candidate"] = graph_setup(h, *offsets)
+    offsets = HomomorphismData.build(source, target, cand_bundle, cand_base)
+    payload: dict[str, Any] = {"homomorphism": h, "offsets": offsets}
+    payload["setup"], payload["base"], payload["candidate"] = graph_setup(h, offsets)
     if "candidate_xq" in obj:
         cxq = obj["candidate_xq"]
         _expect(isinstance(cxq, dict), "$.candidate_xq", "expected an object")
@@ -345,15 +345,15 @@ def serialize_instance(inst: InstanceFile) -> dict:
         }
     elif general == "homomorphism":
         h: HomomorphismData = payload["homomorphism"]
-        cand, offset = payload["candidate"], h.source.fiber_rank  # the candidate maps into the target frame
+        offsets: HomomorphismData = payload["offsets"]
         obj = {
             "source": _block_obj(h.source),
             "target": _block_obj(h.target),
             "bundle_map": _entries_obj(h.bundle_map, "ij"),
             "base_map": _entries_obj(h.base_map, "k"),
             "candidate": {
-                "sigma": _entries_obj(cand.sigma, "k"),
-                "phi": _entries_obj({(i, j - offset): poly for (i, j), poly in cand.phi.items()}, "ij"),
+                "sigma": _entries_obj(offsets.base_map, "k"),
+                "phi": _entries_obj(offsets.bundle_map, "ij"),
             },
         }
         if "candidate_xq" in payload:

@@ -266,7 +266,7 @@ def test_criterion_9_applications():
     ok = ok and subalgebroid_mc_residual(setup, delta, base).value.is_zero()
     for t, expected in ((1, False), (0, True), (-1, True)):
         offsets = HomomorphismData.build(h.source, h.target, {(i, i): t for i in range(3)})
-        pair = base.add(graph_setup(h, offsets.bundle_map)[2])
+        pair = base.add(graph_setup(h, offsets)[2])
         res = subalgebroid_mc_residual(setup, delta, pair)
         ok = ok and res.value.is_zero() == expected
     verdict(9, ok, "foliation fixture accepts/rejects with coefficient -1; scaled identity rejected except t in {0,-1}")

@@ -207,19 +207,10 @@ def hom_sl2_id() -> HomomorphismData:
     return parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]
 
 
-def graph_pairs(h: HomomorphismData, bundle_map=None, base_map=None):
-    """The graph split of ``h`` with its base pair and the pair of the given offsets, normalised here."""
-    offsets = HomomorphismData.build(h.source, h.target, bundle_map, base_map)
-    return graph_setup(h, offsets.bundle_map, offsets.base_map)
-
-
 def homomorphism_residual(h: HomomorphismData, bundle_map=None, base_map=None):
-    """The residual ``subalg-check`` decides on a homomorphism: refused unless the base pair is one."""
-    setup, base, cand = graph_pairs(h, bundle_map, base_map)
-    delta = structure_delta(setup, h)
-    if not subalgebroid_mc_residual(setup, delta, base).value.is_zero():
-        raise PreconditionError("the base bundle map is not a homomorphism")
-    return subalgebroid_mc_residual(setup, delta, base.add(cand))
+    """The residual of the graph of ``h`` deformed by the given offsets."""
+    setup, base, cand = graph_setup(h, HomomorphismData.build(h.source, h.target, bundle_map, base_map))
+    return subalgebroid_mc_residual(setup, structure_delta(setup, h), base.add(cand))
 
 
 class TestHomomorphisms:
@@ -240,15 +231,25 @@ class TestHomomorphisms:
 
     def test_invalid_base_homomorphism_rejected(self):
         # the zero-bracket target cannot receive the identity from sl2
-        h = HomomorphismData.build(
-            preset_data("sl2"), preset_data("abelian-3"), bundle_map={(i, i): 1 for i in range(3)}
-        )
-        with pytest.raises(ValueError):
-            homomorphism_residual(h, bundle_map={})
+        sl2 = json.loads(fixture_path("sl2").read_text())
+        inst = parse_instance({
+            "format_version": FORMAT_VERSION,
+            "kind": "homomorphism",
+            "source": {"base_dim": 0, "fiber_rank": 3, "structure": sl2["structure"], "anchor": []},
+            "target": {"base_dim": 0, "fiber_rank": 3, "structure": [], "anchor": []},
+            "bundle_map": constant_entries({(i, i): 1 for i in range(3)}, "ij"),
+            "base_map": [],
+            "candidate": {"sigma": [], "phi": []},
+        })
+        for command in ("subalg-check", "mc-check"):
+            with pytest.raises(PreconditionError, match="the base bundle map is not a homomorphism"):
+                run_command(command, inst)
 
     def test_graph_oracle_agrees(self):
         for t in (0, 1, -1, 2):
-            setup, base, cand = graph_pairs(hom_sl2_id(), {(i, i): t for i in range(3)})
+            h = hom_sl2_id()
+            offsets = HomomorphismData.build(h.source, h.target, {(i, i): t for i in range(3)})
+            setup, base, cand = graph_setup(h, offsets)
             accepted = graph_closure_oracle(setup, base.add(cand)).accepts
             assert accepted == (t in (0, -1))
 
@@ -282,6 +283,14 @@ class TestSimultaneousHomomorphism:
         pert = AlgebroidData.build(0, 2, {(0, 1, 0): 1})
         v, a = simultaneous_homomorphism(h, pert, None)
         assert v.is_zero() and not a.is_zero()
+
+    def test_map_offsets_are_checked_and_normalised(self):
+        h = hom_sl2_id()
+        v, a = simultaneous_homomorphism(h, None, None, bundle_map={(0, 0): 1})  # a scalar is a constant
+        assert v.is_zero() and not a.is_zero()
+        for bundle_map, base_map in (({(0, -3): 1}, None), ({(3, 0): 1}, None), (None, {0: 1})):
+            with pytest.raises(ValueError, match="index out of range"):
+                simultaneous_homomorphism(h, None, None, bundle_map=bundle_map, base_map=base_map)
 
     def test_block_perturbation_checks_dimensions(self):
         h = HomomorphismData.build(preset_data("sl2"), preset_data("abelian-2"))

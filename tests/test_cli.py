@@ -960,6 +960,15 @@ class TestSplitPayloads:
         assert (code, out) == (2, "")
         assert err == f"precondition failed: invalid {block} algebroid\n"
 
+    @pytest.mark.parametrize("command", ["subalg-check", "mc-check"])
+    def test_base_map_that_is_no_homomorphism_is_refused(self, capsys, tmp_path, command):
+        identity = [{"i": i, "j": i, "terms": terms(((), 1, 1))} for i in range(3)]
+        hom = homomorphism_obj(block_obj("sl2"), block_obj("abelian-3"), bundle_map=identity)
+        write_instance(hom, tmp_path / "hom.json")
+        code, out, err = run_cli(capsys, command, str(tmp_path / "hom.json"))
+        assert (code, out) == (2, "")
+        assert err == "precondition failed: the base bundle map is not a homomorphism\n"
+
     def test_axioms_on_an_empty_summand(self, capsys, tmp_path):
         obj = json.loads(fixture_path("sl2-borel").read_text())
         obj["sub_rank"] = 3  # the whole frame: no complement and no normal directions
@@ -995,6 +1004,11 @@ class TestLargeCoefficients:
         proc = run_fresh("-m", "linfty.cli", command, path, "--json")
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["oracle_agreement"] is True
+
+    def test_main_restores_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        run_cli(capsys, "validate", "sl2")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_literal_over_the_digit_limit(self, tmp_path):
         path = borel_file(tmp_path, ("9" * 5000, "1"))
