@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg
 from .superfield import (
@@ -119,9 +119,11 @@ class AlgebroidData(Frozen):
     maps (i, t) to the coefficient of the t-th coordinate field.  Indices
     are 0-based.  Only antisymmetry is enforced at construction; the
     Jacobi/anchor axioms are what ``validate_algebroid`` decides.
+    ``_toral_weights`` keeps what ``toral_weights`` read off the record.
     """
 
-    __slots__ = _fields = ("base_dim", "fiber_rank", "structure", "anchor")
+    __slots__ = ("base_dim", "fiber_rank", "structure", "anchor", "_toral_weights")
+    _fields = __slots__[:4]
 
     def __init__(self, base_dim: int, fiber_rank: int, structure: Mapping[tuple[int, int, int], PolyDict],
                  anchor: Mapping[tuple[int, int], PolyDict]):
@@ -345,12 +347,13 @@ def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> Supe
 # ---------------------------------------------------------------------
 def monomial_fields(
     chart: CoordinateChart, field_degree: int, exps: list[tuple[int, ...]], odd_pool: Iterable[int],
-    odd_targets: Iterable[int], even_targets: Iterable[int],
+    odd_targets: Iterable[int], even_targets: Iterable[int], keep=None,
 ) -> list[SuperVectorField]:
     """Monomial fields of one degree: x^e * (odd subset of the pool) * d/d(target), coefficient 1.
 
     Odd targets come first, then even ones; within each, odd subsets
     outermost, then targets, then the exponent tuples in the given order.
+    ``keep(odd, target)``, when given, selects the (odd subset, target) pairs.
     Each field is one canonical term, so it is wrapped without re-validation.
     """
     out = []
@@ -359,19 +362,54 @@ def monomial_fields(
             continue
         for odd in itertools.combinations(odd_pool, odd_size):
             for target in targets:
+                if keep is not None and not keep(odd, target):
+                    continue
                 for e in exps:
                     out.append(SuperVectorField._of(chart, {(e, odd, target): 1}))
     return out
 
 
 def field_basis(
-    chart: CoordinateChart, field_degree: int, poly_bound: int
+    chart: CoordinateChart, field_degree: int, poly_bound: int, weights: Sequence[dict[int, Coefficient]] = ()
 ) -> list[SuperVectorField]:
-    """Monomial fields of one degree with coefficient poly degree <= bound."""
+    """Monomial fields of one degree with coefficient poly degree <= bound.
+
+    Over a point, ``weights`` (``toral_weights``) keeps only the weight-0 block:
+    xi^S d/dxi_t with sum_{j in S} w_j = w_t for every weight map w.
+    """
     ne, no = chart.n_even, chart.n_odd
+    keep = None
+    if weights:
+        def keep(odd, target):
+            return all(sum(w.get(j, 0) for j in odd) == w.get(target, 0) for w in weights)
     return monomial_fields(
-        chart, field_degree, _exponents_up_to(ne, poly_bound), range(no), range(ne, ne + no), range(ne)
+        chart, field_degree, _exponents_up_to(ne, poly_bound), range(no), range(ne, ne + no), range(ne), keep
     )
+
+
+def toral_weights(data: AlgebroidData) -> tuple[dict[int, Coefficient], ...]:
+    """The weights of the toral frame elements of a Lie algebra, those with a nonzero weight only.
+
+    A frame element x is toral when ad x is diagonal in the frame: c_{xj}^m = 0
+    unless m = j.  Its weights w_j = c_{xj}^j (nonzero entries only) are read
+    off the structure constants in one scan, once per record: every later
+    command on the same parsed instance reuses them.  Distinct toral elements
+    commute, since c_{xy} = -c_{yx} is a multiple of both y and x.
+    """
+    known = getattr(data, "_toral_weights", None)
+    if known is not None:
+        return known
+    weights: dict[int, dict[int, Coefficient]] = {}
+    off_diagonal = set()
+    for (i, j, k), poly in data.structure.items():  # c_ij^k, and c_ji^k = -c_ij^k
+        for x, y, c in ((i, j, poly[()]), (j, i, -poly[()])):
+            if k == y:
+                weights.setdefault(x, {})[y] = c
+            else:
+                off_diagonal.add(x)
+    known = tuple(w for x, w in weights.items() if x not in off_diagonal)
+    object.__setattr__(data, "_toral_weights", known)
+    return known
 
 
 def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:
@@ -464,21 +502,31 @@ def dgla_cohomology(
     truncation bound.  The structure field must be homological ([Q, Q] = 0),
     else the field complex is not a complex; it is built and checked once
     for all the degrees.
+
+    Over a point, Q = 0 gives dim H^q = |B_{q-1}| with no differential
+    applied.  Otherwise the ranks are taken on the weight-0 block of the
+    toral elements (``toral_weights``): for a toral x, iota = d/dxi_x and
+    L = [Q, iota] acts on xi^S d/dxi_t by sum_{j in S} w_j - w_t, and by
+    Jacobi ad_L = ad_Q ad_iota + ad_iota ad_Q, so every block of nonzero
+    weight is acyclic (the Cartan homotopy; Hochschild-Serre, 1953).
     """
     chart = data.plain_chart()
     if data.base_dim > 0 and truncate is None:
         raise PreconditionError("polynomial base needs a truncation degree")
+    if data.base_dim == 0 and not data.structure:  # Q = 0: every cochain is a cocycle, none a coboundary
+        return [CohomologyResult(q, len(field_basis(chart, q - 1, 0))) for q in sorted(set(ce_degrees))]
     bound = 0 if data.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
     xq = build_xq(data, chart)
     if not is_homological(xq):
         raise PreconditionError("the structure field must be homological")
+    weights = toral_weights(data) if data.base_dim == 0 else ()
 
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)
 
     results = complex_cohomology(
         diff,
-        lambda d: field_basis(chart, d, bound),
+        lambda d: field_basis(chart, d, bound, weights),
         [q - 1 for q in ce_degrees],
         truncated=data.base_dim > 0,
     )

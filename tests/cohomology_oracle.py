@@ -7,11 +7,15 @@ sparse ``EchelonBasis`` whose ranks the package's formula counts, turns
 each kernel vector into a field and keeps it when it is independent of the
 image of the degree below and of the representatives kept before it.  The
 number kept is the dimension.
+
+``full_dgla_dimensions`` is the route the package took over a point before
+it restricted the ranks to a weight-0 block: the rank formula on every
+monomial of each degree.
 """
 from __future__ import annotations
 
 from linfty import linalg
-from linfty.algebroid import AlgebroidData, build_xq, field_basis
+from linfty.algebroid import AlgebroidData, build_xq, complex_cohomology, field_basis
 from linfty.subalgebroid import SplitSetup
 from linfty.superfield import SuperVectorField, super_commutator
 
@@ -60,3 +64,13 @@ def m1_representatives(
         lambda d: setup.abelian_basis(d, truncate),
         degree,
     )
+
+
+def full_dgla_dimensions(data: AlgebroidData, ce_degrees) -> list[int]:
+    """Cohomology dimensions over a point from the full complex: every monomial, Q = 0 included."""
+    chart = data.plain_chart()
+    xq = build_xq(data, chart)
+    results = complex_cohomology(
+        lambda v: super_commutator(xq, v), lambda d: field_basis(chart, d, 0), [q - 1 for q in ce_degrees]
+    )
+    return [r.dimension for r in results]

@@ -1,10 +1,11 @@
-"""Seeded generator of random polynomial subalgebroid instances.
+"""Seeded generator of random polynomial subalgebroid instances, and generated Lie algebras.
 
 Instances are produced by twisting a catalog of known Lie algebroid
 structures (with the leading frame block a subbundle closed over the zero
 section) by polynomial unipotent frame changes that preserve the split.
 Every emitted instance is revalidated, so the generator cannot silently
-produce a non-algebroid.
+produce a non-algebroid.  The Lie algebras over a point (sl(n), Heisenberg,
+random solvable ones with a diagonal action) feed the cohomology tests.
 """
 from __future__ import annotations
 
@@ -154,3 +155,59 @@ def random_candidate(setup: SplitSetup, rng: random.Random, max_degree=3) -> Def
             if poly:
                 phi[(i, j)] = poly
     return DeformationPair.build(setup, sigma=sigma, phi=phi)
+
+
+# ---------------------------------------------------------------------
+# Lie algebras over a point
+# ---------------------------------------------------------------------
+def sl_n(n: int) -> AlgebroidData:
+    """sl(n) on the matrix units E_ij (i != j), then H_h = E_hh - E_h+1,h+1: the H_h are toral."""
+    units = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [{u: 1} for u in units] + [{(h, h): 1, (h + 1, h + 1): -1} for h in range(n - 1)]
+
+    def product(a, b):
+        out = {}
+        for (i, j), x in a.items():
+            for (k, l), y in b.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + x * y
+        return out
+
+    structure = {}
+    for p, q in itertools.combinations(range(len(basis)), 2):
+        ab, ba = product(basis[p], basis[q]), product(basis[q], basis[p])
+        c = {key: ab.get(key, 0) - ba.get(key, 0) for key in ab.keys() | ba.keys()}
+        diagonal = [sum(c.get((t, t), 0) for t in range(h + 1)) for h in range(n - 1)]
+        coords = [c.get(u, 0) for u in units] + diagonal
+        structure.update({(p, q, k): x for k, x in enumerate(coords) if x})
+    return AlgebroidData.build(0, len(basis), structure=structure)
+
+
+def heisenberg(n: int) -> AlgebroidData:
+    """The Heisenberg algebra on (z, p_1..p_n, q_1..q_n), [p_i, q_i] = z."""
+    return AlgebroidData.build(0, 2 * n + 1, structure={(1 + i, 1 + n + i, 0): 1 for i in range(n)})
+
+
+def random_solvable(rng: random.Random) -> AlgebroidData:
+    """A validated solvable Lie algebra: 1-2 commuting elements acting diagonally on 2-4 others.
+
+    The toral elements x_a come first and act by [x_a, y_j] = w_aj y_j, with
+    weights among 0, +-1/2, +-1, +-2, so weights often coincide.  With three
+    or more y, half the draws add [y_1, y_2] = y_3 with w_a3 = w_a1 + w_a2,
+    which keeps the Jacobi identity.
+    """
+    r, m = rng.randint(1, 2), rng.randint(2, 4)
+    choices = [Fraction(c, 2) for c in (-4, -2, -1, 0, 0, 1, 2, 4)]
+    weights = [[rng.choice(choices) for _ in range(m)] for _ in range(r)]
+    structure = {}
+    if m >= 3 and rng.random() < 0.5:
+        for w in weights:
+            w[2] = w[0] + w[1]
+        structure[(r, r + 1, r + 2)] = 1
+    for a, w in enumerate(weights):
+        for j, c in enumerate(w):
+            if c:
+                structure[(a, r + j, r + j)] = c
+    data = AlgebroidData.build(0, r + m, structure=structure)
+    assert validate_algebroid(data).ok, "generator produced a non-Lie algebra"
+    return data

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from golden import record_instance_gen
-from instance_gen import random_candidate, random_instance
+from instance_gen import heisenberg, random_candidate, random_instance, sl_n
 from linfty.algebroid import (
     AlgebroidData,
     SectionCalculus,
@@ -46,33 +46,6 @@ HEIS = AlgebroidData.build(0, 3, structure={(0, 1, 2): 1})
 NON_JACOBI = AlgebroidData.build(0, 3, structure={(0, 1, 2): 1, (0, 2, 0): 1})
 TR1 = AlgebroidData.build(1, 1, anchor={(0, 0): 1})
 TR2 = AlgebroidData.build(2, 2, anchor={(0, 0): 1, (1, 1): 1})
-
-
-def _sl3() -> AlgebroidData:
-    """sl(3) on the matrix units E_ij (i != j), then H_1 = E_11 - E_22, H_2 = E_22 - E_33."""
-    units = [(i, j) for i in range(3) for j in range(3) if i != j]
-    basis = [{u: 1} for u in units] + [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
-
-    def product(a, b):
-        out = {}
-        for (i, j), x in a.items():
-            for (k, l), y in b.items():
-                if j == k:
-                    out[i, l] = out.get((i, l), 0) + x * y
-        return out
-
-    structure = {}
-    for p, q in itertools.combinations(range(len(basis)), 2):
-        ab, ba = product(basis[p], basis[q]), product(basis[q], basis[p])
-        c = {key: ab.get(key, 0) - ba.get(key, 0) for key in ab.keys() | ba.keys()}
-        coords = [c.get(u, 0) for u in units] + [c.get((0, 0), 0), c.get((0, 0), 0) + c.get((1, 1), 0)]
-        structure.update({(p, q, k): x for k, x in enumerate(coords) if x})
-    return AlgebroidData.build(0, len(basis), structure=structure)
-
-
-def _heisenberg(n: int) -> AlgebroidData:
-    """The Heisenberg algebra on (z, p_1..p_n, q_1..q_n), [p_i, q_i] = z."""
-    return AlgebroidData.build(0, 2 * n + 1, structure={(1 + i, 1 + n + i, 0): 1 for i in range(n)})
 
 
 class TestBuildXq:
@@ -378,19 +351,19 @@ class TestDeformationCohomology:
     def test_sl3_whitehead_rigidity(self):
         # H^q(g; g) = H^q(g) (x) g^g = 0 for simple g: in particular sl(3) has no
         # infinitesimal deformations (q = 1) and no obstructions (q = 2); at q = 2
-        # the elimination meets a 448x224 system
-        assert [r.dimension for r in dgla_cohomology(_sl3(), range(9))] == [0] * 9
+        # the full complex maps 224 fields into 448 coordinates, its weight-0 block 26 into 46
+        assert [r.dimension for r in dgla_cohomology(sl_n(3), range(9))] == [0] * 9
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_heisenberg_outer_derivations(self, n):
         # H^1(h; h) = Der(h) / ad(h) for the Heisenberg algebra h of dimension 2n + 1
-        assert [r.dimension for r in dgla_cohomology(_heisenberg(n), [1])] == [2 * n * n + n + 1]
+        assert [r.dimension for r in dgla_cohomology(heisenberg(n), [1])] == [2 * n * n + n + 1]
 
     @pytest.mark.parametrize("name", ["sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
                                       "sl3", "h3", "h5"])
     def test_euler_characteristic_vanishes(self, name):
         # sum_q (-1)^q dim C^q = n * (1 - 1)^n = 0 for the full complex of an n-dimensional Lie algebra
-        built = {"sl3": _sl3, "h3": lambda: _heisenberg(1), "h5": lambda: _heisenberg(2)}
+        built = {"sl3": lambda: sl_n(3), "h3": lambda: heisenberg(1), "h5": lambda: heisenberg(2)}
         data = built[name]() if name in built else parse_instance(fixture_path(name)).payload["data"]
         dims = [r.dimension for r in dgla_cohomology(data, range(data.fiber_rank + 1))]
         assert sum((-1) ** q * d for q, d in enumerate(dims)) == 0
@@ -594,7 +567,7 @@ def _classical_cases():
         cases.append((setup.data, setup.chart))
         if setup.data.fiber_rank >= 2:
             cases.append((_perturb(setup.data, rng), setup.chart))
-    for data in (SL2, HEIS, TR2, _sl3()):
+    for data in (SL2, HEIS, TR2, sl_n(3)):
         for _ in range(3):
             cases.append((_perturb(data, rng), None))
     return cases

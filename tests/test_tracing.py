@@ -54,6 +54,7 @@ def test_tracer_installs_and_counts():
     assert result["yielded"] > 0
     assert result["explicit_calls"] > 0
     assert result["mc_residual_calls"] > 0  # the residual the CLI computes is the traced one
-    # H^1(sl2; sl2) maps B_0 (9 fields) and B_-1 (3) once each and checks [Q, Q] once: a
-    # commutator that bypasses the traced name would leave the per-layer counters empty
-    assert result["cohomology_commutators"] == 9 + 3 + 1
+    # H^1(sl2; sl2) maps the weight-0 blocks of B_0 (xi_j d/dxi_j for the three j) and of B_-1
+    # (d/dxi_h) once each and checks [Q, Q] once: a commutator that bypasses the traced name
+    # would leave the per-layer counters empty
+    assert result["cohomology_commutators"] == 3 + 1 + 1

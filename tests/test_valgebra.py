@@ -161,6 +161,19 @@ class TestMCResidual:
         with pytest.raises(SeriesCapExceeded):
             mc_residual(setup, delta, cand, cap=1)
 
+    def test_cap_counts_the_nonzero_brackets(self, borel):
+        # the cap bounds the number of nonzero brackets [..[delta, x], .., x]: a series of
+        # exactly that many passes at the cap and is refused one below it
+        setup, xq, delta = borel
+        cand = LInftyElement(-encode_deformation(setup, phi_pair(setup, 1, 1)).value, 0)
+        w, n = delta.delta, 0
+        while not (w := super_commutator(w, cand.value)).is_zero():
+            n += 1
+        assert n >= 2
+        mc_residual(setup, delta, cand, cap=n)
+        with pytest.raises(SeriesCapExceeded):
+            mc_residual(setup, delta, cand, cap=n - 1)
+
     @staticmethod
     def preset():
         setup = parse_instance(fixture_path("sl2-borel")).payload["setup"]
