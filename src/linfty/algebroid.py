@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -119,10 +120,9 @@ class AlgebroidData(Frozen):
     maps (i, t) to the coefficient of the t-th coordinate field.  Indices
     are 0-based.  Only antisymmetry is enforced at construction; the
     Jacobi/anchor axioms are what ``validate_algebroid`` decides.
-    ``_toral_weights`` keeps what ``toral_weights`` read off the record.
     """
 
-    __slots__ = ("base_dim", "fiber_rank", "structure", "anchor", "_toral_weights")
+    __slots__ = ("base_dim", "fiber_rank", "structure", "anchor", "__dict__")  # the dict holds ``toral_weights``
     _fields = __slots__[:4]
 
     def __init__(self, base_dim: int, fiber_rank: int, structure: Mapping[tuple[int, int, int], PolyDict],
@@ -145,6 +145,26 @@ class AlgebroidData(Frozen):
             entries.append(((i, j, k), poly))
         anchor = poly_map(anchor or {}, base_dim, (frame, range(base_dim)), "anchor")
         return AlgebroidData(base_dim, fiber_rank, merge_polys(entries), anchor)
+
+    @cached_property
+    def toral_weights(self) -> tuple[dict[int, Coefficient], ...]:
+        """The weights of the toral frame elements of a Lie algebra, those with a nonzero weight only.
+
+        A frame element x is toral when ad x is diagonal in the frame: c_{xj}^m = 0
+        unless m = j.  Its weights w_j = c_{xj}^j (nonzero entries only) are read
+        off the structure constants in one scan, once per record: every later
+        command on the same parsed instance reuses them.  Distinct toral elements
+        commute, since c_{xy} = -c_{yx} is a multiple of both y and x.
+        """
+        weights: dict[int, dict[int, Coefficient]] = {}
+        off_diagonal = set()
+        for (i, j, k), poly in self.structure.items():  # c_ij^k, and c_ji^k = -c_ij^k
+            for x, y, c in ((i, j, poly[()]), (j, i, -poly[()])):
+                if k == y:
+                    weights.setdefault(x, {})[y] = c
+                else:
+                    off_diagonal.add(x)
+        return tuple(w for x, w in weights.items() if x not in off_diagonal)
 
     # -- charts ---------------------------------------------------------
     def plain_chart(self) -> CoordinateChart:
@@ -374,7 +394,7 @@ def field_basis(
 ) -> list[SuperVectorField]:
     """Monomial fields of one degree with coefficient poly degree <= bound.
 
-    Over a point, ``weights`` (``toral_weights``) keeps only the weight-0 block:
+    Over a point, ``weights`` (``AlgebroidData.toral_weights``) keeps only the weight-0 block:
     xi^S d/dxi_t with sum_{j in S} w_j = w_t for every weight map w.
     """
     ne, no = chart.n_even, chart.n_odd
@@ -385,31 +405,6 @@ def field_basis(
     return monomial_fields(
         chart, field_degree, _exponents_up_to(ne, poly_bound), range(no), range(ne, ne + no), range(ne), keep
     )
-
-
-def toral_weights(data: AlgebroidData) -> tuple[dict[int, Coefficient], ...]:
-    """The weights of the toral frame elements of a Lie algebra, those with a nonzero weight only.
-
-    A frame element x is toral when ad x is diagonal in the frame: c_{xj}^m = 0
-    unless m = j.  Its weights w_j = c_{xj}^j (nonzero entries only) are read
-    off the structure constants in one scan, once per record: every later
-    command on the same parsed instance reuses them.  Distinct toral elements
-    commute, since c_{xy} = -c_{yx} is a multiple of both y and x.
-    """
-    known = getattr(data, "_toral_weights", None)
-    if known is not None:
-        return known
-    weights: dict[int, dict[int, Coefficient]] = {}
-    off_diagonal = set()
-    for (i, j, k), poly in data.structure.items():  # c_ij^k, and c_ji^k = -c_ij^k
-        for x, y, c in ((i, j, poly[()]), (j, i, -poly[()])):
-            if k == y:
-                weights.setdefault(x, {})[y] = c
-            else:
-                off_diagonal.add(x)
-    known = tuple(w for x, w in weights.items() if x not in off_diagonal)
-    object.__setattr__(data, "_toral_weights", known)
-    return known
 
 
 def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:
@@ -505,7 +500,7 @@ def dgla_cohomology(
 
     Over a point, Q = 0 gives dim H^q = |B_{q-1}| with no differential
     applied.  Otherwise the ranks are taken on the weight-0 block of the
-    toral elements (``toral_weights``): for a toral x, iota = d/dxi_x and
+    toral elements (``AlgebroidData.toral_weights``): for a toral x, iota = d/dxi_x and
     L = [Q, iota] acts on xi^S d/dxi_t by sum_{j in S} w_j - w_t, and by
     Jacobi ad_L = ad_Q ad_iota + ad_iota ad_Q, so every block of nonzero
     weight is acyclic (the Cartan homotopy; Hochschild-Serre, 1953).
@@ -519,7 +514,7 @@ def dgla_cohomology(
     xq = build_xq(data, chart)
     if not is_homological(xq):
         raise PreconditionError("the structure field must be homological")
-    weights = toral_weights(data) if data.base_dim == 0 else ()
+    weights = data.toral_weights if data.base_dim == 0 else ()
 
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)

@@ -61,20 +61,16 @@ VectorFieldCoeffs = Mapping[int, PolyDict]
 class FoliationSetup(Frozen):
     """A polynomial frame of the tangent bundle, split distribution-first.
 
-    The first ``sub_rank`` frame fields span the distribution; the frame
-    matrix must have constant nonzero determinant so that expansions in the
-    frame stay polynomial.  ``algebroid`` carries the tangent-algebroid
-    structure functions in this frame and ``setup`` the fixed-base split.
+    The first ``setup.sub_rank`` frame fields span the distribution; the
+    frame matrix must have constant nonzero determinant so that expansions in
+    the frame stay polynomial.  ``setup`` is the fixed-base split of the
+    tangent algebroid, its ``data`` the structure functions in this frame.
     """
 
-    __slots__ = _fields = ("base_dim", "sub_rank", "frames", "algebroid", "setup")
+    __slots__ = _fields = ("frames", "setup")
 
-    def __init__(self, base_dim: int, sub_rank: int, frames: tuple[tuple[PolyDict, ...], ...],
-                 algebroid: AlgebroidData, setup: SplitSetup):
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "sub_rank", sub_rank)
+    def __init__(self, frames: tuple[tuple[PolyDict, ...], ...], setup: SplitSetup):
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "algebroid", algebroid)
         object.__setattr__(self, "setup", setup)
 
     @staticmethod
@@ -84,9 +80,7 @@ class FoliationSetup(Frozen):
         coords = range(base_dim)
         fields = [poly_map(f, base_dim, (coords,), f"frame {fi} coordinate") for fi, f in enumerate(frames)]
         norm = tuple(tuple([f.get(t, {}) for t in coords]) for f in fields)
-        data = _tangent_in_frame(base_dim, norm)
-        setup = SplitSetup.build(data, base_dim, 0, sub_rank)
-        return FoliationSetup(base_dim, sub_rank, norm, data, setup)
+        return FoliationSetup(norm, SplitSetup.build(_tangent_in_frame(base_dim, norm), base_dim, 0, sub_rank))
 
 
 def _det(chart, mat) -> SuperFunction:
@@ -174,12 +168,11 @@ def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, cand: Deformati
     the distribution is integrable (P(delta) = 0), which the unary map needs.
     """
     setup = fol.setup
-    chart = setup.chart
+    chart, calc = setup.chart, setup.calculus
     form = FrameForm.build(setup, 1, {((i,), j): _poly_fn(chart, poly) for (i, j), poly in cand.phi.items()})
     residual = explicit_structure_maps(setup, 1, [form])
 
     # classical route on distribution frame pairs
-    calc = SectionCalculus.of(fol.algebroid, chart)
     one = SuperFunction.constant(chart, 1)
     zero = SuperFunction.zero(chart)
     defects: dict[tuple[int, int, int], SuperFunction] = {}

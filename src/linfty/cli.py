@@ -22,7 +22,6 @@ from typing import Any
 
 from .algebroid import (
     AlgebroidData,
-    SectionCalculus,
     build_xq,
     classically_valid,
     dgla_cohomology,
@@ -170,19 +169,26 @@ _COUNT_FLAGS = (
 
 _SPLIT_KINDS = ("subalgebroid", "subalgebra")
 
-# flags that only some (command, instance kind) pairs read; every other pair refuses them in run_command
+
+def _over_a_point(inst: InstanceFile) -> bool:
+    """Whether the instance's cohomology lives over a point: no coefficient has a degree to truncate."""
+    split = inst.payload.get("setup")
+    return (split.base_dim if split is not None else inst.payload["data"].base_dim) == 0
+
+
+# flags that only some (command, instance) pairs read; every other pair refuses them in run_command
 _READERS = {
-    "cap": lambda command, kind: (  # wherever a bracket series runs
+    "cap": lambda command, inst: (  # wherever a bracket series runs
         command in ("subalg-check", "simultaneous")
-        or (command in ("mc-check", "oracle-compare") and kind not in ("algebroid", "lie_algebra"))
-        or (command == "validate" and kind == "homomorphism")
+        or (command in ("mc-check", "oracle-compare") and inst.kind not in ("algebroid", "lie_algebra"))
+        or (command == "validate" and inst.kind == "homomorphism")
     ),
-    "truncate": lambda command, kind: command == "cohomology",
-    "probes": lambda command, kind: command == "axioms",
-    "seed": lambda command, kind: command == "axioms",
-    "degree": lambda command, kind: command == "cohomology",
-    "phi": lambda command, kind: (
-        command in ("subalg-check", "mc-check", "simultaneous", "oracle-compare") and kind in _SPLIT_KINDS
+    "truncate": lambda command, inst: command == "cohomology" and not _over_a_point(inst),
+    "probes": lambda command, inst: command == "axioms",
+    "seed": lambda command, inst: command == "axioms",
+    "degree": lambda command, inst: command == "cohomology",
+    "phi": lambda command, inst: (
+        command in ("subalg-check", "mc-check", "simultaneous", "oracle-compare") and inst.kind in _SPLIT_KINDS
     ),
 }
 
@@ -381,10 +387,8 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
     details: dict[str, Any] = {"nonzero_brackets": table, "basis_size": len(basis)}
     fixed_base = setup.normal_rank == 0
     agreement = True if fixed_base else None
-    if fixed_base:  # every basis form decoded once, one section calculus, one set of shuffle tables
+    if fixed_base:  # every basis form decoded once
         forms = [decode_form(setup, el, el.degree + 1) for el in basis]
-        calculus = SectionCalculus.of(setup.data, setup.chart)
-        shuffles: dict = {}
         by_multiset: dict[tuple[int, ...], SuperVectorField] = {}
     for arity in (1, 2, 3):
         for combo in itertools.product(range(len(basis)), repeat=arity):
@@ -396,8 +400,7 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
                 multiset = tuple(combo[p] for p in order)
                 if multiset == combo:
                     explicit = by_multiset[combo] = encode_form(
-                        explicit_structure_maps(setup, arity, [forms[i] for i in combo], calculus, shuffles)
-                    ).value
+                        explicit_structure_maps(setup, arity, [forms[i] for i in combo])).value
                 elif koszul_sign(order, [basis[i].degree for i in combo]) == 1:
                     explicit = by_multiset[multiset]
                 else:
@@ -501,7 +504,7 @@ def run_command(cmd: str, inst: InstanceFile, args=None) -> Report:
         if value is not None and value < least:
             raise InstanceError(f"--{name}", f"expected {expected}")
     for name, reads in _READERS.items():
-        if getattr(args, name, None) is not None and not reads(cmd, inst.kind):
+        if getattr(args, name, None) is not None and not reads(cmd, inst):
             raise InstanceError(f"--{name}", f"{cmd} does not read it for kind {inst.kind!r}")
     start = time.perf_counter()
     report = COMMANDS[cmd](inst, args)

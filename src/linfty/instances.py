@@ -171,8 +171,8 @@ def _parse_sigma_phi(obj: Any, n_even: int, path: str, normal: range, sub: range
 
 
 def _parse_candidate_pair(obj: Any, setup: SplitSetup, path: str) -> DeformationPair:
-    normal, sub, comp = range(setup.normal_rank), range(setup.sub_rank), range(setup.sub_rank, setup.data.fiber_rank)
-    sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path, normal, sub, comp)
+    normal = range(setup.normal_rank)
+    sigma, phi = _parse_sigma_phi(obj, setup.base_dim, path, normal, setup.sub_indices, setup.comp_indices)
     return DeformationPair.build(setup, sigma=sigma, phi=phi)
 
 
@@ -338,8 +338,8 @@ def serialize_instance(inst: InstanceFile) -> dict:
     elif general == "foliation":
         fol: FoliationSetup = payload["foliation"]
         obj = {
-            "base_dim": fol.base_dim,
-            "sub_rank": fol.sub_rank,
+            "base_dim": fol.setup.base_dim,
+            "sub_rank": fol.setup.sub_rank,
             "frames": [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames],
             "psi": _entries_obj(payload["candidate"].phi, "ij"),
         }

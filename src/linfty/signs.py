@@ -62,20 +62,19 @@ def iter_shuffles(sizes: Sequence[int], degs: DegreeVector) -> Iterator[Shuffle]
         yield (-1 if passed % 2 else 1), blocks
 
 
-def shuffle_table(
-    tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Shuffle, ...]],
-    sizes: Sequence[int],
-    degs: DegreeVector,
-) -> tuple[Shuffle, ...]:
-    """All of ``iter_shuffles(sizes, degs)``, read once per (sizes, degree parities) into ``tables``.
+# (sizes, degree parities) -> every signed shuffle, kept for the life of the process
+_TABLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Shuffle, ...]] = {}
 
-    The caller owns ``tables`` and keeps it for as long as it reuses the
-    shuffles (one command); the sign depends on the degrees only through
-    their parities.
+
+def shuffle_table(sizes: Sequence[int], degs: DegreeVector) -> tuple[Shuffle, ...]:
+    """All of ``iter_shuffles(sizes, degs)``, generated once per process for each (sizes, degree parities).
+
+    The sign depends on the degrees only through their parities, so a table
+    is kept under them and every later caller reads it.
     """
     parities = tuple(d % 2 for d in degs)
     key = (tuple(sizes), parities)
-    table = tables.get(key)
+    table = _TABLES.get(key)
     if table is None:
-        table = tables[key] = tuple(iter_shuffles(sizes, parities))
+        table = _TABLES[key] = tuple(iter_shuffles(sizes, parities))
     return table

@@ -65,7 +65,7 @@ class SplitSetup(Frozen):
     p+q even coordinates with the full odd frame.
     """
 
-    __slots__ = ("data", "base_dim", "normal_rank", "sub_rank", "chart", "__dict__")  # the dict holds ``sub_frame``
+    __slots__ = ("data", "base_dim", "normal_rank", "sub_rank", "chart", "__dict__")  # the dict holds cached values
     _fields = __slots__[:5]
 
     def __init__(self, data: AlgebroidData, base_dim: int, normal_rank: int, sub_rank: int, chart: CoordinateChart):
@@ -82,16 +82,16 @@ class SplitSetup(Frozen):
 
     # -- index ranges ---------------------------------------------------
     @property
-    def sub_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.sub_rank))
+    def sub_indices(self) -> range:
+        return range(self.sub_rank)
 
     @property
-    def comp_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.sub_rank, self.data.fiber_rank))
+    def comp_indices(self) -> range:
+        return range(self.sub_rank, self.data.fiber_rank)
 
     @property
-    def normal_even_positions(self) -> tuple[int, ...]:
-        return tuple(range(self.base_dim, self.base_dim + self.normal_rank))
+    def normal_even_positions(self) -> range:
+        return range(self.base_dim, self.base_dim + self.normal_rank)
 
     # -- the projection and the abelian summand --------------------------
     def project(self, v: SuperVectorField) -> SuperVectorField:
@@ -114,6 +114,11 @@ class SplitSetup(Frozen):
                 continue  # a normal even or a complement odd in the coefficient
             kept[key] = c
         return SuperVectorField._of(self.chart, kept)
+
+    @cached_property
+    def calculus(self) -> SectionCalculus:
+        """The section calculus of the ambient algebroid on the split chart."""
+        return SectionCalculus.of(self.data, self.chart)
 
     @cached_property
     def sub_frame(self) -> "FrameForm":
@@ -148,9 +153,9 @@ class DeformationPair(Frozen):
 
     @staticmethod
     def build(setup: SplitSetup, sigma=None, phi=None) -> "DeformationPair":
-        p, comp = setup.base_dim, range(setup.sub_rank, setup.data.fiber_rank)
+        p = setup.base_dim
         sigma = poly_map(sigma or {}, p, (range(setup.normal_rank),), "normal section")
-        return DeformationPair(sigma, poly_map(phi or {}, p, (range(setup.sub_rank), comp), "bundle map"))
+        return DeformationPair(sigma, poly_map(phi or {}, p, (setup.sub_indices, setup.comp_indices), "bundle map"))
 
     @staticmethod
     def zero() -> "DeformationPair":
@@ -275,8 +280,7 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
     and checks that the result stays in the graph and that anchors stay
     tangent to it.  Independent of the bracket-series machinery.
     """
-    chart = setup.chart
-    calc = SectionCalculus.of(setup.data, chart)
+    chart, calc = setup.chart, setup.calculus
     mapping = graph_substitution(setup, d)
     zero = SuperFunction.zero(chart)
     report = GraphClosureReport()
@@ -386,13 +390,7 @@ def _m3_signs(k: int, l: int, m: int) -> tuple[int, int, int]:
     return s1, s2, s3
 
 
-def explicit_structure_maps(
-    setup: SplitSetup,
-    k: int,
-    args: Sequence[FrameForm],
-    calculus: SectionCalculus | None = None,
-    shuffles: dict | None = None,
-) -> FrameForm:
+def explicit_structure_maps(setup: SplitSetup, k: int, args: Sequence[FrameForm]) -> FrameForm:
     """Shuffle-sum formulas for the arity-1..3 maps of the fixed-base case.
 
     Each map is a table of terms (c, F, G) and (c, F, G, H).  On every
@@ -401,10 +399,8 @@ def explicit_structure_maps(
     rest), summed over its (|F|, |G|, |H| - 1) shuffles; F, G and H are
     argument forms or the sub-frame itself.  Must agree with the
     nested-bracket route under the encoding; arities four and up vanish in
-    this setting.  ``calculus`` is the section calculus of ``setup.data`` on
-    ``setup.chart`` and ``shuffles`` a dict of signed shuffle tables (see
-    ``signs.shuffle_table``); a caller that evaluates many maps passes both
-    to build each once.
+    this setting.  The brackets are those of ``setup.calculus``, and the
+    signed shuffles come from the process's tables (``signs.shuffle_table``).
     """
     if setup.normal_rank != 0:
         raise ValueError("explicit maps require the fixed-base setup (no normal coordinates)")
@@ -415,9 +411,7 @@ def explicit_structure_maps(
     n_out = sum(form.degree for form in args) + 2 - k
     if n_out < 0:
         return FrameForm.build(setup, 0, {})
-    chart = setup.chart
-    bracket = (calculus or SectionCalculus.of(setup.data, chart)).bracket
-    shuffles = {} if shuffles is None else shuffles
+    bracket = setup.calculus.bracket
     frame = setup.sub_frame
     if k == 1:
         (xi,) = args
@@ -443,7 +437,7 @@ def explicit_structure_maps(
             if h and h[0].degree < 1:
                 continue
             sizes = (f.degree, g.degree, n_out - f.degree - g.degree)
-            for sign, (a, b, rest) in shuffle_table(shuffles, sizes, odd):
+            for sign, (a, b, rest) in shuffle_table(sizes, odd):
                 br = bracket(f.at([idx[p] for p in a]), g.at([idx[p] for p in b]))
                 if h:
                     section = h[0].contract(br, [idx[p] for p in rest])

@@ -226,19 +226,16 @@ def generalized_jacobi(
     m: Callable[[Sequence[LInftyElement]], LInftyElement],
     elements: Sequence[LInftyElement],
     chart: CoordinateChart,
-    shuffles: dict | None = None,
 ) -> SuperVectorField:
     """Evaluate the arity-n coherence sum of a flat structure on a probe word.
 
-    ``shuffles`` holds the signed shuffle tables (see ``signs.shuffle_table``);
-    a caller checking many words passes one dict to read each table once.
+    The signed shuffles come from the process's tables (``signs.shuffle_table``).
     """
     n = len(elements)
     degs = tuple(e.degree if e.degree is not None else 0 for e in elements)
-    shuffles = {} if shuffles is None else shuffles
     total: dict = {}
     for j in range(1, n + 1):
-        for sign, (first, rest) in shuffle_table(shuffles, (j, n - j), degs):
+        for sign, (first, rest) in shuffle_table((j, n - j), degs):
             inner = m([elements[p] for p in first])
             terms = m([inner] + [elements[p] for p in rest]).value.terms
             _merge_into(total, terms if sign == 1 else {k: -c for k, c in terms.items()})
@@ -250,14 +247,10 @@ def check_linfty_axioms(
     chart: CoordinateChart,
     probes: Sequence[Sequence[LInftyElement]],
 ) -> AxiomReport:
-    """Exact generalized-Jacobi check on each probe tuple.
-
-    The probes share one set of shuffle tables, which lives as long as the call.
-    """
+    """Exact generalized-Jacobi check on each probe tuple."""
     report = AxiomReport()
-    shuffles: dict = {}
     for probe in probes:
-        residue = generalized_jacobi(m, probe, chart, shuffles)
+        residue = generalized_jacobi(m, probe, chart)
         report.checked += 1
         if not residue.is_zero():
             report.failures.append(

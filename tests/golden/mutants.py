@@ -49,7 +49,7 @@ MUTANTS = [
      ["tests/test_cli.py::TestSplitPayloads::test_non_jacobi_block_is_named",
       "tests/test_cli.py::TestSplitPayloads::test_base_map_that_is_no_homomorphism_is_refused"]),
     ("e of sl2 taken as toral", "algebroid.py",  # frame index 1 of the sl2 preset, read as diagonal
-     "            if k == y:\n", "            if k == y or x == 1:\n",
+     "                if k == y:\n", "                if k == y or x == 1:\n",
      ["tests/test_weight_block.py"]),
     ("off-diagonal brackets ignored", "algebroid.py",
      "tuple(w for x, w in weights.items() if x not in off_diagonal)", "tuple(weights.values())",
@@ -60,6 +60,9 @@ MUTANTS = [
     ("Q = 0 returns |B_q|", "algebroid.py",
      "len(field_basis(chart, q - 1, 0))", "len(field_basis(chart, q, 0))",
      ["tests/test_weight_block.py"]),
+    ("unknown term key accepted", "instances.py",
+     '            _only(term, _TERM, "")', "            pass",
+     ["tests/test_cli.py::TestStrictSchema::test_unknown_key_is_refused_at_its_path"]),
 ]
 
 
@@ -70,7 +73,6 @@ def _pytest(copy: Path, selection: list[str], stop_first: bool) -> str:
     proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return "passed"
-    # a failing property test can end the run in an internal error (exit 3) after its summary
     return "failed" if re.search(r"\b\d+ failed\b", proc.stdout) else "broken"
 
 

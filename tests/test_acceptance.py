@@ -251,7 +251,7 @@ def test_criterion_8_derivation_transport():
 
 def test_criterion_9_applications():
     fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-    delta = MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
+    delta = MCDelta.of(fol.setup, build_xq(fol.setup.data, fol.setup.chart))
     psi = {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
     accept = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi=psi))
     reject = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi={(0, 2): psi[(0, 2)]}))

@@ -529,7 +529,7 @@ def _preset_algebroids():
             out.append((inst.payload["data"], inst.payload["setup"].chart))
         elif inst.kind == "foliation":
             fol = inst.payload["foliation"]
-            out.append((fol.algebroid, fol.setup.chart))
+            out.append((fol.setup.data, fol.setup.chart))
         else:
             h, setup = inst.payload["homomorphism"], inst.payload["setup"]
             out += [(h.source, None), (h.target, None), (setup.data, setup.chart)]

@@ -146,7 +146,7 @@ class TestSubalgebraDeformation:
 
 def checked_delta(fol: FoliationSetup) -> MCDelta:
     """The checked structure field of a foliation's split: refused unless the distribution is integrable."""
-    return MCDelta.of(fol.setup, build_xq(fol.algebroid, fol.setup.chart))
+    return MCDelta.of(fol.setup, build_xq(fol.setup.data, fol.setup.chart))
 
 
 def psi(fol: FoliationSetup, phi: dict) -> DeformationPair:
@@ -194,7 +194,7 @@ class TestFoliation:
             {2: 1},
         ]
         fol = FoliationSetup.build(3, 2, frames)
-        assert not fol.setup.project(build_xq(fol.algebroid, fol.setup.chart)).is_zero()
+        assert not fol.setup.project(build_xq(fol.setup.data, fol.setup.chart)).is_zero()
         with pytest.raises(PreconditionError, match="ker"):
             checked_delta(fol)
 

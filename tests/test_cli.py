@@ -716,6 +716,34 @@ class TestCommands:
         # multisets of arity 1, 2, 3 from n basis elements
         assert len(calls) == count == sum(comb(n + k - 1, k) for k in (1, 2, 3))
 
+    def test_one_section_calculus_per_parsed_split(self, monkeypatch):
+        from linfty.algebroid import SectionCalculus
+
+        inst = parse_instance(fixture_path("sl2-borel"))
+        original, calls = SectionCalculus.of, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(SectionCalculus, "of", staticmethod(counting))
+        for command in ("oracle-compare", "subalg-check", "brackets"):
+            assert run_command(command, inst).exit_code == 0
+        # the split's own calculus (was 3: one per graph-closure oracle and one for the explicit route)
+        assert len(calls) == 1
+
+    def test_shuffle_tables_outlive_a_command(self, monkeypatch):
+        from linfty import signs
+
+        signs._TABLES.clear()
+        calls = record_calls(monkeypatch, signs.iter_shuffles)
+        inst = parse_instance(fixture_path("sl2-borel"))
+        args = argparse.Namespace(cap=None, truncate=None, probes=5, seed=None, phi=None, degree=None)
+        for _ in range(2):
+            assert run_command("axioms", inst, args).exit_code == 0
+        # each (sizes, parities) key generated once in the process (was once per command)
+        assert calls and len(calls) == len(set(calls))
+
     def test_wrong_multiset_value_is_caught_at_its_sorted_combination(self, capsys, monkeypatch):
         import linfty.cli as cli
         from linfty.subalgebroid import FrameForm
@@ -774,6 +802,10 @@ class TestCommands:
             (["oracle-compare", "abelian-3", "--cap", "3"], "--cap"),
             # an empty --phi is given all the same, and has the wrong length
             (["subalg-check", "sl2-borel", "--phi"], "--phi"),
+            # --truncate over a point, where no coefficient has a degree to bound
+            (["cohomology", "sl2", "--truncate", "2"], "--truncate"),
+            (["cohomology", "sl2-borel", "--truncate", "1"], "--truncate"),
+            (["cohomology", "tangent-r1-origin", "--truncate", "1"], "--truncate"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):

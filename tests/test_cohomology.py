@@ -35,8 +35,8 @@ RAISING = {
 
 
 def _truncations(name: str, inst) -> list:
-    if inst.options.truncate is None and not name.startswith(("tangent-r", "foliation")):
-        return [None]  # over a point: the complex is finite
+    if (inst.payload.get("setup") or inst.payload["data"]).base_dim == 0:
+        return [None]  # over a point: the complex is finite, and --truncate is refused
     return [1, 2, 3] if name == "tangent-r2" else [1, 2, 3, 4]
 
 

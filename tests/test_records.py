@@ -33,8 +33,7 @@ RECORDS = [
      {"xq": None, "square": None, "anchor_defects": {}, "jacobi_defects": {}}),
     (algebroid.SectionCalculus, ("chart", "structure", "anchor"), (CHART, {}, {0: {}}), {}),
     (algebroid.CohomologyResult, ("degree", "dimension", "truncated"), (1, 3, True), {"truncated": False}),
-    (applications.FoliationSetup, ("base_dim", "sub_rank", "frames", "algebroid", "setup"),
-     (2, 1, ((), ()), "algebroid", "setup"), {}),
+    (applications.FoliationSetup, ("frames", "setup"), (((), ()), "setup"), {}),
     (applications.FoliationResult, ("closed", "residual", "condition_defects"), (True, "residual", {}), {}),
     (applications.HomomorphismData, ("source", "target", "bundle_map", "base_map"),
      ("source", "target", {(0, 0): {(): 1}}, {}), {}),
@@ -162,10 +161,13 @@ def test_mutable_records_never_share_a_default(make, attrs):
 
 def test_cached_properties_are_computed_once():
     setup = parse_instance(fixture_path("hom-sl2-id")).payload["setup"]
-    assert setup.sub_frame is setup.sub_frame
-    with pytest.raises(AttributeError):
-        setup.sub_frame = None
+    data = parse_instance(fixture_path("sl2")).payload["data"]
+    for record, name in ((setup, "sub_frame"), (setup, "calculus"), (data, "toral_weights")):
+        assert getattr(record, name) is getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
     assert setup == subalgebroid.SplitSetup(setup.data, setup.base_dim, setup.normal_rank, setup.sub_rank, setup.chart)
+    assert data == AlgebroidData(data.base_dim, data.fiber_rank, data.structure, data.anchor)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from linfty import signs
 from linfty.signs import iter_shuffles, koszul_sign, shuffle_table
 
 
@@ -204,22 +205,27 @@ class TestShuffles:
 
 
 class TestShuffleTables:
+    @pytest.fixture
+    def tables(self):
+        """The process's memo, emptied first."""
+        signs._TABLES.clear()
+        return signs._TABLES
+
     @pytest.mark.parametrize("sizes", [(0,), (3,), (1, 2), (2, 0), (0, 3), (2, 2), (1, 1, 1), (2, 1, 2), (0, 2, 1)])
-    def test_table_is_the_generator_read_once(self, sizes):
-        tables = {}
+    def test_table_is_the_generator_read_once(self, sizes, tables):
         n = sum(sizes)
         for degs in itertools.product((-1, 0, 1, 2), repeat=n):
-            table = shuffle_table(tables, sizes, degs)
+            table = shuffle_table(sizes, degs)
             assert table == tuple(iter_shuffles(sizes, degs))
             # the table depends on the degrees through their parities only
-            assert shuffle_table(tables, sizes, [d + 2 for d in degs]) is table
+            assert shuffle_table(sizes, [d + 2 for d in degs]) is table
         assert len(tables) == 2**n
 
-    def test_tables_keyed_by_sizes(self):
-        tables = {}
-        assert shuffle_table(tables, (1, 2), (1, 1, 1)) != shuffle_table(tables, (2, 1), (1, 1, 1))
+    def test_tables_keyed_by_sizes(self, tables):
+        assert shuffle_table((1, 2), (1, 1, 1)) != shuffle_table((2, 1), (1, 1, 1))
         assert len(tables) == 2
 
-    def test_bad_sizes_rejected(self):
+    def test_bad_sizes_rejected(self, tables):
         with pytest.raises(ValueError):
-            shuffle_table({}, (2, 2), (1, 1, 1))
+            shuffle_table((2, 2), (1, 1, 1))
+        assert not tables

@@ -6,7 +6,7 @@ import pytest
 
 from cohomology_oracle import m1_representatives
 from instance_gen import random_candidate, random_fixed_base_instance, random_instance
-from linfty.algebroid import AlgebroidData, SectionCalculus, build_xq, structure_residual
+from linfty.algebroid import AlgebroidData, build_xq, structure_residual
 from linfty.applications import block_sum_data
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
@@ -282,13 +282,12 @@ class TestExplicitStructureMaps:
         bracket = DerivedBrackets(setup, MCDelta.of(setup, xq))
         forms = self.frame_forms(setup)
         encoded = [encode_form(f) for f in forms]
-        calculus, shuffles = SectionCalculus.of(data, setup.chart), {}
         # every ordering, not one per multiset: this backs the shortcut of the brackets command
         # (13,824 arity-3 combinations on the 24 forms of hom-sl2-id)
         for arity in (1, 2, 3):
             for combo in itertools.product(range(len(forms)), repeat=arity):
                 derived = bracket([encoded[i] for i in combo])
-                explicit = explicit_structure_maps(setup, arity, [forms[i] for i in combo], calculus, shuffles)
+                explicit = explicit_structure_maps(setup, arity, [forms[i] for i in combo])
                 assert derived.value == encode_form(explicit).value
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from cohomology_oracle import full_dgla_dimensions
 from instance_gen import heisenberg, random_solvable, sl_n
 from linfty import algebroid
-from linfty.algebroid import AlgebroidData, build_xq, dgla_cohomology, field_basis, toral_weights
+from linfty.algebroid import AlgebroidData, build_xq, dgla_cohomology, field_basis
 from linfty.instances import fixture_path, parse_instance
 from linfty.superfield import SuperVectorField, super_commutator
 
@@ -47,7 +47,7 @@ def test_block_matches_full_complex(name):
 
 def test_solvable_cases_engage_the_block():
     algebras = [random_solvable(random.Random(seed)) for seed in SOLVABLE_SEEDS]
-    assert all(toral_weights(data) for data in algebras)
+    assert all(data.toral_weights for data in algebras)
     # the reduced complexes are not all acyclic, so the comparison above sees nonzero dimensions
     assert any(any(full_dgla_dimensions(data, range(data.fiber_rank + 1))) for data in algebras)
 
@@ -79,7 +79,7 @@ def _lie_derivative_weights(data: AlgebroidData, field_degree: int) -> list[list
 def test_block_is_the_joint_kernel_of_the_lie_derivatives(name):
     data = CASES[name]()
     chart = data.plain_chart()
-    weights = toral_weights(data)
+    weights = data.toral_weights
     for degree in range(-1, data.fiber_rank):
         basis = field_basis(chart, degree, 0)
         scalars = _lie_derivative_weights(data, degree)
@@ -90,7 +90,7 @@ def test_block_is_the_joint_kernel_of_the_lie_derivatives(name):
 def test_sl2_block():
     # the preset's frame (h, e, f): only h is toral, with weights 2 on e and -2 on f
     sl2 = parse_instance(fixture_path("sl2")).payload["data"]
-    weights = toral_weights(sl2)
+    weights = sl2.toral_weights
     assert [sorted(w.items()) for w in weights] == [[(1, 2), (2, -2)]]
     chart = sl2.plain_chart()
     keys = lambda d: [key for v in field_basis(chart, d, 0, weights) for key in v.terms]
@@ -101,7 +101,7 @@ def test_sl2_block():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_heisenberg_skips_the_filter(n):
     # the only toral element is the centre, with every weight 0: no block is split off
-    assert toral_weights(heisenberg(n)) == ()
+    assert heisenberg(n).toral_weights == ()
 
 
 def test_sl4_is_rigid():
