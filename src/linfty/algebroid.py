@@ -122,7 +122,7 @@ class AlgebroidData(Frozen):
     Jacobi/anchor axioms are what ``validate_algebroid`` decides.
     """
 
-    __slots__ = ("base_dim", "fiber_rank", "structure", "anchor", "__dict__")  # the dict holds ``toral_weights``
+    __slots__ = ("base_dim", "fiber_rank", "structure", "anchor", "__dict__")  # the dict holds the cached properties
     _fields = __slots__[:4]
 
     def __init__(self, base_dim: int, fiber_rank: int, structure: Mapping[tuple[int, int, int], PolyDict],
@@ -165,6 +165,11 @@ class AlgebroidData(Frozen):
                 else:
                     off_diagonal.add(x)
         return tuple(w for x, w in weights.items() if x not in off_diagonal)
+
+    @cached_property
+    def calculus(self) -> "SectionCalculus":
+        """The section calculus on the plain chart, built once per record."""
+        return SectionCalculus.of(self, self.plain_chart())
 
     # -- charts ---------------------------------------------------------
     def plain_chart(self) -> CoordinateChart:
@@ -229,17 +234,16 @@ class AlgebroidReport(Record):
         return not self.anchor_defects and not self.jacobi_defects
 
 
-def validate_algebroid(data: AlgebroidData, chart: CoordinateChart | None = None) -> AlgebroidReport:
-    """Pass iff the built field is homological; localizes failing terms."""
-    chart = chart or data.plain_chart()
-    xq = build_xq(data, chart)
+def validate_algebroid(calc: "SectionCalculus") -> AlgebroidReport:
+    """Pass iff the built field of ``calc.data`` on ``calc.chart`` is homological; localizes failing terms."""
+    xq = build_xq(calc.data, calc.chart)
     square = super_commutator(xq, xq)
     degree = xq.degree()  # is_homological's rules, reusing the square
     homological = xq.is_zero() or (degree is not None and degree % 2 == 1 and square.is_zero())
     report = AlgebroidReport(homological, xq, square)
-    for (i, j, t), poly in classical_anchor_defects(data, chart).items():
+    for (i, j, t), poly in classical_anchor_defects(calc).items():
         report.anchor_defects[(i, j, t)] = render_function(poly)
-    for (i, j, k, c), poly in classical_jacobi_defects(data, chart).items():
+    for (i, j, k, c), poly in classical_jacobi_defects(calc).items():
         report.jacobi_defects[(i, j, k, c)] = render_function(poly)
     return report
 
@@ -248,24 +252,25 @@ Section = dict[int, SuperFunction]  # frame index -> coefficient
 
 
 class SectionCalculus(Frozen):
-    """The bracket and anchor of an algebroid on sections in its frame, on one chart.
+    """The bracket and anchor of an algebroid ``data`` on sections in its frame, on one chart.
 
     ``structure[(a, b)]`` holds the nonzero C^c_ab as ``{c: function}`` for
     both orders of every pair, ``anchor[a]`` the nonzero b^t_a as ``{t: function}``;
-    each is built once from the polynomial data.
+    each is built once from the polynomial data.  A record keeps its own:
+    ``AlgebroidData.calculus`` on the plain chart, ``SplitSetup.calculus`` on the split one.
     """
 
-    __slots__ = _fields = ("chart", "structure", "anchor")
+    __slots__ = _fields = ("data", "chart", "structure", "anchor")
 
-    def __init__(self, chart: CoordinateChart, structure: Mapping[tuple[int, int], Section],
+    def __init__(self, data: AlgebroidData, chart: CoordinateChart, structure: Mapping[tuple[int, int], Section],
                  anchor: Mapping[int, Section]):
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "anchor", anchor)
 
     @staticmethod
-    def of(data: AlgebroidData, chart: CoordinateChart | None = None) -> "SectionCalculus":
-        chart = chart or data.plain_chart()
+    def of(data: AlgebroidData, chart: CoordinateChart) -> "SectionCalculus":
         structure: dict[tuple[int, int], Section] = {}
         for (i, j, k), poly in sorted(data.structure.items()):
             f = _poly_fn(chart, poly)
@@ -274,7 +279,7 @@ class SectionCalculus(Frozen):
         anchor: dict[int, Section] = {}
         for (i, t), poly in sorted(data.anchor.items()):
             anchor.setdefault(i, {})[t] = _poly_fn(chart, poly)
-        return SectionCalculus(chart, structure, anchor)
+        return SectionCalculus(data, chart, structure, anchor)
 
     def anchor_apply(self, a: int, f: SuperFunction) -> SuperFunction:
         """Action of the anchor image of frame element a on a function."""
@@ -316,11 +321,9 @@ def _times(f: SuperFunction, g: SuperFunction) -> SuperFunction:
     return f * g
 
 
-def classical_anchor_defects(
-    data: AlgebroidData, chart: CoordinateChart | None = None
-) -> dict[tuple[int, int, int], SuperFunction]:
+def classical_anchor_defects(calc: SectionCalculus) -> dict[tuple[int, int, int], SuperFunction]:
     """rho([xi_i, xi_j]) - [rho(xi_i), rho(xi_j)], componentwise, nonzero only."""
-    calc = SectionCalculus.of(data, chart)
+    data = calc.data
     zero = SuperFunction.zero(calc.chart)
     out = {}
     for i, j in itertools.combinations(range(data.fiber_rank), 2):
@@ -335,14 +338,11 @@ def classical_anchor_defects(
     return out
 
 
-def classical_jacobi_defects(
-    data: AlgebroidData, chart: CoordinateChart | None = None
-) -> dict[tuple[int, int, int, int], SuperFunction]:
+def classical_jacobi_defects(calc: SectionCalculus) -> dict[tuple[int, int, int, int], SuperFunction]:
     """Cyclic sum of [[xi_a, xi_b], xi_d] on frame triples, componentwise, nonzero only."""
-    calc = SectionCalculus.of(data, chart)
     one = SuperFunction.constant(calc.chart, 1)
     out = {}
-    for i, j, k in itertools.combinations(range(data.fiber_rank), 3):
+    for i, j, k in itertools.combinations(range(calc.data.fiber_rank), 3):
         total: Section = {}
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
             for c, f in calc.bracket(calc.bracket({a: one}, {b: one}), {d: one}).items():
@@ -352,9 +352,9 @@ def classical_jacobi_defects(
     return out
 
 
-def classically_valid(data: AlgebroidData, chart: CoordinateChart | None = None) -> bool:
+def classically_valid(calc: SectionCalculus) -> bool:
     """The classical route of ``validate_algebroid`` alone: no anchor or Jacobi defect."""
-    return not classical_anchor_defects(data, chart) and not classical_jacobi_defects(data, chart)
+    return not classical_anchor_defects(calc) and not classical_jacobi_defects(calc)
 
 
 def structure_residual(xq: SuperVectorField, xq_tilde: SuperVectorField) -> SuperVectorField:
@@ -420,11 +420,13 @@ def _exponents_up_to(n_even: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-class CohomologyResult(Record):
-    __slots__ = _fields = ("degree", "dimension", "truncated")
-
-    def __init__(self, degree: int, dimension: int, truncated: bool = False):
-        self.degree, self.dimension, self.truncated = degree, dimension, truncated
+def window_bound(base_dim: int, truncate: int | None) -> int:
+    """The coefficient degree bound of a cohomology window: 0 over a point, else the required truncation."""
+    if base_dim == 0:
+        return 0
+    if truncate is None:
+        raise PreconditionError("polynomial base needs a truncation degree")
+    return truncate
 
 
 def _image_ranks(images: Iterable[SuperVectorField], window: list[SuperVectorField]) -> tuple[int, int]:
@@ -442,9 +444,7 @@ def _image_ranks(images: Iterable[SuperVectorField], window: list[SuperVectorFie
     return len(echelon), sum(1 for p in echelon.rows if p < 0)
 
 
-def complex_cohomology(
-    differential, basis_of_degree, degrees: Iterable[int], truncated: bool = False
-) -> list[CohomologyResult]:
+def complex_cohomology(differential, basis_of_degree, degrees: Iterable[int]) -> list[int]:
     """Dimensions of ker/im of a degree +1 differential on an enumerated field complex.
 
     ``basis_of_degree(p)`` enumerates the chosen window B_p in degree p:
@@ -460,7 +460,7 @@ def complex_cohomology(
     under d, and in every window it equals the number of kernel vectors
     independent of the image.
 
-    Results come in increasing degree.  d is applied to each basis once:
+    Dimensions come in increasing degree.  d is applied to each basis once:
     the ranks of d(B_p) serve degree p and, when it is asked for, p + 1.
     """
     wanted = set(degrees)
@@ -483,20 +483,18 @@ def complex_cohomology(
     for p in sorted(wanted):
         rank_below, outside_below = image_ranks(p - 1)
         dimension = len(basis(p)) - image_ranks(p)[0] - rank_below + outside_below
-        out.append(CohomologyResult(p, dimension, truncated))
+        out.append(dimension)
     return out
 
 
-def dgla_cohomology(
-    data: AlgebroidData, ce_degrees: Iterable[int], truncate: int | None = None
-) -> list[CohomologyResult]:
-    """Deformation cohomology of the field complex at the given cochain degrees.
+def dgla_cohomology(data: AlgebroidData, ce_degrees: Iterable[int], truncate: int | None = None) -> list[int]:
+    """Dimensions of the deformation cohomology of the field complex at the given cochain degrees, increasing.
 
     Cochain degree q corresponds to field degree q - 1.  Over a point the
     complex is finite and the answer exact; a polynomial base requires a
-    truncation bound.  The structure field must be homological ([Q, Q] = 0),
-    else the field complex is not a complex; it is built and checked once
-    for all the degrees.
+    truncation bound (``window_bound``).  The structure field must be
+    homological ([Q, Q] = 0), else the field complex is not a complex; it is
+    built and checked once for all the degrees.
 
     Over a point, Q = 0 gives dim H^q = |B_{q-1}| with no differential
     applied.  Otherwise the ranks are taken on the weight-0 block of the
@@ -506,11 +504,9 @@ def dgla_cohomology(
     weight is acyclic (the Cartan homotopy; Hochschild-Serre, 1953).
     """
     chart = data.plain_chart()
-    if data.base_dim > 0 and truncate is None:
-        raise PreconditionError("polynomial base needs a truncation degree")
+    bound = window_bound(data.base_dim, truncate)
     if data.base_dim == 0 and not data.structure:  # Q = 0: every cochain is a cocycle, none a coboundary
-        return [CohomologyResult(q, len(field_basis(chart, q - 1, 0))) for q in sorted(set(ce_degrees))]
-    bound = 0 if data.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
+        return [len(field_basis(chart, q - 1, 0)) for q in sorted(set(ce_degrees))]
     xq = build_xq(data, chart)
     if not is_homological(xq):
         raise PreconditionError("the structure field must be homological")
@@ -519,10 +515,4 @@ def dgla_cohomology(
     def diff(v: SuperVectorField) -> SuperVectorField:
         return super_commutator(xq, v)
 
-    results = complex_cohomology(
-        diff,
-        lambda d: field_basis(chart, d, bound, weights),
-        [q - 1 for q in ce_degrees],
-        truncated=data.base_dim > 0,
-    )
-    return [CohomologyResult(r.degree + 1, r.dimension, r.truncated) for r in results]
+    return complex_cohomology(diff, lambda d: field_basis(chart, d, bound, weights), [q - 1 for q in ce_degrees])

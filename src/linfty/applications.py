@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 from .algebroid import (
     AlgebroidData,
     PolyDict,
-    SectionCalculus,
     _poly_fn,
     add_into,
     build_xq,
@@ -117,7 +116,7 @@ def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:
     A frame field is a section of the coordinate tangent algebroid, so the
     frame brackets are its section brackets, expanded back in the frame.
     """
-    calc = SectionCalculus.of(tangent_rn(base_dim))
+    calc = tangent_rn(base_dim).calculus
     chart = calc.chart
     mat = [
         [_poly_fn(chart, frames[col][t]) for col in range(base_dim)]

@@ -140,7 +140,7 @@ def _lie_candidate(data: AlgebroidData, cand: AlgebroidData) -> tuple[SuperVecto
     """
     chart = data.plain_chart()
     residual = structure_residual(build_xq(data, chart), build_xq(cand, chart))
-    return residual, classically_valid(_data_sum(data, cand))
+    return residual, classically_valid(_data_sum(data, cand).calculus)
 
 
 def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
@@ -245,7 +245,7 @@ def _summand_brackets(inst: InstanceFile, setup: SplitSetup) -> tuple[DerivedBra
 # ---------------------------------------------------------------------
 def _cmd_validate(inst: InstanceFile, args) -> Report:
     if inst.kind in ("algebroid", "lie_algebra"):
-        rep = validate_algebroid(inst.payload["data"])
+        rep = validate_algebroid(inst.payload["data"].calculus)
         agreement = rep.ok == rep.classical_ok
         details: dict[str, Any] = {}
         if rep.anchor_defects:
@@ -268,7 +268,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
             residual_terms=_residual_terms(res.value),
             oracle_agreement=res.value.is_zero() == graph_closure_oracle(setup, base).accepts,
         )
-    rep = validate_algebroid(setup.data, setup.chart)
+    rep = validate_algebroid(setup.calculus)
     projected = setup.project(rep.xq)
     closed = projected.is_zero()
     if inst.kind == "foliation":  # closed: the distribution is integrable
@@ -323,7 +323,6 @@ def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -
 
 def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
     setup, base, cand_def = _split_case(inst, args, "simultaneous")
-    data = setup.data
     cand_data = inst.payload.get("candidate_xq")
     if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
         cand_data = block_perturbation(inst.payload["homomorphism"], cand_data.get("source"), cand_data.get("target"))
@@ -332,11 +331,10 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
         setup, _structure_delta(inst, setup), base, cand_xq, cand_def, cap=_cap(inst, args)
     )
     zero = v_res.is_zero() and a_res.is_zero()
-    summed = _data_sum(data, cand_data) if cand_data is not None else data
-    oracle_ok = classically_valid(summed, setup.chart) and graph_closure_oracle(
-        SplitSetup.build(summed, setup.base_dim, setup.normal_rank, setup.sub_rank),
-        base.add(cand_def),
-    ).accepts
+    summed = setup if cand_data is None else SplitSetup.build(
+        _data_sum(setup.data, cand_data), setup.base_dim, setup.normal_rank, setup.sub_rank
+    )
+    oracle_ok = classically_valid(summed.calculus) and graph_closure_oracle(summed, base.add(cand_def)).accepts
     return Report(
         "simultaneous",
         "mc-zero" if zero else "mc-nonzero",
@@ -361,13 +359,14 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
         groups = lambda qs: m1_cohomology(
             setup, _structure_delta(inst, setup), [q - 1 for q in qs], truncate=truncate
         )
+    if truncate is not None and _over_a_point(inst):  # the flag is refused in run_command already
+        raise InstanceError("$.options.truncate", "cohomology over a point has no truncation degree")
     if args.degree is not None and not 0 <= args.degree <= top:
         raise InstanceError("--degree", f"expected a degree in 0..{top}")
     degrees = [args.degree] if args.degree is not None else list(range(top + 1))
-    results = groups(degrees)  # in increasing degree, each differential applied once
-    dims = {f"H^{q}": res.dimension for q, res in zip(degrees, results)}
-    details: dict[str, Any] = {"dimensions": dims}
-    if any(res.truncated for res in results):
+    dims = groups(degrees)  # in increasing degree, each differential applied once
+    details: dict[str, Any] = {"dimensions": {f"H^{q}": dim for q, dim in zip(degrees, dims)}}
+    if not _over_a_point(inst):
         details["truncated_at"] = truncate
     return Report("cohomology", "pass", details=details)
 
@@ -436,7 +435,7 @@ def _cmd_axioms(inst: InstanceFile, args) -> Report:
 
 def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
     if inst.kind in ("algebroid", "lie_algebra"):
-        rep = validate_algebroid(inst.payload["data"])
+        rep = validate_algebroid(inst.payload["data"].calculus)
         agree = rep.ok == rep.classical_ok
         details: dict[str, Any] = {"homological": rep.ok, "classical": rep.classical_ok}
         cand = inst.payload.get("candidate")

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebroid import (
     AlgebroidData,
-    CohomologyResult,
     PolyDict,
     SectionCalculus,
     _exponents_up_to,
@@ -34,6 +33,7 @@ from .algebroid import (
     monomial_fields,
     poly_map,
     structure_residual,
+    window_bound,
 )
 from .signs import shuffle_table
 from .superfield import (
@@ -520,29 +520,17 @@ def simultaneous_residual(
 # ---------------------------------------------------------------------
 # cohomology of the unary structure map
 # ---------------------------------------------------------------------
-def m1_cohomology(
-    setup: SplitSetup,
-    delta: MCDelta,
-    degrees: Iterable[int],
-    truncate: int | None = None,
-) -> list[CohomologyResult]:
-    """Exact ranks of ker/im of the unary map on the summand, at the given degrees.
+def m1_cohomology(setup: SplitSetup, delta: MCDelta, degrees: Iterable[int], truncate: int | None = None) -> list[int]:
+    """Dimensions of ker/im of the unary map on the summand at the given degrees, in increasing degree.
 
     A degree is the intrinsic field degree of the summand.  A polynomial
-    base requires a truncation bound for the coefficient degree; the results
-    are flagged as truncated in that case.  The unary map squares to zero
-    because the checked structure field ``delta`` has [Q, Q] = 0 and P(Q) = 0.
+    base requires a truncation bound for the coefficient degree
+    (``window_bound``).  The unary map squares to zero because the checked
+    structure field ``delta`` has [Q, Q] = 0 and P(Q) = 0.
     """
-    if setup.base_dim > 0 and truncate is None:
-        raise PreconditionError("polynomial base needs a truncation degree")
-    bound = 0 if setup.base_dim == 0 else int(truncate)  # type: ignore[arg-type]
+    bound = window_bound(setup.base_dim, truncate)
 
     def diff(v: SuperVectorField) -> SuperVectorField:
         return setup.project(super_commutator(delta.delta, v))
 
-    return complex_cohomology(
-        diff,
-        lambda d: setup.abelian_basis(d, bound),
-        degrees,
-        truncated=setup.base_dim > 0,
-    )
+    return complex_cohomology(diff, lambda d: setup.abelian_basis(d, bound), degrees)

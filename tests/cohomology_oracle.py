@@ -70,7 +70,6 @@ def full_dgla_dimensions(data: AlgebroidData, ce_degrees) -> list[int]:
     """Cohomology dimensions over a point from the full complex: every monomial, Q = 0 included."""
     chart = data.plain_chart()
     xq = build_xq(data, chart)
-    results = complex_cohomology(
+    return complex_cohomology(
         lambda v: super_commutator(xq, v), lambda d: field_basis(chart, d, 0), [q - 1 for q in ce_degrees]
     )
-    return [r.dimension for r in results]

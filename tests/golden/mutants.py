@@ -6,7 +6,8 @@ Each mutant is a name, a file of ``src/linfty``, an exact text that must
 occur once in it, the text that replaces it, and the pytest node ids that
 must then fail. The script copies TREE's ``src/``, ``tests/`` and
 ``pyproject.toml`` (TREE defaults to this checkout) into a temporary
-directory and writes nothing inside TREE. The unmutated copy must pass the
+directory, with ``README.md`` and ``perfbench/`` read-only beside them (some
+tests read them), and writes nothing inside TREE. The unmutated copy must pass the
 selected tests first. Then each mutant in turn is written into the copy,
 its tests run (``pytest -x``), and the file restored: the mutant is killed
 when pytest's summary counts a failed test. A failing run without one (a
@@ -63,6 +64,24 @@ MUTANTS = [
     ("unknown term key accepted", "instances.py",
      '            _only(term, _TERM, "")', "            pass",
      ["tests/test_cli.py::TestStrictSchema::test_unknown_key_is_refused_at_its_path"]),
+    ("simultaneous oracle reads the unperturbed structure", "cli.py",
+     "classically_valid(summed.calculus)", "classically_valid(setup.calculus)",
+     ["tests/test_cli.py::TestCommands::test_simultaneous_oracle_checks_the_summed_structure"]),
+    ("foliation infinitesimal route ignored", "cli.py",
+     "third_agrees = infinitesimal.agree", "third_agrees = True",
+     ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
+    ("tangency route ignored", "cli.py",
+     "third_agrees = tan.agree", "third_agrees = True",
+     ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
+    ("homomorphism validate ignores the graph oracle", "cli.py",
+     "graph_closure_oracle(setup, base).accepts", "True",
+     ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
+    ("truncate option read over a point", "cli.py",
+     "if truncate is not None and _over_a_point(inst):", "if False:",
+     ["tests/test_cli.py::TestCommands::test_truncate_option_is_read_over_a_base_and_refused_over_a_point"]),
+    ("anchor defect sign", "algebroid.py",
+     "total = total - calc.anchor_apply(i,", "total = total + calc.anchor_apply(i,",
+     ["tests/test_algebroid.py::TestClassicalRouteAgainstReference::test_anchor_defects_match"]),
 ]
 
 
@@ -89,6 +108,11 @@ def run(tree: Path, mutants: list) -> int:
         for part in ("src", "tests"):
             shutil.copytree(tree / part, copy / part, ignore=ignore)
         shutil.copy2(tree / "pyproject.toml", copy / "pyproject.toml")
+        shutil.copy2(tree / "README.md", copy / "README.md")
+        shutil.copytree(tree / "perfbench", copy / "perfbench", ignore=shutil.ignore_patterns("__pycache__", "out"))
+        for path in [copy / "README.md", *(copy / "perfbench").rglob("*")]:
+            if path.is_file():
+                path.chmod(0o444)
         selected = sorted({node for *_, selection in mutants for node in selection})
         outcome = _pytest(copy, selected, stop_first=False)
         if outcome != "passed":

@@ -121,7 +121,7 @@ def random_instance(rng: random.Random):
             continue
         setup = SplitSetup.build(data, p, q, l)
         xq = build_xq(data, setup.chart)
-        assert validate_algebroid(data, setup.chart).ok, "generator produced a non-algebroid"
+        assert validate_algebroid(setup.calculus).ok, "generator produced a non-algebroid"
         if setup.project(xq).is_zero():
             return setup, xq
 
@@ -137,7 +137,7 @@ def random_fixed_base_instance(rng: random.Random) -> tuple[AlgebroidData, int]:
         if twisted == data or max_poly_degree(twisted) > 3:
             continue
         setup = SplitSetup.build(twisted, p, 0, l)
-        assert validate_algebroid(twisted, setup.chart).ok, "generator produced a non-algebroid"
+        assert validate_algebroid(setup.calculus).ok, "generator produced a non-algebroid"
         if setup.project(build_xq(twisted, setup.chart)).is_zero():
             return twisted, l
 
@@ -209,5 +209,5 @@ def random_solvable(rng: random.Random) -> AlgebroidData:
             if c:
                 structure[(a, r + j, r + j)] = c
     data = AlgebroidData.build(0, r + m, structure=structure)
-    assert validate_algebroid(data).ok, "generator produced a non-Lie algebra"
+    assert validate_algebroid(data.calculus).ok, "generator produced a non-Lie algebra"
     return data

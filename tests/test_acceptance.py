@@ -69,7 +69,7 @@ def test_criterion_1_homological_validation():
     for name, expected in fixtures:
         start = time.perf_counter()
         inst = parse_instance(fixture_path(name))
-        rep = validate_algebroid(inst.payload["data"])
+        rep = validate_algebroid(inst.payload["data"].calculus)
         elapsed = time.perf_counter() - start
         ok = ok and (rep.ok == expected) and elapsed < 1.0
         if name == "non-jacobi-3":
@@ -191,14 +191,14 @@ def test_criterion_6_twisting(borel):
 
 def test_criterion_7_cohomology(borel):
     start = time.perf_counter()
-    ok = all(r.dimension == 0 for r in dgla_cohomology(SL2, range(4)))
+    ok = dgla_cohomology(SL2, range(4)) == [0, 0, 0, 0]
     setup, xq, delta = borel
-    ok = ok and [r.dimension for r in m1_cohomology(setup, delta, (-1, 0, 1))] == [0, 0, 0]
+    ok = ok and m1_cohomology(setup, delta, (-1, 0, 1)) == [0, 0, 0]
     import math
 
     ab = SplitSetup.build(AlgebroidData.build(0, 3), 0, 0, 2)
     ab_xq = SuperVectorField.zero(ab.chart)
-    dims = [r.dimension for r in m1_cohomology(ab, MCDelta.of(ab, ab_xq), (-1, 0, 1))]
+    dims = m1_cohomology(ab, MCDelta.of(ab, ab_xq), (-1, 0, 1))
     ok = ok and dims == [math.comb(2, n) for n in (0, 1, 2)]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

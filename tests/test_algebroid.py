@@ -88,11 +88,11 @@ class TestBuildXq:
 class TestValidateAlgebroid:
     @pytest.mark.parametrize("data", [SL2, HEIS, TR1, TR2, AlgebroidData.build(0, 4)])
     def test_valid_instances(self, data):
-        rep = validate_algebroid(data)
+        rep = validate_algebroid(data.calculus)
         assert rep.ok and rep.classical_ok
 
     def test_non_jacobi_fails_with_localized_defect(self):
-        rep = validate_algebroid(NON_JACOBI)
+        rep = validate_algebroid(NON_JACOBI.calculus)
         assert not rep.ok
         assert not rep.square.is_zero()
         assert rep.jacobi_defects == {(0, 1, 2, 2): "-1"}
@@ -101,16 +101,16 @@ class TestValidateAlgebroid:
         # a single generator with zero self-bracket is a Lie algebroid for
         # every polynomial anchor coefficient
         data = AlgebroidData.build(1, 1, anchor={(0, 0): {(3,): Fraction(2, 3)}})
-        assert validate_algebroid(data).ok
+        assert validate_algebroid(data.calculus).ok
 
     def test_anchor_homomorphism_defect_detected(self):
         # constant bracket with anchors that do not commute
         data = AlgebroidData.build(
             1, 2, structure={}, anchor={(0, 0): 1, (1, 0): {(1,): 1}}
         )
-        rep = validate_algebroid(data)
+        rep = validate_algebroid(data.calculus)
         assert not rep.ok
-        assert classical_anchor_defects(data)
+        assert classical_anchor_defects(data.calculus)
         assert rep.anchor_defects
 
     def test_homological_iff_classical_on_random_perturbations(self):
@@ -123,9 +123,9 @@ class TestValidateAlgebroid:
                     if c:
                         structure[(i, j, k)] = c
             data = AlgebroidData.build(0, 3, structure)
-            rep = validate_algebroid(data)
+            rep = validate_algebroid(data.calculus)
             assert rep.ok == rep.classical_ok
-            assert rep.ok == (not classical_jacobi_defects(data))
+            assert rep.ok == (not classical_jacobi_defects(data.calculus))
 
     def test_homological_iff_classical_polynomial_coefficients(self):
         rng = random.Random(10)
@@ -145,7 +145,7 @@ class TestValidateAlgebroid:
                 if c:
                     anchor[(i, 0)] = {(rng.randint(0, 1),): Fraction(c)}
             data = AlgebroidData.build(1, 2, structure, anchor)
-            rep = validate_algebroid(data)
+            rep = validate_algebroid(data.calculus)
             assert rep.ok == rep.classical_ok
 
 
@@ -330,13 +330,13 @@ class TestDerivations:
 
 class TestDeformationCohomology:
     def test_sl2_rigidity(self):
-        assert [r.dimension for r in dgla_cohomology(SL2, range(4))] == [0, 0, 0, 0]
+        assert dgla_cohomology(SL2, range(4)) == [0, 0, 0, 0]
 
     def test_abelian_full_dimension(self):
         import math
 
         ab = AlgebroidData.build(0, 3)
-        dims = [r.dimension for r in dgla_cohomology(ab, range(4))]
+        dims = dgla_cohomology(ab, range(4))
         assert dims == [math.comb(3, q) * 3 for q in range(4)]
 
     def test_polynomial_base_needs_truncation(self):
@@ -344,20 +344,18 @@ class TestDeformationCohomology:
             dgla_cohomology(TR1, [1])
 
     def test_tangent_line_truncated(self):
-        (res,) = dgla_cohomology(TR1, [1], truncate=3)
-        assert res.truncated
-        assert res.dimension == 0
+        assert dgla_cohomology(TR1, [1], truncate=3) == [0]
 
     def test_sl3_whitehead_rigidity(self):
         # H^q(g; g) = H^q(g) (x) g^g = 0 for simple g: in particular sl(3) has no
         # infinitesimal deformations (q = 1) and no obstructions (q = 2); at q = 2
         # the full complex maps 224 fields into 448 coordinates, its weight-0 block 26 into 46
-        assert [r.dimension for r in dgla_cohomology(sl_n(3), range(9))] == [0] * 9
+        assert dgla_cohomology(sl_n(3), range(9)) == [0] * 9
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_heisenberg_outer_derivations(self, n):
         # H^1(h; h) = Der(h) / ad(h) for the Heisenberg algebra h of dimension 2n + 1
-        assert [r.dimension for r in dgla_cohomology(heisenberg(n), [1])] == [2 * n * n + n + 1]
+        assert dgla_cohomology(heisenberg(n), [1]) == [2 * n * n + n + 1]
 
     @pytest.mark.parametrize("name", ["sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
                                       "sl3", "h3", "h5"])
@@ -365,7 +363,7 @@ class TestDeformationCohomology:
         # sum_q (-1)^q dim C^q = n * (1 - 1)^n = 0 for the full complex of an n-dimensional Lie algebra
         built = {"sl3": lambda: sl_n(3), "h3": lambda: heisenberg(1), "h5": lambda: heisenberg(2)}
         data = built[name]() if name in built else parse_instance(fixture_path(name)).payload["data"]
-        dims = [r.dimension for r in dgla_cohomology(data, range(data.fiber_rank + 1))]
+        dims = dgla_cohomology(data, range(data.fiber_rank + 1))
         assert sum((-1) ** q * d for q, d in enumerate(dims)) == 0
 
 
@@ -581,7 +579,7 @@ class TestClassicalRouteAgainstReference:
         nonzero = 0
         for data, chart in CLASSICAL_CASES:
             chart = chart or data.plain_chart()
-            got = classical_jacobi_defects(data, chart)
+            got = classical_jacobi_defects(SectionCalculus.of(data, chart))
             assert list(got.items()) == list(reference_jacobi_defects(data, chart).items())
             nonzero += bool(got)
         assert nonzero >= 10  # perturbations break Jacobi, so nonzero defects are compared
@@ -590,7 +588,7 @@ class TestClassicalRouteAgainstReference:
         nonzero = 0
         for data, chart in CLASSICAL_CASES:
             chart = chart or data.plain_chart()
-            got = classical_anchor_defects(data, chart)
+            got = classical_anchor_defects(SectionCalculus.of(data, chart))
             assert list(got.items()) == list(reference_anchor_defects(data, chart).items())
             nonzero += bool(got)
         assert nonzero >= 10
@@ -645,7 +643,7 @@ class TestClassicalRouteAgainstReference:
     def test_tangent_bracket_is_vector_field_bracket(self):
         rng = random.Random(23)
         for n in (1, 2, 3):
-            calc = SectionCalculus.of(tangent_rn(n))
+            calc = tangent_rn(n).calculus
             chart = calc.chart
             for _ in range(10):
                 u = [_ref_fn(chart, _rand_poly(rng, n)) for _ in range(n)]

@@ -51,11 +51,11 @@ class TestDirectSum:
 
     def test_sl2_plus_sl2_validates(self):
         ds = direct_sum_algebroid(preset_data("sl2"), preset_data("sl2"))
-        assert validate_algebroid(ds).ok
+        assert validate_algebroid(ds.calculus).ok
 
     def test_tangent_sum_anchor_blocks(self):
         ds = direct_sum_algebroid(tangent_rn(1), tangent_rn(1))
-        assert validate_algebroid(ds).ok
+        assert validate_algebroid(ds.calculus).ok
         assert ds.anchor == {(0, 0): {(0, 0): Fraction(1)}, (1, 1): {(0, 0): Fraction(1)}}
 
     def test_structure_field_is_sum_of_blocks(self):
@@ -103,7 +103,7 @@ class TestLieAlgebraDeformation:
         for coeffs in itertools.product((-1, 0, 1), repeat=3):
             mu = {key: c for key, c in zip(support, coeffs) if c}
             residual_zero = mc_check("abelian-3", mu)
-            classical = validate_algebroid(AlgebroidData.build(0, 3, mu)).classical_ok
+            classical = validate_algebroid(AlgebroidData.build(0, 3, mu).calculus).classical_ok
             assert residual_zero == classical
 
 

@@ -60,6 +60,27 @@ def record_commutators(monkeypatch) -> list:
     return record_calls(monkeypatch, superfield.super_commutator)
 
 
+def record_calculi(monkeypatch) -> list:
+    """The arguments of every ``SectionCalculus.of`` call."""
+    from linfty.algebroid import SectionCalculus
+
+    original, calls = SectionCalculus.of, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(SectionCalculus, "of", staticmethod(counting))
+    return calls
+
+
+def borel_with_broken_jacobi() -> dict:
+    """sl2-borel with the structure candidate [e, f] += e: the sum breaks Jacobi, and span{h, e} stays closed."""
+    obj = json.loads(fixture_path("sl2-borel").read_text())
+    obj["candidate_xq"] = {"structure": [{"i": 1, "j": 2, "k": 1, "terms": terms(((), 1, 1))}]}
+    return obj
+
+
 def record_projections(monkeypatch) -> list:
     """The fields every ``SplitSetup.project`` call projects."""
     from linfty.subalgebroid import SplitSetup
@@ -551,8 +572,8 @@ class TestCommands:
         from linfty.algebroid import AlgebroidReport
 
         # the two routes disagree on the summed structure; only the classical one may reach the oracle
-        monkeypatch.setattr(cli, "classically_valid", lambda data, chart=None: classical)
-        monkeypatch.setattr(cli, "validate_algebroid", lambda data, chart=None: AlgebroidReport(homological))
+        monkeypatch.setattr(cli, "classically_valid", lambda calc: classical)
+        monkeypatch.setattr(cli, "validate_algebroid", lambda calc: AlgebroidReport(homological))
         code, out, _ = run_cli(capsys, "simultaneous", "sl2-borel", "--json")
         payload = json.loads(out)
         assert payload["verdict"] == "mc-zero"  # the residual route reads neither verdict
@@ -632,6 +653,18 @@ class TestCommands:
         assert code == 2 and "truncation" in err
         code, out, _ = run_cli(capsys, "cohomology", "tangent-r1", "--truncate", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("preset", ["sl2", "sl2-borel", "tangent-r1"])
+    def test_truncate_option_is_read_over_a_base_and_refused_over_a_point(self, capsys, tmp_path, preset):
+        obj = json.loads(fixture_path(preset).read_text())
+        obj["options"] = {"truncate": 2}
+        write_instance(obj, tmp_path / "options.json")
+        code, out, err = run_cli(capsys, "cohomology", str(tmp_path / "options.json"), "--json")
+        if preset == "tangent-r1":
+            assert code == 0 and json.loads(out)["details"]["truncated_at"] == 2
+        else:  # like the flag, which run_command refuses
+            assert (code, out) == (2, "")
+            assert "$.options.truncate" in err
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_COHOMOLOGY))
     def test_cohomology_json_is_golden(self, capsys, case):
@@ -717,20 +750,72 @@ class TestCommands:
         assert len(calls) == count == sum(comb(n + k - 1, k) for k in (1, 2, 3))
 
     def test_one_section_calculus_per_parsed_split(self, monkeypatch):
-        from linfty.algebroid import SectionCalculus
-
         inst = parse_instance(fixture_path("sl2-borel"))
-        original, calls = SectionCalculus.of, []
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(SectionCalculus, "of", staticmethod(counting))
+        calls = record_calculi(monkeypatch)
         for command in ("oracle-compare", "subalg-check", "brackets"):
             assert run_command(command, inst).exit_code == 0
         # the split's own calculus (was 3: one per graph-closure oracle and one for the explicit route)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command,preset",
+        [("validate", "sl2"), ("oracle-compare", "sl2"), ("validate", "sl2-borel"), ("validate", "foliation-r3")],
+    )
+    def test_the_classical_route_reads_the_record_calculus(self, monkeypatch, command, preset):
+        inst = parse_instance(fixture_path(preset))
+        calls = record_calculi(monkeypatch)
+        for _ in range(2):
+            assert run_command(command, inst).exit_code == 0
+        # the record's own calculus, on the first run only (was 2 on every run: one per classical check)
+        assert len(calls) == 1
+
+    def test_simultaneous_builds_one_calculus_for_its_summed_structure(self, monkeypatch):
+        inst = parse_instance(borel_with_broken_jacobi())
+        calls = record_calculi(monkeypatch)
+        for run in (1, 2):
+            assert run_command("simultaneous", inst).exit_code == 1
+            # shared by the classical checks and the graph oracle (was 3 on every run)
+            assert len(calls) == run
+            assert calls[-1][0] != inst.payload["setup"].data  # the summed structure
+        inst = parse_instance(fixture_path("sl2-borel"))
+        calls.clear()
+        for _ in range(2):
+            assert run_command("simultaneous", inst).exit_code == 0
+        assert len(calls) == 1  # with no perturbation the summed split is the parsed one
+
+    def test_simultaneous_oracle_checks_the_summed_structure(self, capsys, tmp_path):
+        write_instance(borel_with_broken_jacobi(), tmp_path / "borel.json")
+        code, out, _ = run_cli(capsys, "simultaneous", str(tmp_path / "borel.json"), "--json")
+        payload = json.loads(out)
+        assert (code, payload["verdict"], payload["oracle_agreement"]) == (1, "mc-nonzero", True)
+        assert payload["details"] == {"structure_residual_zero": False, "graph_residual_zero": True}
+
+    @pytest.mark.parametrize(
+        "command,preset,oracle",
+        [("oracle-compare", "foliation-r3", "foliation_infinitesimal"),
+         ("oracle-compare", "sl2-borel", "tangency_oracle"),
+         ("validate", "hom-sl2-id", "graph_closure_oracle")],
+    )
+    def test_a_disagreeing_oracle_exits_3(self, capsys, monkeypatch, command, preset, oracle):
+        import linfty.cli as cli
+        from linfty.applications import FoliationResult
+        from linfty.subalgebroid import GraphClosureReport, TangencyResult
+        from linfty.superfield import SuperVectorField
+
+        real = getattr(cli, oracle)
+
+        def disagreeing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if oracle == "foliation_infinitesimal":  # the classical condition flipped against the unary map
+                return FoliationResult(res.closed, res.residual, {} if res.condition_defects else {(0, 1, 2): "x"})
+            if oracle == "tangency_oracle":  # graph substitution off by d/dxi_1
+                shifted = res.substitution + SuperVectorField(res.series.chart, {((), (), 0): 1})
+                return TangencyResult(res.series, shifted)
+            return GraphClosureReport(closure_defects={(0, 1, 2): "x"} if res.accepts else {})
+
+        monkeypatch.setattr(cli, oracle, disagreeing)
+        code, out, _ = run_cli(capsys, command, preset, "--json")
+        assert code == 3 and json.loads(out)["oracle_agreement"] is False
 
     def test_shuffle_tables_outlive_a_command(self, monkeypatch):
         from linfty import signs

@@ -79,7 +79,7 @@ def test_formula_matches_greedy_oracle_on_random_splits():
     for setup, xq in cases:
         top = setup.sub_rank + 1
         for t in ([0] if setup.base_dim == 0 else [1, 2]):
-            dims = [r.dimension for r in m1_cohomology(setup, MCDelta.of(setup, xq), range(-1, top), truncate=t)]
+            dims = m1_cohomology(setup, MCDelta.of(setup, xq), range(-1, top), truncate=t)
             assert dims == [len(m1_representatives(setup, xq, p, t)) for p in range(-1, top)]
 
 
@@ -91,9 +91,9 @@ def test_formula_matches_greedy_oracle_when_the_image_leaves_the_window(label):
     leaves = 0
     for t in (1, 2, 3):
         expected = [len(dgla_representatives(data, q, t)) for q in range(data.fiber_rank + 1)]
-        assert [r.dimension for r in dgla_cohomology(data, range(data.fiber_rank + 1), t)] == expected
+        assert dgla_cohomology(data, range(data.fiber_rank + 1), t) == expected
         for q, dim in enumerate(expected):
-            assert [r.dimension for r in dgla_cohomology(data, [q], t)] == [dim]
+            assert dgla_cohomology(data, [q], t) == [dim]
         for p in range(data.fiber_rank):
             images = [super_commutator(xq, v) for v in field_basis(chart, p - 1, t)]
             leaves += _image_ranks(images, field_basis(chart, p, t))[1]

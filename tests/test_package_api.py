@@ -117,6 +117,16 @@ def test_allowed_names_exist_and_have_their_reason():
         assert name in tracing or f"`{attr}`" in readme, name
 
 
+def test_package_binds_only_its_version():
+    """Every import names its module (``from linfty.cli import run_command``): the package itself re-exports nothing."""
+    script = "import json, linfty; print(json.dumps(sorted(n for n in vars(linfty) if not n.startswith('_'))))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    assert "__version__ = " in (PACKAGE / "__init__.py").read_text()
+
+
 def test_cold_cli_import_skips_dataclasses_and_inspect():
     """Every CLI run pays this import; ``dataclasses`` alone would add ``inspect`` to it."""
     script = (

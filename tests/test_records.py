@@ -31,8 +31,7 @@ RECORDS = [
     (algebroid.AlgebroidReport, ("homological", "xq", "square", "anchor_defects", "jacobi_defects"),
      (False, FIELD, FIELD, {(0, 1, 0): "x"}, {(0, 1, 2, 0): "y"}),
      {"xq": None, "square": None, "anchor_defects": {}, "jacobi_defects": {}}),
-    (algebroid.SectionCalculus, ("chart", "structure", "anchor"), (CHART, {}, {0: {}}), {}),
-    (algebroid.CohomologyResult, ("degree", "dimension", "truncated"), (1, 3, True), {"truncated": False}),
+    (algebroid.SectionCalculus, ("data", "chart", "structure", "anchor"), ("data", CHART, {}, {0: {}}), {}),
     (applications.FoliationSetup, ("frames", "setup"), (((), ()), "setup"), {}),
     (applications.FoliationResult, ("closed", "residual", "condition_defects"), (True, "residual", {}), {}),
     (applications.HomomorphismData, ("source", "target", "bundle_map", "base_map"),

@@ -416,19 +416,19 @@ class TestM1Cohomology:
         data = AlgebroidData.build(0, 3)
         setup = SplitSetup.build(data, 0, 0, 2)
         xq = build_xq(data, setup.chart)
-        dims = [r.dimension for r in m1_cohomology(setup, checked(setup, xq), (-1, 0, 1))]
+        dims = m1_cohomology(setup, checked(setup, xq), (-1, 0, 1))
         assert dims == [math.comb(2, n) for n in (0, 1, 2)]
 
     def test_borel_complex_is_acyclic(self, borel):
         setup, xq = borel
-        dims = [r.dimension for r in m1_cohomology(setup, checked(setup, xq), (-1, 0, 1))]
+        dims = m1_cohomology(setup, checked(setup, xq), (-1, 0, 1))
         assert dims == [0, 0, 0]
 
     def test_heisenberg_center_complex(self):
         setup = SplitSetup.build(HEIS_CENTER, 0, 0, 1)
         xq = build_xq(HEIS_CENTER, setup.chart)
         # m_1 vanishes: [center, -] = 0, so every degree is fully cohomological
-        assert [r.dimension for r in m1_cohomology(setup, checked(setup, xq), (-1, 0))] == [2, 2]
+        assert m1_cohomology(setup, checked(setup, xq), (-1, 0)) == [2, 2]
 
     def test_induced_bracket_jacobi_on_representatives(self):
         # on an instance with nonzero binary map and m_1 = 0 the induced
@@ -451,8 +451,7 @@ class TestM1Cohomology:
         xq = build_xq(data, setup.chart)
         with pytest.raises(ValueError):
             m1_cohomology(setup, checked(setup, xq), [0])
-        (res,) = m1_cohomology(setup, checked(setup, xq), [0], truncate=2)
-        assert res.truncated
+        assert m1_cohomology(setup, checked(setup, xq), [0], truncate=2) == [len(m1_representatives(setup, xq, 0, 2))]
 
     def test_unary_map_squares_to_zero_on_random_setups(self):
         rng = random.Random(33)

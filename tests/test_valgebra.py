@@ -575,7 +575,7 @@ REIMPORT_SCRIPT = textwrap.dedent(
     for _ in range(6):
         for name in [n for n in sys.modules if n == "linfty" or n.startswith("linfty.")]:
             del sys.modules[name]
-        importlib.import_module("linfty")
+        importlib.import_module("linfty.cli")
     gc.collect()
     print(sum(isinstance(o, type) and o.__name__ == "LInftyElement" for o in gc.get_objects()))
     """
