@@ -20,7 +20,6 @@ from .algebroid import (
     build_xq,
     poly_map,
 )
-from .signs import koszul_sign
 from .subalgebroid import (
     DeformationPair,
     FrameForm,
@@ -82,32 +81,26 @@ class FoliationSetup(Frozen):
         return FoliationSetup(norm, SplitSetup.build(_tangent_in_frame(base_dim, norm), base_dim, 0, sub_rank))
 
 
-def _det(chart, mat) -> SuperFunction:
-    """Leibniz determinant of a square matrix of superfunctions (1 for the empty matrix)."""
-    n = len(mat)
-    det = SuperFunction.zero(chart)
-    for perm in itertools.permutations(range(n)):
-        prod = SuperFunction.constant(chart, koszul_sign(perm, (1,) * n))
-        for r in range(n):
-            prod = prod * mat[r][perm[r]]
-        det = det + prod
-    return det
-
-
 def _poly_matrix_inverse(chart, mat):
-    """Adjugate inverse of a polynomial matrix with constant determinant."""
+    """Inverse of a polynomial matrix with constant nonzero determinant, by Faddeev-LeVerrier.
+
+    With M_1 = I, c_k = -tr(A M_k)/k and M_(k+1) = A M_k + c_k I, the c_k are
+    the coefficients of det(tI - A), so det A = (-1)^n c_n and the adjugate
+    is (-1)^(n+1) M_n; the inverse is -M_n / c_n.  That takes n matrix
+    products and no division but by 1..n.
+    """
     n = len(mat)
-    terms = _det(chart, mat).terms
+    zero = SuperFunction.zero(chart)
+    m, am, c = [], [[zero] * n for _ in range(n)], SuperFunction.constant(chart, 1)  # A M_0 = 0, c_0 = 1
+    for k in range(1, n + 1):
+        m = [[am[r][col] + c if r == col else am[r][col] for col in range(n)] for r in range(n)]
+        am = [[sum((mat[r][i] * m[i][col] for i in range(n)), zero) for col in range(n)] for r in range(n)]
+        c = sum((am[r][r] for r in range(n)), zero).scale(Fraction(-1, k))
+    terms = c.terms
     if len(terms) != 1 or list(terms.keys())[0][0] != (0,) * chart.n_even:
         raise ValueError("frame determinant is not a nonzero constant")
-    det_c = list(terms.values())[0]
-    inv = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [[row[j] for j in range(n) if j != r] for i, row in enumerate(mat) if i != c]
-            sign = -1 if (r + c) % 2 else 1
-            inv[r][c] = _det(chart, minor).scale(Fraction(sign, 1) / det_c)
-    return inv
+    factor = Fraction(-1) / list(terms.values())[0]
+    return [[m[r][col].scale(factor) for col in range(n)] for r in range(n)]
 
 
 def _tangent_in_frame(base_dim: int, frames) -> AlgebroidData:

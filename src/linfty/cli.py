@@ -193,14 +193,18 @@ _READERS = {
 }
 
 
-def _option(args, name: str, default: int | None) -> int | None:
-    """A count flag from the command line, or the instance's default when it is not given."""
+DEFAULT_PROBES = 100
+DEFAULT_SEED = 0
+
+
+def _option(args, name: str, default: int) -> int:
+    """A count flag from the command line, or its default when it is not given."""
     value = getattr(args, name)
     return default if value is None else value
 
 
-def _cap(inst: InstanceFile, args) -> int:
-    return _option(args, "cap", inst.options.series_cap)
+def _cap(args) -> int:
+    return _option(args, "cap", DEFAULT_SERIES_CAP)
 
 
 # (command, kind) pairs a split payload does not support: a foliation's tangent structure is fixed, and a
@@ -261,7 +265,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         )
     setup, base, _ = _split_case(inst, args, "validate")
     if inst.kind == "homomorphism":  # its graph, the base pair, must be a subalgebroid
-        res = subalgebroid_mc_residual(setup, _structure_delta(inst, setup), base, cap=_cap(inst, args))
+        res = subalgebroid_mc_residual(setup, _structure_delta(inst, setup), base, cap=_cap(args))
         return Report(
             "validate",
             "pass" if res.value.is_zero() else "fail",
@@ -306,7 +310,7 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
     setup, base, cand = _split_case(inst, args, command)
-    delta, cap = _structure_delta(inst, setup), _cap(inst, args)
+    delta, cap = _structure_delta(inst, setup), _cap(args)
     if inst.kind == "homomorphism" and not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
         raise PreconditionError("the base bundle map is not a homomorphism")
     pair = base.add(cand)
@@ -328,7 +332,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
         cand_data = block_perturbation(inst.payload["homomorphism"], cand_data.get("source"), cand_data.get("target"))
     cand_xq = build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
     v_res, a_res = simultaneous_residual(
-        setup, _structure_delta(inst, setup), base, cand_xq, cand_def, cap=_cap(inst, args)
+        setup, _structure_delta(inst, setup), base, cand_xq, cand_def, cap=_cap(args)
     )
     zero = v_res.is_zero() and a_res.is_zero()
     summed = setup if cand_data is None else SplitSetup.build(
@@ -348,7 +352,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_cohomology(inst: InstanceFile, args) -> Report:
-    truncate = _option(args, "truncate", inst.options.truncate)
+    truncate = args.truncate
     if inst.kind in ("algebroid", "lie_algebra"):
         data: AlgebroidData = inst.payload["data"]
         top = data.fiber_rank
@@ -359,8 +363,6 @@ def _cmd_cohomology(inst: InstanceFile, args) -> Report:
         groups = lambda qs: m1_cohomology(
             setup, _structure_delta(inst, setup), [q - 1 for q in qs], truncate=truncate
         )
-    if truncate is not None and _over_a_point(inst):  # the flag is refused in run_command already
-        raise InstanceError("$.options.truncate", "cohomology over a point has no truncation degree")
     if args.degree is not None and not 0 <= args.degree <= top:
         raise InstanceError("--degree", f"expected a degree in 0..{top}")
     degrees = [args.degree] if args.degree is not None else list(range(top + 1))
@@ -415,8 +417,8 @@ def _cmd_brackets(inst: InstanceFile, args) -> Report:
 
 
 def _cmd_axioms(inst: InstanceFile, args) -> Report:
-    probes_count = _option(args, "probes", inst.options.probes)
-    seed = args.seed if args.seed is not None else inst.options.seed
+    probes_count = _option(args, "probes", DEFAULT_PROBES)
+    seed = _option(args, "seed", DEFAULT_SEED)
     setup = _split_case(inst, args, "axioms")[0]
     bracket, basis = _summand_brackets(inst, setup)
     probes: list[tuple[LInftyElement, ...]] = [(b,) for b in basis]
@@ -452,7 +454,7 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
         )
     # MC residual vs graph closure, plus a third route: the classical
     # infinitesimal condition for a foliation, graph substitution otherwise
-    cap = _cap(inst, args)
+    cap = _cap(args)
     setup, base, cand = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
     delta = _structure_delta(inst, setup)
@@ -519,9 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("instance", help="instance file path or bundled preset name (e.g. sl2, sl2-borel, abelian-3)")
     parser.add_argument("--cap", type=int, default=None, help=f"bracket series cap (default {DEFAULT_SERIES_CAP})")
-    parser.add_argument("--truncate", type=int, default=None, help="cohomology polynomial truncation degree")
-    parser.add_argument("--probes", type=int, default=None, help="random probe count for the axiom checker")
-    parser.add_argument("--seed", type=int, default=None, help="random seed for probe generation")
+    parser.add_argument("--truncate", type=int, default=None,
+                        help="cohomology polynomial truncation degree (required over a base, refused over a point)")
+    parser.add_argument("--probes", type=int, default=None,
+                        help=f"random probe count for the axiom checker (default {DEFAULT_PROBES})")
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"random seed for probe generation (default {DEFAULT_SEED})")
     parser.add_argument("--degree", type=int, default=None, help="restrict cohomology to a single degree")
     parser.add_argument("--phi", nargs="*", default=None, help="override bundle-map entries (row-major rationals)")
     parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")

@@ -2,10 +2,9 @@
 
 Every polynomial is a list of terms; a term carries an exponent vector over
 the even coordinates and an integer numerator/denominator pair.  A
-``lie_algebra`` or ``subalgebra`` file is read and written as an
+``lie_algebra`` or ``subalgebra`` file is read as an
 ``algebroid`` or ``subalgebroid`` over a point.  Parsing errors, an unknown
-key among them, point at the offending field path.  Parse -> serialize ->
-parse is the identity on canonical files.
+key among them, point at the offending field path.
 """
 from __future__ import annotations
 
@@ -13,13 +12,12 @@ import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from .algebroid import AlgebroidData, PolyDict
+from .algebroid import AlgebroidData
 from .applications import FoliationSetup, HomomorphismData, graph_setup
 from .subalgebroid import DeformationPair, SplitSetup
 from .superfield import Record
-from .valgebra import DEFAULT_SERIES_CAP
 
 FORMAT_VERSION = 1
 
@@ -38,20 +36,11 @@ class InstanceError(ValueError):
         return InstanceError(prefix + self.path, self.message)
 
 
-class Options(Record):
-    __slots__ = _fields = ("series_cap", "truncate", "probes", "seed")
-
-    def __init__(self, series_cap: int = DEFAULT_SERIES_CAP, truncate: int | None = None, probes: int = 100,
-                 seed: int = 0):
-        self.series_cap, self.truncate, self.probes, self.seed = series_cap, truncate, probes, seed
-
-
 class InstanceFile(Record):
-    __slots__ = _fields = ("kind", "payload", "options", "source")
+    __slots__ = _fields = ("kind", "payload", "source")
 
-    def __init__(self, kind: str, payload: dict[str, Any], options: Options | None = None, source: str = "<memory>"):
+    def __init__(self, kind: str, payload: dict[str, Any], source: str = "<memory>"):
         self.kind, self.payload, self.source = kind, payload, source
-        self.options = Options() if options is None else options
 
 
 # A Lie algebra (subalgebra) is a Lie algebroid (subalgebroid) over a point.  Its file is the general
@@ -64,8 +53,7 @@ _TENSORS = frozenset(("structure", "anchor"))
 _BLOCK = _TENSORS | {"base_dim", "fiber_rank"}
 _PAIR = frozenset(("sigma", "phi"))
 _TERM = frozenset(("exponents", "numer", "denom"))
-_OPTIONS = {"series_cap": 1, "truncate": 0, "probes": 0, "seed": None}  # each option's lower bound
-_KEYS = {  # each kind's top-level keys besides format_version, kind and options
+_KEYS = {  # each kind's top-level keys besides format_version and kind
     "algebroid": (*_BLOCK, "candidate"),
     "subalgebroid": (*_BLOCK, "normal_rank", "sub_rank", "candidate", "base", "candidate_xq"),
     "foliation": ("base_dim", "sub_rank", "frames", "psi"),
@@ -73,7 +61,7 @@ _KEYS = {  # each kind's top-level keys besides format_version, kind and options
 }
 for _point, _general in _OVER_A_POINT.items():
     _KEYS[_point] = {_AT_A_POINT.get(key, key) for key in _KEYS[_general]} - {None}
-_KEYS = {kind: frozenset(keys) | {"format_version", "kind", "options"} for kind, keys in _KEYS.items()}
+_KEYS = {kind: frozenset(keys) | {"format_version", "kind"} for kind, keys in _KEYS.items()}
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -232,7 +220,7 @@ def _read_homomorphism(obj: dict, kind: str) -> dict:
     h = HomomorphismData.build(source, target, bundle, base_map)
     cand_base, cand_bundle = _parse_sigma_phi(obj.get("candidate", {}), m, "$.candidate", *coords, *frames)
     offsets = HomomorphismData.build(source, target, cand_bundle, cand_base)
-    payload: dict[str, Any] = {"homomorphism": h, "offsets": offsets}
+    payload: dict[str, Any] = {"homomorphism": h}
     payload["setup"], payload["base"], payload["candidate"] = graph_setup(h, offsets)
     if "candidate_xq" in obj:
         cxq = obj["candidate_xq"]
@@ -270,108 +258,9 @@ def parse_instance(path_or_obj) -> InstanceFile:
     _expect(type(version) is int and version == FORMAT_VERSION, "$.format_version", f"expected {FORMAT_VERSION}")
     kind = obj.get("kind")
     _expect(kind in KINDS, "$.kind", f"expected one of {KINDS}")
-    opts = obj.get("options", {})
-    _expect(isinstance(opts, dict), "$.options", "expected an object")
-    options = Options()
-    for name, low in _OPTIONS.items():
-        if name in opts and (opts[name] is not None or name != "truncate"):
-            setattr(options, name, _int(opts, name, "$.options", low))
-    _only(opts, _OPTIONS.keys(), "$.options")
     payload = _READERS[_OVER_A_POINT.get(kind, kind)](obj, kind)
     _only(obj, _KEYS[kind], "$")
-    return InstanceFile(kind, payload, options, source)
-
-
-# ---------------------------------------------------------------------
-# serialization (canonical form)
-# ---------------------------------------------------------------------
-def _terms_obj(poly: PolyDict) -> list[dict]:
-    return [{"exponents": list(e), "numer": poly[e].numerator, "denom": poly[e].denominator} for e in sorted(poly)]
-
-
-def _entries_obj(polys: Mapping, names: str) -> list[dict]:
-    """Inverse of ``_parse_entries``: entry objects in key order, zero polynomials left out."""
-    return [
-        {**dict(zip(names, key if isinstance(key, tuple) else (key,))), "terms": _terms_obj(poly)}
-        for key, poly in sorted(polys.items())
-        if poly
-    ]
-
-
-def _tensors_obj(data: AlgebroidData) -> dict:
-    return {"structure": _entries_obj(data.structure, "ijk"), "anchor": _entries_obj(data.anchor, "it")}
-
-
-def _block_obj(data: AlgebroidData) -> dict:
-    return {"base_dim": data.base_dim, "fiber_rank": data.fiber_rank, **_tensors_obj(data)}
-
-
-def _as_kind(kind: str, obj: dict) -> dict:
-    """A file of ``kind`` holding the general-form fields ``obj``; over a point they are renamed or dropped."""
-    obj = {**obj, "format_version": FORMAT_VERSION, "kind": kind}
-    if kind in _OVER_A_POINT:
-        obj = {name: value for key, value in obj.items() if (name := _AT_A_POINT.get(key, key))}
-    return obj
-
-
-def serialize_algebroid(data: AlgebroidData, kind: str = "algebroid") -> dict:
-    return _as_kind(kind, _block_obj(data))
-
-
-def serialize_pair(d: DeformationPair) -> dict:
-    return {"sigma": _entries_obj(d.sigma, "k"), "phi": _entries_obj(d.phi, "ij")}
-
-
-def serialize_instance(inst: InstanceFile) -> dict:
-    """Canonical JSON object of a parsed instance (all kinds); options only where they differ from the defaults."""
-    general, payload = _OVER_A_POINT.get(inst.kind, inst.kind), inst.payload
-    if general in ("algebroid", "subalgebroid"):
-        obj = serialize_algebroid(payload["data"])
-        if general == "subalgebroid":
-            setup: SplitSetup = payload["setup"]
-            # the data's base dimension counts the normal coordinates too
-            obj.update(base_dim=setup.base_dim, normal_rank=setup.normal_rank, sub_rank=setup.sub_rank)
-        for key in ("candidate", "base", "candidate_xq"):
-            if key in payload:
-                value = payload[key]
-                obj[key] = serialize_pair(value) if isinstance(value, DeformationPair) else _tensors_obj(value)
-    elif general == "foliation":
-        fol: FoliationSetup = payload["foliation"]
-        obj = {
-            "base_dim": fol.setup.base_dim,
-            "sub_rank": fol.setup.sub_rank,
-            "frames": [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames],
-            "psi": _entries_obj(payload["candidate"].phi, "ij"),
-        }
-    elif general == "homomorphism":
-        h: HomomorphismData = payload["homomorphism"]
-        offsets: HomomorphismData = payload["offsets"]
-        obj = {
-            "source": _block_obj(h.source),
-            "target": _block_obj(h.target),
-            "bundle_map": _entries_obj(h.bundle_map, "ij"),
-            "base_map": _entries_obj(h.base_map, "k"),
-            "candidate": {
-                "sigma": _entries_obj(offsets.base_map, "k"),
-                "phi": _entries_obj(offsets.bundle_map, "ij"),
-            },
-        }
-        if "candidate_xq" in payload:
-            obj["candidate_xq"] = {which: _tensors_obj(pert) for which, pert in sorted(payload["candidate_xq"].items())}
-    else:
-        raise InstanceError("$.kind", f"cannot serialize kind {inst.kind!r}")
-    obj = _as_kind(inst.kind, obj)
-    defaults = Options()
-    options = {
-        name: value for name in Options._fields if (value := getattr(inst.options, name)) != getattr(defaults, name)
-    }
-    if options:
-        obj["options"] = options
-    return obj
-
-
-def write_instance(obj: dict, path: str | Path):
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    return InstanceFile(kind, payload, source)
 
 
 # ---------------------------------------------------------------------

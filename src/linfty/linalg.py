@@ -8,9 +8,9 @@ row already holds that pivot, the new row becomes the integer combination
 that cancels it (fraction-free elimination, after Bareiss, with each row
 divided by its content gcd instead of by the previous pivot); a row whose
 lowest column is free is stored under it and never touched again.
-Field-complex differentials are very sparse and reach a few hundred rows
-and columns (sl(3) at cochain degree 2 is a 448x224 system), so a vector
-meets only the rows whose pivots it reaches.  Two invariants hold:
+Field-complex differentials are very sparse: sl(3) at cochain degree 2 is
+26 images in 46 coordinates on the weight-0 block (224 in 448 without it),
+and a vector meets only the rows whose pivots it reaches.  Two invariants hold:
 
 - the pivots are those of every echelon form of the span, the pivot list
   of the dense ``rref``, and the rows nonzero in some column below c are

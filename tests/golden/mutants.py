@@ -76,9 +76,16 @@ MUTANTS = [
     ("homomorphism validate ignores the graph oracle", "cli.py",
      "graph_closure_oracle(setup, base).accepts", "True",
      ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
-    ("truncate option read over a point", "cli.py",
-     "if truncate is not None and _over_a_point(inst):", "if False:",
-     ["tests/test_cli.py::TestCommands::test_truncate_option_is_read_over_a_base_and_refused_over_a_point"]),
+    ("truncate flag read over a point", "cli.py",
+     '"truncate": lambda command, inst: command == "cohomology" and not _over_a_point(inst),',
+     '"truncate": lambda command, inst: command == "cohomology",',
+     ["tests/test_cli.py::TestCommands::test_out_of_range_options_are_input_errors"]),
+    ("options block admitted again", "instances.py",
+     '| {"format_version", "kind"} for kind', '| {"format_version", "kind", "options"} for kind',
+     ["tests/test_cli.py::TestStrictSchema::test_misspelt_or_misplaced_key_exits_2"]),
+    ("Faddeev-LeVerrier coefficient sign", "applications.py",
+     "scale(Fraction(-1, k))", "scale(Fraction(1, k))",
+     ["tests/test_applications.py::TestFrameInverse::test_matches_the_adjugate_reference"]),
     ("anchor defect sign", "algebroid.py",
      "total = total - calc.anchor_apply(i,", "total = total + calc.anchor_apply(i,",
      ["tests/test_algebroid.py::TestClassicalRouteAgainstReference::test_anchor_defects_match"]),

@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from instance_gen import random_candidate, random_instance  # noqa: E402
-from linfty.instances import serialize_algebroid, serialize_pair  # noqa: E402
+from instance_writer import serialize_algebroid, serialize_pair  # noqa: E402
 
 SEEDS = range(40)
 

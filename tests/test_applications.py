@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,14 @@ from linfty.applications import (
     graph_setup,
     simultaneous_homomorphism,
     structure_delta,
+    _poly_matrix_inverse,
     tangent_rn,
 )
 from linfty.cli import run_command
 from linfty.instances import FORMAT_VERSION, fixture_path, parse_instance
+from linfty.signs import koszul_sign
 from linfty.subalgebroid import DeformationPair, graph_closure_oracle, subalgebroid_mc_residual
-from linfty.superfield import PreconditionError, SuperFunction, is_homological
+from linfty.superfield import CoordinateChart, PreconditionError, SuperFunction, is_homological
 from linfty.valgebra import MCDelta
 
 
@@ -201,6 +204,65 @@ class TestFoliation:
     def test_non_constant_determinant_rejected(self):
         with pytest.raises(ValueError):
             FoliationSetup.build(1, 1, [{0: {(1,): 1}}])
+
+
+def leibniz_det(chart, mat) -> SuperFunction:
+    """Reference determinant: the Leibniz sum over all n! permutations (1 for the empty matrix)."""
+    n = len(mat)
+    det = SuperFunction.zero(chart)
+    for perm in itertools.permutations(range(n)):
+        prod = SuperFunction.constant(chart, koszul_sign(perm, (1,) * n))
+        for r in range(n):
+            prod = prod * mat[r][perm[r]]
+        det = det + prod
+    return det
+
+
+def adjugate_inverse(chart, mat):
+    """Reference inverse of a matrix with constant determinant: the adjugate over the determinant."""
+    n = len(mat)
+    (det_c,) = leibniz_det(chart, mat).terms.values()
+    return [
+        [leibniz_det(chart, [[row[j] for j in range(n) if j != r] for i, row in enumerate(mat) if i != c])
+         .scale(Fraction(-1 if (r + c) % 2 else 1) / det_c) for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def random_unimodular_frame(rng: random.Random, chart: CoordinateChart, n: int) -> list[list[SuperFunction]]:
+    """A polynomial matrix with constant determinant: row additions of polynomial multiples, then a constant."""
+    one, zero = SuperFunction.constant(chart, 1), SuperFunction.zero(chart)
+    mat = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        exps = tuple(rng.randint(0, 1) for _ in range(chart.n_even))
+        p = SuperFunction(chart, {(exps, ()): rng.randint(-2, 2)})
+        mat[i] = [a + p * b for a, b in zip(mat[i], mat[j])]
+    scale = rng.choice((1, -1, 2, Fraction(1, 3)))
+    mat[0] = [a.scale(scale) for a in mat[0]]
+    return mat
+
+
+class TestFrameInverse:
+    def test_matches_the_adjugate_reference(self):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            chart = tangent_rn(n).calculus.chart
+            for _ in range(5):
+                mat = random_unimodular_frame(rng, chart, n)
+                assert _poly_matrix_inverse(chart, mat) == adjugate_inverse(chart, mat)
+
+    def test_r9_frame_parses_in_under_a_second(self):
+        # the identity frame of R^9 plus x_1 on the superdiagonal: frame field i is d/dx_i + x_1 d/dx_(i-1)
+        n = 9
+        x1 = [{"exponents": [1] + [0] * (n - 1), "numer": 1}]
+        frames = [[{"t": i, "terms": [{"exponents": [0] * n, "numer": 1}]}] + ([{"t": i - 1, "terms": x1}] if i else [])
+                  for i in range(n)]
+        obj = {"format_version": FORMAT_VERSION, "kind": "foliation", "base_dim": n, "sub_rank": 1, "frames": frames}
+        start = time.perf_counter()
+        fol = parse_instance(obj).payload["foliation"]
+        assert time.perf_counter() - start < 1.0
+        assert fol.frames[1][0] == {(1,) + (0,) * (n - 1): 1}
 
 
 def hom_sl2_id() -> HomomorphismData:

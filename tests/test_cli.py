@@ -8,18 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from instance_writer import serialize_algebroid, serialize_instance, write_instance
 from linfty.cli import COMMANDS, main, run_command
-from linfty.instances import (
-    FORMAT_VERSION,
-    InstanceError,
-    Options,
-    fixture_path,
-    parse_instance,
-    resolve_instance,
-    serialize_algebroid,
-    serialize_instance,
-    write_instance,
-)
+from linfty.instances import FORMAT_VERSION, InstanceError, fixture_path, parse_instance, resolve_instance
 from linfty.superfield import ChartMismatchError
 from linfty.valgebra import NotInAbelianPart
 
@@ -145,47 +136,24 @@ class TestParsing:
         with pytest.raises(InstanceError):
             parse_instance({"format_version": FORMAT_VERSION, "kind": "nope"})
 
-    def test_options_parsed(self):
-        inst = parse_instance(
-            {
-                "format_version": FORMAT_VERSION,
-                "kind": "lie_algebra",
-                "dimension": 1,
-                "options": {"series_cap": 9, "probes": 3, "seed": 4, "truncate": 2},
-            }
-        )
-        assert inst.options == Options(series_cap=9, truncate=2, probes=3, seed=4)
-
     def test_resolve_preset_and_missing(self, tmp_path):
         assert resolve_instance("sl2").name == "sl2.json"
         with pytest.raises(InstanceError):
             resolve_instance(str(tmp_path / "missing.json"))
 
     @pytest.mark.parametrize(
-        "name,options",
+        "name",
         [
-            pytest.param(name, None, id=name)
-            for name in (
-                "sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
-                "non-jacobi-3", "tangent-r1", "tangent-r2", "sl2-borel",
-                "tangent-r1-origin", "foliation-r3", "hom-sl2-id",
-            )
-        ]
-        + [
-            pytest.param("tangent-r1", {"truncate": 2, "probes": 7}, id="tangent-r1-options"),
-            pytest.param("hom-sl2-id", {"series_cap": 9, "seed": 4}, id="hom-sl2-id-options"),
+            "sl2", "heisenberg-3", "abelian-2", "abelian-3", "abelian-4", "sl2-sum",
+            "non-jacobi-3", "tangent-r1", "tangent-r2", "sl2-borel",
+            "tangent-r1-origin", "foliation-r3", "hom-sl2-id",
         ],
     )
-    def test_parse_serialize_parse_identity(self, name, options):
-        obj = json.loads(fixture_path(name).read_text())
-        if options is not None:
-            obj["options"] = options
-        first = parse_instance(obj)
+    def test_parse_serialize_parse_identity(self, name):
+        first = parse_instance(json.loads(fixture_path(name).read_text()))
         serialized = serialize_instance(first)
         second = parse_instance(serialized)
         assert serialize_instance(second) == serialized
-        assert second.options == first.options
-        assert serialized.get("options") == options  # only what differs from the defaults is written
 
     @pytest.mark.parametrize(
         "preset,where,entry",
@@ -289,10 +257,10 @@ class TestParsing:
         "preset,where,value,path",
         [  # the field's location in the preset, the boolean put there, the reported path
             ("sl2", ["format_version"], True, "$.format_version"),
-            ("sl2", ["options", "series_cap"], True, "$.options.series_cap"),
-            ("sl2", ["options", "probes"], False, "$.options.probes"),
-            ("sl2", ["options", "truncate"], True, "$.options.truncate"),
-            ("sl2", ["options", "seed"], False, "$.options.seed"),
+            ("foliation-r3", ["sub_rank"], True, "$.sub_rank"),
+            ("hom-sl2-id", ["bundle_map", 0, "i"], False, "$.bundle_map[0].i"),
+            ("tangent-r1", ["anchor", 0, "t"], True, "$.anchor[0].t"),
+            ("hom-sl2-id", ["source", "base_dim"], False, "$.source.base_dim"),
             ("sl2", ["dimension"], True, "$.dimension"),
             ("sl2", ["structure", 0, "i"], False, "$.structure[0].i"),
             ("sl2", ["structure", 0, "terms", 0, "numer"], True, "$.structure[0].terms[0].numer"),
@@ -318,9 +286,8 @@ class TestParsing:
 
 
 def enriched(name: str) -> dict:
-    """A bundled fixture with options and every optional object its kind may hold, each list entry given a term."""
+    """A bundled fixture with every optional object its kind may hold, each list entry given a term."""
     obj = json.loads(fixture_path(name).read_text())
-    obj["options"] = {"seed": 1}
     kind = obj["kind"]
     term = [{"exponents": [0] * obj.get("base_dim", 0), "numer": 1}]
     tensors = {"structure": obj.get("structure", []), "anchor": obj.get("anchor", [])}
@@ -406,7 +373,7 @@ class TestStrictSchema:
         entries = ("structure", "anchor", "candidate.structure", "candidate.anchor", "candidate.sigma", "candidate.phi",
                    "base.phi", "candidate_xq.structure", "frames[]", "psi", "bundle_map", "source.structure",
                    "candidate_xq.target.structure")
-        objects = ("", ".options", ".candidate", ".base", ".candidate_xq", ".source", ".target",
+        objects = ("", ".candidate", ".base", ".candidate_xq", ".source", ".target",
                    ".candidate_xq.source", ".candidate_xq.target")
         # hom-sl2-id's target has no base coordinates, so no fixture holds a base_map or homomorphism sigma entry
         assert {f"${where}" for where in objects} | {f"$.{where}[].terms[]" for where in entries} <= shapes
@@ -418,8 +385,10 @@ class TestStrictSchema:
             ("sl2", "validate", {"anchor": [{"i": 9, "t": 5, "terms": "junk"}]}, "$.anchor"),  # was never read
             ("sl2-borel", "mc-check", {"candidate": {"phy": [{"i": 0, "j": 2, "terms": [{"numer": 5}]}]}},
              "$.candidate.phy"),  # was read as the zero candidate
+            # the retired options block: a count is set by its flag alone
+            ("tangent-r1", "cohomology", {"options": {"truncate": 2}}, "$.options"),
         ],
-        ids=["misspelt-structure", "anchor-over-a-point", "misspelt-phi"],
+        ids=["misspelt-structure", "anchor-over-a-point", "misspelt-phi", "options-block"],
     )
     def test_misspelt_or_misplaced_key_exits_2(self, capsys, tmp_path, preset, command, change, path):
         obj = json.loads(fixture_path(preset).read_text())
@@ -489,6 +458,16 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "validate", "non-jacobi-3")
         assert code == 1
         assert "(0, 1, 2, 2)" in out and "-1" in out
+
+    def test_validate_names_anchor_defects(self, capsys, tmp_path):
+        # d/dx and x d/dx with a zero bracket: rho[e0, e1] = 0, but [d/dx, x d/dx] = d/dx
+        anchor = [{"i": 0, "t": 0, "terms": terms(((0,), 1, 1))}, {"i": 1, "t": 0, "terms": terms(((1,), 1, 1))}]
+        obj = {"format_version": FORMAT_VERSION, "kind": "algebroid", "base_dim": 1, "fiber_rank": 2, "anchor": anchor}
+        write_instance(obj, tmp_path / "anchors.json")
+        code, out, _ = run_cli(capsys, "validate", str(tmp_path / "anchors.json"), "--json")
+        payload = json.loads(out)
+        assert (code, payload["verdict"], payload["oracle_agreement"]) == (1, "fail", True)
+        assert payload["details"]["anchor_defects"] == {"(0, 1, 0)": "-1"}
 
     def test_subalg_check_borel_grid_points(self, capsys):
         code, out, _ = run_cli(capsys, "subalg-check", "sl2-borel", "--phi", "2", "1")
@@ -653,18 +632,6 @@ class TestCommands:
         assert code == 2 and "truncation" in err
         code, out, _ = run_cli(capsys, "cohomology", "tangent-r1", "--truncate", "2")
         assert code == 0
-
-    @pytest.mark.parametrize("preset", ["sl2", "sl2-borel", "tangent-r1"])
-    def test_truncate_option_is_read_over_a_base_and_refused_over_a_point(self, capsys, tmp_path, preset):
-        obj = json.loads(fixture_path(preset).read_text())
-        obj["options"] = {"truncate": 2}
-        write_instance(obj, tmp_path / "options.json")
-        code, out, err = run_cli(capsys, "cohomology", str(tmp_path / "options.json"), "--json")
-        if preset == "tangent-r1":
-            assert code == 0 and json.loads(out)["details"]["truncated_at"] == 2
-        else:  # like the flag, which run_command refuses
-            assert (code, out) == (2, "")
-            assert "$.options.truncate" in err
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_COHOMOLOGY))
     def test_cohomology_json_is_golden(self, capsys, case):
@@ -891,6 +858,7 @@ class TestCommands:
             (["cohomology", "sl2", "--truncate", "2"], "--truncate"),
             (["cohomology", "sl2-borel", "--truncate", "1"], "--truncate"),
             (["cohomology", "tangent-r1-origin", "--truncate", "1"], "--truncate"),
+            (["subalg-check", "sl2-borel", "--phi", "x", "1"], "--phi: bad rational 'x'"),
         ],
     )
     def test_out_of_range_options_are_input_errors(self, capsys, argv, option):

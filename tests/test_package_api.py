@@ -30,9 +30,6 @@ ALLOWED = {
     "linalg.rank",
     "linalg.nullspace",
     "linalg.quotient_representatives",
-    # documented in the README as the instance round trip
-    "instances.serialize_instance",
-    "instances.write_instance",
 }
 
 

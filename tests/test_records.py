@@ -46,11 +46,8 @@ RECORDS = [
     (valgebra.LInftyElement, ("value", "degree"), (FIELD, 0), {}),
     (valgebra.MCDelta, ("delta",), (FIELD,), {}),
     (valgebra.AxiomReport, ("checked", "failures"), (4, ["arity 2"]), {"checked": 0, "failures": []}),
-    (instances.Options, ("series_cap", "truncate", "probes", "seed"), (8, 2, 5, 3),
-     {"series_cap": valgebra.DEFAULT_SERIES_CAP, "truncate": None, "probes": 100, "seed": 0}),
-    (instances.InstanceFile, ("kind", "payload", "options", "source"),
-     ("algebroid", {"data": 1}, instances.Options(probes=3), "f.json"),
-     {"options": instances.Options(), "source": "<memory>"}),
+    (instances.InstanceFile, ("kind", "payload", "source"), ("algebroid", {"data": 1}, "f.json"),
+     {"source": "<memory>"}),
     (cli.Report, ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "conventions", "details"),
      ("validate", "pass", ["t"], True, 1.5, ("c",), {"k": 1}),
      {"residual_terms": None, "oracle_agreement": None, "timing_ms": 0.0, "conventions": cli.CONVENTIONS,
@@ -123,7 +120,7 @@ class TestEveryRecord:
 
 def test_different_record_types_with_equal_values_differ():
     assert subalgebroid.TangencyResult(FIELD, FIELD) != valgebra.LInftyElement(FIELD, FIELD)
-    assert instances.Options() != valgebra.AxiomReport()
+    assert valgebra.AxiomReport({}, {}) != subalgebroid.GraphClosureReport({}, {})
 
 
 @pytest.mark.parametrize("cls", list(HASHABLE), ids=[c.__name__ for c in HASHABLE])
@@ -140,17 +137,13 @@ def test_frozen_records_hash_by_value(cls):
     (subalgebroid.GraphClosureReport, ("anchor_defects", "closure_defects")),
     (valgebra.AxiomReport, ("failures",)),
     (lambda: cli.Report("validate", "pass"), ("details",)),
-    (lambda: instances.InstanceFile("algebroid", {}), ("options",)),
-], ids=["AlgebroidReport", "GraphClosureReport", "AxiomReport", "Report", "InstanceFile"])
+], ids=["AlgebroidReport", "GraphClosureReport", "AxiomReport", "Report"])
 def test_mutable_records_never_share_a_default(make, attrs):
     first, second = make(), make()
     for name in attrs:
         mine, theirs = getattr(first, name), getattr(second, name)
         assert mine is not theirs and mine == theirs
-        if isinstance(mine, instances.Options):
-            mine.probes = 7
-            assert theirs.probes == 100
-        elif isinstance(mine, list):
+        if isinstance(mine, list):
             mine.append("x")
             assert theirs == []
         else:
