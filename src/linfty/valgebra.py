@@ -100,7 +100,9 @@ class DerivedBrackets:
     and the finished brackets keyed by the argument tuple with its degree
     tags.  Every distinct argument value is checked once; values are
     compared exactly, so a cached result is the one a fresh evaluation
-    would give.
+    would give.  The brackets are multilinear, so a chain whose prefix is
+    already zero stops there: its bracket is P(0), tagged from the
+    arguments like any zero bracket.
     """
 
     def __init__(self, split: SplitSetup, delta: MCDelta):
@@ -139,6 +141,8 @@ class DerivedBrackets:
         chains = self._chains
         w = chains[()]
         for i in range(1, len(ids) + 1):
+            if w.is_zero():
+                break
             step = chains.get(ids[:i])
             if step is None:
                 step = chains[ids[:i]] = super_commutator(w, args[i - 1].value)
@@ -229,7 +233,10 @@ def generalized_jacobi(
 ) -> SuperVectorField:
     """Evaluate the arity-n coherence sum of a flat structure on a probe word.
 
-    The signed shuffles come from the process's tables (``signs.shuffle_table``).
+    ``m`` must be multilinear, as every derived bracket is: a shuffle term
+    whose inner bracket is zero is zero, so its outer bracket is not
+    evaluated.  The signed shuffles come from the process's tables
+    (``signs.shuffle_table``).
     """
     n = len(elements)
     degs = tuple(e.degree if e.degree is not None else 0 for e in elements)
@@ -237,6 +244,8 @@ def generalized_jacobi(
     for j in range(1, n + 1):
         for sign, (first, rest) in shuffle_table((j, n - j), degs):
             inner = m([elements[p] for p in first])
+            if inner.is_zero():
+                continue
             terms = m([inner] + [elements[p] for p in rest]).value.terms
             _merge_into(total, terms if sign == 1 else {k: -c for k, c in terms.items()})
     return SuperVectorField._of(chart, total)
@@ -247,7 +256,11 @@ def check_linfty_axioms(
     chart: CoordinateChart,
     probes: Sequence[Sequence[LInftyElement]],
 ) -> AxiomReport:
-    """Exact generalized-Jacobi check on each probe tuple."""
+    """Exact generalized-Jacobi check on each probe tuple.
+
+    ``m`` must be multilinear, as every derived bracket is; terms with a
+    zero inner bracket are skipped (see ``generalized_jacobi``).
+    """
     report = AxiomReport()
     for probe in probes:
         residue = generalized_jacobi(m, probe, chart)

@@ -89,6 +89,12 @@ MUTANTS = [
     ("anchor defect sign", "algebroid.py",
      "total = total - calc.anchor_apply(i,", "total = total + calc.anchor_apply(i,",
      ["tests/test_algebroid.py::TestClassicalRouteAgainstReference::test_anchor_defects_match"]),
+    ("outer bracket of a zero inner bracket evaluated", "valgebra.py",
+     "            if inner.is_zero():\n                continue\n", "",
+     ["tests/test_valgebra.py::TestMultilinearShortcuts::test_no_outer_bracket_of_a_zero"]),
+    ("chain continued past a zero prefix", "valgebra.py",
+     "            if w.is_zero():\n                break\n", "",
+     ["tests/test_valgebra.py::TestMultilinearShortcuts::test_no_commutator_of_a_zero"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import os
 import random
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from linfty import cli, valgebra
 from linfty.algebroid import AlgebroidData, build_xq
 from linfty.instances import fixture_path, parse_instance
 from linfty.signs import iter_shuffles, koszul_sign
@@ -567,6 +569,110 @@ class TestGeneralizedJacobiAgainstReference:
             assert generalized_jacobi(engine, probe, setup.chart) == expected
             nonzero += not expected.is_zero()
         assert (nonzero > 0) == (data is NON_JACOBI)
+
+
+def plain_bracket(split, delta):
+    """The derived brackets as a plain chain loop: every commutator is evaluated, nothing is cached or cut short."""
+
+    def m(args):
+        w = delta.delta
+        for a in args:
+            w = super_commutator(w, a.value)
+        return LInftyElement(split.project(w), None)  # a tag never changes a value
+
+    return m
+
+
+def load_ladder():
+    """The benchmark's instance ladder (standard library only), loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def twisted_p1q1_setup():
+    ladder = load_ladder()
+    inst = ladder.split_case(random.Random(0), "sl2", 1, 1, True, True, [1, -1, 1])
+    return parse_instance(inst).payload["setup"]
+
+
+class TestMultilinearShortcuts:
+    """A zero inner bracket and a zero chain prefix are skipped, with results equal to the unshortened sums."""
+
+    @pytest.mark.parametrize(
+        "make_setup,ok",
+        [
+            pytest.param(lambda: preset_setup("sl2-borel"), True, id="sl2-borel"),
+            pytest.param(lambda: SplitSetup.build(SL2_EHF, 0, 0, 1), True, id="sl2-e-split"),
+            pytest.param(lambda: preset_setup("hom-sl2-id"), True, id="hom-sl2-id"),
+            pytest.param(twisted_p1q1_setup, True, id="split-sl2-p1q1-tw"),
+            pytest.param(lambda: SplitSetup.build(NON_JACOBI, 0, 0, 1), False, id="non-jacobi"),
+        ],
+    )
+    def test_matches_unshortened_reference(self, make_setup, ok):
+        setup = make_setup()
+        # unchecked, so the non-Jacobi structure gives nonzero sums to compare
+        delta = MCDelta(build_xq(setup.data, setup.chart))
+        basis = summand_basis(setup)
+        rng = random.Random(7)
+        probes = [(b,) for b in basis] + [(a, b) for a in basis for b in basis]
+        probes += [tuple(rng.choice(basis) for _ in range(n)) for n in (3, 4) for _ in range(15)]
+        reference = plain_bracket(setup, delta)
+        engine = DerivedBrackets(setup, delta)
+        expected_failures = []
+        for probe in probes:
+            expected = reference_generalized_jacobi(reference, probe, setup.chart)
+            assert generalized_jacobi(engine, probe, setup.chart) == expected
+            if not expected.is_zero():
+                expected_failures.append(
+                    f"arity {len(probe)} identity fails on {[p.value for p in probe]!r}: {expected!r}"
+                )
+        report = check_linfty_axioms(DerivedBrackets(setup, delta), setup.chart, probes)
+        assert report.checked == len(probes)
+        assert report.failures == expected_failures
+        assert report.ok == ok
+
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (["axioms", "hom-sl2-id", "--probes", "10", "--seed", "1003"], 827),
+            (["axioms", "sl2-borel", "--probes", "10", "--seed", "1000"], 36),
+            (["brackets", "sl2-borel"], 29),
+        ],
+        ids=["axioms-hom-sl2-id", "axioms-sl2-borel", "brackets-sl2-borel"],
+    )
+    def test_no_commutator_of_a_zero(self, monkeypatch, capsys, argv, calls):
+        original = valgebra.super_commutator
+        first_operands = []
+
+        def counting(a, b):
+            first_operands.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(valgebra, "super_commutator", counting)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert not any(a.is_zero() for a in first_operands)
+        assert len(first_operands) == calls
+
+    @pytest.mark.parametrize("preset", ["sl2-borel", "hom-sl2-id"])
+    def test_no_outer_bracket_of_a_zero(self, monkeypatch, capsys, preset):
+        original = cli.check_linfty_axioms
+        first_arguments = []
+
+        def wrapped(m, chart, probes):
+            def logged(args):
+                first_arguments.append(args[0])
+                return m(args)
+
+            return original(logged, chart, probes)
+
+        monkeypatch.setattr(cli, "check_linfty_axioms", wrapped)
+        assert cli.main(["axioms", preset, "--probes", "10"]) == 0
+        capsys.readouterr()
+        assert first_arguments and not any(a.is_zero() for a in first_arguments)
 
 
 REIMPORT_SCRIPT = textwrap.dedent(
