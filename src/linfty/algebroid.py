@@ -16,11 +16,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg
 from .superfield import (
-    BASE,
-    NORMAL,
-    PLAIN,
-    SUB_FRAME,
-    COMPLEMENT_FRAME,
     Coefficient,
     CoordinateChart,
     Frozen,
@@ -173,25 +168,12 @@ class AlgebroidData(Frozen):
 
     # -- charts ---------------------------------------------------------
     def plain_chart(self) -> CoordinateChart:
-        return CoordinateChart(
-            tuple(f"x{t+1}" for t in range(self.base_dim)),
-            (BASE,) * self.base_dim,
-            tuple(f"xi{i+1}" for i in range(self.fiber_rank)),
-            (PLAIN,) * self.fiber_rank,
-        )
+        return CoordinateChart(self.base_dim, 0, self.fiber_rank)
 
     def split_chart(self, base_dim_s: int, normal_rank: int, sub_rank: int) -> CoordinateChart:
         if base_dim_s + normal_rank != self.base_dim:
             raise ValueError("base + normal dimensions must sum to the even dimension")
-        if not 0 <= sub_rank <= self.fiber_rank:
-            raise ValueError("sub rank out of range")
-        evens = tuple(f"x{t+1}" for t in range(base_dim_s)) + tuple(
-            f"y{k+1}" for k in range(normal_rank)
-        )
-        roles = (BASE,) * base_dim_s + (NORMAL,) * normal_rank
-        odds = tuple(f"xi{i+1}" for i in range(self.fiber_rank))
-        odd_roles = (SUB_FRAME,) * sub_rank + (COMPLEMENT_FRAME,) * (self.fiber_rank - sub_rank)
-        return CoordinateChart(evens, roles, odds, odd_roles)
+        return CoordinateChart(base_dim_s, normal_rank, self.fiber_rank, sub_rank)
 
 
 def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> SuperVectorField:

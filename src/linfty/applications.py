@@ -3,8 +3,9 @@
 Both reduce to the split-setup machinery: a foliation is a subalgebroid of
 a tangent algebroid over a fixed base, and a bundle-map homomorphism is a
 graph subalgebroid of a direct sum presented in adapted coordinates around
-the zero map.  (A Lie (sub)algebra needs nothing here: it is an algebroid
-over a point.)
+the zero map.  A foliation is its split alone: the frame fields are the
+anchor of the split's data, so no other record holds them.  (A Lie
+(sub)algebra needs nothing here: it is an algebroid over a point.)
 """
 from __future__ import annotations
 
@@ -56,29 +57,20 @@ def block_sum_data(a: AlgebroidData, b: AlgebroidData) -> AlgebroidData:
 VectorFieldCoeffs = Mapping[int, PolyDict]
 
 
-class FoliationSetup(Frozen):
-    """A polynomial frame of the tangent bundle, split distribution-first.
+def foliation_setup(base_dim: int, sub_rank: int, frames: Sequence[VectorFieldCoeffs]) -> SplitSetup:
+    """The fixed-base split of the tangent algebroid in a polynomial frame, distribution first.
 
-    The first ``setup.sub_rank`` frame fields span the distribution; the
-    frame matrix must have constant nonzero determinant so that expansions in
-    the frame stay polynomial.  ``setup`` is the fixed-base split of the
-    tangent algebroid, its ``data`` the structure functions in this frame.
+    The first ``sub_rank`` frame fields span the distribution; the frame
+    matrix must have constant nonzero determinant so that expansions in the
+    frame stay polynomial.  The split's ``data`` holds the structure
+    functions in this frame, and its anchor the frame fields themselves.
     """
-
-    __slots__ = _fields = ("frames", "setup")
-
-    def __init__(self, frames: tuple[tuple[PolyDict, ...], ...], setup: SplitSetup):
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "setup", setup)
-
-    @staticmethod
-    def build(base_dim: int, sub_rank: int, frames: Sequence[VectorFieldCoeffs]) -> "FoliationSetup":
-        if len(frames) != base_dim:
-            raise ValueError("need one frame field per tangent direction")
-        coords = range(base_dim)
-        fields = [poly_map(f, base_dim, (coords,), f"frame {fi} coordinate") for fi, f in enumerate(frames)]
-        norm = tuple(tuple([f.get(t, {}) for t in coords]) for f in fields)
-        return FoliationSetup(norm, SplitSetup.build(_tangent_in_frame(base_dim, norm), base_dim, 0, sub_rank))
+    if len(frames) != base_dim:
+        raise ValueError("need one frame field per tangent direction")
+    coords = range(base_dim)
+    fields = [poly_map(f, base_dim, (coords,), f"frame {fi} coordinate") for fi, f in enumerate(frames)]
+    norm = tuple(tuple([f.get(t, {}) for t in coords]) for f in fields)
+    return SplitSetup.build(_tangent_in_frame(base_dim, norm), base_dim, 0, sub_rank)
 
 
 def _poly_matrix_inverse(chart, mat):
@@ -150,16 +142,16 @@ class FoliationResult(Record):
         return self.closed == (not self.condition_defects)
 
 
-def foliation_infinitesimal(fol: FoliationSetup, delta: MCDelta, cand: DeformationPair) -> FoliationResult:
+def foliation_infinitesimal(setup: SplitSetup, delta: MCDelta, cand: DeformationPair) -> FoliationResult:
     """Whether a candidate bundle map ``cand.phi`` is closed for the unary structure map.
 
     Evaluates the unary map on the candidate and, independently, the
     classical condition pi_F([psi v, w] + [v, psi w]) = psi([v, w]) on
     frame pairs of the distribution; both verdicts are reported.  The
-    checked structure field ``delta`` of ``fol.setup`` is the proof that
-    the distribution is integrable (P(delta) = 0), which the unary map needs.
+    checked structure field ``delta`` of the foliation's ``setup`` is the
+    proof that the distribution is integrable (P(delta) = 0), which the
+    unary map needs.
     """
-    setup = fol.setup
     chart, calc = setup.chart, setup.calculus
     form = FrameForm.build(setup, 1, {((i,), j): _poly_fn(chart, poly) for (i, j), poly in cand.phi.items()})
     residual = explicit_structure_maps(setup, 1, [form])

@@ -68,14 +68,12 @@ EXIT_INTERNAL_ERROR = 4
 
 
 class Report(Record):
-    __slots__ = _fields = ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "conventions",
-                           "details")
+    __slots__ = _fields = ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "details")
 
     def __init__(self, command: str, verdict: str, residual_terms: list[str] | None = None,
-                 oracle_agreement: bool | None = None, timing_ms: float = 0.0,
-                 conventions: tuple[str, ...] = CONVENTIONS, details: dict[str, Any] | None = None):
+                 oracle_agreement: bool | None = None, timing_ms: float = 0.0, details: dict[str, Any] | None = None):
         self.command, self.verdict, self.residual_terms = command, verdict, residual_terms
-        self.oracle_agreement, self.timing_ms, self.conventions = oracle_agreement, timing_ms, conventions
+        self.oracle_agreement, self.timing_ms = oracle_agreement, timing_ms
         self.details = {} if details is None else details
 
     @property
@@ -90,7 +88,7 @@ class Report(Record):
         obj = {
             "command": self.command,
             "verdict": self.verdict,
-            "conventions": list(self.conventions),
+            "conventions": list(CONVENTIONS),
             "details": self.details,
         }
         if self.residual_terms is not None:
@@ -112,7 +110,7 @@ class Report(Record):
         for key in sorted(self.details):
             lines.append(f"{key}: {self.details[key]}")
         lines.append(f"time:     {self.timing_ms:.1f} ms")
-        lines.append(f"conventions: {', '.join(self.conventions)}")
+        lines.append(f"conventions: {', '.join(CONVENTIONS)}")
         return "\n".join(lines)
 
 
@@ -458,17 +456,15 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
     setup, base, cand = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
     delta = _structure_delta(inst, setup)
+    mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
     if inst.kind == "foliation":
-        infinitesimal = foliation_infinitesimal(inst.payload["foliation"], delta, cand)
-        mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
+        infinitesimal = foliation_infinitesimal(setup, delta, cand)
         third_agrees = infinitesimal.agree
         details = {"infinitesimal_closed": infinitesimal.closed}
     else:
         # along the structure field the tangency series is the MC residual itself
-        tan = tangency_oracle(setup, delta, pair, cap=cap)
-        mc = tan.series
-        third_agrees = tan.agree
-        details = {"tangency_routes_agree": tan.agree}
+        third_agrees = mc == tangency_oracle(setup, delta.delta, pair)
+        details = {"tangency_routes_agree": third_agrees}
     oracle = graph_closure_oracle(setup, pair)
     zero = mc.is_zero()
     agree = zero == oracle.accepts and third_agrees

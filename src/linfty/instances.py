@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .algebroid import AlgebroidData
-from .applications import FoliationSetup, HomomorphismData, graph_setup
+from .applications import HomomorphismData, foliation_setup, graph_setup
 from .subalgebroid import DeformationPair, SplitSetup
 from .superfield import Record
 
@@ -37,10 +37,10 @@ class InstanceError(ValueError):
 
 
 class InstanceFile(Record):
-    __slots__ = _fields = ("kind", "payload", "source")
+    __slots__ = _fields = ("kind", "payload")
 
-    def __init__(self, kind: str, payload: dict[str, Any], source: str = "<memory>"):
-        self.kind, self.payload, self.source = kind, payload, source
+    def __init__(self, kind: str, payload: dict[str, Any]):
+        self.kind, self.payload = kind, payload
 
 
 # A Lie algebra (subalgebra) is a Lie algebroid (subalgebroid) over a point.  Its file is the general
@@ -198,11 +198,11 @@ def _read_foliation(obj: dict, kind: str) -> dict:
     coords = (range(base_dim),)
     frames = [_parse_entries(f, f"$.frames[{fi}]", base_dim, "t", coords) for fi, f in enumerate(frames_obj)]
     try:
-        fol = FoliationSetup.build(base_dim, sub_rank, frames)
+        setup = foliation_setup(base_dim, sub_rank, frames)
     except ValueError as exc:
         raise InstanceError("$.frames", str(exc)) from exc
     psi = _parse_entries(obj.get("psi", []), "$.psi", base_dim, "ij", (range(sub_rank), range(sub_rank, base_dim)))
-    return {"foliation": fol, "setup": fol.setup, "candidate": DeformationPair.build(fol.setup, phi=psi)}
+    return {"setup": setup, "candidate": DeformationPair.build(setup, phi=psi)}
 
 
 def _parse_block(obj: Any, path: str) -> AlgebroidData:
@@ -251,7 +251,6 @@ def parse_instance(path_or_obj) -> InstanceFile:
         except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise InstanceError(source, f"invalid JSON: {exc}") from exc
     else:
-        source = "<memory>"
         obj = path_or_obj
     _expect(isinstance(obj, dict), "$", "expected a JSON object")
     version = obj.get("format_version")
@@ -260,7 +259,7 @@ def parse_instance(path_or_obj) -> InstanceFile:
     _expect(kind in KINDS, "$.kind", f"expected one of {KINDS}")
     payload = _READERS[_OVER_A_POINT.get(kind, kind)](obj, kind)
     _only(obj, _KEYS[kind], "$")
-    return InstanceFile(kind, payload, source)
+    return InstanceFile(kind, payload)
 
 
 # ---------------------------------------------------------------------

@@ -183,7 +183,7 @@ def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
 
 
 # ---------------------------------------------------------------------
-# tangency oracle: bracket series against direct graph substitution
+# tangency oracle: direct graph substitution
 # ---------------------------------------------------------------------
 def graph_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, SuperFunction]:
     """Coordinate replacements realizing restriction to the candidate graph."""
@@ -198,47 +198,22 @@ def graph_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, Super
     return mapping
 
 
-class TangencyResult(Record):
-    __slots__ = _fields = ("series", "substitution")
+def tangency_oracle(setup: SplitSetup, z: SuperVectorField, gamma: DeformationPair) -> SuperVectorField:
+    """The failure of a field to be tangent to the graph of a candidate, by direct graph substitution.
 
-    def __init__(self, series: SuperVectorField, substitution: SuperVectorField):
-        self.series, self.substitution = series, substitution
-
-    @property
-    def agree(self) -> bool:
-        return self.series == self.substitution
-
-
-def tangency_oracle(
-    setup: SplitSetup,
-    z: SuperVectorField | MCDelta,
-    gamma: DeformationPair,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> TangencyResult:
-    """Both characterizations of tangency to the graph of a candidate.
-
-    The series route sums (1/n!) P(ad^n by minus the encoded section) of z;
-    the substitution route applies z to each graph-defining function and
-    restricts to the graph.  Exact agreement is part of the contract.  A
-    checked structure field ``MCDelta`` is known to satisfy P(z) = 0, so
-    neither the precondition nor the series' n = 0 term projects it again:
-    its series is the MC residual of the candidate.
+    Applies z to each graph-defining function and restricts to the graph.
+    The series route, (1/n!) P(ad^n by minus the encoded section) of z summed
+    over n >= 0, is ``twisted_projection``; along a checked structure field
+    it is ``subalgebroid_mc_residual``.  The two routes agree exactly, on
+    any field, tangent to the zero section or not: that is part of the
+    contract.
     """
-    candidate = LInftyElement(-encode_deformation(setup, gamma).value, 0)
-    if isinstance(z, MCDelta):
-        series = mc_residual(setup, z, candidate, cap=cap).value
-        z = z.delta
-    elif not setup.project(z).is_zero():
-        raise ValueError("field is not tangent to the zero section")
-    else:
-        series = twisted_projection(setup, candidate, z, cap=cap)
-
     mapping = graph_substitution(setup, gamma)
     terms: dict[tuple, Coefficient] = {}
     for t, graph_fn in mapping.items():
         residual = (z.component(t) - apply(z, graph_fn)).substitute(mapping)
         terms.update(((even, odd, t), c) for (even, odd), c in residual.terms.items())
-    return TangencyResult(series, SuperVectorField(setup.chart, terms))
+    return SuperVectorField(setup.chart, terms)
 
 
 # ---------------------------------------------------------------------

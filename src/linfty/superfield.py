@@ -39,15 +39,6 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-BASE = "base"
-NORMAL = "normal"
-SUB_FRAME = "sub_frame"
-COMPLEMENT_FRAME = "complement_frame"
-PLAIN = "plain"
-
-_EVEN_ROLES = (BASE, NORMAL)
-_ODD_ROLES = (SUB_FRAME, COMPLEMENT_FRAME, PLAIN)
-
 
 class ChartMismatchError(ValueError):
     """Operands live on different coordinate charts."""
@@ -96,37 +87,32 @@ class Frozen(Record):
 
 
 class CoordinateChart(Frozen):
-    """Named even/odd coordinates with their geometric roles.
+    """The coordinates of a chart, given by their dimensions and named from them.
 
-    No code reads the roles: they keep charts of different splits with the
-    same names (two sub-frame sizes, a plain chart and a split one) unequal,
-    so each refuses the other's fields.  Every term map compares and hashes
-    its chart, so equality tries identity first and the hash is computed once.
+    The even coordinates are ``base_dim`` base ones ``x1..`` then
+    ``normal_rank`` normal ones ``y1..``; the odd ones are the frame
+    ``xi1..``, of which the first ``sub_rank`` span the subbundle of a split
+    (``None`` on a plain chart).  The dimensions keep charts of different
+    splits with the same names (two sub-frame sizes, a plain chart and a
+    split one) unequal, so each refuses the other's fields.  Every term map
+    compares and hashes its chart, so equality tries identity first and the
+    hash is computed once.
     """
 
-    __slots__ = ("even_names", "even_roles", "odd_names", "odd_roles", "_hash")
+    __slots__ = ("base_dim", "normal_rank", "fiber_rank", "sub_rank", "even_names", "odd_names", "_hash")
     _fields = __slots__[:4]
 
-    def __init__(self, even_names: tuple[str, ...], even_roles: tuple[str, ...], odd_names: tuple[str, ...],
-                 odd_roles: tuple[str, ...]):
-        names = even_names + odd_names
-        if len(set(names)) != len(names):
-            raise ValueError("coordinate names must be unique")
-        if len(even_roles) != len(even_names):
-            raise ValueError("one role per even coordinate")
-        if len(odd_roles) != len(odd_names):
-            raise ValueError("one role per odd coordinate")
-        for r in even_roles:
-            if r not in _EVEN_ROLES:
-                raise ValueError(f"bad even role {r!r}")
-        for r in odd_roles:
-            if r not in _ODD_ROLES:
-                raise ValueError(f"bad odd role {r!r}")
-        object.__setattr__(self, "even_names", even_names)
-        object.__setattr__(self, "even_roles", even_roles)
-        object.__setattr__(self, "odd_names", odd_names)
-        object.__setattr__(self, "odd_roles", odd_roles)
-        object.__setattr__(self, "_hash", hash((even_names, even_roles, odd_names, odd_roles)))
+    def __init__(self, base_dim: int, normal_rank: int, fiber_rank: int, sub_rank: int | None = None):
+        if sub_rank is not None and not 0 <= sub_rank <= fiber_rank:
+            raise ValueError("sub rank out of range")
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "normal_rank", normal_rank)
+        object.__setattr__(self, "fiber_rank", fiber_rank)
+        object.__setattr__(self, "sub_rank", sub_rank)
+        evens = [f"x{t + 1}" for t in range(base_dim)] + [f"y{k + 1}" for k in range(normal_rank)]
+        object.__setattr__(self, "even_names", tuple(evens))
+        object.__setattr__(self, "odd_names", tuple([f"xi{i + 1}" for i in range(fiber_rank)]))
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __eq__(self, other):
         return self is other or Record.__eq__(self, other)

@@ -101,8 +101,9 @@ class DerivedBrackets:
     tags.  Every distinct argument value is checked once; values are
     compared exactly, so a cached result is the one a fresh evaluation
     would give.  The brackets are multilinear, so a chain whose prefix is
-    already zero stops there: its bracket is P(0), tagged from the
-    arguments like any zero bracket.
+    already zero stops there, and a zero chain is its own projection: its
+    bracket is that zero field, tagged from the arguments like any zero
+    bracket.
     """
 
     def __init__(self, split: SplitSetup, delta: MCDelta):
@@ -147,7 +148,7 @@ class DerivedBrackets:
             if step is None:
                 step = chains[ids[:i]] = super_commutator(w, args[i - 1].value)
             w = step
-        value = self.split.project(w)
+        value = w if w.is_zero() else self.split.project(w)
         degree = value.degree()
         if degree is None:  # zero or mixed: the tag follows from the arguments' tags
             degs = [a.degree for a in args]

@@ -71,7 +71,7 @@ MUTANTS = [
      "third_agrees = infinitesimal.agree", "third_agrees = True",
      ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
     ("tangency route ignored", "cli.py",
-     "third_agrees = tan.agree", "third_agrees = True",
+     "third_agrees = mc == tangency_oracle(setup, delta.delta, pair)", "third_agrees = True",
      ["tests/test_cli.py::TestCommands::test_a_disagreeing_oracle_exits_3"]),
     ("homomorphism validate ignores the graph oracle", "cli.py",
      "graph_closure_oracle(setup, base).accepts", "True",
@@ -95,6 +95,12 @@ MUTANTS = [
     ("chain continued past a zero prefix", "valgebra.py",
      "            if w.is_zero():\n                break\n", "",
      ["tests/test_valgebra.py::TestMultilinearShortcuts::test_no_commutator_of_a_zero"]),
+    ("zero chain projected", "valgebra.py",
+     "value = w if w.is_zero() else self.split.project(w)", "value = self.split.project(w)",
+     ["tests/test_valgebra.py::TestMultilinearShortcuts::test_no_projection_of_a_zero_chain"]),
+    ("chart equality ignores the sub rank", "superfield.py",
+     "_fields = __slots__[:4]", "_fields = __slots__[:3]",
+     ["tests/test_records.py::test_dimensions_keep_splits_with_equal_names_apart"]),
 ]
 
 

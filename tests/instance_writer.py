@@ -65,11 +65,13 @@ def serialize_instance(inst: InstanceFile) -> dict:
                 value = payload[key]
                 obj[key] = serialize_pair(value) if isinstance(value, DeformationPair) else _tensors_obj(value)
     elif general == "foliation":
-        fol = payload["foliation"]
+        setup = payload["setup"]
+        # frame field i is the anchor of frame element i
+        frames = [{t: poly for (i, t), poly in setup.data.anchor.items() if i == fi} for fi in range(setup.base_dim)]
         obj = {
-            "base_dim": fol.setup.base_dim,
-            "sub_rank": fol.setup.sub_rank,
-            "frames": [_entries_obj(dict(enumerate(frame)), "t") for frame in fol.frames],
+            "base_dim": setup.base_dim,
+            "sub_rank": setup.sub_rank,
+            "frames": [_entries_obj(frame, "t") for frame in frames],
             "psi": _entries_obj(payload["candidate"].phi, "ij"),
         }
     else:  # a homomorphism

@@ -161,8 +161,7 @@ def test_criterion_5_oracle_equivalence():
         residual = subalgebroid_mc_residual(setup, MCDelta.of(setup, xq), pair)
         oracle = graph_closure_oracle(setup, pair)
         ok = ok and (residual.value.is_zero() == oracle.accepts)
-        tan = tangency_oracle(setup, xq, pair)
-        ok = ok and tan.agree and tan.series == residual.value
+        ok = ok and tangency_oracle(setup, xq, pair) == residual.value
         if oracle.accepts:
             accepted += 1
         else:
@@ -250,15 +249,15 @@ def test_criterion_8_derivation_transport():
 
 
 def test_criterion_9_applications():
-    fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-    delta = MCDelta.of(fol.setup, build_xq(fol.setup.data, fol.setup.chart))
+    setup = parse_instance(fixture_path("foliation-r3")).payload["setup"]
+    delta = MCDelta.of(setup, build_xq(setup.data, setup.chart))
     psi = {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}}
-    accept = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi=psi))
-    reject = foliation_infinitesimal(fol, delta, DeformationPair.build(fol.setup, phi={(0, 2): psi[(0, 2)]}))
+    accept = foliation_infinitesimal(setup, delta, DeformationPair.build(setup, phi=psi))
+    reject = foliation_infinitesimal(setup, delta, DeformationPair.build(setup, phi={(0, 2): psi[(0, 2)]}))
     ok = accept.closed and accept.agree
     ok = ok and (not reject.closed) and reject.agree
     ok = ok and reject.residual.values == {
-        ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
+        ((0, 1), 2): SuperFunction.constant(setup.chart, -1)
     }
     h = parse_instance(fixture_path("hom-sl2-id")).payload["homomorphism"]
     setup, base, _ = graph_setup(h)

@@ -523,11 +523,9 @@ def _preset_algebroids():
         inst = parse_instance(fixture_path(name))
         if inst.kind in ("algebroid", "lie_algebra"):
             out.append((inst.payload["data"], None))
-        elif inst.kind in ("subalgebroid", "subalgebra"):
-            out.append((inst.payload["data"], inst.payload["setup"].chart))
-        elif inst.kind == "foliation":
-            fol = inst.payload["foliation"]
-            out.append((fol.setup.data, fol.setup.chart))
+        elif inst.kind in ("subalgebroid", "subalgebra", "foliation"):
+            setup = inst.payload["setup"]
+            out.append((setup.data, setup.chart))
         else:
             h, setup = inst.payload["homomorphism"], inst.payload["setup"]
             out += [(h.source, None), (h.target, None), (setup.data, setup.chart)]

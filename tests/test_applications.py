@@ -9,11 +9,11 @@ import pytest
 
 from linfty.algebroid import AlgebroidData, build_xq, validate_algebroid
 from linfty.applications import (
-    FoliationSetup,
     HomomorphismData,
     block_perturbation,
     block_sum_data,
     foliation_infinitesimal,
+    foliation_setup,
     graph_setup,
     simultaneous_homomorphism,
     structure_delta,
@@ -23,7 +23,7 @@ from linfty.applications import (
 from linfty.cli import run_command
 from linfty.instances import FORMAT_VERSION, fixture_path, parse_instance
 from linfty.signs import koszul_sign
-from linfty.subalgebroid import DeformationPair, graph_closure_oracle, subalgebroid_mc_residual
+from linfty.subalgebroid import DeformationPair, SplitSetup, graph_closure_oracle, subalgebroid_mc_residual
 from linfty.superfield import CoordinateChart, PreconditionError, SuperFunction, is_homological
 from linfty.valgebra import MCDelta
 
@@ -147,34 +147,34 @@ class TestSubalgebraDeformation:
             subalg_check(g, 2, {})
 
 
-def checked_delta(fol: FoliationSetup) -> MCDelta:
+def checked_delta(setup: SplitSetup) -> MCDelta:
     """The checked structure field of a foliation's split: refused unless the distribution is integrable."""
-    return MCDelta.of(fol.setup, build_xq(fol.setup.data, fol.setup.chart))
+    return MCDelta.of(setup, build_xq(setup.data, setup.chart))
 
 
-def psi(fol: FoliationSetup, phi: dict) -> DeformationPair:
+def psi(setup: SplitSetup, phi: dict) -> DeformationPair:
     """A foliation candidate: the bundle map ``phi`` from the distribution to the complement."""
-    return DeformationPair.build(fol.setup, phi=phi)
+    return DeformationPair.build(setup, phi=phi)
 
 
 class TestFoliation:
     def test_fixture_accepts_symmetric_candidate(self):
-        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        candidate = psi(fol, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
-        res = foliation_infinitesimal(fol, checked_delta(fol), candidate)
+        setup = parse_instance(fixture_path("foliation-r3")).payload["setup"]
+        candidate = psi(setup, {(0, 2): {(0, 1, 0): 1}, (1, 2): {(1, 0, 0): 1}})
+        res = foliation_infinitesimal(setup, checked_delta(setup), candidate)
         assert res.closed and res.agree and not res.condition_defects
 
     def test_fixture_rejects_half_candidate_with_minus_one(self):
-        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, checked_delta(fol), psi(fol, {(0, 2): {(0, 1, 0): 1}}))
+        setup = parse_instance(fixture_path("foliation-r3")).payload["setup"]
+        res = foliation_infinitesimal(setup, checked_delta(setup), psi(setup, {(0, 2): {(0, 1, 0): 1}}))
         assert not res.closed and res.agree
         assert res.residual.values == {
-            ((0, 1), 2): SuperFunction.constant(fol.setup.chart, -1)
+            ((0, 1), 2): SuperFunction.constant(setup.chart, -1)
         }
 
     def test_zero_candidate_closed(self):
-        fol = parse_instance(fixture_path("foliation-r3")).payload["foliation"]
-        res = foliation_infinitesimal(fol, checked_delta(fol), DeformationPair.zero())
+        setup = parse_instance(fixture_path("foliation-r3")).payload["setup"]
+        res = foliation_infinitesimal(setup, checked_delta(setup), DeformationPair.zero())
         assert res.closed and res.agree
 
     def test_rank_one_distributions_accept_everything(self):
@@ -184,9 +184,10 @@ class TestFoliation:
             frames = [dict() for _ in range(2)]
             frames[0] = {0: 1, 1: {(rng.randint(0, 2), rng.randint(0, 1)): rng.randint(-2, 2)}}
             frames[1] = {1: 1}
-            fol = FoliationSetup.build(2, 1, frames)
-            delta = checked_delta(fol)  # integrable: P(delta) = 0
-            res = foliation_infinitesimal(fol, delta, psi(fol, {(0, 1): {(rng.randint(0, 2), 0): rng.randint(-2, 2)}}))
+            setup = foliation_setup(2, 1, frames)
+            delta = checked_delta(setup)  # integrable: P(delta) = 0
+            cand = psi(setup, {(0, 1): {(rng.randint(0, 2), 0): rng.randint(-2, 2)}})
+            res = foliation_infinitesimal(setup, delta, cand)
             assert res.closed and res.agree
 
     def test_non_integrable_rejected(self):
@@ -196,14 +197,14 @@ class TestFoliation:
             {1: 1, 2: {(1, 0, 0): 1}},
             {2: 1},
         ]
-        fol = FoliationSetup.build(3, 2, frames)
-        assert not fol.setup.project(build_xq(fol.setup.data, fol.setup.chart)).is_zero()
+        setup = foliation_setup(3, 2, frames)
+        assert not setup.project(build_xq(setup.data, setup.chart)).is_zero()
         with pytest.raises(PreconditionError, match="ker"):
-            checked_delta(fol)
+            checked_delta(setup)
 
     def test_non_constant_determinant_rejected(self):
         with pytest.raises(ValueError):
-            FoliationSetup.build(1, 1, [{0: {(1,): 1}}])
+            foliation_setup(1, 1, [{0: {(1,): 1}}])
 
 
 def leibniz_det(chart, mat) -> SuperFunction:
@@ -260,9 +261,9 @@ class TestFrameInverse:
                   for i in range(n)]
         obj = {"format_version": FORMAT_VERSION, "kind": "foliation", "base_dim": n, "sub_rank": 1, "frames": frames}
         start = time.perf_counter()
-        fol = parse_instance(obj).payload["foliation"]
+        setup = parse_instance(obj).payload["setup"]
         assert time.perf_counter() - start < 1.0
-        assert fol.frames[1][0] == {(1,) + (0,) * (n - 1): 1}
+        assert setup.data.anchor[(1, 0)] == {(1,) + (0,) * (n - 1): 1}
 
 
 def hom_sl2_id() -> HomomorphismData:

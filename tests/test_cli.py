@@ -571,7 +571,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "command,preset,count",
         [
-            # one MC series, shared with the tangency oracle: 1 square + 3 brackets (was 9)
+            # one MC series, compared with the tangency oracle: 1 square + 3 brackets (was 9)
             ("oracle-compare", "hom-sl2-id", 4),
             # the square of the structure field and one bracket with the zero candidate (was 3)
             ("oracle-compare", "sl2-borel", 2),
@@ -766,7 +766,7 @@ class TestCommands:
     def test_a_disagreeing_oracle_exits_3(self, capsys, monkeypatch, command, preset, oracle):
         import linfty.cli as cli
         from linfty.applications import FoliationResult
-        from linfty.subalgebroid import GraphClosureReport, TangencyResult
+        from linfty.subalgebroid import GraphClosureReport
         from linfty.superfield import SuperVectorField
 
         real = getattr(cli, oracle)
@@ -776,8 +776,7 @@ class TestCommands:
             if oracle == "foliation_infinitesimal":  # the classical condition flipped against the unary map
                 return FoliationResult(res.closed, res.residual, {} if res.condition_defects else {(0, 1, 2): "x"})
             if oracle == "tangency_oracle":  # graph substitution off by d/dxi_1
-                shifted = res.substitution + SuperVectorField(res.series.chart, {((), (), 0): 1})
-                return TangencyResult(res.series, shifted)
+                return res + SuperVectorField(res.chart, {((), (), 0): 1})
             return GraphClosureReport(closure_defects={(0, 1, 2): "x"} if res.accepts else {})
 
         monkeypatch.setattr(cli, oracle, disagreeing)

@@ -46,7 +46,7 @@ def _oracle_dims(inst, truncate) -> list[int]:
         data = inst.payload["data"]
         t = truncate if data.base_dim else 0
         return [len(dgla_representatives(data, q, t)) for q in range(data.fiber_rank + 1)]
-    setup = inst.payload["foliation"].setup if inst.kind == "foliation" else inst.payload["setup"]
+    setup = inst.payload["setup"]
     xq = build_xq(setup.data, setup.chart)
     t = truncate if setup.base_dim else 0
     top = setup.sub_rank + (1 if setup.normal_rank else 0)

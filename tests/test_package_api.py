@@ -9,7 +9,7 @@ few exceptions are listed in ``ALLOWED`` with the reason each is kept.
 Every public method and property of a package class (dunders aside) must be
 read as an attribute somewhere in the package outside its own body.  Types
 are not tracked, so a name that some other object's attribute shares counts
-as used.
+as used.  Every name a module imports must be read in that module.
 """
 import ast
 import json
@@ -18,6 +18,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "linfty"
@@ -112,6 +114,29 @@ def test_allowed_names_exist_and_have_their_reason():
         module, attr = name.split(".")
         assert f"def {attr}(" in (PACKAGE / f"{module}.py").read_text(), name
         assert name in tracing or f"`{attr}`" in readme, name
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names read inside quoted annotations, such as ``-> "SectionCalculus"``."""
+    notes = [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    notes += [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    quoted = [c.value for note in notes if note is not None for c in ast.walk(note)
+              if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return {n.id for text in quoted for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_imported_name_is_used(module):
+    """An import no code of its module reads is dead, and each cold set-up compiles and runs it."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import importlib.util binds importlib
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    assert sorted(imported - used) == []
 
 
 def test_package_binds_only_its_version():

@@ -5,8 +5,9 @@ These tests pin what callers rely on: the constructor's positional and keyword
 signature with its defaults, equality by value and by exact type, the ``repr``,
 hashing and the refusal to assign or delete on frozen records, a fresh default
 container per instance on mutable ones, and the cached properties.  They
-also pin what the builds of records holding keyed polynomial maps share, and
-that chart roles keep the charts of different splits apart.
+also pin what the builds of records holding keyed polynomial maps share, how
+a chart names its coordinates, and that its dimensions keep the charts of
+different splits apart.
 """
 import re
 from fractions import Fraction
@@ -15,48 +16,50 @@ import pytest
 
 from linfty import algebroid, applications, cli, instances, subalgebroid, valgebra
 from linfty.algebroid import AlgebroidData, build_xq
-from linfty.applications import FoliationSetup, HomomorphismData, tangent_rn
+from linfty.applications import HomomorphismData, foliation_setup, tangent_rn
 from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import DeformationPair, SplitSetup
-from linfty.superfield import ChartMismatchError, CoordinateChart, SuperFunction, SuperVectorField, super_commutator
+from linfty.superfield import (
+    ChartMismatchError,
+    CoordinateChart,
+    SuperFunction,
+    SuperVectorField,
+    render_field,
+    super_commutator,
+)
 
-CHART_ARGS = (("x", "y"), ("base", "normal"), ("xi1", "xi2"), ("sub_frame", "complement_frame"))
+CHART_ARGS = (1, 1, 2, 1)  # x1, y1; xi1 | xi2
 CHART = CoordinateChart(*CHART_ARGS)
 FIELD = SuperVectorField(CHART, {((1, 0), (0,), 1): 2})
 
 # (class, field names in order, one value per field, the defaults of the trailing fields)
 RECORDS = [
-    (CoordinateChart, ("even_names", "even_roles", "odd_names", "odd_roles"), CHART_ARGS, {}),
+    (CoordinateChart, ("base_dim", "normal_rank", "fiber_rank", "sub_rank"), CHART_ARGS, {"sub_rank": None}),
     (AlgebroidData, ("base_dim", "fiber_rank", "structure", "anchor"), (1, 2, {(0, 1, 0): {(1,): 1}}, {}), {}),
     (algebroid.AlgebroidReport, ("homological", "xq", "square", "anchor_defects", "jacobi_defects"),
      (False, FIELD, FIELD, {(0, 1, 0): "x"}, {(0, 1, 2, 0): "y"}),
      {"xq": None, "square": None, "anchor_defects": {}, "jacobi_defects": {}}),
     (algebroid.SectionCalculus, ("data", "chart", "structure", "anchor"), ("data", CHART, {}, {0: {}}), {}),
-    (applications.FoliationSetup, ("frames", "setup"), (((), ()), "setup"), {}),
     (applications.FoliationResult, ("closed", "residual", "condition_defects"), (True, "residual", {}), {}),
     (applications.HomomorphismData, ("source", "target", "bundle_map", "base_map"),
      ("source", "target", {(0, 0): {(): 1}}, {}), {}),
     (subalgebroid.SplitSetup, ("data", "base_dim", "normal_rank", "sub_rank", "chart"),
      ("data", 1, 1, 1, CHART), {}),
     (subalgebroid.DeformationPair, ("sigma", "phi"), ({0: {(0,): 1}}, {}), {}),
-    (subalgebroid.TangencyResult, ("series", "substitution"), (FIELD, FIELD), {}),
     (subalgebroid.GraphClosureReport, ("anchor_defects", "closure_defects"), ({(0, 0): "a"}, {(0, 1, 1): "c"}),
      {"anchor_defects": {}, "closure_defects": {}}),
     (subalgebroid.FrameForm, ("setup", "degree", "values"), ("setup", 1, {((0,), 1): "f"}), {}),
     (valgebra.LInftyElement, ("value", "degree"), (FIELD, 0), {}),
     (valgebra.MCDelta, ("delta",), (FIELD,), {}),
     (valgebra.AxiomReport, ("checked", "failures"), (4, ["arity 2"]), {"checked": 0, "failures": []}),
-    (instances.InstanceFile, ("kind", "payload", "source"), ("algebroid", {"data": 1}, "f.json"),
-     {"source": "<memory>"}),
-    (cli.Report, ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "conventions", "details"),
-     ("validate", "pass", ["t"], True, 1.5, ("c",), {"k": 1}),
-     {"residual_terms": None, "oracle_agreement": None, "timing_ms": 0.0, "conventions": cli.CONVENTIONS,
-      "details": {}}),
+    (instances.InstanceFile, ("kind", "payload"), ("algebroid", {"data": 1}), {}),
+    (cli.Report, ("command", "verdict", "residual_terms", "oracle_agreement", "timing_ms", "details"),
+     ("validate", "pass", ["t"], True, 1.5, {"k": 1}),
+     {"residual_terms": None, "oracle_agreement": None, "timing_ms": 0.0, "details": {}}),
 ]
 FROZEN = {
-    CoordinateChart, AlgebroidData, algebroid.SectionCalculus, applications.FoliationSetup,
-    applications.HomomorphismData, subalgebroid.SplitSetup, subalgebroid.DeformationPair,
-    subalgebroid.FrameForm, valgebra.LInftyElement, valgebra.MCDelta,
+    CoordinateChart, AlgebroidData, algebroid.SectionCalculus, applications.HomomorphismData, subalgebroid.SplitSetup,
+    subalgebroid.DeformationPair, subalgebroid.FrameForm, valgebra.LInftyElement, valgebra.MCDelta,
 }
 HASHABLE = {CoordinateChart: CHART_ARGS, valgebra.LInftyElement: (FIELD, 0), valgebra.MCDelta: (FIELD,)}
 
@@ -89,7 +92,7 @@ class TestEveryRecord:
         record = cls(*values)
         assert record == cls(*values)
         assert not record != cls(*values)
-        for i, name in enumerate(names if cls is not CoordinateChart else ()):  # a chart validates its fields
+        for i, name in enumerate(names if cls is not CoordinateChart else ()):  # a chart names its coordinates
             other = list(values)
             other[i] = "something else"
             assert record != cls(*other), name
@@ -119,7 +122,7 @@ class TestEveryRecord:
 
 
 def test_different_record_types_with_equal_values_differ():
-    assert subalgebroid.TangencyResult(FIELD, FIELD) != valgebra.LInftyElement(FIELD, FIELD)
+    assert subalgebroid.DeformationPair(FIELD, FIELD) != valgebra.LInftyElement(FIELD, FIELD)
     assert valgebra.AxiomReport({}, {}) != subalgebroid.GraphClosureReport({}, {})
 
 
@@ -162,27 +165,13 @@ def test_cached_properties_are_computed_once():
     assert data == AlgebroidData(data.base_dim, data.fiber_rank, data.structure, data.anchor)
 
 
-@pytest.mark.parametrize("args, message", [
-    ((("x", "x"), ("base", "base"), (), ()), "coordinate names must be unique"),
-    ((("x",), ("x",), ("x",), ("plain",)), "coordinate names must be unique"),
-    ((("x",), (), (), ()), "one role per even coordinate"),
-    ((("x",), ("base",), ("xi",), ()), "one role per odd coordinate"),
-    ((("x",), ("plain",), (), ()), "bad even role 'plain'"),
-    ((("x",), ("base",), ("xi",), ("normal",)), "bad odd role 'normal'"),
-])
-def test_chart_validation_errors(args, message):
-    with pytest.raises(ValueError) as err:
-        CoordinateChart(*args)
-    assert str(err.value) == message
-
-
 def test_terms_on_equal_but_distinct_charts_compare_and_hash_equal():
-    twin = CoordinateChart(*(tuple(list(names)) for names in CHART_ARGS))
+    twin = CoordinateChart(*CHART_ARGS)
     assert twin is not CHART and twin == CHART and hash(twin) == hash(CHART)
     f, g = SuperFunction(CHART, {((1, 2), (0,)): 3}), SuperFunction(twin, {((1, 2), (0,)): 3})
     assert f == g and hash(f) == hash(g)
     assert SuperVectorField(twin, FIELD.terms) == FIELD and hash(SuperVectorField(twin, FIELD.terms)) == hash(FIELD)
-    assert f != SuperFunction(CoordinateChart(("u", "y"), *CHART_ARGS[1:]), {((1, 2), (0,)): 3})
+    assert f != SuperFunction(CoordinateChart(2, 0, 2, 1), {((1, 2), (0,)): 3})  # two evens, none normal
     assert f + g == f.scale(2)
 
 
@@ -211,7 +200,7 @@ KEYED_MAPS = {
     "bundle_map": (lambda m: HomomorphismData.build(LINE, LINE, bundle_map=m), 1, (0, 0), [(1, 0), (0, 1)]),
     "base_map": (lambda m: HomomorphismData.build(LINE, LINE, base_map=m), 1, 0, [1, -1, (0,)]),
     # the frame field (1, m) next to (0, 1): its determinant stays 1
-    "frames": (lambda m: FoliationSetup.build(2, 1, [{0: 1, **m}, {1: 1}]), 2, 1, [7, -1, 2, (1,)]),
+    "frames": (lambda m: foliation_setup(2, 1, [{0: 1, **m}, {1: 1}]), 2, 1, [7, -1, 2, (1,)]),
 }
 
 
@@ -236,11 +225,51 @@ class TestKeyedMapBuilds:
 
 
 # ---------------------------------------------------------------------
-# chart roles
+# charts
 # ---------------------------------------------------------------------
+CHART_DATA = AlgebroidData.build(2, 3)
+# a package chart, its even and its odd coordinate names
+CHART_NAMES = {
+    "plain": (lambda: CHART_DATA.plain_chart(), ("x1", "x2"), ("xi1", "xi2", "xi3")),
+    "split": (lambda: CHART_DATA.split_chart(1, 1, 2), ("x1", "y1"), ("xi1", "xi2", "xi3")),
+    "fixed base": (lambda: CHART_DATA.split_chart(2, 0, 0), ("x1", "x2"), ("xi1", "xi2", "xi3")),
+    "over a point": (lambda: parse_instance(fixture_path("sl2")).payload["data"].plain_chart(), (),
+                     ("xi1", "xi2", "xi3")),
+    "foliation": (lambda: parse_instance(fixture_path("foliation-r3")).payload["setup"].chart, ("x1", "x2", "x3"),
+                  ("xi1", "xi2", "xi3")),
+}
+
+
+@pytest.mark.parametrize("case", CHART_NAMES)
+def test_package_charts_name_their_coordinates(case):
+    make, evens, odds = CHART_NAMES[case]
+    chart = make()
+    assert (chart.even_names, chart.odd_names) == (evens, odds)
+    assert (chart.n_even, chart.n_odd) == (len(evens), len(odds))
+
+
+def test_rendered_fields_name_their_coordinates():
+    assert render_field(build_xq(ROLE_DATA, ROLE_DATA.plain_chart())) == (
+        "-1 xi1 d/dx1 + -1 x1 xi2 d/dx1 + 1 x1 xi1 xi2 d/dxi2"
+    )
+    assert render_field(build_xq(ROLE_DATA, ROLE_DATA.split_chart(0, 1, 1))) == (
+        "-1 xi1 d/dy1 + -1 y1 xi2 d/dy1 + 1 y1 xi1 xi2 d/dxi2"
+    )
+
+
+@pytest.mark.parametrize("sub_rank", [-1, 4])
+def test_out_of_range_sub_rank_refused(sub_rank):
+    for make in (lambda: CoordinateChart(2, 0, 3, sub_rank), lambda: CHART_DATA.split_chart(1, 1, sub_rank),
+                 lambda: SplitSetup.build(CHART_DATA, 1, 1, sub_rank)):
+        with pytest.raises(ValueError, match="^sub rank out of range$"):
+            make()
+    for in_range in (None, 0, 3):
+        assert CoordinateChart(2, 0, 3, in_range).sub_rank == in_range
+
+
 ROLE_DATA = AlgebroidData.build(1, 2, structure={(0, 1, 1): {(1,): 1}}, anchor={(0, 0): 1, (1, 0): {(1,): 1}})
 NARROW, WIDE = SplitSetup.build(ROLE_DATA, 1, 0, 1), SplitSetup.build(ROLE_DATA, 1, 0, 2)
-# charts with the same coordinate names that only their roles tell apart, each with its split setup if it has one
+# charts with the same coordinate names that only their sub ranks tell apart, each with its split setup if it has one
 CHART_PAIRS = {
     "sub ranks 1 and 2": ((NARROW.chart, NARROW), (WIDE.chart, WIDE)),
     "plain and split with normal rank 0": ((ROLE_DATA.plain_chart(), None), (NARROW.chart, NARROW)),
@@ -248,7 +277,7 @@ CHART_PAIRS = {
 
 
 @pytest.mark.parametrize("pair", CHART_PAIRS)
-def test_roles_keep_splits_with_equal_names_apart(pair):
+def test_dimensions_keep_splits_with_equal_names_apart(pair):
     (chart_a, setup_a), (chart_b, setup_b) = CHART_PAIRS[pair]
     assert (chart_a.even_names, chart_a.odd_names) == (chart_b.even_names, chart_b.odd_names)
     field_a, field_b = build_xq(ROLE_DATA, chart_a), build_xq(ROLE_DATA, chart_b)

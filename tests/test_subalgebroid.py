@@ -24,7 +24,7 @@ from linfty.subalgebroid import (
     tangency_oracle,
 )
 from linfty.superfield import SuperFunction, SuperVectorField, super_commutator
-from linfty.valgebra import DerivedBrackets, LInftyElement, MCDelta, derived_bracket
+from linfty.valgebra import DerivedBrackets, LInftyElement, MCDelta, derived_bracket, twisted_projection
 
 SL2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
 HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
@@ -33,7 +33,7 @@ SL2_EHF = AlgebroidData.build(0, 3, structure={(0, 1, 0): -2, (0, 2, 1): 1, (1, 
 # the split of sl(2) + sl(2) along the graph of the identity (the hom-sl2-id preset)
 HOM_SL2_ID = parse_instance(fixture_path("hom-sl2-id")).payload["setup"]
 # the coordinate distribution spanned by the first two directions of R^3 (the foliation-r3 preset)
-FOLIATION_R3 = parse_instance(fixture_path("foliation-r3")).payload["foliation"].setup
+FOLIATION_R3 = parse_instance(fixture_path("foliation-r3")).payload["setup"]
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +46,10 @@ def checked(setup, xq):
     return MCDelta.of(setup, xq)
 
 
-def tangent(res):
-    """Both tangency routes read zero: the field is tangent to the candidate's graph."""
-    return res.series.is_zero() and res.substitution.is_zero()
+def tangency_routes(setup, z, gamma):
+    """(series, substitution): z twisted along minus the encoded candidate, and z restricted to its graph."""
+    candidate = LInftyElement(-encode_deformation(setup, gamma).value, 0)
+    return twisted_projection(setup, candidate, z), tangency_oracle(setup, z, gamma)
 
 
 def phi_pair(setup, a, b):
@@ -128,36 +129,47 @@ class TestTangencyOracle:
     def test_horizontal_field_always_tangent(self, plane):
         Z = SuperVectorField(plane.chart, {((0, 1), (), 0): Fraction(1)})  # y d/dx
         for c in (-2, 0, 5):
-            res = tangency_oracle(plane, Z, DeformationPair.build(plane, sigma={0: c}))
-            assert res.agree and tangent(res)
+            series, substitution = tangency_routes(plane, Z, DeformationPair.build(plane, sigma={0: c}))
+            assert series.is_zero() and substitution.is_zero()
 
     def test_quadratic_vertical_field(self, plane):
         Z = SuperVectorField(plane.chart, {((0, 2), (), 1): Fraction(1)})  # y^2 d/dy
         for c in (0, 1, 3):
-            res = tangency_oracle(plane, Z, DeformationPair.build(plane, sigma={0: c}))
-            assert res.agree
+            series, substitution = tangency_routes(plane, Z, DeformationPair.build(plane, sigma={0: c}))
             expected = SuperVectorField(plane.chart, {((0, 0), (), 1): Fraction(c * c)})
-            assert res.series == expected
-            assert tangent(res) == (c == 0)
+            assert series == substitution == expected
+            assert expected.is_zero() == (c == 0)
 
     def test_zero_field(self, plane):
-        res = tangency_oracle(
+        series, substitution = tangency_routes(
             plane, SuperVectorField.zero(plane.chart), DeformationPair.build(plane, sigma={0: 4})
         )
-        assert tangent(res) and res.agree
+        assert series.is_zero() and substitution.is_zero()
 
-    def test_precondition_enforced(self, plane):
-        Z = SuperVectorField(plane.chart, {((0, 0), (), 1): Fraction(1)})  # d/dy
-        with pytest.raises(ValueError):
-            tangency_oracle(plane, Z, DeformationPair.zero())
+    def test_routes_agree_off_the_zero_section(self, plane):
+        # d/dy and x d/dy are not tangent to y = 0, nor to any graph y = c
+        for exps in ((0, 0), (1, 0)):
+            Z = SuperVectorField(plane.chart, {(exps, (), 1): Fraction(1)})
+            assert not plane.project(Z).is_zero()
+            for c in (-2, 0, 5):
+                series, substitution = tangency_routes(plane, Z, DeformationPair.build(plane, sigma={0: c}))
+                assert series == substitution == Z
 
     def test_routes_agree_on_random_polynomial_inputs(self):
         rng = random.Random(99)
+        off_the_zero_section = 0
         for _ in range(25):
             setup, xq = random_instance(rng)
             gamma = random_candidate(setup, rng)
-            res = tangency_oracle(setup, xq, gamma)
-            assert res.agree
+            basis = [b for d in (0, 1) for b in setup.abelian_basis(d, 1)]
+            summand = SuperVectorField.zero(setup.chart)
+            for b in rng.sample(basis, min(3, len(basis))):
+                summand = summand + b.scale(rng.choice((-2, -1, 1, 2)))
+            for z in (xq, xq + summand, summand):
+                off_the_zero_section += not setup.project(z).is_zero()
+                series, substitution = tangency_routes(setup, z, gamma)
+                assert series == substitution
+        assert off_the_zero_section >= 25
 
 
 class TestMCResidual:
@@ -188,8 +200,7 @@ class TestMCResidual:
         setup, xq = borel
         pair = phi_pair(setup, 1, -1)
         res = subalgebroid_mc_residual(setup, checked(setup, xq), pair)
-        tan = tangency_oracle(setup, xq, pair)
-        assert res.value == tan.series == tan.substitution
+        assert res.value == tangency_oracle(setup, xq, pair) == tangency_routes(setup, xq, pair)[0]
 
 
 class TestGraphClosureOracle:

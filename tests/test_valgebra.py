@@ -338,8 +338,7 @@ def summand_basis(setup, poly_degree=0):
 
 
 def preset_setup(name):
-    payload = parse_instance(fixture_path(name)).payload
-    return payload["foliation"].setup if "foliation" in payload else payload["setup"]
+    return parse_instance(fixture_path(name)).payload["setup"]
 
 
 class TestDerivedBracketsEngine:
@@ -634,16 +633,17 @@ class TestMultilinearShortcuts:
         assert report.failures == expected_failures
         assert report.ok == ok
 
-    @pytest.mark.parametrize(
-        "argv,calls",
-        [
-            (["axioms", "hom-sl2-id", "--probes", "10", "--seed", "1003"], 827),
-            (["axioms", "sl2-borel", "--probes", "10", "--seed", "1000"], 36),
-            (["brackets", "sl2-borel"], 29),
-        ],
-        ids=["axioms-hom-sl2-id", "axioms-sl2-borel", "brackets-sl2-borel"],
-    )
-    def test_no_commutator_of_a_zero(self, monkeypatch, capsys, argv, calls):
+    # (command line, commutators, projections); the projections were 971, 127 and 93
+    # while a zero chain was projected too
+    RUNS = [
+        (["axioms", "hom-sl2-id", "--probes", "10", "--seed", "1003"], 827, 343),
+        (["axioms", "sl2-borel", "--probes", "10", "--seed", "1000"], 36, 23),
+        (["brackets", "sl2-borel"], 29, 15),
+    ]
+    RUN_IDS = ["axioms-hom-sl2-id", "axioms-sl2-borel", "brackets-sl2-borel"]
+
+    @pytest.mark.parametrize("argv,commutators,projections", RUNS, ids=RUN_IDS)
+    def test_no_commutator_of_a_zero(self, monkeypatch, capsys, argv, commutators, projections):
         original = valgebra.super_commutator
         first_operands = []
 
@@ -655,7 +655,22 @@ class TestMultilinearShortcuts:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert not any(a.is_zero() for a in first_operands)
-        assert len(first_operands) == calls
+        assert len(first_operands) == commutators
+
+    @pytest.mark.parametrize("argv,commutators,projections", RUNS, ids=RUN_IDS)
+    def test_no_projection_of_a_zero_chain(self, monkeypatch, capsys, argv, commutators, projections):
+        original = SplitSetup.project
+        projected = []
+
+        def counting(setup, v):
+            projected.append(v)
+            return original(setup, v)
+
+        monkeypatch.setattr(SplitSetup, "project", counting)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert not any(v.is_zero() for v in projected)
+        assert len(projected) == projections
 
     @pytest.mark.parametrize("preset", ["sl2-borel", "hom-sl2-id"])
     def test_no_outer_bracket_of_a_zero(self, monkeypatch, capsys, preset):
