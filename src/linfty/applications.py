@@ -225,14 +225,14 @@ def graph_setup(
 
 
 def structure_delta(setup: SplitSetup, h: HomomorphismData | None = None) -> MCDelta:
-    """The checked structure field of a split, squared once.
+    """The checked structure field of a split, ``setup.delta``: squared once per split record.
 
     On the graph of a homomorphism ``h`` the square of the block sum is the
     sum of the blocks' squares, so the blocks are squared only when it
     fails, to name the one at fault.
     """
     try:
-        return MCDelta.of(setup, build_xq(setup.data, setup.chart))
+        return setup.delta
     except PreconditionError:
         for name, block in (("source", h.source), ("target", h.target)) if h is not None else ():
             if not is_homological(build_xq(block)):

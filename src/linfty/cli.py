@@ -226,7 +226,7 @@ def _split_case(inst: InstanceFile, args, command: str) -> tuple[SplitSetup, Def
 
 
 def _structure_delta(inst: InstanceFile, setup: SplitSetup) -> MCDelta:
-    """The checked MCDelta of the ambient structure field, computed once per command."""
+    """The checked MCDelta of the ambient structure field, computed once per split record (``SplitSetup.delta``)."""
     return structure_delta(setup, inst.payload.get("homomorphism"))
 
 

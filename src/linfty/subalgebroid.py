@@ -28,6 +28,7 @@ from .algebroid import (
     _poly_fn,
     _poly_terms,
     add_into,
+    build_xq,
     complex_cohomology,
     merge_polys,
     monomial_fields,
@@ -121,6 +122,11 @@ class SplitSetup(Frozen):
         return SectionCalculus.of(self.data, self.chart)
 
     @cached_property
+    def delta(self) -> MCDelta:
+        """The checked structure field on the split chart; a refusal is not kept, so each read raises it."""
+        return MCDelta.of(self, build_xq(self.data, self.chart))
+
+    @cached_property
     def sub_frame(self) -> "FrameForm":
         """The sub-frame as a 1-form: values in the sub-frame, so not through ``FrameForm.build``."""
         one = SuperFunction.constant(self.chart, 1)
@@ -185,10 +191,15 @@ def encode_deformation(setup: SplitSetup, d: DeformationPair) -> LInftyElement:
 # ---------------------------------------------------------------------
 # tangency oracle: direct graph substitution
 # ---------------------------------------------------------------------
+def normal_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, SuperFunction]:
+    """The replacements y_k -> sigma_k: restriction to the section's image, for functions of the even coordinates."""
+    return {k: _poly_fn(setup.chart, d.sigma.get(pos_k, {})) for pos_k, k in enumerate(setup.normal_even_positions)}
+
+
 def graph_substitution(setup: SplitSetup, d: DeformationPair) -> dict[int, SuperFunction]:
     """Coordinate replacements realizing restriction to the candidate graph."""
     chart, ne = setup.chart, setup.chart.n_even
-    mapping = {k: _poly_fn(chart, d.sigma.get(pos_k, {})) for pos_k, k in enumerate(setup.normal_even_positions)}
+    mapping = normal_substitution(setup, d)
     for j in setup.comp_indices:
         terms = {}
         for i in setup.sub_indices:
@@ -253,10 +264,12 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
 
     Brackets the graph frame sections, restricts to the section's image,
     and checks that the result stays in the graph and that anchors stay
-    tangent to it.  Independent of the bracket-series machinery.
+    tangent to it.  Independent of the bracket-series machinery.  Every
+    function it restricts is even, so it replaces only y_k -> sigma_k.
     """
     chart, calc = setup.chart, setup.calculus
-    mapping = graph_substitution(setup, d)
+    mapping = normal_substitution(setup, d)
+    restrict = (lambda f: f.substitute(mapping)) if mapping else (lambda f: f)
     zero = SuperFunction.zero(chart)
     report = GraphClosureReport()
 
@@ -272,13 +285,13 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
             total = zero
             for a, fa in sections[i].items():
                 total = total + fa * calc.anchor_apply(a, defining)
-            total = total.substitute(mapping)
+            total = restrict(total)
             if not total.is_zero():
                 report.anchor_defects[(i, pos_k)] = total
     # closure condition: bracket of graph sections lies in the graph over the section
     # (phi depends on base coordinates only, which the substitution leaves alone)
     for i1, i2 in itertools.combinations(setup.sub_indices, 2):
-        g = {c: f.substitute(mapping) for c, f in calc.bracket(sections[i1], sections[i2]).items()}
+        g = {c: restrict(f) for c, f in calc.bracket(sections[i1], sections[i2]).items()}
         for j in setup.comp_indices:
             defect = g.get(j, zero)
             for i in setup.sub_indices:

@@ -101,6 +101,13 @@ MUTANTS = [
     ("chart equality ignores the sub rank", "superfield.py",
      "_fields = __slots__[:4]", "_fields = __slots__[:3]",
      ["tests/test_records.py::test_dimensions_keep_splits_with_equal_names_apart"]),
+    ("graph oracle skips the normal restriction", "subalgebroid.py",
+     "restrict = (lambda f: f.substitute(mapping)) if mapping else (lambda f: f)", "restrict = lambda f: f",
+     ["tests/test_subalgebroid.py::TestGraphClosureOracle::test_normal_restriction_matches_the_full_substitution"]),
+    ("cached structure field unchecked", "subalgebroid.py",
+     "return MCDelta.of(self, build_xq(self.data, self.chart))", "return MCDelta(build_xq(self.data, self.chart))",
+     ["tests/test_cli.py::TestSplitPayloads::test_refusals_are_raised_on_every_command",
+      "tests/test_cli.py::TestSplitPayloads::test_structure_field_is_squared_once_per_split"]),
 ]
 
 

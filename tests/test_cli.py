@@ -65,6 +65,20 @@ def record_calculi(monkeypatch) -> list:
     return calls
 
 
+def record_structure_checks(monkeypatch) -> list:
+    """The split of every ``MCDelta.of`` call: each squares a structure field."""
+    from linfty.valgebra import MCDelta
+
+    original, calls = MCDelta.of, []
+
+    def counting(split, delta):
+        calls.append(split)
+        return original(split, delta)
+
+    monkeypatch.setattr(MCDelta, "of", staticmethod(counting))
+    return calls
+
+
 def borel_with_broken_jacobi() -> dict:
     """sl2-borel with the structure candidate [e, f] += e: the sum breaks Jacobi, and span{h, e} stays closed."""
     obj = json.loads(fixture_path("sl2-borel").read_text())
@@ -1052,6 +1066,32 @@ class TestSplitPayloads:
         code, out, err = run_cli(capsys, command, str(tmp_path / "hom.json"))
         assert (code, out) == (2, "")
         assert err == "precondition failed: the base bundle map is not a homomorphism\n"
+
+    @pytest.mark.parametrize("preset", ["sl2-borel", "tangent-r1-origin", "foliation-r3", "hom-sl2-id"])
+    def test_structure_field_is_squared_once_per_split(self, monkeypatch, preset):
+        inst = parse_instance(fixture_path(preset))
+        calls = record_structure_checks(monkeypatch)
+        for command, count in (("oracle-compare", 1), ("subalg-check", 0), ("oracle-compare", 0)):
+            calls.clear()
+            run_command(command, inst, split_args(command))
+            assert len(calls) == count, command
+            assert all(split is inst.payload["setup"] for split in calls)
+
+    def test_refusals_are_raised_on_every_command(self, capsys, monkeypatch, tmp_path):
+        import linfty.cli as cli
+
+        hom = homomorphism_obj(block_obj("sl2"), block_obj("non-jacobi-3"))
+        # span{e1} is closed in non-jacobi-3, so the split passes the P check and fails the square
+        split = {**json.loads(fixture_path("non-jacobi-3").read_text()), "kind": "subalgebra", "sub_rank": 1,
+                 "candidate": {"phi": []}}
+        cases = [(hom, "invalid target algebroid"), (split, "delta must satisfy [[delta, delta]] = 0")]
+        for obj, message in cases:
+            write_instance(obj, tmp_path / "case.json")
+            inst = parse_instance(tmp_path / "case.json")
+            monkeypatch.setattr(cli, "parse_instance", lambda path: inst)  # every command reads one parsed record
+            for command in ("subalg-check", "oracle-compare", "subalg-check"):
+                code, out, err = run_cli(capsys, command, str(tmp_path / "case.json"))
+                assert (code, out, err) == (2, "", f"precondition failed: {message}\n"), command
 
     def test_axioms_on_an_empty_summand(self, capsys, tmp_path):
         obj = json.loads(fixture_path("sl2-borel").read_text())

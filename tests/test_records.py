@@ -157,11 +157,15 @@ def test_mutable_records_never_share_a_default(make, attrs):
 def test_cached_properties_are_computed_once():
     setup = parse_instance(fixture_path("hom-sl2-id")).payload["setup"]
     data = parse_instance(fixture_path("sl2")).payload["data"]
-    for record, name in ((setup, "sub_frame"), (setup, "calculus"), (data, "toral_weights")):
+    fresh = subalgebroid.SplitSetup(setup.data, setup.base_dim, setup.normal_rank, setup.sub_rank, setup.chart)
+    keys = setup._values(), data._values()  # what ==, hash and repr read
+    for record, name in ((setup, "sub_frame"), (setup, "calculus"), (setup, "delta"), (data, "toral_weights")):
         assert getattr(record, name) is getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    assert setup == subalgebroid.SplitSetup(setup.data, setup.base_dim, setup.normal_rank, setup.sub_rank, setup.chart)
+    # the cached values are not fields: a split that has computed them compares, hashes and prints as one that has not
+    assert (setup._values(), data._values()) == keys and len(keys[0]) == 5
+    assert setup == fresh and fresh.__dict__ == {} and repr(setup) == repr(fresh)
     assert data == AlgebroidData(data.base_dim, data.fiber_rank, data.structure, data.anchor)
 
 

@@ -12,12 +12,14 @@ from linfty.instances import fixture_path, parse_instance
 from linfty.subalgebroid import (
     DeformationPair,
     FrameForm,
+    GraphClosureReport,
     SplitSetup,
     decode_form,
     encode_deformation,
     encode_form,
     explicit_structure_maps,
     graph_closure_oracle,
+    graph_substitution,
     m1_cohomology,
     simultaneous_residual,
     subalgebroid_mc_residual,
@@ -50,6 +52,70 @@ def tangency_routes(setup, z, gamma):
     """(series, substitution): z twisted along minus the encoded candidate, and z restricted to its graph."""
     candidate = LInftyElement(-encode_deformation(setup, gamma).value, 0)
     return twisted_projection(setup, candidate, z), tangency_oracle(setup, z, gamma)
+
+
+def full_substitution_oracle(setup, d):
+    """The graph-closure oracle restricting along the whole graph substitution, complement odds included."""
+    chart, calc = setup.chart, setup.calculus
+    mapping = graph_substitution(setup, d)
+    zero = SuperFunction.zero(chart)
+    report = GraphClosureReport()
+    sections = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
+    for (i, j), poly in d.phi.items():
+        sections[i][j] = SuperFunction(chart, {(e + (0,) * setup.normal_rank, ()): c for e, c in poly.items()})
+    for i in setup.sub_indices:
+        for pos_k, k in enumerate(setup.normal_even_positions):
+            defining = SuperFunction.even_var(chart, k) - mapping[k]
+            total = zero
+            for a, fa in sections[i].items():
+                total = total + fa * calc.anchor_apply(a, defining)
+            total = total.substitute(mapping)
+            if not total.is_zero():
+                report.anchor_defects[(i, pos_k)] = total
+    for i1, i2 in itertools.combinations(setup.sub_indices, 2):
+        g = {c: f.substitute(mapping) for c, f in calc.bracket(sections[i1], sections[i2]).items()}
+        for j in setup.comp_indices:
+            defect = g.get(j, zero)
+            for i in setup.sub_indices:
+                if i in g and j in sections[i]:
+                    defect = defect - sections[i][j] * g[i]
+            if not defect.is_zero():
+                report.closure_defects[(i1, i2, j)] = defect
+    return report
+
+
+def tangent_graph(rng, p, q):
+    """A split of the tangent algebroid of R^(p+q) along R^p and the graph of a random x-dependent section.
+
+    The candidate tilts the frame by the section's derivatives, so its graph is
+    the tangent bundle of the section's image: on the locus.
+    """
+    data = AlgebroidData.build(p + q, p + q, anchor={(t, t): 1 for t in range(p + q)})
+    setup = SplitSetup.build(data, p, q, p)
+    sigma = {k: {e: Fraction(rng.randint(1, 3)) for e in [(2,) + (0,) * (p - 1), (1,) * p]} for k in range(q)}
+    phi = {}
+    for k, poly in sigma.items():
+        for i in range(p):
+            derivative = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in poly.items() if e[i]}
+            if derivative:
+                phi[(i, p + k)] = derivative
+    return setup, DeformationPair.build(setup, sigma=sigma, phi=phi)
+
+
+def drifting_graph(rng):
+    """A split along y = 0 whose anchor depends on y, and the graph of a random x-dependent section.
+
+    Frame (e, f) over the (x, y) plane with rho(e) = d/dx + y d/dy, rho(f) = d/dy
+    and [e, f] = -f; span{e} is a subalgebroid over y = 0.  The candidate's
+    bundle map sigma' - sigma keeps rho(e + phi f) tangent to y = sigma(x): on the locus.
+    """
+    data = AlgebroidData.build(2, 2, structure={(0, 1, 1): -1}, anchor={(0, 0): 1, (0, 1): {(0, 1): 1}, (1, 1): 1})
+    setup = SplitSetup.build(data, 1, 1, 1)
+    sigma = {(2,): Fraction(rng.randint(1, 3)), (0,): Fraction(rng.randint(-2, 2))}
+    phi = {(1,): 2 * sigma[(2,)]}
+    for e, c in sigma.items():
+        phi[e] = phi.get(e, 0) - c
+    return setup, DeformationPair.build(setup, sigma={0: sigma}, phi={(0, 1): phi})
 
 
 def phi_pair(setup, a, b):
@@ -221,6 +287,43 @@ class TestGraphClosureOracle:
         assert rep.anchor_defects and not rep.accepts
         xq = build_xq(data, setup.chart)
         assert not subalgebroid_mc_residual(setup, checked(setup, xq), pair).value.is_zero()
+
+    def test_normal_restriction_matches_the_full_substitution(self, monkeypatch):
+        rng = random.Random(2029)
+        cases = []  # (setup, candidate): normal splits, graphs on the locus, fixed-base splits
+        for _ in range(30):
+            setup, _ = random_instance(rng)
+            cases += [(setup, DeformationPair.zero()), (setup, random_candidate(setup, rng, max_degree=2))]
+        for p, q in ((1, 1), (2, 1), (1, 2)):
+            setup, pair = tangent_graph(rng, p, q)
+            tilted = DeformationPair.build(setup, phi={(0, p): 1})
+            cases += [(setup, pair), (setup, pair.add(tilted))]
+        for _ in range(3):
+            setup, pair = drifting_graph(rng)
+            cases += [(setup, pair), (setup, pair.add(DeformationPair.build(setup, phi={(0, 1): 1})))]
+        for _ in range(15):
+            data, sub_rank = random_fixed_base_instance(rng)
+            setup = SplitSetup.build(data, data.base_dim, 0, sub_rank)
+            cases += [(setup, DeformationPair.zero()), (setup, random_candidate(setup, rng, max_degree=2))]
+        verdicts = {(normal, accepts): 0 for normal in (True, False) for accepts in (True, False)}
+        for setup, pair in cases:
+            want = full_substitution_oracle(setup, pair)
+            got = graph_closure_oracle(setup, pair)
+            assert list(got.anchor_defects.items()) == list(want.anchor_defects.items())
+            assert list(got.closure_defects.items()) == list(want.closure_defects.items())
+            # x-dependent sections only count on a normal split
+            sloped = any(any(e) for poly in pair.sigma.values() for e in poly)
+            if sloped or setup.normal_rank == 0:
+                verdicts[(setup.normal_rank > 0, got.accepts)] += not pair.is_zero()
+        assert min(verdicts.values()) >= 3, verdicts  # nonzero candidates on and off the locus, of both kinds
+
+        substituted, original = [], SuperFunction.substitute
+        monkeypatch.setattr(SuperFunction, "substitute", lambda f, mapping: substituted.append(f) or original(f, mapping))
+        for setup, pair in cases:
+            graph_closure_oracle(setup, pair)
+            if setup.normal_rank == 0:
+                assert substituted == []  # over a fixed base nothing is restricted
+            substituted.clear()
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = random.Random(2024)
