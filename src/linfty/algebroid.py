@@ -196,14 +196,13 @@ def build_xq(data: AlgebroidData, chart: CoordinateChart | None = None) -> Super
 # validation: homological route and classical route
 # ---------------------------------------------------------------------
 class AlgebroidReport(Record):
-    """Both routes' verdicts, with the structure field the homological route squared and that square."""
+    """Both routes' verdicts; the field and its square are the calculus's (``SectionCalculus.square``)."""
 
-    __slots__ = _fields = ("homological", "xq", "square", "anchor_defects", "jacobi_defects")
+    __slots__ = _fields = ("homological", "anchor_defects", "jacobi_defects")
 
-    def __init__(self, homological: bool, xq: SuperVectorField | None = None, square: SuperVectorField | None = None,
-                 anchor_defects: dict[tuple[int, int, int], str] | None = None,
+    def __init__(self, homological: bool, anchor_defects: dict[tuple[int, int, int], str] | None = None,
                  jacobi_defects: dict[tuple[int, int, int, int], str] | None = None):
-        self.homological, self.xq, self.square = homological, xq, square
+        self.homological = homological
         self.anchor_defects = {} if anchor_defects is None else anchor_defects
         self.jacobi_defects = {} if jacobi_defects is None else jacobi_defects
 
@@ -217,12 +216,11 @@ class AlgebroidReport(Record):
 
 
 def validate_algebroid(calc: "SectionCalculus") -> AlgebroidReport:
-    """Pass iff the built field of ``calc.data`` on ``calc.chart`` is homological; localizes failing terms."""
-    xq = build_xq(calc.data, calc.chart)
-    square = super_commutator(xq, xq)
-    degree = xq.degree()  # is_homological's rules, reusing the square
-    homological = xq.is_zero() or (degree is not None and degree % 2 == 1 and square.is_zero())
-    report = AlgebroidReport(homological, xq, square)
+    """Pass iff the built field of ``calc.data`` on ``calc.chart`` is homological; localizes failing terms.
+
+    A built field has degree 1 or is zero, so it is homological exactly when its square vanishes.
+    """
+    report = AlgebroidReport(calc.square.is_zero())
     for (i, j, t), poly in classical_anchor_defects(calc).items():
         report.anchor_defects[(i, j, t)] = render_function(poly)
     for (i, j, k, c), poly in classical_jacobi_defects(calc).items():
@@ -240,9 +238,11 @@ class SectionCalculus(Frozen):
     both orders of every pair, ``anchor[a]`` the nonzero b^t_a as ``{t: function}``;
     each is built once from the polynomial data.  A record keeps its own:
     ``AlgebroidData.calculus`` on the plain chart, ``SplitSetup.calculus`` on the split one.
+    The structure field ``xq`` and its square are built on first use and kept with it.
     """
 
-    __slots__ = _fields = ("data", "chart", "structure", "anchor")
+    __slots__ = ("data", "chart", "structure", "anchor", "__dict__")  # the dict holds the cached properties
+    _fields = __slots__[:4]
 
     def __init__(self, data: AlgebroidData, chart: CoordinateChart, structure: Mapping[tuple[int, int], Section],
                  anchor: Mapping[int, Section]):
@@ -262,6 +262,16 @@ class SectionCalculus(Frozen):
         for (i, t), poly in sorted(data.anchor.items()):
             anchor.setdefault(i, {})[t] = _poly_fn(chart, poly)
         return SectionCalculus(data, chart, structure, anchor)
+
+    @cached_property
+    def xq(self) -> SuperVectorField:
+        """The structure field of ``data`` on ``chart`` (``build_xq``)."""
+        return build_xq(self.data, self.chart)
+
+    @cached_property
+    def square(self) -> SuperVectorField:
+        """[[xq, xq]], zero exactly when the data satisfies the algebroid axioms."""
+        return super_commutator(self.xq, self.xq)
 
     def anchor_apply(self, a: int, f: SuperFunction) -> SuperFunction:
         """Action of the anchor image of frame element a on a function."""

@@ -29,7 +29,7 @@ from .subalgebroid import (
     simultaneous_residual,
 )
 from .superfield import Frozen, PreconditionError, Record, SuperFunction, SuperVectorField, is_homological
-from .valgebra import DEFAULT_SERIES_CAP, MCDelta
+from .valgebra import MCDelta
 
 
 # ---------------------------------------------------------------------
@@ -261,7 +261,6 @@ def simultaneous_homomorphism(
     cand_target: AlgebroidData | None,
     bundle_map=None,
     base_map=None,
-    cap: int = DEFAULT_SERIES_CAP,
 ) -> tuple[SuperVectorField, SuperVectorField]:
     """Joint residual: deform both block structures and the map between them.
 
@@ -271,7 +270,7 @@ def simultaneous_homomorphism(
     setup, base, cand = graph_setup(h, HomomorphismData.build(h.source, h.target, bundle_map, base_map))
     delta = structure_delta(setup, h)
     perturbation = build_xq(block_perturbation(h, cand_source, cand_target), setup.chart)
-    return simultaneous_residual(setup, delta, base, perturbation, cand, cap=cap)
+    return simultaneous_residual(setup, delta, base, perturbation, cand)
 
 
 def tangent_rn(n: int) -> AlgebroidData:

@@ -45,14 +45,7 @@ from .subalgebroid import (
     tangency_oracle,
 )
 from .superfield import PreconditionError, Record, SuperVectorField, render_field
-from .valgebra import (
-    DEFAULT_SERIES_CAP,
-    DerivedBrackets,
-    LInftyElement,
-    MCDelta,
-    SeriesCapExceeded,
-    check_linfty_axioms,
-)
+from .valgebra import DerivedBrackets, LInftyElement, MCDelta, SeriesCapExceeded, check_linfty_axioms
 
 CONVENTIONS = (
     "candidate-sign=-1",
@@ -136,8 +129,8 @@ def _lie_candidate(data: AlgebroidData, cand: AlgebroidData) -> tuple[SuperVecto
 
     The base structure need not be homological: the residual is reported as it is.
     """
-    chart = data.plain_chart()
-    residual = structure_residual(build_xq(data, chart), build_xq(cand, chart))
+    calc = data.calculus
+    residual = structure_residual(calc.xq, build_xq(cand, calc.chart))
     return residual, classically_valid(_data_sum(data, cand).calculus)
 
 
@@ -159,7 +152,6 @@ def _phi_override(setup: SplitSetup, values: list[str]) -> DeformationPair:
 
 # count flags: (name, least value, what the refusal expects); checked once in run_command
 _COUNT_FLAGS = (
-    ("cap", 1, "a positive integer"),
     ("truncate", 0, "a nonnegative integer"),
     ("probes", 0, "a nonnegative integer"),
 )
@@ -176,11 +168,6 @@ def _over_a_point(inst: InstanceFile) -> bool:
 
 # flags that only some (command, instance) pairs read; every other pair refuses them in run_command
 _READERS = {
-    "cap": lambda command, inst: (  # wherever a bracket series runs
-        command in ("subalg-check", "simultaneous")
-        or (command in ("mc-check", "oracle-compare") and inst.kind not in ("algebroid", "lie_algebra"))
-        or (command == "validate" and inst.kind == "homomorphism")
-    ),
     "truncate": lambda command, inst: command == "cohomology" and not _over_a_point(inst),
     "probes": lambda command, inst: command == "axioms",
     "seed": lambda command, inst: command == "axioms",
@@ -199,10 +186,6 @@ def _option(args, name: str, default: int) -> int:
     """A count flag from the command line, or its default when it is not given."""
     value = getattr(args, name)
     return default if value is None else value
-
-
-def _cap(args) -> int:
-    return _option(args, "cap", DEFAULT_SERIES_CAP)
 
 
 # (command, kind) pairs a split payload does not support: a foliation's tangent structure is fixed, and a
@@ -247,7 +230,8 @@ def _summand_brackets(inst: InstanceFile, setup: SplitSetup) -> tuple[DerivedBra
 # ---------------------------------------------------------------------
 def _cmd_validate(inst: InstanceFile, args) -> Report:
     if inst.kind in ("algebroid", "lie_algebra"):
-        rep = validate_algebroid(inst.payload["data"].calculus)
+        calc = inst.payload["data"].calculus
+        rep = validate_algebroid(calc)
         agreement = rep.ok == rep.classical_ok
         details: dict[str, Any] = {}
         if rep.anchor_defects:
@@ -257,21 +241,22 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
         return Report(
             "validate",
             "pass" if rep.ok else "fail",
-            residual_terms=_residual_terms(rep.square),
+            residual_terms=_residual_terms(calc.square),
             oracle_agreement=agreement,
             details=details,
         )
     setup, base, _ = _split_case(inst, args, "validate")
     if inst.kind == "homomorphism":  # its graph, the base pair, must be a subalgebroid
-        res = subalgebroid_mc_residual(setup, _structure_delta(inst, setup), base, cap=_cap(args))
+        res = subalgebroid_mc_residual(setup, _structure_delta(inst, setup), base)
         return Report(
             "validate",
             "pass" if res.value.is_zero() else "fail",
             residual_terms=_residual_terms(res.value),
             oracle_agreement=res.value.is_zero() == graph_closure_oracle(setup, base).accepts,
         )
-    rep = validate_algebroid(setup.calculus)
-    projected = setup.project(rep.xq)
+    calc = setup.calculus
+    rep = validate_algebroid(calc)
+    projected = setup.project(calc.xq)
     closed = projected.is_zero()
     if inst.kind == "foliation":  # closed: the distribution is integrable
         return Report(
@@ -284,7 +269,7 @@ def _cmd_validate(inst: InstanceFile, args) -> Report:
     return Report(
         "validate",
         "pass" if (rep.ok and closed) else "fail",
-        residual_terms=_residual_terms(rep.square) + _residual_terms(projected),
+        residual_terms=_residual_terms(calc.square) + _residual_terms(projected),
         oracle_agreement=(rep.ok and closed) == (rep.classical_ok and oracle.accepts),
         details={"ambient_valid": rep.ok, "subbundle_closed": closed},
     )
@@ -308,11 +293,11 @@ def _cmd_mc_check(inst: InstanceFile, args) -> Report:
 
 def _cmd_subalg_check(inst: InstanceFile, args, command: str = "subalg-check") -> Report:
     setup, base, cand = _split_case(inst, args, command)
-    delta, cap = _structure_delta(inst, setup), _cap(args)
-    if inst.kind == "homomorphism" and not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
+    delta = _structure_delta(inst, setup)
+    if inst.kind == "homomorphism" and not subalgebroid_mc_residual(setup, delta, base).value.is_zero():
         raise PreconditionError("the base bundle map is not a homomorphism")
     pair = base.add(cand)
-    residual = subalgebroid_mc_residual(setup, delta, pair, cap=cap)
+    residual = subalgebroid_mc_residual(setup, delta, pair)
     oracle = graph_closure_oracle(setup, pair)
     zero = residual.value.is_zero()
     return Report(
@@ -329,9 +314,7 @@ def _cmd_simultaneous(inst: InstanceFile, args) -> Report:
     if inst.kind == "homomorphism" and cand_data is not None:  # one perturbation per block
         cand_data = block_perturbation(inst.payload["homomorphism"], cand_data.get("source"), cand_data.get("target"))
     cand_xq = build_xq(cand_data, setup.chart) if cand_data is not None else SuperVectorField.zero(setup.chart)
-    v_res, a_res = simultaneous_residual(
-        setup, _structure_delta(inst, setup), base, cand_xq, cand_def, cap=_cap(args)
-    )
+    v_res, a_res = simultaneous_residual(setup, _structure_delta(inst, setup), base, cand_xq, cand_def)
     zero = v_res.is_zero() and a_res.is_zero()
     summed = setup if cand_data is None else SplitSetup.build(
         _data_sum(setup.data, cand_data), setup.base_dim, setup.normal_rank, setup.sub_rank
@@ -452,11 +435,10 @@ def _cmd_oracle_compare(inst: InstanceFile, args) -> Report:
         )
     # MC residual vs graph closure, plus a third route: the classical
     # infinitesimal condition for a foliation, graph substitution otherwise
-    cap = _cap(args)
     setup, base, cand = _split_case(inst, args, "oracle-compare")
     pair = base.add(cand)
     delta = _structure_delta(inst, setup)
-    mc = subalgebroid_mc_residual(setup, delta, pair, cap=cap).value
+    mc = subalgebroid_mc_residual(setup, delta, pair).value
     if inst.kind == "foliation":
         infinitesimal = foliation_infinitesimal(setup, delta, cand)
         third_agrees = infinitesimal.agree
@@ -495,7 +477,7 @@ def run_command(cmd: str, inst: InstanceFile, args=None) -> Report:
     if cmd not in COMMANDS:
         raise InstanceError("command", f"unsupported command {cmd!r}")
     if args is None:
-        args = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+        args = argparse.Namespace(truncate=None, probes=None, seed=None, phi=None, degree=None)
     for name, least, expected in _COUNT_FLAGS:
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -516,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("instance", help="instance file path or bundled preset name (e.g. sl2, sl2-borel, abelian-3)")
-    parser.add_argument("--cap", type=int, default=None, help=f"bracket series cap (default {DEFAULT_SERIES_CAP})")
     parser.add_argument("--truncate", type=int, default=None,
                         help="cohomology polynomial truncation degree (required over a base, refused over a point)")
     parser.add_argument("--probes", type=int, default=None,

@@ -28,7 +28,6 @@ from .algebroid import (
     _poly_fn,
     _poly_terms,
     add_into,
-    build_xq,
     complex_cohomology,
     merge_polys,
     monomial_fields,
@@ -49,13 +48,7 @@ from .superfield import (
     apply,
     super_commutator,
 )
-from .valgebra import (
-    DEFAULT_SERIES_CAP,
-    LInftyElement,
-    MCDelta,
-    mc_residual,
-    twisted_projection,
-)
+from .valgebra import LInftyElement, MCDelta, mc_residual, twisted_projection
 
 
 class SplitSetup(Frozen):
@@ -124,7 +117,7 @@ class SplitSetup(Frozen):
     @cached_property
     def delta(self) -> MCDelta:
         """The checked structure field on the split chart; a refusal is not kept, so each read raises it."""
-        return MCDelta.of(self, build_xq(self.data, self.chart))
+        return MCDelta.of(self, self.calculus.xq)
 
     @cached_property
     def sub_frame(self) -> "FrameForm":
@@ -230,12 +223,7 @@ def tangency_oracle(setup: SplitSetup, z: SuperVectorField, gamma: DeformationPa
 # ---------------------------------------------------------------------
 # Maurer-Cartan residual and the classical oracle
 # ---------------------------------------------------------------------
-def subalgebroid_mc_residual(
-    setup: SplitSetup,
-    delta: MCDelta,
-    d: DeformationPair,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> LInftyElement:
+def subalgebroid_mc_residual(setup: SplitSetup, delta: MCDelta, d: DeformationPair) -> LInftyElement:
     """Residual of the candidate in the derived-bracket structure of the checked structure field ``delta``.
 
     The candidate enters with a global minus sign (the convention validated
@@ -243,7 +231,7 @@ def subalgebroid_mc_residual(
     a subalgebroid.
     """
     candidate = LInftyElement(-encode_deformation(setup, d).value, 0)
-    return mc_residual(setup, delta, candidate, cap=cap)
+    return mc_residual(setup, delta, candidate)
 
 
 class GraphClosureReport(Record):
@@ -482,7 +470,6 @@ def simultaneous_residual(
     base: DeformationPair,
     cand_xq: SuperVectorField,
     cand_def: DeformationPair,
-    cap: int = DEFAULT_SERIES_CAP,
 ) -> tuple[SuperVectorField, SuperVectorField]:
     """Residual pair of a joint (structure, graph) deformation of the checked structure field ``delta``.
 
@@ -490,7 +477,7 @@ def simultaneous_residual(
     second iff the summed candidate graph is a subalgebroid of the deformed
     structure.  The base pair must already be a deformation.
     """
-    if not subalgebroid_mc_residual(setup, delta, base, cap=cap).value.is_zero():
+    if not subalgebroid_mc_residual(setup, delta, base).value.is_zero():
         raise PreconditionError("the base pair is not a deformation of the subalgebroid")
     if not cand_xq.is_zero():
         if cand_xq.degree() != 1:
@@ -501,7 +488,7 @@ def simultaneous_residual(
     twist = LInftyElement(
         -(encode_deformation(setup, base).value + encode_deformation(setup, cand_def).value), 0
     )
-    a_residual = twisted_projection(setup, twist, delta.delta + cand_xq, cap=cap)
+    a_residual = twisted_projection(setup, twist, delta.delta + cand_xq)
     return v_residual, a_residual
 
 

@@ -32,11 +32,11 @@ from .superfield import (
 if TYPE_CHECKING:
     from .subalgebroid import SplitSetup
 
-DEFAULT_SERIES_CAP = 64
+SERIES_CAP = 64  # nonzero brackets a series may take before it is refused
 
 
 class SeriesCapExceeded(RuntimeError):
-    """Bracket series did not terminate within the configured cap."""
+    """Bracket series did not terminate within ``SERIES_CAP`` nonzero brackets."""
 
 
 class NotInAbelianPart(ValueError):
@@ -165,12 +165,12 @@ def derived_bracket(
 
 
 def _ad_series(
-    split: SplitSetup, acc: SuperVectorField, w: SuperVectorField, x: LInftyElement, cap: int, what: str
+    split: SplitSetup, acc: SuperVectorField, w: SuperVectorField, x: LInftyElement, what: str
 ) -> SuperVectorField:
     """acc + sum_{n>=1} (1/n!) P([...[w, x], ..., x]) with n brackets, for x of degree 0 in the summand.
 
     The caller supplies the n = 0 term as ``acc``.  The sum ends when the
-    bracket chain reaches exact zero, guarded by the cap.  The value's own
+    bracket chain reaches exact zero, guarded by ``SERIES_CAP``.  The value's own
     degree is checked, not the tag, which is None for a mixed value.
     """
     if not x.value.is_zero() and x.value.degree() != 0:
@@ -182,33 +182,23 @@ def _ad_series(
         if w.is_zero():
             return acc
         n += 1
-        if n > cap:
-            raise SeriesCapExceeded(f"{what} did not terminate within {cap} brackets")
+        if n > SERIES_CAP:
+            raise SeriesCapExceeded(f"{what} did not terminate within {SERIES_CAP} brackets")
         acc = acc + split.project(w).scale(Fraction(1, factorial(n)))
 
 
-def twisted_projection(
-    split: SplitSetup,
-    phi: LInftyElement,
-    v: SuperVectorField,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> SuperVectorField:
+def twisted_projection(split: SplitSetup, phi: LInftyElement, v: SuperVectorField) -> SuperVectorField:
     """P applied to the exponential of bracketing with a degree-0 element: sum_n (1/n!) P([...[v, phi], ..., phi])."""
-    return _ad_series(split, split.project(v), v, phi, cap, "twisted projection")
+    return _ad_series(split, split.project(v), v, phi, "twisted projection")
 
 
-def mc_residual(
-    split: SplitSetup,
-    delta: MCDelta,
-    candidate: LInftyElement,
-    cap: int = DEFAULT_SERIES_CAP,
-) -> LInftyElement:
+def mc_residual(split: SplitSetup, delta: MCDelta, candidate: LInftyElement) -> LInftyElement:
     """Maurer-Cartan residual sum_k (1/k!) m_k(v, ..., v) of a degree-0 candidate.
 
     This is the twisted projection of delta along the candidate; its n = 0
     term P(delta) vanishes because delta lies in ker(P), so it is not formed.
     """
-    acc = _ad_series(split, SuperVectorField.zero(split.chart), delta.delta, candidate, cap, "MC series")
+    acc = _ad_series(split, SuperVectorField.zero(split.chart), delta.delta, candidate, "MC series")
     return LInftyElement(acc, acc.degree() if not acc.is_zero() else 1)
 
 

@@ -46,7 +46,7 @@ def dump(tree: Path, seeds: list[int]) -> dict[str, list]:
     def run(key: str, command: str, source, args: dict) -> None:
         if key in out:
             raise SystemExit(f"duplicate op name {key}")
-        values = dict(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+        values = dict(truncate=None, probes=None, seed=None, phi=None, degree=None)
         values.update(args)
         try:
             inst = parse_instance(source)

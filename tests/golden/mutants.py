@@ -42,7 +42,7 @@ MUTANTS = [
      "candidate = LInftyElement(encode_deformation(setup, d).value, 0)\n    return mc_residual",
      ["tests/test_subalgebroid.py::TestMCResidual"]),
     ("series cap one short", "valgebra.py",
-     "        if n > cap:\n", "        if n >= cap:\n",
+     "        if n > SERIES_CAP:\n", "        if n >= SERIES_CAP:\n",
      ["tests/test_valgebra.py::TestMCResidual"]),
     ("PreconditionError exits 4", "cli.py",
      'print(f"precondition failed: {exc}", file=sys.stderr)\n        return EXIT_INPUT_ERROR',
@@ -105,9 +105,12 @@ MUTANTS = [
      "restrict = (lambda f: f.substitute(mapping)) if mapping else (lambda f: f)", "restrict = lambda f: f",
      ["tests/test_subalgebroid.py::TestGraphClosureOracle::test_normal_restriction_matches_the_full_substitution"]),
     ("cached structure field unchecked", "subalgebroid.py",
-     "return MCDelta.of(self, build_xq(self.data, self.chart))", "return MCDelta(build_xq(self.data, self.chart))",
+     "return MCDelta.of(self, self.calculus.xq)", "return MCDelta(self.calculus.xq)",
      ["tests/test_cli.py::TestSplitPayloads::test_refusals_are_raised_on_every_command",
       "tests/test_cli.py::TestSplitPayloads::test_structure_field_is_squared_once_per_split"]),
+    ("validate ignores the square", "algebroid.py",
+     "AlgebroidReport(calc.square.is_zero())", "AlgebroidReport(True)",
+     ["tests/test_algebroid.py::TestValidateAlgebroid"]),
 ]
 
 

@@ -59,7 +59,7 @@ def load_tree(tree: Path) -> dict:
 
 
 def _namespace(op) -> argparse.Namespace:
-    values = dict(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+    values = dict(truncate=None, probes=None, seed=None, phi=None, degree=None)
     values.update(op.args)
     return argparse.Namespace(**values)
 

@@ -134,7 +134,7 @@ def test_criterion_4_mc_locus(borel):
             inst = parse_instance(fixture_path("sl2-borel"))
             import argparse
 
-            args = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None,
+            args = argparse.Namespace(truncate=None, probes=None, seed=None,
                                       phi=[str(a), str(b)], degree=None)
             report = run_command("subalg-check", inst, args)
             expected = SuperVectorField(

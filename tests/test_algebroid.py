@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from golden import record_instance_gen
-from instance_gen import heisenberg, random_candidate, random_instance, sl_n
+from instance_gen import (
+    heisenberg,
+    random_candidate,
+    random_fixed_base_instance,
+    random_instance,
+    random_solvable,
+    sl_n,
+)
 from linfty.algebroid import (
     AlgebroidData,
     SectionCalculus,
@@ -74,6 +81,23 @@ class TestBuildXq:
             assert xq.degree() == 1
             assert all(len(odd) <= 2 for (_, odd, _) in xq.terms)
 
+    def test_every_built_field_has_degree_one_or_is_zero(self):
+        # so a built field is homological exactly when its square vanishes (validate_algebroid reads only that)
+        datas = []
+        for path in sorted(fixture_path("sl2").parent.glob("*.json")):
+            payload = parse_instance(path).payload
+            if "homomorphism" in payload:
+                datas += [payload["homomorphism"].source, payload["homomorphism"].target]
+            datas.append(payload["setup"].data if "setup" in payload else payload["data"])
+        rng = random.Random(5)
+        datas += [sl_n(n) for n in (2, 3)] + [heisenberg(n) for n in (1, 2)]
+        datas += [random_solvable(rng) for _ in range(10)] + [random_fixed_base_instance(rng)[0] for _ in range(10)]
+        setups = [random_instance(rng)[0] for _ in range(10)]
+        calculi = [data.calculus for data in datas] + [setup.calculus for setup in setups]
+        for calc in calculi:
+            assert calc.xq.is_zero() or calc.xq.degree() == 1
+        assert sum(calc.xq.is_zero() for calc in calculi) < len(calculi) // 2
+
     def test_antisymmetry_folding(self):
         # supplying (j, i) entries folds them with a sign
         a = AlgebroidData.build(0, 2, structure={(1, 0, 0): 1})
@@ -94,7 +118,7 @@ class TestValidateAlgebroid:
     def test_non_jacobi_fails_with_localized_defect(self):
         rep = validate_algebroid(NON_JACOBI.calculus)
         assert not rep.ok
-        assert not rep.square.is_zero()
+        assert not NON_JACOBI.calculus.square.is_zero()
         assert rep.jacobi_defects == {(0, 1, 2, 2): "-1"}
 
     def test_rank_one_trivial_bracket_any_anchor(self):

@@ -124,7 +124,7 @@ class TestSubalgebraDeformation:
         borel = parse_instance(fixture_path("sl2-borel"))
         for a in range(-2, 3):
             for b in range(-2, 3):
-                args = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None, degree=None,
+                args = argparse.Namespace(truncate=None, probes=None, seed=None, degree=None,
                                           phi=[str(a), str(b)])
                 assert (run_command("subalg-check", borel, args).verdict == "mc-zero") == (a * a == 4 * b)
 

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from instance_writer import serialize_algebroid, serialize_instance, write_instance
-from linfty.cli import COMMANDS, main, run_command
+from linfty.cli import COMMANDS, build_parser, main, run_command
 from linfty.instances import FORMAT_VERSION, InstanceError, fixture_path, parse_instance, resolve_instance
 from linfty.superfield import ChartMismatchError
-from linfty.valgebra import NotInAbelianPart
+from linfty.valgebra import SERIES_CAP, NotInAbelianPart
 
 
 GOLDEN_COHOMOLOGY = json.loads((Path(__file__).parent / "golden" / "cohomology.json").read_text())
@@ -21,7 +21,10 @@ FIXTURES = sorted(path.stem for path in fixture_path("sl2").parent.glob("*.json"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the parser refuses an unknown option itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -77,6 +80,25 @@ def record_structure_checks(monkeypatch) -> list:
 
     monkeypatch.setattr(MCDelta, "of", staticmethod(counting))
     return calls
+
+
+def deep_series_instances(k: int) -> dict[str, dict]:
+    """Two instances whose series take exactly k nonzero brackets: a normal shift and a base map into y^k d/dy.
+
+    The subalgebroid is the line y = 0 in the plane with anchor y^k d/dx, moved to y = 1; the
+    homomorphism sends a rank-1 point to the point y = 1 of a rank-1 algebroid over R with anchor
+    y^k d/dy.  Both are accepted: y^k d/dx is tangent to y = 1, and the zero bundle map is anchored.
+    """
+    subalgebroid = {
+        "format_version": FORMAT_VERSION, "kind": "subalgebroid", "base_dim": 1, "normal_rank": 1, "fiber_rank": 1,
+        "sub_rank": 1, "structure": [], "anchor": [{"i": 0, "t": 0, "terms": terms(((0, k), 1, 1))}],
+        "candidate": {"sigma": [{"k": 0, "terms": terms(((0,), 1, 1))}], "phi": []},
+    }
+    target = {"base_dim": 1, "fiber_rank": 1, "structure": [],
+              "anchor": [{"i": 0, "t": 0, "terms": terms(((k,), 1, 1))}]}
+    point = {"base_dim": 0, "fiber_rank": 1, "structure": [], "anchor": []}
+    homomorphism = homomorphism_obj(point, target, base_map=[{"k": 0, "terms": terms(((), 1, 1))}])
+    return {"subalgebroid": subalgebroid, "homomorphism": homomorphism}
 
 
 def borel_with_broken_jacobi() -> dict:
@@ -739,6 +761,27 @@ class TestCommands:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "preset,commands,squares",
+        [
+            ("sl2", ("validate", "oracle-compare", "validate"), 1),
+            # MCDelta.of squares the split's field once more, to check it
+            ("sl2-borel", ("validate", "subalg-check", "oracle-compare", "validate"), 2),
+            ("foliation-r3", ("validate", "oracle-compare", "validate"), 2),
+        ],
+    )
+    def test_a_record_builds_and_squares_its_structure_field_once(self, monkeypatch, preset, commands, squares):
+        from linfty import algebroid, superfield
+
+        inst = parse_instance(fixture_path(preset))
+        builds = record_calls(monkeypatch, algebroid.build_xq)
+        commutators = record_calls(monkeypatch, superfield.super_commutator)
+        for command in commands:
+            assert run_command(command, inst).exit_code == 0
+        # the calculus keeps the field and its square (was 3 builds and 3 squares)
+        assert len(builds) == 1
+        assert sum(1 for x, y in commutators if x is y) == squares
+
+    @pytest.mark.parametrize(
         "command,preset",
         [("validate", "sl2"), ("oracle-compare", "sl2"), ("validate", "sl2-borel"), ("validate", "foliation-r3")],
     )
@@ -755,8 +798,10 @@ class TestCommands:
         calls = record_calculi(monkeypatch)
         for run in (1, 2):
             assert run_command("simultaneous", inst).exit_code == 1
-            # shared by the classical checks and the graph oracle (was 3 on every run)
-            assert len(calls) == run
+            # the parsed split's, built once for its structure field, and one per run for the summed
+            # structure, shared by the classical checks and the graph oracle (was 3 on every run)
+            assert len(calls) == 1 + run
+            assert calls[0][0] == inst.payload["setup"].data
             assert calls[-1][0] != inst.payload["setup"].data  # the summed structure
         inst = parse_instance(fixture_path("sl2-borel"))
         calls.clear()
@@ -803,7 +848,7 @@ class TestCommands:
         signs._TABLES.clear()
         calls = record_calls(monkeypatch, signs.iter_shuffles)
         inst = parse_instance(fixture_path("sl2-borel"))
-        args = argparse.Namespace(cap=None, truncate=None, probes=5, seed=None, phi=None, degree=None)
+        args = argparse.Namespace(truncate=None, probes=5, seed=None, phi=None, degree=None)
         for _ in range(2):
             assert run_command("axioms", inst, args).exit_code == 0
         # each (sizes, parities) key generated once in the process (was once per command)
@@ -837,11 +882,11 @@ class TestCommands:
             (["axioms", "sl2-borel", "--probes", "-1"], "--probes"),
             (["cohomology", "sl2", "--degree", "4"], "--degree"),
             (["cohomology", "sl2-borel", "--degree", "-1"], "--degree"),
-            (["oracle-compare", "tangent-r1-origin", "--cap", "0"], "--cap"),
-            (["oracle-compare", "hom-sl2-id", "--cap", "0"], "--cap"),
-            (["validate", "hom-sl2-id", "--cap", "0"], "--cap"),
+            # the series cap is fixed (valgebra.SERIES_CAP): the parser refuses --cap on every command, at any value
+            (["oracle-compare", "tangent-r1-origin", "--cap", "64"], "--cap"),
+            (["oracle-compare", "hom-sl2-id", "--cap", "65"], "--cap"),
+            (["validate", "hom-sl2-id", "--cap", "1"], "--cap"),
             (["subalg-check", "sl2-borel", "--cap", "-3"], "--cap"),
-            # commands that do not read the flag refuse it all the same
             (["oracle-compare", "sl2", "--cap", "0"], "--cap"),
             (["brackets", "sl2-borel", "--cap", "0"], "--cap"),
             (["cohomology", "sl2", "--cap", "-3"], "--cap"),
@@ -856,8 +901,7 @@ class TestCommands:
             (["cohomology", "sl2-borel", "--phi", "1", "1"], "--phi"),
             (["subalg-check", "hom-sl2-id", "--phi", "1"], "--phi"),
             (["oracle-compare", "sl2", "--phi"], "--phi"),
-            # so are the count flags: --probes/--seed outside axioms, --truncate outside
-            # cohomology, --cap where no bracket series runs
+            # so are the count flags: --probes/--seed outside axioms, --truncate outside cohomology
             (["validate", "sl2", "--probes", "5"], "--probes"),
             (["mc-check", "sl2-borel", "--seed", "7"], "--seed"),
             (["brackets", "sl2-borel", "--truncate", "3"], "--truncate"),
@@ -879,12 +923,38 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert option in err
 
+    @staticmethod
+    def deep_series_runs(capsys, tmp_path, command: str, k: int) -> list[tuple[int, str, str]]:
+        """(exit code, stdout, stderr) of ``command`` on each instance of ``deep_series_instances(k)`` it supports."""
+        runs = []
+        for kind, obj in deep_series_instances(k).items():
+            if command == "validate" and kind != "homomorphism":  # validating a split runs no series
+                continue
+            write_instance(obj, tmp_path / f"{kind}.json")
+            runs.append(run_cli(capsys, command, str(tmp_path / f"{kind}.json"), "--json"))
+        return runs
+
     @pytest.mark.parametrize("command", ["validate", "mc-check", "subalg-check", "oracle-compare", "simultaneous"])
-    def test_cap_is_read_where_a_series_runs(self, capsys, command):
-        # the series of hom-sl2-id needs two brackets
-        code, out, err = run_cli(capsys, command, "hom-sl2-id", "--cap", "1", "--json")
-        assert (code, out) == (2, "")
-        assert "series cap exceeded" in err
+    def test_cap_is_read_where_a_series_runs(self, capsys, tmp_path, command):
+        # one nonzero bracket more than SERIES_CAP
+        for code, out, err in self.deep_series_runs(capsys, tmp_path, command, SERIES_CAP + 1):
+            assert (code, out) == (2, "")
+            assert err.startswith("series cap exceeded: ") and f"within {SERIES_CAP} brackets" in err
+
+    @pytest.mark.parametrize("command", ["validate", "mc-check", "subalg-check", "oracle-compare", "simultaneous"])
+    def test_a_series_as_deep_as_the_cap_runs(self, capsys, tmp_path, command):
+        runs = self.deep_series_runs(capsys, tmp_path, command, SERIES_CAP)
+        assert len(runs) == (1 if command == "validate" else 2)
+        for code, out, err in runs:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["verdict"] in ("pass", "mc-zero")
+
+    def test_run_command_ignores_a_cap_on_its_namespace(self):
+        # a namespace built for the former --cap flag still runs, with the fixed cap
+        inst = parse_instance(fixture_path("hom-sl2-id"))
+        with_cap = argparse.Namespace(cap=None, truncate=None, probes=None, seed=None, phi=None, degree=None)
+        report = run_command("subalg-check", inst, with_cap)
+        assert report.exit_code == 0 and report.to_json_obj() == run_command("subalg-check", inst).to_json_obj()
 
     @pytest.mark.parametrize(
         "name",
@@ -900,6 +970,16 @@ class TestCommands:
         assert code == 0
         code, _, _ = run_cli(capsys, "oracle-compare", "non-jacobi-3")
         assert code == 1
+
+
+def test_readme_synopsis_names_exactly_the_parser_options():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    synopsis = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    documented = re.findall(r"\[(--[a-z-]+)", synopsis)
+    parser = build_parser()
+    options = [opt for action in parser._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+    assert sorted(documented) == sorted(options) and len(documented) == len(set(documented))
+    assert "--cap" not in parser.format_help()
 
 
 class TestReportContract:
@@ -997,7 +1077,7 @@ SPLIT_COMMANDS = {
 
 def split_args(command: str) -> argparse.Namespace:
     """Default flags, with few probes and a cohomology window that a polynomial base needs."""
-    return argparse.Namespace(cap=None, truncate=1 if command == "cohomology" else None,
+    return argparse.Namespace(truncate=1 if command == "cohomology" else None,
                               probes=2 if command == "axioms" else None, seed=None, phi=None, degree=None)
 
 

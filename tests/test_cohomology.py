@@ -54,7 +54,7 @@ def _oracle_dims(inst, truncate) -> list[int]:
 
 
 def _command_dims(inst, truncate, degree=None) -> list[int]:
-    args = argparse.Namespace(cap=None, truncate=truncate, probes=None, seed=None, phi=None, degree=degree)
+    args = argparse.Namespace(truncate=truncate, probes=None, seed=None, phi=None, degree=degree)
     return list(cli.run_command("cohomology", inst, args).details["dimensions"].values())
 
 

@@ -36,9 +36,8 @@ FIELD = SuperVectorField(CHART, {((1, 0), (0,), 1): 2})
 RECORDS = [
     (CoordinateChart, ("base_dim", "normal_rank", "fiber_rank", "sub_rank"), CHART_ARGS, {"sub_rank": None}),
     (AlgebroidData, ("base_dim", "fiber_rank", "structure", "anchor"), (1, 2, {(0, 1, 0): {(1,): 1}}, {}), {}),
-    (algebroid.AlgebroidReport, ("homological", "xq", "square", "anchor_defects", "jacobi_defects"),
-     (False, FIELD, FIELD, {(0, 1, 0): "x"}, {(0, 1, 2, 0): "y"}),
-     {"xq": None, "square": None, "anchor_defects": {}, "jacobi_defects": {}}),
+    (algebroid.AlgebroidReport, ("homological", "anchor_defects", "jacobi_defects"),
+     (False, {(0, 1, 0): "x"}, {(0, 1, 2, 0): "y"}), {"anchor_defects": {}, "jacobi_defects": {}}),
     (algebroid.SectionCalculus, ("data", "chart", "structure", "anchor"), ("data", CHART, {}, {0: {}}), {}),
     (applications.FoliationResult, ("closed", "residual", "condition_defects"), (True, "residual", {}), {}),
     (applications.HomomorphismData, ("source", "target", "bundle_map", "base_map"),
@@ -159,14 +158,20 @@ def test_cached_properties_are_computed_once():
     data = parse_instance(fixture_path("sl2")).payload["data"]
     fresh = subalgebroid.SplitSetup(setup.data, setup.base_dim, setup.normal_rank, setup.sub_rank, setup.chart)
     keys = setup._values(), data._values()  # what ==, hash and repr read
-    for record, name in ((setup, "sub_frame"), (setup, "calculus"), (setup, "delta"), (data, "toral_weights")):
+    calc = data.calculus
+    fresh_calc = algebroid.SectionCalculus(calc.data, calc.chart, calc.structure, calc.anchor)
+    cached = [(setup, "sub_frame"), (setup, "calculus"), (setup, "delta"), (data, "toral_weights")]
+    cached += [(c, name) for c in (calc, setup.calculus) for name in ("xq", "square")]
+    for record, name in cached:
         assert getattr(record, name) is getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+    assert setup.delta.delta is setup.calculus.xq
     # the cached values are not fields: a split that has computed them compares, hashes and prints as one that has not
     assert (setup._values(), data._values()) == keys and len(keys[0]) == 5
     assert setup == fresh and fresh.__dict__ == {} and repr(setup) == repr(fresh)
     assert data == AlgebroidData(data.base_dim, data.fiber_rank, data.structure, data.anchor)
+    assert calc == fresh_calc and fresh_calc.__dict__ == {} and repr(calc) == repr(fresh_calc)
 
 
 def test_terms_on_equal_but_distinct_charts_compare_and_hash_equal():

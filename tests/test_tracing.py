@@ -22,7 +22,7 @@ import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
 inst = parse_instance(fixture_path("sl2-borel"))
-flags = dict(cap=None, truncate=None, seed=None, phi=None, degree=None)
+flags = dict(truncate=None, seed=None, phi=None, degree=None)
 codes = [
     cli.run_command("axioms", inst, argparse.Namespace(probes=2, **flags)).exit_code,
     cli.run_command("brackets", inst, argparse.Namespace(probes=None, **flags)).exit_code,

@@ -22,6 +22,7 @@ from linfty.valgebra import (
     DerivedBrackets,
     LInftyElement,
     MCDelta,
+    SERIES_CAP,
     NotInAbelianPart,
     SeriesCapExceeded,
     check_linfty_axioms,
@@ -157,24 +158,26 @@ class TestMCResidual:
                 setup, cand, delta.delta
             )
 
-    def test_cap_exceeded_is_typed(self, borel):
-        setup, xq, delta = borel
-        cand = LInftyElement(-encode_deformation(setup, phi_pair(setup, 1, 1)).value, 0)
-        with pytest.raises(SeriesCapExceeded):
-            mc_residual(setup, delta, cand, cap=1)
+    @staticmethod
+    def deep_series(k: int) -> tuple[SplitSetup, LInftyElement]:
+        """A split whose MC series takes exactly k nonzero brackets: the line y = 0 under y^k d/dx, moved to y = 1."""
+        setup = SplitSetup.build(AlgebroidData.build(2, 1, anchor={(0, 0): {(0, k): 1}}), 1, 1, 1)
+        return setup, LInftyElement(-encode_deformation(setup, DeformationPair.build(setup, sigma={0: 1})).value, 0)
 
-    def test_cap_counts_the_nonzero_brackets(self, borel):
-        # the cap bounds the number of nonzero brackets [..[delta, x], .., x]: a series of
-        # exactly that many passes at the cap and is refused one below it
-        setup, xq, delta = borel
-        cand = LInftyElement(-encode_deformation(setup, phi_pair(setup, 1, 1)).value, 0)
-        w, n = delta.delta, 0
+    def test_cap_exceeded_is_typed(self):
+        setup, cand = self.deep_series(SERIES_CAP + 1)
+        with pytest.raises(SeriesCapExceeded, match=f"^MC series did not terminate within {SERIES_CAP} brackets$"):
+            mc_residual(setup, setup.delta, cand)
+
+    def test_cap_counts_the_nonzero_brackets(self):
+        # SERIES_CAP bounds the number of nonzero brackets [..[delta, x], .., x]: a series of exactly
+        # that many passes (one more is refused above)
+        setup, cand = self.deep_series(SERIES_CAP)
+        w, n = setup.delta.delta, 0
         while not (w := super_commutator(w, cand.value)).is_zero():
             n += 1
-        assert n >= 2
-        mc_residual(setup, delta, cand, cap=n)
-        with pytest.raises(SeriesCapExceeded):
-            mc_residual(setup, delta, cand, cap=n - 1)
+        assert n == SERIES_CAP
+        assert mc_residual(setup, setup.delta, cand).is_zero()
 
     @staticmethod
     def preset():
