@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -23,6 +24,7 @@ from .superfield import (
     Record,
     SuperFunction,
     SuperVectorField,
+    _merge_into,
     coefficient,
     is_homological,
     render_function,
@@ -93,7 +95,8 @@ def _poly_terms(out: dict, poly: PolyDict, n_even: int, *tail) -> dict:
 
 
 def _poly_fn(chart: CoordinateChart, poly: PolyDict) -> SuperFunction:
-    return SuperFunction(chart, _poly_terms({}, poly, chart.n_even, ()))
+    """A normal polynomial (``poly_map``, ``merge_polys``) as an even function, wrapped without re-validation."""
+    return SuperFunction._of(chart, _poly_terms({}, poly, chart.n_even, ()))
 
 
 def add_into(out: dict, key, val: SuperFunction) -> None:
@@ -231,6 +234,27 @@ def validate_algebroid(calc: "SectionCalculus") -> AlgebroidReport:
 Section = dict[int, SuperFunction]  # frame index -> coefficient
 
 
+def _product_into(out: dict, f: dict, g: dict, sign: int = 1) -> dict:
+    """out += sign * f * g, for term maps of even functions; a coefficient that cancels is dropped."""
+    for (e1, _), c1 in f.items():
+        if sign < 0:
+            c1 = -c1
+        for (e2, _), c2 in g.items():
+            key = (tuple(map(add, e1, e2)), ())
+            c = c1 * c2 + out.get(key, 0)
+            if c:
+                out[key] = c.numerator if type(c) is not int and c.denominator == 1 else c
+            else:
+                del out[key]
+    return out
+
+
+def _derivative_into(out: dict, f: dict, g: dict, t: int) -> dict:
+    """out += f * (d g / d x_t), for term maps of even functions."""
+    dg = {(e[:t] + (e[t] - 1,) + e[t + 1 :], ()): e[t] * c for (e, _), c in g.items() if e[t]}
+    return _product_into(out, f, dg) if dg else out
+
+
 class SectionCalculus(Frozen):
     """The bracket and anchor of an algebroid ``data`` on sections in its frame, on one chart.
 
@@ -239,6 +263,9 @@ class SectionCalculus(Frozen):
     each is built once from the polynomial data.  A record keeps its own:
     ``AlgebroidData.calculus`` on the plain chart, ``SplitSetup.calculus`` on the split one.
     The structure field ``xq`` and its square are built on first use and kept with it.
+
+    Sections take even functions only: ``bracket`` and ``anchor_apply`` refuse one with an odd factor
+    (``ValueError``), add every product and derivative into one term map per output, and wrap each once.
     """
 
     __slots__ = ("data", "chart", "structure", "anchor", "__dict__")  # the dict holds the cached properties
@@ -274,11 +301,13 @@ class SectionCalculus(Frozen):
         return super_commutator(self.xq, self.xq)
 
     def anchor_apply(self, a: int, f: SuperFunction) -> SuperFunction:
-        """Action of the anchor image of frame element a on a function."""
-        out = SuperFunction.zero(self.chart)
+        """Action of the anchor image of frame element a on an even function."""
+        if any(odd for _, odd in f.terms):
+            raise ValueError("the anchor acts on even functions only")
+        out: dict = {}
         for t, b in self.anchor.get(a, {}).items():
-            out = out + b * f.partial(t)
-        return out
+            _derivative_into(out, b.terms, f.terms, t)
+        return SuperFunction._of(self.chart, out)
 
     def bracket(self, u: Section, v: Section) -> Section:
         """[u, v]^c = u^a v^b C^c_ab + u^a rho_a(v^c) - v^b rho_b(u^c).
@@ -286,31 +315,29 @@ class SectionCalculus(Frozen):
         u^a v^b is formed once per frame pair with structure functions, and
         frame elements without an anchor skip the anchor terms.
         """
-        out: Section = {}
+        for f in (*u.values(), *v.values()):
+            for _, odd in f.terms:
+                if odd:
+                    raise ValueError("section coefficients must be even functions")
+        structure, anchor = self.structure, self.anchor
+        out: dict[int, dict] = {}
         for a, ua in u.items():
             for b, vb in v.items():
-                cab = self.structure.get((a, b))
-                if cab is None:
-                    continue
-                uv = ua * vb
-                for c, cf in cab.items():
-                    add_into(out, c, _times(uv, cf))
-        anchor = self.anchor
+                cab = structure.get((a, b))
+                if cab is not None:
+                    uv = _product_into({}, ua.terms, vb.terms)
+                    for c, cf in cab.items():
+                        _product_into(out.setdefault(c, {}), uv, cf.terms)
         for x, y, sign in ((u, v, 1), (v, u, -1)):
             for a, xa in x.items():
                 if a in anchor:
                     for c, yc in y.items():
-                        add_into(out, c, (xa * self.anchor_apply(a, yc)).scale(sign))
-        return out
-
-
-def _times(f: SuperFunction, g: SuperFunction) -> SuperFunction:
-    """f * g, as a scaling of f when g is a constant."""
-    if len(g.terms) == 1:
-        ((even, odd), c), = g.terms.items()
-        if not odd and not any(even):
-            return f.scale(c)
-    return f * g
+                        rho: dict = {}  # rho_a(y^c)
+                        for t, b in anchor[a].items():
+                            _derivative_into(rho, b.terms, yc.terms, t)
+                        if rho:
+                            _product_into(out.setdefault(c, {}), xa.terms, rho, sign)
+        return {c: SuperFunction._of(self.chart, terms) for c, terms in out.items() if terms}
 
 
 def classical_anchor_defects(calc: SectionCalculus) -> dict[tuple[int, int, int], SuperFunction]:
@@ -331,16 +358,22 @@ def classical_anchor_defects(calc: SectionCalculus) -> dict[tuple[int, int, int]
 
 
 def classical_jacobi_defects(calc: SectionCalculus) -> dict[tuple[int, int, int, int], SuperFunction]:
-    """Cyclic sum of [[xi_a, xi_b], xi_d] on frame triples, componentwise, nonzero only."""
+    """Cyclic sum of [[xi_a, xi_b], xi_d] on frame triples, componentwise, nonzero only.
+
+    Each [xi_a, xi_b] with a < b is formed once per call, and [[xi_k, xi_i], xi_j] is read as [xi_j, [xi_i, xi_k]].
+    """
     one = SuperFunction.constant(calc.chart, 1)
+    xi = {a: {a: one} for a in range(calc.data.fiber_rank)}
+    pair = {(a, b): calc.bracket(xi[a], xi[b]) for a, b in itertools.combinations(xi, 2)}
     out = {}
-    for i, j, k in itertools.combinations(range(calc.data.fiber_rank), 3):
-        total: Section = {}
-        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-            for c, f in calc.bracket(calc.bracket({a: one}, {b: one}), {d: one}).items():
-                add_into(total, c, f)
+    for i, j, k in itertools.combinations(xi, 3):
+        total: dict[int, dict] = {}
+        for br in (calc.bracket(pair[i, j], xi[k]), calc.bracket(pair[j, k], xi[i]), calc.bracket(xi[j], pair[i, k])):
+            for c, f in br.items():
+                _merge_into(total.setdefault(c, {}), f.terms)
         for c in sorted(total):
-            out[(i, j, k, c)] = total[c]
+            if total[c]:
+                out[(i, j, k, c)] = SuperFunction._of(calc.chart, total[c])
     return out
 
 

@@ -27,6 +27,7 @@ from .algebroid import (
     _exponents_up_to,
     _poly_fn,
     _poly_terms,
+    _product_into,
     add_into,
     complex_cohomology,
     merge_polys,
@@ -116,8 +117,14 @@ class SplitSetup(Frozen):
 
     @cached_property
     def delta(self) -> MCDelta:
-        """The checked structure field on the split chart; a refusal is not kept, so each read raises it."""
-        return MCDelta.of(self, self.calculus.xq)
+        """The structure field on the split chart, checked like ``MCDelta.of`` but with the calculus's own square
+        (a built field has degree 1 or is zero); a refusal is not kept, so each read raises it."""
+        calc = self.calculus
+        if not self.project(calc.xq).is_zero():
+            raise PreconditionError("delta must lie in ker(P)")
+        if not calc.square.is_zero():
+            raise PreconditionError("delta must satisfy [[delta, delta]] = 0")
+        return MCDelta(calc.xq)
 
     @cached_property
     def sub_frame(self) -> "FrameForm":
@@ -258,35 +265,35 @@ def graph_closure_oracle(setup: SplitSetup, d: DeformationPair) -> GraphClosureR
     chart, calc = setup.chart, setup.calculus
     mapping = normal_substitution(setup, d)
     restrict = (lambda f: f.substitute(mapping)) if mapping else (lambda f: f)
-    zero = SuperFunction.zero(chart)
     report = GraphClosureReport()
 
-    # graph frame: eps_i = xi_i + sum_j phi^j_i xi_j
-    sections = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
+    # graph frame: eps_i = xi_i + sum_j phi^j_i xi_j, all sharing one constant 1
+    one = SuperFunction._of(chart, {((0,) * chart.n_even, ()): 1})
+    sections = {i: {i: one} for i in setup.sub_indices}
     for (i, j), poly in d.phi.items():
         sections[i][j] = _poly_fn(chart, poly)
 
     # anchor condition: rho(eps_i) kills y_k - sigma_k on the section image
+    definings = [SuperFunction.even_var(chart, k) - mapping[k] for k in setup.normal_even_positions]
     for i in setup.sub_indices:
-        for pos_k, k in enumerate(setup.normal_even_positions):
-            defining = SuperFunction.even_var(chart, k) - mapping[k]
-            total = zero
+        for pos_k, defining in enumerate(definings):
+            total: dict = {}
             for a, fa in sections[i].items():
-                total = total + fa * calc.anchor_apply(a, defining)
-            total = restrict(total)
+                _product_into(total, fa.terms, calc.anchor_apply(a, defining).terms)
+            total = restrict(SuperFunction._of(chart, total))
             if not total.is_zero():
                 report.anchor_defects[(i, pos_k)] = total
-    # closure condition: bracket of graph sections lies in the graph over the section
+    # closure condition: g_j - sum_i phi^j_i g_i = 0 for g = [eps_i1, eps_i2] restricted to the section image
     # (phi depends on base coordinates only, which the substitution leaves alone)
     for i1, i2 in itertools.combinations(setup.sub_indices, 2):
         g = {c: restrict(f) for c, f in calc.bracket(sections[i1], sections[i2]).items()}
         for j in setup.comp_indices:
-            defect = g.get(j, zero)
+            defect = dict(g[j].terms) if j in g else {}
             for i in setup.sub_indices:
                 if i in g and j in sections[i]:
-                    defect = defect - sections[i][j] * g[i]
-            if not defect.is_zero():
-                report.closure_defects[(i1, i2, j)] = defect
+                    _product_into(defect, sections[i][j].terms, g[i].terms, -1)
+            if defect:
+                report.closure_defects[(i1, i2, j)] = SuperFunction._of(chart, defect)
     return report
 
 

@@ -331,7 +331,7 @@ class SuperFunction(_Terms):
     def even_var(chart: CoordinateChart, i: int) -> "SuperFunction":
         exps = [0] * chart.n_even
         exps[i] = 1
-        return SuperFunction(chart, {(tuple(exps), ()): 1})
+        return SuperFunction._of(chart, {(tuple(exps), ()): 1})
 
     @staticmethod
     def odd_var(chart: CoordinateChart, j: int) -> "SuperFunction":

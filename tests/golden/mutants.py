@@ -89,6 +89,15 @@ MUTANTS = [
     ("anchor defect sign", "algebroid.py",
      "total = total - calc.anchor_apply(i,", "total = total + calc.anchor_apply(i,",
      ["tests/test_algebroid.py::TestClassicalRouteAgainstReference::test_anchor_defects_match"]),
+    ("derivative factor dropped in the anchor term", "algebroid.py",
+     "e[t] * c for (e, _), c in g.items() if e[t]}", "c for (e, _), c in g.items() if e[t]}",
+     ["tests/test_algebroid.py::TestTermMapKernels::test_bracket_and_anchor_match_the_generic_route"]),
+    ("second anchor term not negated", "algebroid.py",
+     "for x, y, sign in ((u, v, 1), (v, u, -1)):", "for x, y, sign in ((u, v, 1), (v, u, 1)):",
+     ["tests/test_algebroid.py::TestTermMapKernels::test_bracket_and_anchor_match_the_generic_route"]),
+    ("pair bracket cached under the unordered pair", "algebroid.py",
+     "calc.bracket(xi[j], pair[i, k])", "calc.bracket(pair[i, k], xi[j])",
+     ["tests/test_algebroid.py::TestClassicalRouteAgainstReference::test_jacobi_defects_match"]),
     ("outer bracket of a zero inner bracket evaluated", "valgebra.py",
      "            if inner.is_zero():\n                continue\n", "",
      ["tests/test_valgebra.py::TestMultilinearShortcuts::test_no_outer_bracket_of_a_zero"]),
@@ -105,7 +114,7 @@ MUTANTS = [
      "restrict = (lambda f: f.substitute(mapping)) if mapping else (lambda f: f)", "restrict = lambda f: f",
      ["tests/test_subalgebroid.py::TestGraphClosureOracle::test_normal_restriction_matches_the_full_substitution"]),
     ("cached structure field unchecked", "subalgebroid.py",
-     "return MCDelta.of(self, self.calculus.xq)", "return MCDelta(self.calculus.xq)",
+     "        if not calc.square.is_zero():\n            raise", "        if False:\n            raise",
      ["tests/test_cli.py::TestSplitPayloads::test_refusals_are_raised_on_every_command",
       "tests/test_cli.py::TestSplitPayloads::test_structure_field_is_squared_once_per_split"]),
     ("validate ignores the square", "algebroid.py",

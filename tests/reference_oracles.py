@@ -8,11 +8,17 @@
 - ``CEForm`` and ``ce_differential``: bundle-valued forms with the
   Cartan-type differential, identified with superfunctions.
 - ``Derivation``: derivations with symbols and their transport onto fields.
+- ``generic_anchor_apply``, ``generic_section_bracket`` and
+  ``generic_graph_closure``: the classical route on ``SuperFunction``
+  arithmetic (one product, sum or scaling object per partial result), as the
+  package computed it before its term-map kernels; ``is_canonical_even``
+  checks a term map those kernels wrap without the validated constructor.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from linfty.algebroid import AlgebroidData, SectionCalculus, _exponents_up_to, add_into
@@ -314,3 +320,87 @@ def derivation_bracket(chart: CoordinateChart, d1: Derivation, d2: Derivation) -
     """Bracket transported through the field isomorphism (true by construction)."""
     bracket = super_commutator(derivation_to_field(chart, d1), derivation_to_field(chart, d2))
     return field_to_derivation(chart, bracket)
+
+
+# ---------------------------------------------------------------------
+# the classical route on SuperFunction arithmetic
+# ---------------------------------------------------------------------
+def is_canonical_even(f: SuperFunction) -> bool:
+    """f is even and its term map is canonical: full-length exponent tuples, nonzero int or non-integral Fractions."""
+    n_even = f.chart.n_even
+    for (even, odd), c in f.terms.items():
+        if odd or type(even) is not tuple or len(even) != n_even or min(even, default=0) < 0:
+            return False
+        if not (type(c) is int and c) and not (type(c) is Fraction and c.denominator > 1):
+            return False
+    return True
+
+
+def generic_anchor_apply(calc: SectionCalculus, a: int, f: SuperFunction) -> SuperFunction:
+    """rho_a(f) = sum_t b^t_a d f / d x_t, one SuperFunction per partial sum."""
+    out = SuperFunction.zero(calc.chart)
+    for t, b in calc.anchor.get(a, {}).items():
+        out = out + b * f.partial(t)
+    return out
+
+
+def _times(f: SuperFunction, g: SuperFunction) -> SuperFunction:
+    """f * g, as a scaling of f when g is a constant."""
+    if len(g.terms) == 1:
+        ((even, odd), c), = g.terms.items()
+        if not odd and not any(even):
+            return f.scale(c)
+    return f * g
+
+
+def generic_section_bracket(calc: SectionCalculus, u: dict, v: dict) -> dict:
+    """[u, v]^c = u^a v^b C^c_ab + u^a rho_a(v^c) - v^b rho_b(u^c), added up with ``add_into``."""
+    out: dict = {}
+    for a, ua in u.items():
+        for b, vb in v.items():
+            cab = calc.structure.get((a, b))
+            if cab is None:
+                continue
+            uv = ua * vb
+            for c, cf in cab.items():
+                add_into(out, c, _times(uv, cf))
+    for x, y, sign in ((u, v, 1), (v, u, -1)):
+        for a, xa in x.items():
+            if a in calc.anchor:
+                for c, yc in y.items():
+                    add_into(out, c, (xa * generic_anchor_apply(calc, a, yc)).scale(sign))
+    return out
+
+
+def generic_graph_closure(setup, d) -> tuple[dict, dict]:
+    """(anchor defects, closure defects) of the graph of a candidate, restricted along y_k -> sigma_k."""
+    chart = setup.chart
+    mapping = {
+        k: SuperFunction(chart, {(e + (0,) * setup.normal_rank, ()): c for e, c in d.sigma.get(pos_k, {}).items()})
+        for pos_k, k in enumerate(setup.normal_even_positions)
+    }
+    zero = SuperFunction.zero(chart)
+    sections = {i: {i: SuperFunction.constant(chart, 1)} for i in setup.sub_indices}
+    for (i, j), poly in d.phi.items():
+        sections[i][j] = SuperFunction(chart, {(e + (0,) * setup.normal_rank, ()): c for e, c in poly.items()})
+    anchor_defects, closure_defects = {}, {}
+    for i in setup.sub_indices:
+        for pos_k, k in enumerate(setup.normal_even_positions):
+            defining = SuperFunction.even_var(chart, k) - mapping[k]
+            total = zero
+            for a, fa in sections[i].items():
+                total = total + fa * generic_anchor_apply(setup.calculus, a, defining)
+            total = total.substitute(mapping)
+            if not total.is_zero():
+                anchor_defects[(i, pos_k)] = total
+    for i1, i2 in itertools.combinations(setup.sub_indices, 2):
+        bracket = generic_section_bracket(setup.calculus, sections[i1], sections[i2])
+        g = {c: f.substitute(mapping) for c, f in bracket.items()}
+        for j in setup.comp_indices:
+            defect = g.get(j, zero)
+            for i in setup.sub_indices:
+                if i in g and j in sections[i]:
+                    defect = defect - sections[i][j] * g[i]
+            if not defect.is_zero():
+                closure_defects[(i1, i2, j)] = defect
+    return anchor_defects, closure_defects

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,9 @@ from reference_oracles import (
     derivation_to_field,
     field_to_derivation,
     form_to_superfunction,
+    generic_anchor_apply,
+    generic_section_bracket,
+    is_canonical_even,
     superfunction_to_form,
 )
 from linfty.superfield import (
@@ -699,6 +703,98 @@ class TestClassicalRouteAgainstReference:
             assert list(report.closure_defects.items()) == list(closure.items())
             verdicts[report.accepts] += not pair.is_zero()
         assert verdicts[True] >= 5 and verdicts[False] >= 5  # nonzero candidates of both verdicts
+
+
+def _fraction_fn(rng, chart, n_terms=3, max_degree=2):
+    """An even function with Fraction coefficients over few exponents, so that sums of products cancel."""
+    poly = {}
+    for _ in range(n_terms):
+        e = [0] * chart.n_even
+        for _ in range(rng.randint(0, max_degree) if chart.n_even else 0):
+            e[rng.randrange(chart.n_even)] += 1
+        poly[tuple(e)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return SuperFunction(chart, {(e, ()): c for e, c in poly.items()})
+
+
+class TestTermMapKernels:
+    """The section calculus on raw term maps against the same route on SuperFunction arithmetic."""
+
+    def test_bracket_and_anchor_match_the_generic_route(self):
+        rng = random.Random(31)
+        charts = {"point": 0, "normal": 0}
+        cancelled = 0
+        for data, chart in CLASSICAL_CASES:
+            chart = chart or data.plain_chart()
+            charts["point"] += chart.n_even == 0
+            charts["normal"] += chart.normal_rank > 0
+            calc = SectionCalculus.of(data, chart)
+            frames = range(data.fiber_rank)
+
+            def section():
+                return {a: _fraction_fn(rng, chart) for a in rng.sample(frames, rng.randint(1, len(frames)))}
+
+            u, v = section(), section()
+            w = {**v, **{a: -f for a, f in u.items()}}  # shares u's terms, with the opposite sign
+            for x, y in ((u, v), (u, u), (u, w), (w, u)):
+                got = calc.bracket(x, y)
+                assert got == generic_section_bracket(calc, x, y)
+                assert all(is_canonical_even(f) for f in got.values())
+                cancelled += not got
+            for a in frames:
+                f = _fraction_fn(rng, chart)
+                got = calc.anchor_apply(a, f)
+                assert got == generic_anchor_apply(calc, a, f) and is_canonical_even(got)
+        assert charts["point"] >= 5 and charts["normal"] >= 5, charts
+        assert cancelled >= len(CLASSICAL_CASES)  # [u, u] = 0 at least: every term cancels
+
+    def test_odd_factors_are_refused(self):
+        calc = TR2.calculus
+        chart = calc.chart
+        one, odd = SuperFunction.constant(chart, 1), SuperFunction(chart, {((1, 0), (1,)): 1})  # x1 xi2
+        for u, v in (({0: odd}, {1: one}), ({0: one}, {1: one + odd}), ({0: odd}, {})):
+            with pytest.raises(ValueError, match="even"):
+                calc.bracket(u, v)
+        with pytest.raises(ValueError, match="even"):
+            calc.anchor_apply(0, one + odd)
+
+    @pytest.mark.parametrize(
+        "calc",
+        [
+            pytest.param(parse_instance(fixture_path("sl2")).payload["data"].calculus, id="sl2"),
+            pytest.param(parse_instance(fixture_path("sl2-sum")).payload["data"].calculus, id="sl2-sum"),
+            pytest.param(_perturb(tangent_rn(6), random.Random(32)).calculus, id="rank-6-over-a-base"),
+        ],
+    )
+    def test_jacobi_brackets_each_frame_pair_once(self, monkeypatch, calc):
+        original, calls = SectionCalculus.bracket, []
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(SectionCalculus, "bracket", counting)
+        got = classical_jacobi_defects(calc)
+        assert list(got.items()) == list(reference_jacobi_defects(calc.data, calc.chart).items())
+        r = calc.data.fiber_rank
+        # C(r, 2) inner brackets and 3 C(r, 3) outer ones (was 6 C(r, 3): every inner bracket once per triple)
+        assert len(calls) == comb(r, 2) + 3 * comb(r, 3)
+
+    @pytest.mark.parametrize("preset", ["sl2-borel", "foliation-r3", "hom-sl2-id"])
+    def test_graph_oracle_runs_no_validated_constructor(self, monkeypatch, preset):
+        inst = parse_instance(fixture_path(preset))
+        setup, cand = inst.payload["setup"], inst.payload["candidate"]
+        base = inst.payload.get("base") or DeformationPair.zero()
+        original, calls = SuperFunction.__init__, []
+
+        def counting(self, *args):
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(SuperFunction, "__init__", counting)
+        reports = [graph_closure_oracle(setup, pair) for pair in (DeformationPair.zero(), base, base.add(cand))]
+        assert calls == []  # the calculus, the sections and every sum are wrapped term maps
+        assert all(is_canonical_even(f) for rep in reports for f in (*rep.anchor_defects.values(),
+                                                                        *rep.closure_defects.values()))
 
 
 def test_instance_generator_is_unchanged():

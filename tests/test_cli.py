@@ -68,20 +68,6 @@ def record_calculi(monkeypatch) -> list:
     return calls
 
 
-def record_structure_checks(monkeypatch) -> list:
-    """The split of every ``MCDelta.of`` call: each squares a structure field."""
-    from linfty.valgebra import MCDelta
-
-    original, calls = MCDelta.of, []
-
-    def counting(split, delta):
-        calls.append(split)
-        return original(split, delta)
-
-    monkeypatch.setattr(MCDelta, "of", staticmethod(counting))
-    return calls
-
-
 def deep_series_instances(k: int) -> dict[str, dict]:
     """Two instances whose series take exactly k nonzero brackets: a normal shift and a base map into y^k d/dy.
 
@@ -764,9 +750,9 @@ class TestCommands:
         "preset,commands,squares",
         [
             ("sl2", ("validate", "oracle-compare", "validate"), 1),
-            # MCDelta.of squares the split's field once more, to check it
-            ("sl2-borel", ("validate", "subalg-check", "oracle-compare", "validate"), 2),
-            ("foliation-r3", ("validate", "oracle-compare", "validate"), 2),
+            # the split's delta check reads the calculus's square (was 2: MCDelta.of squared the field again)
+            ("sl2-borel", ("validate", "subalg-check", "oracle-compare", "validate"), 1),
+            ("foliation-r3", ("validate", "oracle-compare", "validate"), 1),
         ],
     )
     def test_a_record_builds_and_squares_its_structure_field_once(self, monkeypatch, preset, commands, squares):
@@ -1150,12 +1136,14 @@ class TestSplitPayloads:
     @pytest.mark.parametrize("preset", ["sl2-borel", "tangent-r1-origin", "foliation-r3", "hom-sl2-id"])
     def test_structure_field_is_squared_once_per_split(self, monkeypatch, preset):
         inst = parse_instance(fixture_path(preset))
-        calls = record_structure_checks(monkeypatch)
+        calls = record_commutators(monkeypatch)
         for command, count in (("oracle-compare", 1), ("subalg-check", 0), ("oracle-compare", 0)):
             calls.clear()
             run_command(command, inst, split_args(command))
-            assert len(calls) == count, command
-            assert all(split is inst.payload["setup"] for split in calls)
+            squares = [x for x, y in calls if x is y]
+            assert len(squares) == count, command
+            # the split's own structure field, squared by its calculus (SplitSetup.delta reads it)
+            assert all(x is inst.payload["setup"].calculus.xq for x in squares)
 
     def test_refusals_are_raised_on_every_command(self, capsys, monkeypatch, tmp_path):
         import linfty.cli as cli

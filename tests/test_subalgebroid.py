@@ -27,6 +27,7 @@ from linfty.subalgebroid import (
 )
 from linfty.superfield import SuperFunction, SuperVectorField, super_commutator
 from linfty.valgebra import DerivedBrackets, LInftyElement, MCDelta, derived_bracket, twisted_projection
+from reference_oracles import generic_graph_closure, is_canonical_even
 
 SL2 = AlgebroidData.build(0, 3, structure={(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1})
 HEIS_CENTER = AlgebroidData.build(0, 3, structure={(1, 2, 0): 1})
@@ -82,6 +83,15 @@ def full_substitution_oracle(setup, d):
             if not defect.is_zero():
                 report.closure_defects[(i1, i2, j)] = defect
     return report
+
+
+def random_splits(rng):
+    """30 ``random_instance`` splits, each with the zero candidate and a random one of degree at most 2."""
+    cases = []
+    for _ in range(30):
+        setup, _ = random_instance(rng)
+        cases += [(setup, DeformationPair.zero()), (setup, random_candidate(setup, rng, max_degree=2))]
+    return cases
 
 
 def tangent_graph(rng, p, q):
@@ -290,10 +300,7 @@ class TestGraphClosureOracle:
 
     def test_normal_restriction_matches_the_full_substitution(self, monkeypatch):
         rng = random.Random(2029)
-        cases = []  # (setup, candidate): normal splits, graphs on the locus, fixed-base splits
-        for _ in range(30):
-            setup, _ = random_instance(rng)
-            cases += [(setup, DeformationPair.zero()), (setup, random_candidate(setup, rng, max_degree=2))]
+        cases = random_splits(rng)  # (setup, candidate): normal splits, graphs on the locus, fixed-base splits
         for p, q in ((1, 1), (2, 1), (1, 2)):
             setup, pair = tangent_graph(rng, p, q)
             tilted = DeformationPair.build(setup, phi={(0, p): 1})
@@ -324,6 +331,26 @@ class TestGraphClosureOracle:
             if setup.normal_rank == 0:
                 assert substituted == []  # over a fixed base nothing is restricted
             substituted.clear()
+
+    def test_matches_the_generic_route(self):
+        rng = random.Random(2029)
+        cases = random_splits(rng)
+        for setup, pair in cases[1::2]:  # the same candidates with non-integral coefficients
+            c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3)))
+            cases.append((setup, DeformationPair.build(
+                setup,
+                sigma={k: {e: c * v for e, v in poly.items()} for k, poly in pair.sigma.items()},
+                phi={ij: {e: c * v for e, v in poly.items()} for ij, poly in pair.phi.items()},
+            )))
+        verdicts = {(normal, accepts): 0 for normal in (True, False) for accepts in (True, False)}
+        for setup, pair in cases:
+            got = graph_closure_oracle(setup, pair)
+            anchor, closure = generic_graph_closure(setup, pair)
+            assert list(got.anchor_defects.items()) == list(anchor.items())
+            assert list(got.closure_defects.items()) == list(closure.items())
+            assert all(is_canonical_even(f) for f in (*got.anchor_defects.values(), *got.closure_defects.values()))
+            verdicts[(setup.normal_rank > 0, got.accepts)] += not pair.is_zero()
+        assert min(verdicts.values()) >= 3, verdicts
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = random.Random(2024)
